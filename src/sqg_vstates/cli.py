@@ -82,7 +82,10 @@ def _fmt17(x: float) -> str:
 def _table_size(*requested: int) -> int:
     env = os.environ.get("VSTATES_NMAX")
     if env is not None:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError as exc:
+            raise PreconditionError(f"VSTATES_NMAX must be an integer, got {env!r}") from exc
     return max(200, *requested) if requested else 200
 
 
@@ -296,7 +299,10 @@ def _render_svg(data: dict, point_indices: list[int]) -> str:
 
 def cmd_render(cfg: RunConfig) -> int:
     with open(cfg.input, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except ValueError as exc:  # malformed JSON or undecodable bytes
+            raise PreconditionError(f"{cfg.input} is not valid JSON: {exc}") from exc
     _validate_branch_json(data)
     indices = _select_points(cfg.points, len(data["points"]))
     svg = _render_svg(data, indices)

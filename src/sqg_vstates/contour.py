@@ -27,7 +27,11 @@ the boundaries are disjoint, and the same rule converges spectrally.
 ``residual`` collocates G_1, G_2 on a uniform grid and projects onto the
 retained sine modes sin(n m theta); ``newton_correct`` and
 ``branch_continue`` trace solution branches off the annulus in the kernel
-direction of the linearized operator, using a finite-difference Jacobian.
+direction of the linearized operator.  The Newton Jacobian is the exact
+derivative of the discrete residual: both maps are linear in (a, c), so
+every column follows in closed form from the kernel matrices of one pass.
+Central differences remain only as the independent oracle, in the tests
+and in ``verify``.
 """
 
 from __future__ import annotations
@@ -174,10 +178,16 @@ class BranchRun:
     P: int
 
 
+def _monomials(patch: PatchPair, w: np.ndarray) -> np.ndarray:
+    """The (len(w), K) table w^{-(n m - 1)}: the derivative of either map
+    with respect to its n-th coefficient."""
+    return w[:, None] ** (-patch.mode_exponents()[None, :])
+
+
 def _map_values(patch: PatchPair, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Phi_1, Phi_2, Phi_1', Phi_2' on an array of unit-circle points."""
     p = patch.mode_exponents()
-    wneg = w[:, None] ** (-p[None, :])
+    wneg = _monomials(patch, w)
     phi1 = w + wneg @ patch.a
     phi2 = patch.b * w + wneg @ patch.c
     # Phi'(w) = 1 - sum (nm-1) a_n w^{-nm}
@@ -265,19 +275,16 @@ def _stream_on_grid(
     return out
 
 
-def collocation_residual(patch: PatchPair, P: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pointwise boundary residuals (G_1, G_2) on the P uniform collocation
-    angles 2 pi k / P, k = 0..P-1.
-
-    ``P`` must be even and at least 4 K m so the retained frequency band is
-    resolved with margin.
-    """
-    m, K = patch.m, patch.K
+def _check_grid(m: int, K: int, P: int) -> None:
     if P % 2 or P < 4 * K * m:
         raise PreconditionError(
             f"collocation size P={P} must be even and >= 4*K*m = {4 * K * m}"
         )
-    theta = TWO_PI * np.arange(P) / P
+
+
+def _boundary_residuals(patch: PatchPair, theta: np.ndarray, P: int) -> tuple[np.ndarray, np.ndarray]:
+    """G_1, G_2 at the target angles ``theta``, with the stream integrals
+    taken over the P half-offset quadrature nodes."""
     eta = TWO_PI * (np.arange(P) + 0.5) / P
     w = np.exp(1j * theta)
     tau = np.exp(1j * eta)
@@ -292,6 +299,17 @@ def collocation_residual(patch: PatchPair, P: int) -> tuple[np.ndarray, np.ndarr
     g1 = np.imag((patch.omega * phi1_w - s11 + s21) * np.conj(dphi1_w) * np.conj(w))
     g2 = np.imag((patch.omega * phi2_w - s12 + s22) * np.conj(dphi2_w) * np.conj(w))
     return g1, g2
+
+
+def collocation_residual(patch: PatchPair, P: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pointwise boundary residuals (G_1, G_2) on the P uniform collocation
+    angles 2 pi k / P, k = 0..P-1.
+
+    ``P`` must be even and at least 4 K m so the retained frequency band is
+    resolved with margin.
+    """
+    _check_grid(patch.m, patch.K, P)
+    return _boundary_residuals(patch, TWO_PI * np.arange(P) / P, P)
 
 
 def residual(patch: PatchPair, P: int) -> ResidualSpectrum:
@@ -391,40 +409,28 @@ def linearization_check(
     return rel
 
 
-def _sine_coefficients_one_period(patch: PatchPair, P: int) -> tuple[np.ndarray, np.ndarray]:
-    """Retained sine coefficients from collocation over a single period.
+def _collocation_grid(m: int, K: int, P: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """Target angles, their sine table sin(n m theta) and projection scale.
 
     Every PatchPair is m-fold symmetric by construction, so G_1, G_2 are
     2 pi / m periodic and the full-circle sine projection equals m times
-    the partial sum over one period: collocating P/m of the P angles gives
-    the same coefficients (to summation roundoff) at 1/m of the kernel
-    cost.  The quadrature over tau still runs on all P nodes.  Requires
-    m | P; the Newton path falls back to the full grid otherwise.
+    the partial sum over one period.  When m | P the targets are the first
+    q = P/m of the P angles 2 pi k / P (1/m of the kernel cost); otherwise
+    they are all q = P of them.  Either way the retained coefficient is
+    (2/q) sum_k G(theta_k) sin(n m theta_k).
     """
-    m, K = patch.m, patch.K
-    if P % 2 or P < 4 * K * m or P % m:
-        raise PreconditionError(
-            f"one-period collocation needs P even, >= 4*K*m and divisible by m, got P={P}"
-        )
-    q = P // m
+    q = P // m if P % m == 0 else P
     theta = TWO_PI * np.arange(q) / P
-    eta = TWO_PI * (np.arange(P) + 0.5) / P
-    w = np.exp(1j * theta)
-    tau = np.exp(1j * eta)
-    phi1_w, phi2_w, dphi1_w, dphi2_w = _map_values(patch, w)
-    phi1_t, phi2_t, dphi1_t, dphi2_t = _map_values(patch, tau)
+    sines = np.sin(np.outer(theta, np.arange(1, K + 1) * m))
+    return theta, sines, 2.0 / q
 
-    s11 = _stream_on_grid(tau, phi1_t, dphi1_t, w, phi1_w, dphi1_w)
-    s21 = _stream_on_grid(tau, phi2_t, dphi2_t, w, phi1_w, dphi1_w)
-    s12 = _stream_on_grid(tau, phi1_t, dphi1_t, w, phi2_w, dphi2_w)
-    s22 = _stream_on_grid(tau, phi2_t, dphi2_t, w, phi2_w, dphi2_w)
 
-    g1 = np.imag((patch.omega * phi1_w - s11 + s21) * np.conj(dphi1_w) * np.conj(w))
-    g2 = np.imag((patch.omega * phi2_w - s12 + s22) * np.conj(dphi2_w) * np.conj(w))
-
-    freqs = np.arange(1, K + 1) * m
-    sines = np.sin(np.outer(theta, freqs))
-    scale = 2.0 * m / P
+def _sine_coefficients(patch: PatchPair, P: int) -> tuple[np.ndarray, np.ndarray]:
+    """Retained sine coefficients of G_1, G_2 on the grid of
+    :func:`_collocation_grid`; the quadrature over tau runs on all P nodes."""
+    _check_grid(patch.m, patch.K, P)
+    theta, sines, scale = _collocation_grid(patch.m, patch.K, P)
+    g1, g2 = _boundary_residuals(patch, theta, P)
     return scale * (g1 @ sines), scale * (g2 @ sines)
 
 
@@ -432,7 +438,6 @@ def _sine_coefficients_one_period(patch: PatchPair, P: int) -> tuple[np.ndarray,
 # Newton corrector and branch continuation
 # ---------------------------------------------------------------------------
 
-_FD_STEP = 1e-7
 _COND_LIMIT = 1e14
 _MAX_BACKTRACK = 8
 
@@ -446,33 +451,164 @@ def _system(patch_like: PatchPair, x: np.ndarray, s: float, vhat: tuple[float, f
 
     Returns (F, max residual coefficient).  The constraint pins the
     projection of (a_1, c_1) onto the normalized kernel direction to s.
-    Uses the one-period collocation fast path whenever m divides P.
+    Targets and projection follow :func:`_collocation_grid`.
     """
     K = patch_like.K
     patch = patch_like.with_state(x[:K], x[K:2 * K], float(x[2 * K]))
-    if P % patch.m == 0:
-        r1, r2 = _sine_coefficients_one_period(patch, P)
-    else:
-        spec = residual(patch, P)
-        r1, r2 = spec.r1, spec.r2
+    r1, r2 = _sine_coefficients(patch, P)
     constraint = x[0] * vhat[0] + x[K] * vhat[1] - s
     rnorm = max(float(np.abs(r1).max()), float(np.abs(r2).max()))
     return np.concatenate([r1, r2, [constraint]]), rnorm
 
 
-def _fd_jacobian(patch_like: PatchPair, x: np.ndarray, s: float, vhat: tuple[float, float], P: int) -> np.ndarray:
-    nunk = x.size
-    jac = np.empty((nunk, nunk))
-    for k in range(nunk):
-        step = _FD_STEP * max(1.0, abs(x[k]))
-        xp = x.copy()
-        xp[k] += step
-        xm = x.copy()
-        xm[k] -= step
-        fp, _ = _system(patch_like, xp, s, vhat, P)
-        fm, _ = _system(patch_like, xm, s, vhat, P)
-        jac[:, k] = (fp - fm) / (2.0 * step)
+def _source_tables(t_neg: np.ndarray, num: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Right-hand sides that turn the kernel matrices R, U, V of one source
+    map into every column sum :func:`_pair_derivatives` needs.
+
+    ``t_neg`` is the monomial table T = tau^{-p} and ``num`` the numerator
+    A = tau Phi'(tau) of the source map on the P quadrature nodes.  Column
+    blocks, which :func:`_pair_derivatives` slices by position:
+    t_r = [Re T, Im T, 1, Re A, Im A],
+    t_u = [Re T, Re A Re T, Im A Re T, 1, Re A, Im A] and t_v the same
+    with Im T in place of Re T.
+    """
+    ones = np.ones((num.size, 1))
+    tail = np.column_stack([ones, num.real, num.imag])
+    t_r = np.column_stack([t_neg.real, t_neg.imag, tail])
+    t_u = np.column_stack([t_neg.real, num.real[:, None] * t_neg.real, num.imag[:, None] * t_neg.real, tail])
+    t_v = np.column_stack([t_neg.imag, num.real[:, None] * t_neg.imag, num.imag[:, None] * t_neg.imag, tail])
+    return t_r, t_u, t_v
+
+
+def _pair_derivatives(
+    phi_src_t: np.ndarray,
+    tables: tuple[np.ndarray, np.ndarray, np.ndarray],
+    phi_dst_w: np.ndarray,
+    num_dst_w: np.ndarray,
+    w_neg: np.ndarray,
+    p: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """S(Phi_src, Phi_dst) at a block of targets w and its exact derivatives
+    with respect to the source and destination coefficients.
+
+    With D = Phi_src(tau) - Phi_dst(w), R = 1/|D|, A = tau Phi_src'(tau)
+    and B = w Phi_dst'(w), the rule is S = avg_tau (A - B) R.  A source
+    coefficient moves D by tau^{-p} and A by -p tau^{-p}; a destination
+    coefficient moves D by -w^{-p} and B by -p w^{-p}; and
+    dR = -R^3 Re(conj(D) dD).  With U = Re(D) R^3 and V = Im(D) R^3 every
+    column is a product of R, U or V with a table of
+    :func:`_source_tables`.  Only two P x block arrays are live at once, as
+    in :func:`_stream_on_grid`.  Returns (S, dS/dsource, dS/ddestination),
+    the last two as (block, K) arrays.
+    """
+    P = phi_src_t.size
+    K = p.size
+    t_r, t_u, t_v = tables
+    x = np.subtract.outer(phi_src_t.real, phi_dst_w.real)
+    y = np.subtract.outer(phi_src_t.imag, phi_dst_w.imag)
+    x *= x
+    y *= y
+    x += y
+    np.sqrt(x, out=y)
+    if y.min() < COLLISION_TOL:
+        raise BoundaryCollision(
+            f"boundaries closer than {COLLISION_TOL} at a quadrature node"
+        )
+    x *= y
+    np.reciprocal(y, out=y)  # R
+    np.reciprocal(x, out=x)  # R^3
+    r_cols = y.T @ t_r
+    np.subtract.outer(phi_src_t.real, phi_dst_w.real, out=y)
+    y *= x  # U
+    u_cols = y.T @ t_u
+    np.subtract.outer(phi_src_t.imag, phi_dst_w.imag, out=y)
+    y *= x  # V
+    v_cols = y.T @ t_v
+
+    def tail(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # column sum and sum against A
+        return cols[:, -3], cols[:, -2] + 1j * cols[:, -1]
+
+    sum_r, r_a = tail(r_cols)
+    sum_u, u_a = tail(u_cols)
+    sum_v, v_a = tail(v_cols)
+    b = num_dst_w[:, None]
+    value = (r_a - num_dst_w * sum_r) / P
+    d_src = (
+        -p * (r_cols[:, :K] + 1j * r_cols[:, K:2 * K])
+        - (u_cols[:, K:2 * K] + 1j * u_cols[:, 2 * K:3 * K])
+        - (v_cols[:, K:2 * K] + 1j * v_cols[:, 2 * K:3 * K])
+        + b * (u_cols[:, :K] + v_cols[:, :K])
+    ) / P
+    d_dst = (
+        p * w_neg * sum_r[:, None]
+        + w_neg.real * (u_a - num_dst_w * sum_u)[:, None]
+        + w_neg.imag * (v_a - num_dst_w * sum_v)[:, None]
+    ) / P
+    return value, d_src, d_dst
+
+
+def _exact_jacobian(patch_like: PatchPair, x: np.ndarray, s: float, vhat: tuple[float, float], P: int) -> np.ndarray:
+    """Exact derivative of :func:`_system` with respect to x = (a, c, Omega).
+
+    The same half-offset quadrature, targets and sine projection as the
+    residual, differentiated in closed form: G_j = Im(E_j conj(B_j)) with
+    E_j = Omega Phi_j - S(Phi_1, Phi_j) + S(Phi_2, Phi_j) and
+    B_j = w Phi_j'(w), so each coefficient column is
+    Im(dE_j conj(B_j)) + Im(E_j conj(dB_j)) and the Omega column is
+    Im(Phi_j conj(B_j)).  Kernel work is chunked over targets like the
+    residual, one source map at a time.
+    """
+    K = patch_like.K
+    patch = patch_like.with_state(x[:K], x[K:2 * K], float(x[2 * K]))
+    _check_grid(patch.m, K, P)
+    theta, sines, scale = _collocation_grid(patch.m, K, P)
+    p = patch.mode_exponents()
+    w = np.exp(1j * theta)
+    tau = np.exp(1j * TWO_PI * (np.arange(P) + 0.5) / P)
+    t_neg = _monomials(patch, tau)
+    w_neg = _monomials(patch, w)
+    phi1_t, phi2_t, dphi1_t, dphi2_t = _map_values(patch, tau)
+    phi1_w, phi2_w, dphi1_w, dphi2_w = _map_values(patch, w)
+    src = ((phi1_t, tau * dphi1_t), (phi2_t, tau * dphi2_t))
+    dst = ((phi1_w, w * dphi1_w), (phi2_w, w * dphi2_w))
+
+    # e_val[j] = E_j and d_e[j][k] = dE_j / d(coefficients of map k)
+    e_val = [patch.omega * phi_w for phi_w, _ in dst]
+    d_e = [[np.zeros((w.size, K), dtype=complex) for _ in range(2)] for _ in range(2)]
+    for j in range(2):
+        d_e[j][j] += patch.omega * w_neg
+    for i, sign in ((0, -1.0), (1, 1.0)):
+        phi_t, num_t = src[i]
+        tables = _source_tables(t_neg, num_t)
+        for lo in range(0, w.size, _CHUNK):
+            hi = min(lo + _CHUNK, w.size)
+            for j, (phi_w, num_w) in enumerate(dst):
+                value, d_src, d_dst = _pair_derivatives(phi_t, tables, phi_w[lo:hi], num_w[lo:hi], w_neg[lo:hi], p)
+                e_val[j][lo:hi] += sign * value
+                d_e[j][i][lo:hi] += sign * d_src
+                d_e[j][j][lo:hi] += sign * d_dst
+        del tables  # one source's tables live at a time
+
+    jac = np.zeros((2 * K + 1, 2 * K + 1))
+    proj = scale * sines.T
+    for j, (phi_w, num_w) in enumerate(dst):
+        conj_b = np.conj(num_w)[:, None]
+        rows = slice(j * K, (j + 1) * K)
+        for k in range(2):
+            d_g = np.imag(d_e[j][k] * conj_b)
+            if k == j:
+                d_g -= p * np.imag(e_val[j][:, None] * np.conj(w_neg))
+            jac[rows, k * K:(k + 1) * K] = proj @ d_g
+        jac[rows, 2 * K] = proj @ np.imag(phi_w * np.conj(num_w))
+    jac[2 * K, 0] = vhat[0]
+    jac[2 * K, K] = vhat[1]
     return jac
+
+
+def _check_tol(newton_tol: float) -> None:
+    if not (math.isfinite(newton_tol) and newton_tol > 0.0):
+        raise PreconditionError(f"Newton tolerance must be finite and > 0, got {newton_tol}")
 
 
 def newton_correct(
@@ -485,19 +621,25 @@ def newton_correct(
 ) -> tuple[PatchPair, float]:
     """Solve the augmented system {residual = 0, kernel projection = s}.
 
-    Damped Newton on the 2K+1 unknowns (a, c, Omega) with a central
-    finite-difference Jacobian (step 1e-7 * max(1, |x|) per unknown).  The
-    Jacobian is reused across iterations while full steps keep reducing the
-    residual, and refreshed when progress stalls.  Returns the corrected
-    patch and its residual norm (max sine coefficient).
+    Damped Newton on the 2K+1 unknowns (a, c, Omega).  The Jacobian is the
+    exact derivative of the discrete residual (same quadrature, targets and
+    projection), assembled in one vectorized pass that costs two to four
+    residual evaluations rather than the 2(2K+1) of central differences,
+    which serve only as the oracle in the tests and in ``verify``.  The Jacobian is reused across
+    iterations while full steps keep reducing the residual, and refreshed
+    when progress stalls.  Returns the corrected patch and its residual
+    norm (max sine coefficient).
 
     Raises
     ------
+    PreconditionError
+        if ``newton_tol`` is not finite and positive.
     NoConvergence
         after ``max_iter`` iterations above tolerance.
     SingularJacobian
         if the condition estimate of the Jacobian exceeds 1e14.
     """
+    _check_tol(newton_tol)
     vhat = kernel.normalized()
     x = _pack(patch)
     fvec, rnorm = _system(patch, x, s, vhat, P)
@@ -508,7 +650,7 @@ def newton_correct(
             K = patch.K
             return patch.with_state(x[:K], x[K:2 * K], float(x[2 * K])), rnorm
         if jac is None:
-            jac = _fd_jacobian(patch, x, s, vhat, P)
+            jac = _exact_jacobian(patch, x, s, vhat, P)
             jac_fresh = True
             if np.linalg.cond(jac) > _COND_LIMIT:
                 raise SingularJacobian(
@@ -571,8 +713,11 @@ def branch_continue(
     """
     if sign not in ("plus", "minus"):
         raise PreconditionError(f"sign must be 'plus' or 'minus', got {sign!r}")
-    if steps < 0 or ds <= 0.0:
-        raise PreconditionError(f"need steps >= 0 and ds > 0, got steps={steps}, ds={ds}")
+    if steps < 0 or not (math.isfinite(ds) and ds > 0.0):
+        raise PreconditionError(f"need steps >= 0 and finite ds > 0, got steps={steps}, ds={ds}")
+    if K < 1 or m < 2:
+        raise PreconditionError(f"need K >= 1 and m >= 2, got K={K}, m={m}")
+    _check_tol(newton_tol)
     block = 4 * K * m
     P = block * max(1, -(-P // block))
     if consts is None:

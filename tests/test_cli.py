@@ -126,6 +126,20 @@ class TestBranchCommand:
                      "--modes", "4", "--quad", "320", "--out", str(tmp_path / "x.json")])
         assert code == EXIT_GUARD
 
+    @pytest.mark.parametrize("extra", [
+        ("--modes", "0"),
+        ("--ds", "nan"),
+        ("--ds", "inf"),
+        ("--tol", "nan"),
+    ])
+    def test_degenerate_arguments_are_guard_errors(self, tmp_path, capsys, extra):
+        out = tmp_path / "x.json"
+        code = main(["branch", "--b", "0.6", "--m", "5", "--steps", "1",
+                     "--quad", "320", "--out", str(out), *extra])
+        assert code == EXIT_GUARD
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
 
 class TestRenderCommand:
     def test_round_trip_from_branch(self, tmp_path):
@@ -185,6 +199,14 @@ class TestRenderCommand:
         assert code == EXIT_GUARD
         assert "points[1].omega" in capsys.readouterr().err
 
+    def test_malformed_json(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"b": 0.6,')
+        code = main(["render", str(bad), "--out", str(tmp_path / "img.svg")])
+        assert code == EXIT_GUARD
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "not valid JSON" in err
+
     def test_bad_point_index(self, tmp_path, capsys):
         src = run_branch(tmp_path, steps=1)
         code = main(["render", str(src), "--points", "7", "--out", str(tmp_path / "i.svg")])
@@ -208,6 +230,12 @@ class TestCheckCommand:
         code = main(["threshold", "--b", "0.9"])
         assert code == EXIT_GUARD
         assert "enlarge" in capsys.readouterr().err
+
+
+    def test_non_integer_table_size(self, monkeypatch, capsys):
+        monkeypatch.setenv("VSTATES_NMAX", "abc")
+        assert main(["threshold", "--b", "0.5"]) == EXIT_GUARD
+        assert "VSTATES_NMAX" in capsys.readouterr().err
 
 
 class TestUsageErrors:

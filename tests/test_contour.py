@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from sqg_vstates import contour
 from sqg_vstates.contour import (
     PatchPair,
     annulus_patch,
@@ -25,7 +26,7 @@ from sqg_vstates.errors import (
     PreconditionError,
 )
 from sqg_vstates.specfun import AnnulusConstants, gauss_2f1, lambda_coeff
-from sqg_vstates.spectrum import bifurcation_row, kernel_vector, threshold_N
+from sqg_vstates.spectrum import bifurcation_row, kernel_vector, mode_matrix, threshold_N
 
 
 @pytest.fixture(scope="module")
@@ -210,12 +211,10 @@ class TestResidual:
     def test_one_period_collocation_matches_full_grid(self):
         # m-fold periodicity: projecting over one period reproduces the
         # full-circle sine coefficients to summation roundoff
-        from sqg_vstates.contour import _sine_coefficients_one_period
-
         for seed in (1, 5, 9):
             patch = small_patch(m=4, K=3, seed=seed)
             full = residual(patch, 1024)
-            r1, r2 = _sine_coefficients_one_period(patch, 1024)
+            r1, r2 = contour._sine_coefficients(patch, 1024)
             assert np.abs(r1 - full.r1).max() <= 1e-14
             assert np.abs(r2 - full.r2).max() <= 1e-14
 
@@ -251,6 +250,59 @@ class TestLinearization:
     def test_exponent_guard(self):
         with pytest.raises(PreconditionError):
             linearization_check(1, 0.5, 0.0, 1, 1e-6, 256)
+
+
+def fd_jacobian(patch, x, s, vhat, P, h=1e-7):
+    """Central-difference Jacobian of the augmented Newton system, the
+    oracle for the exact one (step h * max(1, |x_k|) per unknown)."""
+    jac = np.empty((x.size, x.size))
+    for k in range(x.size):
+        step = h * max(1.0, abs(x[k]))
+        xp = x.copy()
+        xp[k] += step
+        xm = x.copy()
+        xm[k] -= step
+        fp, _ = contour._system(patch, xp, s, vhat, P)
+        fm, _ = contour._system(patch, xm, s, vhat, P)
+        jac[:, k] = (fp - fm) / (2.0 * step)
+    return jac
+
+
+class TestExactJacobian:
+    VHAT = (0.6, 0.8)
+
+    @pytest.mark.parametrize("m,K,P", [
+        (5, 8, 1280),  # m | P: one-period targets
+        (5, 2, 42),    # m does not divide P: all P targets
+    ])
+    def test_matches_central_differences(self, m, K, P):
+        patch = small_patch(b=0.6, m=m, K=K, seed=3, scale=3e-4)
+        x = contour._pack(patch)
+        exact = contour._exact_jacobian(patch, x, 1e-3, self.VHAT, P)
+        fd = fd_jacobian(patch, x, 1e-3, self.VHAT, P)
+        assert np.abs(exact - fd).max() <= 1e-7 * np.abs(exact).max()
+
+    def test_chunk_boundaries(self, monkeypatch):
+        patch = small_patch(b=0.6, m=5, K=8, seed=4, scale=3e-4)
+        x = contour._pack(patch)
+        whole = contour._exact_jacobian(patch, x, 0.0, self.VHAT, 1280)
+        monkeypatch.setattr(contour, "_CHUNK", 64)  # q = 256 targets: 4 blocks
+        chunked = contour._exact_jacobian(patch, x, 0.0, self.VHAT, 1280)
+        assert np.abs(chunked - whole).max() <= 1e-13 * np.abs(whole).max()
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_annulus_block_is_mode_matrix(self, n):
+        # criterion 8 without a step: the exact block at frequency n m is
+        # -(n m) M_{n m}, up to the quadrature bias at P = 4096
+        m, b, omega, P = 5, 0.5, 0.25, 4096
+        K = n + 2
+        consts = AnnulusConstants.build(b, n_max=200)
+        patch = annulus_patch(b, m, K, omega)
+        jac = contour._exact_jacobian(patch, contour._pack(patch), 0.0, self.VHAT, P)
+        idx = [n - 1, K + n - 1]
+        observed = jac[np.ix_(idx, idx)]
+        expected = -(n * m) * mode_matrix(n * m, b, omega, consts).matrix()
+        assert np.abs(observed - expected).max() <= 1e-5 * np.abs(expected).max()
 
 
 class TestNewton:
@@ -289,6 +341,15 @@ class TestNewton:
         start = annulus_patch(0.6, m, 4, row.omega_plus)
         with pytest.raises(NoConvergence):
             newton_correct(start, 1e-3, kern, P=320, max_iter=0)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-10])
+    def test_rejects_bad_tolerance(self, consts_06, tol):
+        m = threshold_N(0.6, consts_06) + 1
+        row = bifurcation_row(m, 0.6, consts_06)
+        kern = kernel_vector(m, 0.6, row.omega_plus, consts_06)
+        start = annulus_patch(0.6, m, 4, row.omega_plus)
+        with pytest.raises(PreconditionError):
+            newton_correct(start, 1e-3, kern, P=320, newton_tol=tol)
 
 
 class TestBranchContinue:
@@ -333,6 +394,19 @@ class TestBranchContinue:
             branch_continue(5, 0.6, "up", steps=1, ds=1e-3, K=4, P=320, consts=consts_06)
         with pytest.raises(PreconditionError):
             branch_continue(5, 0.6, "plus", steps=-1, ds=1e-3, K=4, P=320, consts=consts_06)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"K": 0},
+        {"K": -1},
+        {"ds": math.nan},
+        {"ds": math.inf},
+        {"newton_tol": math.nan},
+        {"newton_tol": 0.0},
+    ])
+    def test_rejects_degenerate_arguments(self, consts_06, kwargs):
+        args = {"steps": 1, "ds": 1e-3, "K": 4, "P": 320, "consts": consts_06, **kwargs}
+        with pytest.raises(PreconditionError):
+            branch_continue(5, 0.6, "plus", **args)
 
 
 class TestBoundarySamples:
