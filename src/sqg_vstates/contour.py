@@ -32,6 +32,17 @@ derivative of the discrete residual: both maps are linear in (a, c), so
 every column follows in closed form from the kernel matrices of one pass.
 Central differences remain only as the independent oracle, in the tests
 and in ``verify``.
+
+Grid symmetry.  With P quadrature nodes tau_j = exp(2 pi i (j + 1/2) / P)
+and targets w_k = exp(2 pi i k / P), let g = gcd(m, P) and q = P / g.
+Rotation by 2 pi / g permutes both node sets, and because g | m every map
+obeys Phi(rho z) = rho Phi(z), so the discrete residual is q-periodic:
+G_{k+q} = G_k.  Conjugation maps node j to node P-1-j and target k to
+target P-k, and real coefficients give Phi(conj z) = conj Phi(z), so it is
+odd: G_{P-k} = -G_k.  Both identities hold for the discrete sums, not
+only in the limit, so every kernel pass evaluates only the orbit
+representatives k = 0..floor(q/2) (see :func:`_collocation_grid` and
+:func:`collocation_residual`); the rest are copies up to summation order.
 """
 
 from __future__ import annotations
@@ -74,8 +85,12 @@ TWO_PI = 2.0 * math.pi
 # or crossing boundaries.
 COLLISION_TOL = 1e-10
 
-# omega-block size for the P x P kernel matrices (caps peak memory).
+# Target-block size of the Jacobian's kernel pass (caps peak memory).
 _CHUNK = 1024
+
+# Kernel pairs per target block of the residual pass: about 1 MB per
+# P x block temporary, so the block stays in cache.
+_BLOCK_PAIRS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -143,7 +158,13 @@ def annulus_patch(b: float, m: int, K: int, omega: float) -> PatchPair:
 class ResidualSpectrum:
     """Sine coefficients of the two boundary residuals at the retained
     frequencies n m, plus the maximum spectral magnitude found at
-    frequencies that are not multiples of m (the leakage diagnostic)."""
+    frequencies that are not multiples of m (the leakage diagnostic).
+
+    The collocated residual is exactly periodic with period 2 pi / g,
+    g = gcd(m, P), so its spectrum lives on multiples of g.  When m | P
+    (g = m) ``leak`` is therefore zero up to FFT roundoff; when g < m it
+    measures the aliasing at multiples of g that are not multiples of m.
+    """
 
     m: int
     K: int
@@ -250,16 +271,23 @@ def _stream_on_grid(
 
     tau runs over the half-offset master grid and w over the integer grid,
     so the relative offsets reproduce the single-point rule of
-    :func:`stream_integral` exactly.  Work is chunked over w to cap the
-    P x P kernel-matrix memory.
+    :func:`stream_integral` exactly.  Work is blocked over w, about
+    ``_BLOCK_PAIRS`` kernel pairs per block, to keep the P x block kernel
+    matrices in cache.
     """
     P = tau.size
     num_src = tau * dphi_src_t
+    # contiguous source rows, made once per pass: Re A, Im A and the ones
+    # that give the column sum, all in one matrix product per block
+    sums = np.stack([num_src.real, num_src.imag, np.ones(P)])
+    src_re = np.ascontiguousarray(phi_src_t.real)
+    src_im = np.ascontiguousarray(phi_src_t.imag)
+    step = max(1, _BLOCK_PAIRS // P)
     out = np.empty(w.size, dtype=complex)
-    for lo in range(0, w.size, _CHUNK):
-        hi = min(lo + _CHUNK, w.size)
-        dr = np.subtract.outer(phi_src_t.real, phi_dst_w.real[lo:hi])
-        di = np.subtract.outer(phi_src_t.imag, phi_dst_w.imag[lo:hi])
+    for lo in range(0, w.size, step):
+        hi = min(lo + step, w.size)
+        dr = np.subtract.outer(src_re, phi_dst_w.real[lo:hi])
+        di = np.subtract.outer(src_im, phi_dst_w.imag[lo:hi])
         dr *= dr
         di *= di
         dr += di
@@ -269,9 +297,8 @@ def _stream_on_grid(
                 f"boundaries closer than {COLLISION_TOL} at a quadrature node"
             )
         np.reciprocal(dr, out=dr)
-        colmean = dr.mean(axis=0)
-        out[lo:hi] = (num_src.real @ dr + 1j * (num_src.imag @ dr)) / P
-        out[lo:hi] -= (w[lo:hi] * dphi_dst_w[lo:hi]) * colmean
+        re, im, total = sums @ dr
+        out[lo:hi] = (re + 1j * im - (w[lo:hi] * dphi_dst_w[lo:hi]) * total) / P
     return out
 
 
@@ -301,15 +328,30 @@ def _boundary_residuals(patch: PatchPair, theta: np.ndarray, P: int) -> tuple[np
     return g1, g2
 
 
+def _symmetry_period(m: int, P: int) -> int:
+    """Period q = P / gcd(m, P), in grid steps, of the discrete residual."""
+    return P // math.gcd(m, P)
+
+
 def collocation_residual(patch: PatchPair, P: int) -> tuple[np.ndarray, np.ndarray]:
     """Pointwise boundary residuals (G_1, G_2) on the P uniform collocation
     angles 2 pi k / P, k = 0..P-1.
 
     ``P`` must be even and at least 4 K m so the retained frequency band is
-    resolved with margin.
+    resolved with margin.  With q = P / gcd(m, P), only the orbit
+    representatives k = 0..floor(q/2) are evaluated; the grid symmetries
+    (module docstring) give G_k = G_r for r = k mod q <= q/2 and
+    G_k = -G_{q-r} above, exactly up to summation order.
     """
     _check_grid(patch.m, patch.K, P)
-    return _boundary_residuals(patch, TWO_PI * np.arange(P) / P, P)
+    q = _symmetry_period(patch.m, P)
+    half = q // 2
+    g1, g2 = _boundary_residuals(patch, TWO_PI * np.arange(half + 1) / P, P)
+    r = np.arange(P) % q
+    mirrored = r > half
+    src = np.where(mirrored, q - r, r)
+    sign = np.where(mirrored, -1.0, 1.0)
+    return sign * g1[src], sign * g2[src]
 
 
 def residual(patch: PatchPair, P: int) -> ResidualSpectrum:
@@ -412,17 +454,19 @@ def linearization_check(
 def _collocation_grid(m: int, K: int, P: int) -> tuple[np.ndarray, np.ndarray, float]:
     """Target angles, their sine table sin(n m theta) and projection scale.
 
-    Every PatchPair is m-fold symmetric by construction, so G_1, G_2 are
-    2 pi / m periodic and the full-circle sine projection equals m times
-    the partial sum over one period.  When m | P the targets are the first
-    q = P/m of the P angles 2 pi k / P (1/m of the kernel cost); otherwise
-    they are all q = P of them.  Either way the retained coefficient is
-    (2/q) sum_k G(theta_k) sin(n m theta_k).
+    The one target rule of the Newton path.  With g = gcd(m, P) and
+    q = P / g the discrete residual is q-periodic and odd (module
+    docstring), and so is sin(n m theta_k) because g | n m.  The
+    full-circle projection (2/P) sum_k G_k sin(n m theta_k) is therefore
+    g times the sum over one period, whose terms k and q - k are equal and
+    whose terms k = 0 and k = q/2 vanish (sin(n m theta_k) = 0 there).  The
+    targets are k = 1..ceil(q/2)-1 and the retained coefficient is
+    (4/q) sum_k G(theta_k) sin(n m theta_k).  g = 1 needs no special case.
     """
-    q = P // m if P % m == 0 else P
-    theta = TWO_PI * np.arange(q) / P
+    q = _symmetry_period(m, P)
+    theta = TWO_PI * np.arange(1, (q + 1) // 2) / P
     sines = np.sin(np.outer(theta, np.arange(1, K + 1) * m))
-    return theta, sines, 2.0 / q
+    return theta, sines, 4.0 / q
 
 
 def _sine_coefficients(patch: PatchPair, P: int) -> tuple[np.ndarray, np.ndarray]:
@@ -708,8 +752,10 @@ def branch_continue(
     set; nothing is discarded.
 
     ``P`` is rounded up to the nearest multiple of 4 K m so every retained
-    mode is resolved without aliasing and the one-period collocation fast
-    path applies; the effective size is recorded on the returned run.
+    mode is resolved with alias margin and gcd(m, P) = m, the largest grid
+    symmetry: every kernel pass then evaluates about P / (2 m) targets
+    (:func:`_collocation_grid`).  The effective size is recorded on the
+    returned run.
     """
     if sign not in ("plus", "minus"):
         raise PreconditionError(f"sign must be 'plus' or 'minus', got {sign!r}")

@@ -5,13 +5,15 @@ interval is accepted when the Gauss-Kronrod difference is below tolerance,
 otherwise it is split in half, down to a maximum depth.  Integrands handed
 to this routine are expected to be smooth after endpoint substitutions
 (the callers in :mod:`sqg_vstates.specfun` take care of that), so the rule
-converges quickly and the depth cap is never the binding constraint in
-practice.
+converges quickly; reaching the depth cap is an error, never a silent
+answer.
 """
 
 from __future__ import annotations
 
 from typing import Callable
+
+from .errors import NonConvergence
 
 # Kronrod-15 abscissae on [-1, 1]; every second entry (odd index) is a
 # Gauss-7 abscissa, so one set of integrand values serves both rules.
@@ -55,14 +57,24 @@ def adaptive_quad(
     """Integrate ``f`` over ``[a, b]`` to combined absolute/relative ``tol``.
 
     The tolerance is interpreted per subinterval as
-    ``err <= tol * max(1, |estimate|)``; subdivision stops at ``max_depth``
-    halvings, accepting the Kronrod value of the offending interval.
+    ``err <= tol * max(1, |estimate|)``.
+
+    Raises
+    ------
+    NonConvergence
+        if a subinterval still misses the tolerance after ``max_depth``
+        halvings; the message names that interval.
     """
 
     def recurse(lo: float, hi: float, depth: int) -> float:
         est, err = _gk15(f, lo, hi)
-        if err <= tol * max(1.0, abs(est)) or depth >= max_depth:
+        if err <= tol * max(1.0, abs(est)):
             return est
+        if depth >= max_depth:
+            raise NonConvergence(
+                f"adaptive quadrature unresolved on [{lo!r}, {hi!r}] after {max_depth} "
+                f"halvings: error estimate {err:.3e} exceeds tolerance {tol:.3e}"
+            )
         mid = 0.5 * (lo + hi)
         return recurse(lo, mid, depth + 1) + recurse(mid, hi, depth + 1)
 

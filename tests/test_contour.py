@@ -34,6 +34,17 @@ def consts_06():
     return AnnulusConstants.build(0.6, n_max=200)
 
 
+# (m, K, P) covering each case of the grid symmetry rule, g = gcd(m, P)
+# and q = P / g
+SYMMETRY_GRIDS = [
+    (5, 8, 1280),  # g = m
+    (6, 2, 256),   # g = 2
+    (3, 2, 256),   # g = 1
+    (5, 2, 42),    # g = 1, P < 64
+    (4, 1, 20),    # odd q = 5
+]
+
+
 def small_patch(b=0.5, m=4, K=3, omega=0.3, seed=1, scale=1e-3):
     rng = np.random.default_rng(seed)
     return PatchPair(
@@ -171,28 +182,59 @@ class TestResidual:
         assert abs(g1[0]) <= 1e-12 and abs(g2[0]) <= 1e-12
 
     def test_matches_single_point_rule(self):
-        # grid evaluation is the same quadrature as stream_integral
-        patch = small_patch(m=3, K=2, seed=5)
+        # grid evaluation is the same quadrature as stream_integral, which
+        # evaluates each point directly and uses no grid symmetry
         P = 256
+        cases = [
+            (3, 2, 5, (0, 7, 100, 255)),  # gcd(m, P) = 1: reflection only
+            # gcd(m, P) = 4, q = 64: representatives k <= 32, rotated
+            # copies (71), mirrored (50), rotated and mirrored (178, 255),
+            # and the half period (32, 224)
+            (4, 2, 6, (3, 32, 50, 71, 178, 224, 255)),
+        ]
+        for m, K, seed, ks in cases:
+            patch = small_patch(m=m, K=K, seed=seed)
+            g1, g2 = collocation_residual(patch, P)
+            for k in ks:
+                theta = 2.0 * math.pi * k / P
+                w = np.exp(1j * theta)
+                z1, z2, dz1, dz2 = eval_maps(patch, theta)
+                dphi1 = dz1 / (1j * w)
+                dphi2 = dz2 / (1j * w)
+                g1_direct = np.imag(
+                    (patch.omega * z1
+                     - stream_integral(1, 1, patch, theta, P)
+                     + stream_integral(2, 1, patch, theta, P)) * np.conj(dphi1) * np.conj(w)
+                )
+                g2_direct = np.imag(
+                    (patch.omega * z2
+                     - stream_integral(1, 2, patch, theta, P)
+                     + stream_integral(2, 2, patch, theta, P)) * np.conj(dphi2) * np.conj(w)
+                )
+                assert g1_direct == pytest.approx(g1[k], abs=1e-14)
+                assert g2_direct == pytest.approx(g2[k], abs=1e-14)
+
+    @pytest.mark.parametrize("m,K,P", SYMMETRY_GRIDS)
+    def test_reduced_grid_matches_brute_force(self, m, K, P):
+        # reference: every one of the P targets evaluated by the kernel pass
+        patch = small_patch(b=0.6, m=m, K=K, seed=3, scale=3e-4)
+        ref1, ref2 = contour._boundary_residuals(patch, 2.0 * math.pi * np.arange(P) / P, P)
         g1, g2 = collocation_residual(patch, P)
-        for k in (0, 7, 100, 255):
-            theta = 2.0 * math.pi * k / P
-            w = np.exp(1j * theta)
-            z1, z2, dz1, dz2 = eval_maps(patch, theta)
-            dphi1 = dz1 / (1j * w)
-            dphi2 = dz2 / (1j * w)
-            g1_direct = np.imag(
-                (patch.omega * z1
-                 - stream_integral(1, 1, patch, theta, P)
-                 + stream_integral(2, 1, patch, theta, P)) * np.conj(dphi1) * np.conj(w)
-            )
-            g2_direct = np.imag(
-                (patch.omega * z2
-                 - stream_integral(1, 2, patch, theta, P)
-                 + stream_integral(2, 2, patch, theta, P)) * np.conj(dphi2) * np.conj(w)
-            )
-            assert g1_direct == pytest.approx(g1[k], abs=1e-14)
-            assert g2_direct == pytest.approx(g2[k], abs=1e-14)
+        assert g1.shape == g2.shape == (P,)
+        assert np.abs(g1 - ref1).max() <= 1e-13
+        assert np.abs(g2 - ref2).max() <= 1e-13
+
+    def test_residual_block_boundaries(self, monkeypatch):
+        # q = 256: 129 representatives, 127 one-period targets
+        patch = small_patch(b=0.6, m=5, K=8, seed=4, scale=3e-4)
+        monkeypatch.setattr(contour, "_BLOCK_PAIRS", 1280 * 1280)  # one block
+        whole = collocation_residual(patch, 1280)
+        whole_sines = contour._sine_coefficients(patch, 1280)
+        monkeypatch.setattr(contour, "_BLOCK_PAIRS", 1280 * 16)  # 16-target blocks
+        blocked = collocation_residual(patch, 1280)
+        blocked_sines = contour._sine_coefficients(patch, 1280)
+        for full, part in zip(whole + whole_sines, blocked + blocked_sines):
+            assert np.abs(part - full).max() <= 1e-13
 
     def test_perturbation_coefficients_stable_under_refinement(self):
         patch = small_patch(m=4, K=3, seed=9)
@@ -209,14 +251,15 @@ class TestResidual:
             residual(patch, 49)  # odd
 
     def test_one_period_collocation_matches_full_grid(self):
-        # m-fold periodicity: projecting over one period reproduces the
+        # grid symmetry: projecting over half a period reproduces the
         # full-circle sine coefficients to summation roundoff
-        for seed in (1, 5, 9):
-            patch = small_patch(m=4, K=3, seed=seed)
-            full = residual(patch, 1024)
-            r1, r2 = contour._sine_coefficients(patch, 1024)
-            assert np.abs(r1 - full.r1).max() <= 1e-14
-            assert np.abs(r2 - full.r2).max() <= 1e-14
+        for m, K, P in [(4, 3, 1024)] + SYMMETRY_GRIDS:
+            for seed in (1, 5, 9):
+                patch = small_patch(b=0.6, m=m, K=K, seed=seed, scale=3e-4)
+                full = residual(patch, P)
+                r1, r2 = contour._sine_coefficients(patch, P)
+                assert np.abs(r1 - full.r1).max() <= 1e-14
+                assert np.abs(r2 - full.r2).max() <= 1e-14
 
 
 class TestLinearization:
@@ -272,8 +315,10 @@ class TestExactJacobian:
     VHAT = (0.6, 0.8)
 
     @pytest.mark.parametrize("m,K,P", [
-        (5, 8, 1280),  # m | P: one-period targets
-        (5, 2, 42),    # m does not divide P: all P targets
+        (5, 8, 1280),  # g = m
+        (6, 2, 256),   # g = 2
+        (5, 2, 42),    # g = 1
+        (4, 1, 20),    # odd q = 5
     ])
     def test_matches_central_differences(self, m, K, P):
         patch = small_patch(b=0.6, m=m, K=K, seed=3, scale=3e-4)
@@ -286,7 +331,7 @@ class TestExactJacobian:
         patch = small_patch(b=0.6, m=5, K=8, seed=4, scale=3e-4)
         x = contour._pack(patch)
         whole = contour._exact_jacobian(patch, x, 0.0, self.VHAT, 1280)
-        monkeypatch.setattr(contour, "_CHUNK", 64)  # q = 256 targets: 4 blocks
+        monkeypatch.setattr(contour, "_CHUNK", 64)  # q = 256: 127 targets, 2 blocks
         chunked = contour._exact_jacobian(patch, x, 0.0, self.VHAT, 1280)
         assert np.abs(chunked - whole).max() <= 1e-13 * np.abs(whole).max()
 

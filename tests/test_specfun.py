@@ -10,6 +10,7 @@ from sqg_vstates.errors import (
     NonConvergence,
     PreconditionError,
 )
+from sqg_vstates.quadrature import adaptive_quad
 from sqg_vstates.specfun import (
     AnnulusConstants,
     contiguous_residuals,
@@ -142,6 +143,18 @@ class TestGauss2F1:
             gauss_2f1_euler(1.0, 2.0, 1.5, 0.3)  # needs c > b
         with pytest.raises(PreconditionError):
             gauss_2f1_euler(1.0, -1.0, 2.0, 0.3)  # needs b > 0
+
+
+class TestAdaptiveQuad:
+    def test_smooth_integrand(self):
+        assert adaptive_quad(math.exp, 0.0, 1.0) == pytest.approx(math.e - 1.0, rel=1e-13)
+
+    def test_depth_cap_raises_and_names_interval(self):
+        # a jump at an irrational point never meets a tight tolerance in 3
+        # halvings; the Kronrod value must not be returned silently
+        jump = 1.0 / math.sqrt(2.0)
+        with pytest.raises(NonConvergence, match=r"unresolved on \[0\.625, 0\.75\]"):
+            adaptive_quad(lambda x: 1.0 if x < jump else 0.0, 0.0, 1.0, tol=1e-12, max_depth=3)
 
 
 class TestContiguousRelations:
