@@ -79,6 +79,10 @@ def _fmt17(x: float) -> str:
     return f"{x:.17g}"
 
 
+# One boundary CSV row; "%.17g" formats a float exactly as _fmt17 does.
+_BOUNDARY_ROW = "%.17g,%.17g,%.17g,%.17g,%.17g\n"
+
+
 def _table_size(*requested: int) -> int:
     env = os.environ.get("VSTATES_NMAX")
     if env is not None:
@@ -177,12 +181,10 @@ def cmd_branch(cfg: RunConfig) -> int:
     if cfg.boundaries:
         stem = os.path.splitext(cfg.out)[0] if cfg.out else "branch"
         for pt in run.points:
-            samples = boundary_samples(pt.patch)
-            lines = ["theta,x1,y1,x2,y2"]
-            for row in samples:
-                lines.append(",".join(_fmt17(v) for v in row))
+            rows = boundary_samples(pt.patch).tolist()
             with open(f"{stem}.boundaries.{pt.step_index:03d}.csv", "w", encoding="utf-8") as fh:
-                fh.write("\n".join(lines) + "\n")
+                fh.write("theta,x1,y1,x2,y2\n")
+                fh.writelines(_BOUNDARY_ROW % tuple(row) for row in rows)
     return EXIT_OK
 
 
@@ -341,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_br.add_argument("--steps", type=int, default=10)
     p_br.add_argument("--ds", type=float, default=1e-3)
     p_br.add_argument("--modes", type=int, default=32, help="retained modes K")
-    p_br.add_argument("--quad", type=int, default=4096, help="collocation/quadrature size P")
+    p_br.add_argument("--quad", type=int, default=4096, help="collocation/quadrature size P > 0, rounded up to a multiple of 4*K*m")
     p_br.add_argument("--tol", type=float, default=1e-10)
     p_br.add_argument("--out", default=None)
     p_br.add_argument("--boundaries", action="store_true",

@@ -469,15 +469,6 @@ def _collocation_grid(m: int, K: int, P: int) -> tuple[np.ndarray, np.ndarray, f
     return theta, sines, 4.0 / q
 
 
-def _sine_coefficients(patch: PatchPair, P: int) -> tuple[np.ndarray, np.ndarray]:
-    """Retained sine coefficients of G_1, G_2 on the grid of
-    :func:`_collocation_grid`; the quadrature over tau runs on all P nodes."""
-    _check_grid(patch.m, patch.K, P)
-    theta, sines, scale = _collocation_grid(patch.m, patch.K, P)
-    g1, g2 = _boundary_residuals(patch, theta, P)
-    return scale * (g1 @ sines), scale * (g2 @ sines)
-
-
 # ---------------------------------------------------------------------------
 # Newton corrector and branch continuation
 # ---------------------------------------------------------------------------
@@ -490,19 +481,37 @@ def _pack(patch: PatchPair) -> np.ndarray:
     return np.concatenate([patch.a, patch.c, [patch.omega]])
 
 
-def _system(patch_like: PatchPair, x: np.ndarray, s: float, vhat: tuple[float, float], P: int) -> tuple[np.ndarray, float]:
-    """Augmented residual: 2K sine coefficients plus the amplitude constraint.
-
-    Returns (F, max residual coefficient).  The constraint pins the
-    projection of (a_1, c_1) onto the normalized kernel direction to s.
-    Targets and projection follow :func:`_collocation_grid`.
+def _augmented(
+    g1: np.ndarray,
+    g2: np.ndarray,
+    sines: np.ndarray,
+    scale: float,
+    x: np.ndarray,
+    s: float,
+    vhat: tuple[float, float],
+) -> tuple[np.ndarray, float]:
+    """The augmented residual F from G_1, G_2 on the targets of
+    :func:`_collocation_grid`: the 2K retained sine coefficients, then the
+    amplitude constraint, which pins the projection of (a_1, c_1) onto the
+    normalized kernel direction to s.  Returns (F, max sine coefficient).
     """
+    K = sines.shape[1]
+    fvec = np.empty(2 * K + 1)
+    fvec[:K] = scale * (g1 @ sines)
+    fvec[K:2 * K] = scale * (g2 @ sines)
+    fvec[2 * K] = x[0] * vhat[0] + x[K] * vhat[1] - s
+    return fvec, float(np.abs(fvec[:2 * K]).max())
+
+
+def _system(patch_like: PatchPair, x: np.ndarray, s: float, vhat: tuple[float, float], P: int) -> tuple[np.ndarray, float]:
+    """Augmented residual (:func:`_augmented`) at x = (a, c, Omega), one
+    kernel pass over the targets of :func:`_collocation_grid`."""
     K = patch_like.K
     patch = patch_like.with_state(x[:K], x[K:2 * K], float(x[2 * K]))
-    r1, r2 = _sine_coefficients(patch, P)
-    constraint = x[0] * vhat[0] + x[K] * vhat[1] - s
-    rnorm = max(float(np.abs(r1).max()), float(np.abs(r2).max()))
-    return np.concatenate([r1, r2, [constraint]]), rnorm
+    _check_grid(patch.m, K, P)
+    theta, sines, scale = _collocation_grid(patch.m, K, P)
+    g1, g2 = _boundary_residuals(patch, theta, P)
+    return _augmented(g1, g2, sines, scale, x, s, vhat)
 
 
 def _source_tables(t_neg: np.ndarray, num: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -592,16 +601,21 @@ def _pair_derivatives(
     return value, d_src, d_dst
 
 
-def _exact_jacobian(patch_like: PatchPair, x: np.ndarray, s: float, vhat: tuple[float, float], P: int) -> np.ndarray:
-    """Exact derivative of :func:`_system` with respect to x = (a, c, Omega).
+def _exact_jacobian(
+    patch_like: PatchPair, x: np.ndarray, s: float, vhat: tuple[float, float], P: int
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """:func:`_system` at x = (a, c, Omega) and its exact derivative, from
+    one kernel pass.
 
     The same half-offset quadrature, targets and sine projection as the
     residual, differentiated in closed form: G_j = Im(E_j conj(B_j)) with
     E_j = Omega Phi_j - S(Phi_1, Phi_j) + S(Phi_2, Phi_j) and
     B_j = w Phi_j'(w), so each coefficient column is
     Im(dE_j conj(B_j)) + Im(E_j conj(dB_j)) and the Omega column is
-    Im(Phi_j conj(B_j)).  Kernel work is chunked over targets like the
-    residual, one source map at a time.
+    Im(Phi_j conj(B_j)).  The pass forms every E_j, so G_j and F cost no
+    further kernel work.  Kernel work is chunked over targets like the
+    residual, one source map at a time.  Returns (J, F, max sine
+    coefficient); F agrees with :func:`_system` up to summation order.
     """
     K = patch_like.K
     patch = patch_like.with_state(x[:K], x[K:2 * K], float(x[2 * K]))
@@ -634,6 +648,7 @@ def _exact_jacobian(patch_like: PatchPair, x: np.ndarray, s: float, vhat: tuple[
                 d_e[j][j][lo:hi] += sign * d_dst
         del tables  # one source's tables live at a time
 
+    g1, g2 = (np.imag(e * np.conj(num_w)) for e, (_, num_w) in zip(e_val, dst))
     jac = np.zeros((2 * K + 1, 2 * K + 1))
     proj = scale * sines.T
     for j, (phi_w, num_w) in enumerate(dst):
@@ -647,7 +662,7 @@ def _exact_jacobian(patch_like: PatchPair, x: np.ndarray, s: float, vhat: tuple[
         jac[rows, 2 * K] = proj @ np.imag(phi_w * np.conj(num_w))
     jac[2 * K, 0] = vhat[0]
     jac[2 * K, K] = vhat[1]
-    return jac
+    return (jac, *_augmented(g1, g2, sines, scale, x, s, vhat))
 
 
 def _check_tol(newton_tol: float) -> None:
@@ -667,12 +682,15 @@ def newton_correct(
 
     Damped Newton on the 2K+1 unknowns (a, c, Omega).  The Jacobian is the
     exact derivative of the discrete residual (same quadrature, targets and
-    projection), assembled in one vectorized pass that costs two to four
-    residual evaluations rather than the 2(2K+1) of central differences,
-    which serve only as the oracle in the tests and in ``verify``.  The Jacobian is reused across
-    iterations while full steps keep reducing the residual, and refreshed
-    when progress stalls.  Returns the corrected patch and its residual
-    norm (max sine coefficient).
+    projection), and one kernel pass (:func:`_exact_jacobian`) gives both
+    the residual F and the Jacobian at a point; central differences serve
+    only as the oracle in the tests and in ``verify``.  The residual is
+    evaluated on its own only at line-search trial points, so an iterate
+    that converges after one full step costs one Jacobian pass and one
+    residual pass.  The Jacobian is reused across iterations while full
+    steps keep reducing the residual, and refreshed when progress stalls.
+    Returns the corrected patch and its residual norm (max sine
+    coefficient).
 
     Raises
     ------
@@ -684,22 +702,22 @@ def newton_correct(
         if the condition estimate of the Jacobian exceeds 1e14.
     """
     _check_tol(newton_tol)
+    K = patch.K
     vhat = kernel.normalized()
     x = _pack(patch)
-    fvec, rnorm = _system(patch, x, s, vhat, P)
-    jac: Optional[np.ndarray] = None
-    jac_fresh = False
+    jac: Optional[np.ndarray]
+    jac, fvec, rnorm = _exact_jacobian(patch, x, s, vhat, P)
+    jac_fresh = True
     for _ in range(max_iter):
         if np.abs(fvec).max() <= newton_tol:
-            K = patch.K
-            return patch.with_state(x[:K], x[K:2 * K], float(x[2 * K])), rnorm
+            break
         if jac is None:
-            jac = _exact_jacobian(patch, x, s, vhat, P)
+            jac, fvec, rnorm = _exact_jacobian(patch, x, s, vhat, P)
             jac_fresh = True
-            if np.linalg.cond(jac) > _COND_LIMIT:
-                raise SingularJacobian(
-                    f"Jacobian condition estimate exceeds {_COND_LIMIT:.0e}"
-                )
+        if jac_fresh and np.linalg.cond(jac) > _COND_LIMIT:
+            raise SingularJacobian(
+                f"Jacobian condition estimate exceeds {_COND_LIMIT:.0e}"
+            )
         dx = np.linalg.solve(jac, -fvec)
         fnorm = np.abs(fvec).max()
         step = 1.0
@@ -726,9 +744,33 @@ def newton_correct(
         else:
             jac_fresh = False
     if np.abs(fvec).max() <= newton_tol:
-        K = patch.K
         return patch.with_state(x[:K], x[K:2 * K], float(x[2 * K])), rnorm
     raise NoConvergence(f"Newton did not reach {newton_tol} in {max_iter} iterations")
+
+
+# Polynomial extrapolation in s through the last 2 or 3 accepted points of
+# a branch with equal steps, newest first.  Each row reproduces linear
+# data, so the linear amplitude constraint, met at the accepted points,
+# holds at the predicted point up to roundoff.
+_EXTRAPOLATION = {2: (2.0, -1.0), 3: (3.0, -3.0, 1.0)}
+
+
+def _predict(history: list[np.ndarray], ds: float, vhat: tuple[float, float]) -> np.ndarray:
+    """Predicted unknowns x = (a, c, Omega) one step ``ds`` past the last
+    accepted point, from ``history``, the accepted points oldest first.
+
+    From the start point alone the step follows the kernel direction in
+    the (a_1, c_1) plane; after that, every unknown is extrapolated by the
+    secant, then the quadratic, through the last two or three points.
+    """
+    if len(history) == 1:
+        K = (history[0].size - 1) // 2
+        x = history[0].copy()
+        x[0] += ds * vhat[0]
+        x[K] += ds * vhat[1]
+        return x
+    weights = _EXTRAPOLATION[min(len(history), 3)]
+    return sum(wt * xk for wt, xk in zip(weights, reversed(history)))
 
 
 def branch_continue(
@@ -745,27 +787,30 @@ def branch_continue(
 ) -> BranchRun:
     """Trace the branch bifurcating from the annulus at Omega_m^{sign}.
 
-    The predictor advances the previous point by ``ds`` along the kernel
-    direction embedded in the (a_1, c_1) plane; the corrector is
-    :func:`newton_correct`.  On a guard or Newton failure the partial
-    branch up to the last good point is returned with ``stopped_reason``
-    set; nothing is discarded.
+    The first step leaves the annulus along the kernel direction embedded
+    in the (a_1, c_1) plane.  Later predictors extrapolate all 2K+1
+    unknowns (a, c, Omega) in s: the secant through the last two accepted
+    points, then the quadratic through the last three (:func:`_predict`),
+    which leaves a predictor residual small enough for one Newton
+    iteration.  The corrector is :func:`newton_correct`.  On a guard or
+    Newton failure the partial branch up to the last good point is
+    returned with ``stopped_reason`` set; nothing is discarded.
 
-    ``P`` is rounded up to the nearest multiple of 4 K m so every retained
-    mode is resolved with alias margin and gcd(m, P) = m, the largest grid
-    symmetry: every kernel pass then evaluates about P / (2 m) targets
-    (:func:`_collocation_grid`).  The effective size is recorded on the
-    returned run.
+    ``P`` must be positive; it is rounded up to the nearest multiple of
+    4 K m so every retained mode is resolved with alias margin and
+    gcd(m, P) = m, the largest grid symmetry: every kernel pass then
+    evaluates about P / (2 m) targets (:func:`_collocation_grid`).  The
+    effective size is recorded on the returned run.
     """
     if sign not in ("plus", "minus"):
         raise PreconditionError(f"sign must be 'plus' or 'minus', got {sign!r}")
     if steps < 0 or not (math.isfinite(ds) and ds > 0.0):
         raise PreconditionError(f"need steps >= 0 and finite ds > 0, got steps={steps}, ds={ds}")
-    if K < 1 or m < 2:
-        raise PreconditionError(f"need K >= 1 and m >= 2, got K={K}, m={m}")
+    if K < 1 or m < 2 or P < 1:
+        raise PreconditionError(f"need K >= 1, m >= 2 and P >= 1, got K={K}, m={m}, P={P}")
     _check_tol(newton_tol)
     block = 4 * K * m
-    P = block * max(1, -(-P // block))
+    P = block * -(-P // block)
     if consts is None:
         consts = AnnulusConstants.build(b, n_max=max(200, 4 * K * m))
     elif consts.b != b:
@@ -781,22 +826,20 @@ def branch_continue(
     start = annulus_patch(b, m, K, omega0)
     start_norm = residual(start, P).max_abs()
     points = [BranchPoint(s=0.0, patch=start, residual_norm=start_norm, step_index=0)]
+    history = [_pack(start)]
     stopped: Optional[str] = None
-    patch = start
     s = 0.0
     for step_index in range(1, steps + 1):
         s += ds
-        a = patch.a.copy()
-        c = patch.c.copy()
-        a[0] += ds * vhat[0]
-        c[0] += ds * vhat[1]
+        x = _predict(history, ds, vhat)
         try:
-            predictor = patch.with_state(a, c, patch.omega)
+            predictor = start.with_state(x[:K], x[K:2 * K], float(x[2 * K]))
             patch, rnorm = newton_correct(predictor, s, kern, P, max_iter, newton_tol)
         except (PreconditionError, BoundaryCollision, NoConvergence, SingularJacobian) as exc:
             stopped = f"{type(exc).__name__} at step {step_index}: {exc}"
             break
         points.append(BranchPoint(s=s, patch=patch, residual_norm=rnorm, step_index=step_index))
+        history = history[-2:] + [_pack(patch)]
     return BranchRun(points=tuple(points), stopped_reason=stopped, P=P)
 
 

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from sqg_vstates.cli import EXIT_GUARD, EXIT_OK, main
+from sqg_vstates.cli import EXIT_GUARD, EXIT_OK, _fmt17, main
+from sqg_vstates.contour import PatchPair, boundary_samples
 
 SPECTRUM_HEADER = "m,C_m,D_m,Delta_m,lambda_minus,lambda_plus,omega_minus,omega_plus,transversal"
 
@@ -121,6 +122,21 @@ class TestBranchCommand:
             first = [float(v) for v in lines[1].split(",")]
             assert len(first) == 5
 
+    def test_boundaries_csv_matches_fmt17(self, tmp_path):
+        out = run_branch(tmp_path, steps=1, extra=("--boundaries",))
+        data = json.loads(out.read_text())
+        pt = data["points"][1]
+        patch = PatchPair(b=0.6, m=5, K=4, a=np.array(pt["a"]), c=np.array(pt["c"]),
+                          omega=pt["omega"])
+        lines = ["theta,x1,y1,x2,y2"]
+        lines += [",".join(_fmt17(v) for v in row) for row in boundary_samples(patch)]
+        written = (tmp_path / "branch.boundaries.001.csv").read_text()
+        assert written == "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("value", [-0.0, 5e-324, 1.0 / 3.0, 1e300])
+    def test_percent_format_matches_fmt17(self, value):
+        assert "%.17g" % value == _fmt17(value)
+
     def test_below_threshold_guard(self, tmp_path, capsys):
         code = main(["branch", "--b", "0.6", "--m", "2", "--steps", "1",
                      "--modes", "4", "--quad", "320", "--out", str(tmp_path / "x.json")])
@@ -131,6 +147,8 @@ class TestBranchCommand:
         ("--ds", "nan"),
         ("--ds", "inf"),
         ("--tol", "nan"),
+        ("--quad", "0"),
+        ("--quad", "-5"),
     ])
     def test_degenerate_arguments_are_guard_errors(self, tmp_path, capsys, extra):
         out = tmp_path / "x.json"

@@ -55,6 +55,13 @@ def small_patch(b=0.5, m=4, K=3, omega=0.3, seed=1, scale=1e-3):
     )
 
 
+def sine_coefficients(patch, P):
+    """Retained sine coefficients of G_1, G_2 as the Newton system forms
+    them (the first 2K rows of the augmented residual)."""
+    fvec, _ = contour._system(patch, contour._pack(patch), 0.0, (1.0, 0.0), P)
+    return fvec[:patch.K], fvec[patch.K:2 * patch.K]
+
+
 class TestPatchPair:
     def test_guard_rejects_large_coefficients(self):
         with pytest.raises(PreconditionError):
@@ -229,10 +236,10 @@ class TestResidual:
         patch = small_patch(b=0.6, m=5, K=8, seed=4, scale=3e-4)
         monkeypatch.setattr(contour, "_BLOCK_PAIRS", 1280 * 1280)  # one block
         whole = collocation_residual(patch, 1280)
-        whole_sines = contour._sine_coefficients(patch, 1280)
+        whole_sines = sine_coefficients(patch, 1280)
         monkeypatch.setattr(contour, "_BLOCK_PAIRS", 1280 * 16)  # 16-target blocks
         blocked = collocation_residual(patch, 1280)
-        blocked_sines = contour._sine_coefficients(patch, 1280)
+        blocked_sines = sine_coefficients(patch, 1280)
         for full, part in zip(whole + whole_sines, blocked + blocked_sines):
             assert np.abs(part - full).max() <= 1e-13
 
@@ -257,7 +264,7 @@ class TestResidual:
             for seed in (1, 5, 9):
                 patch = small_patch(b=0.6, m=m, K=K, seed=seed, scale=3e-4)
                 full = residual(patch, P)
-                r1, r2 = contour._sine_coefficients(patch, P)
+                r1, r2 = sine_coefficients(patch, P)
                 assert np.abs(r1 - full.r1).max() <= 1e-14
                 assert np.abs(r2 - full.r2).max() <= 1e-14
 
@@ -323,17 +330,26 @@ class TestExactJacobian:
     def test_matches_central_differences(self, m, K, P):
         patch = small_patch(b=0.6, m=m, K=K, seed=3, scale=3e-4)
         x = contour._pack(patch)
-        exact = contour._exact_jacobian(patch, x, 1e-3, self.VHAT, P)
+        exact, _, _ = contour._exact_jacobian(patch, x, 1e-3, self.VHAT, P)
         fd = fd_jacobian(patch, x, 1e-3, self.VHAT, P)
         assert np.abs(exact - fd).max() <= 1e-7 * np.abs(exact).max()
 
     def test_chunk_boundaries(self, monkeypatch):
         patch = small_patch(b=0.6, m=5, K=8, seed=4, scale=3e-4)
         x = contour._pack(patch)
-        whole = contour._exact_jacobian(patch, x, 0.0, self.VHAT, 1280)
+        whole, _, _ = contour._exact_jacobian(patch, x, 0.0, self.VHAT, 1280)
         monkeypatch.setattr(contour, "_CHUNK", 64)  # q = 256: 127 targets, 2 blocks
-        chunked = contour._exact_jacobian(patch, x, 0.0, self.VHAT, 1280)
+        chunked, _, _ = contour._exact_jacobian(patch, x, 0.0, self.VHAT, 1280)
         assert np.abs(chunked - whole).max() <= 1e-13 * np.abs(whole).max()
+
+    @pytest.mark.parametrize("m,K,P", [(5, 8, 1280), (6, 2, 256), (4, 1, 20)])
+    def test_fused_residual_matches_system(self, m, K, P):
+        patch = small_patch(b=0.6, m=m, K=K, seed=3, scale=3e-4)
+        x = contour._pack(patch)
+        _, fused, fused_norm = contour._exact_jacobian(patch, x, 1e-3, self.VHAT, P)
+        fvec, rnorm = contour._system(patch, x, 1e-3, self.VHAT, P)
+        assert np.abs(fused - fvec).max() <= 1e-14
+        assert fused_norm == pytest.approx(rnorm, abs=1e-14)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_annulus_block_is_mode_matrix(self, n):
@@ -343,7 +359,7 @@ class TestExactJacobian:
         K = n + 2
         consts = AnnulusConstants.build(b, n_max=200)
         patch = annulus_patch(b, m, K, omega)
-        jac = contour._exact_jacobian(patch, contour._pack(patch), 0.0, self.VHAT, P)
+        jac, _, _ = contour._exact_jacobian(patch, contour._pack(patch), 0.0, self.VHAT, P)
         idx = [n - 1, K + n - 1]
         observed = jac[np.ix_(idx, idx)]
         expected = -(n * m) * mode_matrix(n * m, b, omega, consts).matrix()
@@ -452,6 +468,71 @@ class TestBranchContinue:
         args = {"steps": 1, "ds": 1e-3, "K": 4, "P": 320, "consts": consts_06, **kwargs}
         with pytest.raises(PreconditionError):
             branch_continue(5, 0.6, "plus", **args)
+
+    def test_rejects_non_positive_quadrature_size(self, consts_06):
+        for P in (0, -5):
+            with pytest.raises(PreconditionError):
+                branch_continue(5, 0.6, "plus", steps=1, ds=1e-3, K=4, P=P, consts=consts_06)
+
+    def test_one_jacobian_and_one_residual_pass_per_step(self, consts_06, monkeypatch):
+        calls = []
+        for name in ("_exact_jacobian", "_system"):
+            def counted(*args, _name=name, _orig=getattr(contour, name)):
+                calls.append(_name)
+                return _orig(*args)
+            monkeypatch.setattr(contour, name, counted)
+        step_calls = []
+        newton = contour.newton_correct
+
+        def per_step(*args):
+            calls.clear()
+            out = newton(*args)
+            step_calls.append((calls.count("_exact_jacobian"), calls.count("_system")))
+            return out
+
+        monkeypatch.setattr(contour, "newton_correct", per_step)
+        m = threshold_N(0.6, consts_06) + 1
+        run = branch_continue(m, 0.6, "plus", steps=6, ds=1e-3, K=4, P=320, consts=consts_06)
+        assert run.stopped_reason is None and len(run.points) == 7
+        assert len(step_calls) == 6
+        assert all(jac == 1 for jac, _ in step_calls)
+        assert all(res == 1 for _, res in step_calls[2:])
+
+    def test_predictor_extrapolates_quadratic_path(self):
+        K, ds, vhat = 3, 1e-3, (0.6, 0.8)
+        rng = np.random.default_rng(11)
+        c0, c1, c2 = rng.standard_normal((3, 2 * K + 1))
+
+        def path(s):
+            x = c0 + c1 * s + c2 * s * s
+            # on the amplitude constraint: x_0 v_1 + x_K v_2 = s
+            x[K] = (s - x[0] * vhat[0]) / vhat[1]
+            return x
+
+        history = [path(k * ds) for k in range(5)]
+        for k in (3, 4, 5):
+            x = contour._predict(history[:k], ds, vhat)
+            assert np.abs(x - path(k * ds)).max() <= 1e-14
+            assert abs(x[0] * vhat[0] + x[K] * vhat[1] - k * ds) <= 1e-15
+        # from the start point alone: the kernel direction in (a_1, c_1)
+        x = contour._predict(history[:1], ds, vhat)
+        step = np.zeros(2 * K + 1)
+        step[0], step[K] = ds * vhat[0], ds * vhat[1]
+        assert np.array_equal(x, history[0] + step)
+
+    @pytest.mark.parametrize("b,sign,ds,floor", [
+        (0.4, "plus", 5e-3, 12), (0.4, "minus", 5e-3, 11),
+        (0.6, "plus", 5e-3, 8), (0.6, "minus", 5e-3, 9),
+        (0.4, "plus", 2e-2, 3), (0.4, "minus", 2e-2, 3),
+        (0.6, "plus", 2e-2, 2), (0.6, "minus", 2e-2, 3),
+    ])
+    def test_large_steps_reach_as_far_as_tangent_predictor(self, b, sign, ds, floor):
+        # floors: points reached with the tangent-only predictor
+        consts = AnnulusConstants.build(b, n_max=200)
+        m = threshold_N(b, consts) + 1
+        run = branch_continue(m, b, sign, steps=12, ds=ds, K=4, P=320, consts=consts)
+        assert len(run.points) >= floor
+        assert all(pt.residual_norm <= 1e-10 for pt in run.points)
 
 
 class TestBoundarySamples:
