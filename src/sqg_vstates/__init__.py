@@ -39,7 +39,6 @@ from .specfun import (
     gauss_2f1_euler,
     lambda_coeff,
     lambda_integral_oracle,
-    pochhammer,
     pochhammer_ratio,
     s_sum,
 )
@@ -111,7 +110,6 @@ __all__ = [
     "linearization_check",
     "mode_matrix",
     "newton_correct",
-    "pochhammer",
     "pochhammer_ratio",
     "quadratic_coeffs",
     "residual",

@@ -9,8 +9,8 @@ Subcommands::
     vstates check     [--seed S] [--out F] [--format text|json]
     vstates render    INPUT.json [--points last|all|none|i,j,...] [--out F]
 
-Exit codes: 0 success, 2 usage error, 3 guard violation, 4 numerical
-failure.  Output is deterministic: identical invocations produce
+Exit codes: 0 success, 2 usage error (including a file that cannot be
+opened), 3 guard violation, 4 numerical failure.  Output is deterministic: identical invocations produce
 byte-identical files.  The environment variable ``VSTATES_NMAX`` overrides
 the size of the memoized constant tables.
 """
@@ -22,7 +22,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -50,29 +49,6 @@ EXIT_NUMERIC = 4
 
 _GUARD_ERRORS = (PreconditionError, NotSimple, NotAnEigenvalue, TableExhausted, IndexOutOfTable)
 _NUMERIC_ERRORS = (NonConvergence, NoConvergence, SingularJacobian, BoundaryCollision)
-
-
-@dataclass
-class RunConfig:
-    """Parsed invocation; one instance drives exactly one command."""
-
-    command: str
-    b: float = 0.0
-    m: int = 0
-    m_min: Optional[int] = None
-    m_max: Optional[int] = None
-    sign: str = "plus"
-    modes: int = 32
-    quad: int = 4096
-    steps: int = 10
-    ds: float = 1e-3
-    tol: float = 1e-10
-    seed: int = DEFAULT_SEED
-    out: Optional[str] = None
-    fmt: str = ""
-    boundaries: bool = False
-    points: str = "last"
-    input: Optional[str] = None
 
 
 def _fmt17(x: float) -> str:
@@ -103,17 +79,17 @@ def _write_text(path: Optional[str], text: str) -> None:
             fh.write(text)
 
 
-def cmd_spectrum(cfg: RunConfig) -> int:
-    consts = AnnulusConstants.build(cfg.b, n_max=_table_size((cfg.m_max or 0) + 1))
-    n_thr = threshold_N(cfg.b, consts)
-    m_min = cfg.m_min if cfg.m_min is not None else n_thr
-    m_max = cfg.m_max if cfg.m_max is not None else n_thr + 20
+def cmd_spectrum(args: argparse.Namespace) -> int:
+    consts = AnnulusConstants.build(args.b, n_max=_table_size((args.m_max or 0) + 1))
+    n_thr = threshold_N(args.b, consts)
+    m_min = args.m_min if args.m_min is not None else n_thr
+    m_max = args.m_max if args.m_max is not None else n_thr + 20
     if m_min < n_thr:
-        raise PreconditionError(f"m-min={m_min} is below threshold N({cfg.b}) = {n_thr}")
+        raise PreconditionError(f"m-min={m_min} is below threshold N({args.b}) = {n_thr}")
     if m_max < m_min:
         raise PreconditionError(f"m-max={m_max} < m-min={m_min}")
-    rows = [bifurcation_row(m, cfg.b, consts) for m in range(m_min, m_max + 1)]
-    if cfg.fmt == "json":
+    rows = [bifurcation_row(m, args.b, consts) for m in range(m_min, m_max + 1)]
+    if args.fmt == "json":
         payload = [
             {
                 "m": r.m,
@@ -128,7 +104,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
             }
             for r in rows
         ]
-        _write_text(cfg.out, json.dumps(payload, indent=2))
+        _write_text(args.out, json.dumps(payload, indent=2))
     else:
         lines = ["m,C_m,D_m,Delta_m,lambda_minus,lambda_plus,omega_minus,omega_plus,transversal"]
         for r in rows:
@@ -140,31 +116,31 @@ def cmd_spectrum(cfg: RunConfig) -> int:
                     + ["true" if r.transversal else "false"]
                 )
             )
-        _write_text(cfg.out, "\n".join(lines) + "\n")
+        _write_text(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
-def cmd_threshold(cfg: RunConfig) -> int:
-    consts = AnnulusConstants.build(cfg.b, n_max=_table_size())
-    n_thr = threshold_N(cfg.b, consts)
-    _, e_prev, _ = discriminant(n_thr - 1, cfg.b, consts)
-    _, e_at, _ = discriminant(n_thr, cfg.b, consts)
-    print(f"b={_fmt17(cfg.b)} N={n_thr} E[N-1]={_fmt17(e_prev)} E[N]={_fmt17(e_at)}")
+def cmd_threshold(args: argparse.Namespace) -> int:
+    consts = AnnulusConstants.build(args.b, n_max=_table_size())
+    n_thr = threshold_N(args.b, consts)
+    _, e_prev, _ = discriminant(n_thr - 1, args.b, consts)
+    _, e_at, _ = discriminant(n_thr, args.b, consts)
+    print(f"b={_fmt17(args.b)} N={n_thr} E[N-1]={_fmt17(e_prev)} E[N]={_fmt17(e_at)}")
     return EXIT_OK
 
 
-def cmd_branch(cfg: RunConfig) -> int:
-    consts = AnnulusConstants.build(cfg.b, n_max=_table_size(4 * cfg.modes * cfg.m))
+def cmd_branch(args: argparse.Namespace) -> int:
+    consts = AnnulusConstants.build(args.b, n_max=_table_size(4 * args.modes * args.m))
     run = branch_continue(
-        cfg.m, cfg.b, cfg.sign, cfg.steps, cfg.ds,
-        K=cfg.modes, P=cfg.quad, newton_tol=cfg.tol, consts=consts,
+        args.m, args.b, args.sign, args.steps, args.ds,
+        K=args.modes, P=args.quad, newton_tol=args.tol, consts=consts,
     )
     payload = {
-        "b": cfg.b,
-        "m": cfg.m,
-        "K": cfg.modes,
+        "b": args.b,
+        "m": args.m,
+        "K": args.modes,
         "P": run.P,
-        "sign": cfg.sign,
+        "sign": args.sign,
         "stopped_reason": run.stopped_reason,
         "points": [
             {
@@ -177,9 +153,9 @@ def cmd_branch(cfg: RunConfig) -> int:
             for pt in run.points
         ],
     }
-    _write_text(cfg.out, json.dumps(payload, indent=2))
-    if cfg.boundaries:
-        stem = os.path.splitext(cfg.out)[0] if cfg.out else "branch"
+    _write_text(args.out, json.dumps(payload, indent=2))
+    if args.boundaries:
+        stem = os.path.splitext(args.out)[0] if args.out else "branch"
         for pt in run.points:
             rows = boundary_samples(pt.patch).tolist()
             with open(f"{stem}.boundaries.{pt.step_index:03d}.csv", "w", encoding="utf-8") as fh:
@@ -188,12 +164,12 @@ def cmd_branch(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_check(cfg: RunConfig) -> int:
-    reports = run_default_suite(seed=cfg.seed)
-    if cfg.fmt == "json":
-        _write_text(cfg.out, json.dumps([r.to_dict() for r in reports], indent=2))
+def cmd_check(args: argparse.Namespace) -> int:
+    reports = run_default_suite(seed=args.seed)
+    if args.fmt == "json":
+        _write_text(args.out, json.dumps([r.to_dict() for r in reports], indent=2))
     else:
-        _write_text(cfg.out, format_report_table(reports) + "\n")
+        _write_text(args.out, format_report_table(reports) + "\n")
     return EXIT_OK if all(r.passed for r in reports) else EXIT_NUMERIC
 
 
@@ -241,6 +217,10 @@ def _validate_branch_json(data: dict) -> None:
                 continue
             if not isinstance(value, typ):
                 fail(f"points[{i}].{key}", f"expected {typ.__name__}")
+        for key in ("a", "c"):
+            for k, coeff in enumerate(pt[key]):
+                if isinstance(coeff, bool) or not isinstance(coeff, (int, float)):
+                    fail(f"points[{i}].{key}[{k}]", "expected a number")
 
 
 def _select_points(spec: str, count: int) -> list[int]:
@@ -299,16 +279,16 @@ def _render_svg(data: dict, point_indices: list[int]) -> str:
     )
 
 
-def cmd_render(cfg: RunConfig) -> int:
-    with open(cfg.input, "r", encoding="utf-8") as fh:
+def cmd_render(args: argparse.Namespace) -> int:
+    with open(args.input, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
         except ValueError as exc:  # malformed JSON or undecodable bytes
-            raise PreconditionError(f"{cfg.input} is not valid JSON: {exc}") from exc
+            raise PreconditionError(f"{args.input} is not valid JSON: {exc}") from exc
     _validate_branch_json(data)
-    indices = _select_points(cfg.points, len(data["points"]))
+    indices = _select_points(args.points, len(data["points"]))
     svg = _render_svg(data, indices)
-    _write_text(cfg.out, svg)
+    _write_text(args.out, svg)
     return EXIT_OK
 
 
@@ -363,19 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    for field in ("b", "m", "m_min", "m_max", "sign", "modes", "quad", "steps",
-                  "ds", "tol", "seed", "out", "fmt", "boundaries", "points", "input"):
-        if hasattr(args, field):
-            setattr(cfg, field, getattr(args, field))
-    if hasattr(args, "b") and not (
-        isinstance(args.b, float) and math.isfinite(args.b) and 0.0 < args.b < 1.0
-    ):
-        parser.error(f"--b must lie strictly between 0 and 1, got {args.b}")
-    return cfg
-
-
 _COMMANDS = {
     "spectrum": cmd_spectrum,
     "threshold": cmd_threshold,
@@ -388,16 +355,17 @@ _COMMANDS = {
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = _config_from_args(args, parser)
+    if hasattr(args, "b") and not (math.isfinite(args.b) and 0.0 < args.b < 1.0):
+        parser.error(f"--b must lie strictly between 0 and 1, got {args.b}")
     try:
-        return _COMMANDS[cfg.command](cfg)
+        return _COMMANDS[args.command](args)
     except _GUARD_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
     except _NUMERIC_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except FileNotFoundError as exc:
+    except OSError as exc:  # missing, unreadable or unwritable file
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -85,11 +85,8 @@ TWO_PI = 2.0 * math.pi
 # or crossing boundaries.
 COLLISION_TOL = 1e-10
 
-# Target-block size of the Jacobian's kernel pass (caps peak memory).
-_CHUNK = 1024
-
-# Kernel pairs per target block of the residual pass: about 1 MB per
-# P x block temporary, so the block stays in cache.
+# Kernel pairs per target block of every kernel pass: about 1 MB per
+# P x block buffer, so the block stays in cache.
 _BLOCK_PAIRS = 1 << 17
 
 
@@ -236,27 +233,63 @@ def stream_integral(src: int, dst: int, patch: PatchPair, theta: float, P: int) 
     The integration variable is tau = w e^{i eta} with eta on the P
     half-offset nodes 2 pi (k + 1/2) / P; the offset keeps the node set
     clear of eta = 0 where the self-interaction integrand has its bounded
-    corner.  Raises :class:`BoundaryCollision` if any quadrature
+    corner.  This is the one-target case of :func:`_stream_on_grid` on the
+    rotated nodes.  Raises :class:`BoundaryCollision` if any quadrature
     denominator drops below the disjointness guard.
     """
     if src not in (1, 2) or dst not in (1, 2):
         raise PreconditionError(f"boundary selectors must be 1 or 2, got src={src}, dst={dst}")
     if P < 64 or P % 2:
         raise PreconditionError(f"quadrature size must be even and >= 64, got {P}")
-    w = np.exp(1j * theta)
-    eta = TWO_PI * (np.arange(P) + 0.5) / P
-    tau = w * np.exp(1j * eta)
-    phi1_t, phi2_t, dphi1_t, dphi2_t = _map_values(patch, tau)
-    phi_t, dphi_t = (phi1_t, dphi1_t) if src == 1 else (phi2_t, dphi2_t)
-    wv = np.array([w])
-    phi1_w, phi2_w, dphi1_w, dphi2_w = _map_values(patch, wv)
-    phi_w, dphi_w = (phi1_w[0], dphi1_w[0]) if dst == 1 else (phi2_w[0], dphi2_w[0])
-    den = np.abs(phi_t - phi_w)
-    if den.min() < COLLISION_TOL:
-        raise BoundaryCollision(
-            f"boundaries {src} and {dst} closer than {COLLISION_TOL} at a quadrature node"
-        )
-    return complex(((tau * dphi_t - w * dphi_w) / den).mean())
+    w = np.array([np.exp(1j * theta)])
+    tau = w * np.exp(1j * TWO_PI * (np.arange(P) + 0.5) / P)
+    maps_t = _map_values(patch, tau)
+    maps_w = _map_values(patch, w)
+    # _map_values returns (Phi_1, Phi_2, Phi_1', Phi_2')
+    value = _stream_on_grid(tau, maps_t[src - 1], maps_t[src + 1], w, maps_w[dst - 1], maps_w[dst + 1])
+    return complex(value[0])
+
+
+def _distance_blocks(
+    phi_src_t: np.ndarray, phi_dst_w: np.ndarray
+) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+    """The kernel distances |D| = |Phi_src(tau) - Phi_dst(w)|, one block of
+    targets w at a time: the one place every kernel pass forms them.
+
+    Targets are split into blocks of about ``_BLOCK_PAIRS`` kernel pairs.
+    Two flat buffers are allocated once per call, so a pass holds two
+    P x block arrays whatever its target count.  Yields (lo, hi, d, spare)
+    per block, where ``d`` holds |D| for targets lo..hi-1 as a contiguous
+    (P, hi - lo) view and ``spare`` is working space of the same shape; the
+    caller may overwrite both before the next block.  Raises
+    :class:`BoundaryCollision` if any distance drops below the
+    disjointness guard.
+    """
+    P = phi_src_t.size
+    n_dst = phi_dst_w.size
+    step = max(1, _BLOCK_PAIRS // P)
+    src_re = np.ascontiguousarray(phi_src_t.real)
+    src_im = np.ascontiguousarray(phi_src_t.imag)
+    # one allocation for both buffers: freed whole, it lifts glibc's dynamic
+    # mmap and trim thresholds above their joint size, so the pages stay in
+    # the heap for the next pass (two separate buffers were returned to the
+    # kernel and faulted in again, page by page, on every call)
+    d_buf, spare_buf = np.empty((2, P * min(step, n_dst)))
+    for lo in range(0, n_dst, step):
+        hi = min(lo + step, n_dst)
+        d = d_buf[:P * (hi - lo)].reshape(P, hi - lo)
+        spare = spare_buf[:P * (hi - lo)].reshape(P, hi - lo)
+        np.subtract.outer(src_re, phi_dst_w.real[lo:hi], out=d)
+        np.subtract.outer(src_im, phi_dst_w.imag[lo:hi], out=spare)
+        d *= d
+        spare *= spare
+        d += spare
+        np.sqrt(d, out=d)
+        if d.min() < COLLISION_TOL:
+            raise BoundaryCollision(
+                f"boundaries closer than {COLLISION_TOL} at a quadrature node"
+            )
+        yield lo, hi, d, spare
 
 
 def _stream_on_grid(
@@ -267,37 +300,22 @@ def _stream_on_grid(
     phi_dst_w: np.ndarray,
     dphi_dst_w: np.ndarray,
 ) -> np.ndarray:
-    """S(Phi_src, Phi_dst) at every collocation point w, vectorized.
+    """S(Phi_src, Phi_dst) at every target w, vectorized.
 
-    tau runs over the half-offset master grid and w over the integer grid,
-    so the relative offsets reproduce the single-point rule of
-    :func:`stream_integral` exactly.  Work is blocked over w, about
-    ``_BLOCK_PAIRS`` kernel pairs per block, to keep the P x block kernel
-    matrices in cache.
+    tau runs over the P quadrature nodes and w over the targets; on the
+    half-offset master grid and the integer grid the relative offsets
+    reproduce the single-point rule of :func:`stream_integral` exactly.
+    The kernel 1/|D| comes block by block from :func:`_distance_blocks`.
     """
     P = tau.size
     num_src = tau * dphi_src_t
-    # contiguous source rows, made once per pass: Re A, Im A and the ones
-    # that give the column sum, all in one matrix product per block
+    # Re A, Im A and the ones that give the column sum, all in one matrix
+    # product per block
     sums = np.stack([num_src.real, num_src.imag, np.ones(P)])
-    src_re = np.ascontiguousarray(phi_src_t.real)
-    src_im = np.ascontiguousarray(phi_src_t.imag)
-    step = max(1, _BLOCK_PAIRS // P)
     out = np.empty(w.size, dtype=complex)
-    for lo in range(0, w.size, step):
-        hi = min(lo + step, w.size)
-        dr = np.subtract.outer(src_re, phi_dst_w.real[lo:hi])
-        di = np.subtract.outer(src_im, phi_dst_w.imag[lo:hi])
-        dr *= dr
-        di *= di
-        dr += di
-        np.sqrt(dr, out=dr)
-        if dr.min() < COLLISION_TOL:
-            raise BoundaryCollision(
-                f"boundaries closer than {COLLISION_TOL} at a quadrature node"
-            )
-        np.reciprocal(dr, out=dr)
-        re, im, total = sums @ dr
+    for lo, hi, d, _ in _distance_blocks(phi_src_t, phi_dst_w):
+        np.reciprocal(d, out=d)
+        re, im, total = sums @ d
         out[lo:hi] = (re + 1j * im - (w[lo:hi] * dphi_dst_w[lo:hi]) * total) / P
     return out
 
@@ -541,7 +559,7 @@ def _pair_derivatives(
     w_neg: np.ndarray,
     p: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """S(Phi_src, Phi_dst) at a block of targets w and its exact derivatives
+    """S(Phi_src, Phi_dst) at every target w and its exact derivatives
     with respect to the source and destination coefficients.
 
     With D = Phi_src(tau) - Phi_dst(w), R = 1/|D|, A = tau Phi_src'(tau)
@@ -550,33 +568,27 @@ def _pair_derivatives(
     coefficient moves D by -w^{-p} and B by -p w^{-p}; and
     dR = -R^3 Re(conj(D) dD).  With U = Re(D) R^3 and V = Im(D) R^3 every
     column is a product of R, U or V with a table of
-    :func:`_source_tables`.  Only two P x block arrays are live at once, as
-    in :func:`_stream_on_grid`.  Returns (S, dS/dsource, dS/ddestination),
-    the last two as (block, K) arrays.
+    :func:`_source_tables`.  R, U and V are formed block by block in the
+    two buffers of :func:`_distance_blocks`, as in :func:`_stream_on_grid`.
+    Returns (S, dS/dsource, dS/ddestination), the last two as (len(w), K)
+    arrays.
     """
     P = phi_src_t.size
     K = p.size
     t_r, t_u, t_v = tables
-    x = np.subtract.outer(phi_src_t.real, phi_dst_w.real)
-    y = np.subtract.outer(phi_src_t.imag, phi_dst_w.imag)
-    x *= x
-    y *= y
-    x += y
-    np.sqrt(x, out=y)
-    if y.min() < COLLISION_TOL:
-        raise BoundaryCollision(
-            f"boundaries closer than {COLLISION_TOL} at a quadrature node"
-        )
-    x *= y
-    np.reciprocal(y, out=y)  # R
-    np.reciprocal(x, out=x)  # R^3
-    r_cols = y.T @ t_r
-    np.subtract.outer(phi_src_t.real, phi_dst_w.real, out=y)
-    y *= x  # U
-    u_cols = y.T @ t_u
-    np.subtract.outer(phi_src_t.imag, phi_dst_w.imag, out=y)
-    y *= x  # V
-    v_cols = y.T @ t_v
+    r_cols, u_cols, v_cols = (np.empty((phi_dst_w.size, t.shape[1])) for t in tables)
+    for lo, hi, d, spare in _distance_blocks(phi_src_t, phi_dst_w):
+        np.multiply(d, d, out=spare)
+        spare *= d
+        np.reciprocal(d, out=d)  # R
+        np.reciprocal(spare, out=spare)  # R^3
+        r_cols[lo:hi] = d.T @ t_r
+        np.subtract.outer(phi_src_t.real, phi_dst_w.real[lo:hi], out=d)
+        d *= spare  # U
+        u_cols[lo:hi] = d.T @ t_u
+        np.subtract.outer(phi_src_t.imag, phi_dst_w.imag[lo:hi], out=d)
+        d *= spare  # V
+        v_cols[lo:hi] = d.T @ t_v
 
     def tail(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # column sum and sum against A
@@ -613,9 +625,10 @@ def _exact_jacobian(
     B_j = w Phi_j'(w), so each coefficient column is
     Im(dE_j conj(B_j)) + Im(E_j conj(dB_j)) and the Omega column is
     Im(Phi_j conj(B_j)).  The pass forms every E_j, so G_j and F cost no
-    further kernel work.  Kernel work is chunked over targets like the
-    residual, one source map at a time.  Returns (J, F, max sine
-    coefficient); F agrees with :func:`_system` up to summation order.
+    further kernel work.  Each (source, destination) pair is one call of
+    :func:`_pair_derivatives` over all targets, one source map's tables at
+    a time.  Returns (J, F, max sine coefficient); F agrees with
+    :func:`_system` up to summation order.
     """
     K = patch_like.K
     patch = patch_like.with_state(x[:K], x[K:2 * K], float(x[2 * K]))
@@ -639,13 +652,11 @@ def _exact_jacobian(
     for i, sign in ((0, -1.0), (1, 1.0)):
         phi_t, num_t = src[i]
         tables = _source_tables(t_neg, num_t)
-        for lo in range(0, w.size, _CHUNK):
-            hi = min(lo + _CHUNK, w.size)
-            for j, (phi_w, num_w) in enumerate(dst):
-                value, d_src, d_dst = _pair_derivatives(phi_t, tables, phi_w[lo:hi], num_w[lo:hi], w_neg[lo:hi], p)
-                e_val[j][lo:hi] += sign * value
-                d_e[j][i][lo:hi] += sign * d_src
-                d_e[j][j][lo:hi] += sign * d_dst
+        for j, (phi_w, num_w) in enumerate(dst):
+            value, d_src, d_dst = _pair_derivatives(phi_t, tables, phi_w, num_w, w_neg, p)
+            e_val[j] += sign * value
+            d_e[j][i] += sign * d_src
+            d_e[j][j] += sign * d_dst
         del tables  # one source's tables live at a time
 
     g1, g2 = (np.imag(e * np.conj(num_w)) for e, (_, num_w) in zip(e_val, dst))

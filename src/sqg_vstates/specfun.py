@@ -1,4 +1,4 @@
-"""Special-function kernel: Pochhammer symbols, the Gauss hypergeometric
+"""Special-function kernel: Pochhammer ratios, the Gauss hypergeometric
 series, odd-harmonic sums, and the annulus coupling coefficients.
 
 All quantities are real scalars in double precision.  The two quantities
@@ -34,8 +34,6 @@ from .errors import IndexOutOfTable, NonConvergence, PreconditionError
 from .quadrature import adaptive_quad
 
 __all__ = [
-    "gamma",
-    "pochhammer",
     "pochhammer_ratio",
     "gauss_2f1",
     "gauss_2f1_euler",
@@ -46,62 +44,13 @@ __all__ = [
     "AnnulusConstants",
 ]
 
-# Lanczos coefficients, g = 607/128, 15 terms (Godfrey's set).  Relative
-# error below 1e-13 on the positive real axis, which is the only region
-# this library needs (Euler-integral prefactors with c > b > 0).
-_LANCZOS_G = 607.0 / 128.0
-_LANCZOS_C = (
-    0.99999999999999709182,
-    57.156235665862923517,
-    -59.597960355475491248,
-    14.136097974741747174,
-    -0.49191381609762019978,
-    0.33994649984811888699e-4,
-    0.46523628927048575665e-4,
-    -0.98374475304879564677e-4,
-    0.15808870322491248884e-3,
-    -0.21026444172410488319e-3,
-    0.21743961811521264320e-3,
-    -0.16431810653676389022e-3,
-    0.84418223983852743293e-4,
-    -0.26190838401581408670e-4,
-    0.36899182659531622704e-5,
-)
-
-
-def gamma(x: float) -> float:
-    """Gamma function on the positive real axis (Lanczos approximation)."""
-    if not math.isfinite(x) or x <= 0.0:
-        raise PreconditionError(f"gamma requires x > 0, got {x}")
-    if x < 0.5:
-        # reflection keeps the Lanczos sum well conditioned near 0
-        return math.pi / (math.sin(math.pi * x) * gamma(1.0 - x))
-    xx = x - 1.0
-    t = xx + _LANCZOS_G + 0.5
-    s = _LANCZOS_C[0]
-    for i in range(1, len(_LANCZOS_C)):
-        s += _LANCZOS_C[i] / (xx + i)
-    return math.sqrt(2.0 * math.pi) * t ** (xx + 0.5) * math.exp(-t) * s
-
-
-def pochhammer(x: float, n: int) -> float:
-    """Rising factorial (x)_n = x (x+1) ... (x+n-1), with (x)_0 = 1."""
-    if n < 0:
-        raise PreconditionError(f"pochhammer requires n >= 0, got {n}")
-    p = 1.0
-    for k in range(n):
-        p *= x + k
-    if not math.isfinite(p):
-        raise OverflowError(f"pochhammer({x}, {n}) overflows double precision")
-    return p
-
 
 def pochhammer_ratio(x: float, n: int) -> float:
     """The ratio (x)_n / n!, accumulated factor by factor.
 
-    Unlike ``pochhammer(x, n) / factorial(n)`` this stays in range for
-    large ``n`` (both numerator and denominator overflow separately long
-    before their ratio does).
+    Unlike the quotient of (x)_n and n! this stays in range for large
+    ``n`` (both numerator and denominator overflow separately long before
+    their ratio does).
     """
     if n < 0:
         raise PreconditionError(f"pochhammer_ratio requires n >= 0, got {n}")
@@ -186,7 +135,7 @@ def gauss_2f1_euler(a: float, b: float, c: float, z: float) -> float:
     integral = adaptive_quad(left, 0.0, 0.5 ** (1.0 / p_lo)) + adaptive_quad(
         right, 0.0, 0.5 ** (1.0 / p_hi)
     )
-    return gamma(c) / (gamma(b) * gamma(c - b)) * integral
+    return math.gamma(c) / (math.gamma(b) * math.gamma(c - b)) * integral
 
 
 def contiguous_residuals(a: float, b: float, c: float, z: float) -> tuple[float, float, float, float]:
@@ -212,11 +161,17 @@ def contiguous_residuals(a: float, b: float, c: float, z: float) -> tuple[float,
     return (r1, r2, r3, r4)
 
 
+def _s_table(n_max: int) -> np.ndarray:
+    """``s_sum(n)`` for n = 1..n_max, as one cumulative sum."""
+    k = np.arange(1, n_max)
+    return np.concatenate(([0.0], np.cumsum(1.0 / (2.0 * k + 1.0)))) * (2.0 / math.pi)
+
+
 def s_sum(n: int) -> float:
     """Odd-harmonic sum (2/pi) * sum_{k=1}^{n-1} 1/(2k+1); zero at n = 1."""
     if n < 1:
         raise PreconditionError(f"s_sum requires n >= 1, got {n}")
-    return (2.0 / math.pi) * sum(1.0 / (2.0 * k + 1.0) for k in range(1, n))
+    return float(_s_table(n)[-1])
 
 
 def _validate_mode_radius(n: int, b: float) -> None:
@@ -273,8 +228,7 @@ class AnnulusConstants:
         _validate_mode_radius(1, b)
         if n_max < 1:
             raise PreconditionError(f"n_max must be >= 1, got {n_max}")
-        k = np.arange(1, n_max)
-        s = np.concatenate(([0.0], np.cumsum(1.0 / (2.0 * k + 1.0)))) * (2.0 / math.pi)
+        s = _s_table(n_max)
         lam = np.array([lambda_coeff(n, b) for n in range(1, n_max + 1)])
         s.setflags(write=False)
         lam.setflags(write=False)

@@ -32,7 +32,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .contour import _linearization_probe
-from .specfun import AnnulusConstants, gauss_2f1, pochhammer_ratio
+from .specfun import AnnulusConstants, gauss_2f1, pochhammer_ratio, s_sum
 from .spectrum import (
     bifurcation_row,
     discriminant,
@@ -106,11 +106,6 @@ def _offset_phases(P: int) -> np.ndarray:
     return np.exp(1j * 2.0 * np.pi * (np.arange(P) + 0.5) / P)
 
 
-def _odd_harmonic(k_from: int, k_to: int) -> float:
-    """sum_{k=k_from}^{k_to} 1/(2k+1)."""
-    return sum(1.0 / (2.0 * k + 1.0) for k in range(k_from, k_to + 1))
-
-
 def check_c1_c2(n_max: int = 20, samples: int = 8, P: int = 1 << 16,
                 seed: int = DEFAULT_SEED) -> list[CheckReport]:
     """Quadrature of the two self-interaction circle moments against their
@@ -119,7 +114,10 @@ def check_c1_c2(n_max: int = 20, samples: int = 8, P: int = 1 << 16,
         avg_tau (tau^n - w^n) / |w - tau| / ... = -(2 w^n / pi) sum_{k=0}^{n-1} 1/(2k+1)
         avg_tau (tau-w)^2 (tau^n - w^n) / |w - tau|^3 = (2 w^{n+2} / pi) sum_{k=1}^{n} 1/(2k+1)
 
-    (both as mean-value integrals with weight dtau/tau).  The integrands
+    (both as mean-value integrals with weight dtau/tau), that is
+    -w^n (2/pi + s_sum(n)) and w^{n+2} s_sum(n+1).  The closed forms use
+    the library's own ``s_sum``, so the quadrature side, which does not,
+    checks the multiplier the spectrum is built on.  The integrands
     have a bounded corner at tau = w; half-offset nodes converge at second
     order, so the default P is large.  A rotation-invariance report checks
     that the quadrature error is independent of w.
@@ -134,9 +132,9 @@ def check_c1_c2(n_max: int = 20, samples: int = 8, P: int = 1 << 16,
             w = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
             tau = w * xi
             lhs1 = ((tau ** n - w ** n) / np.abs(w - tau)).mean()
-            rhs1 = -(2.0 * w ** n / math.pi) * _odd_harmonic(0, n - 1)
+            rhs1 = -(w ** n) * (2.0 / math.pi + s_sum(n))
             lhs2 = ((tau - w) ** 2 * (tau ** n - w ** n) / np.abs(w - tau) ** 3).mean()
-            rhs2 = (2.0 * w ** (n + 2) / math.pi) * _odd_harmonic(1, n)
+            rhs2 = w ** (n + 2) * s_sum(n + 1)
             err1 = max(err1, abs(lhs1 - rhs1))
             err2 = max(err2, abs(lhs2 - rhs2))
             if n == 3:

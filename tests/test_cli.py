@@ -217,6 +217,24 @@ class TestRenderCommand:
         assert code == EXIT_GUARD
         assert "points[1].omega" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,k,bad", [("a", 0, "x"), ("c", 2, {"x": 1}), ("a", 3, True)])
+    def test_non_numeric_coefficient_names_entry(self, tmp_path, capsys, key, k, bad):
+        src = run_branch(tmp_path, steps=1)
+        data = json.loads(src.read_text())
+        data["points"][1][key][k] = bad
+        bad_file = tmp_path / "bad.json"
+        bad_file.write_text(json.dumps(data))
+        code = main(["render", str(bad_file), "--out", str(tmp_path / "img.svg")])
+        assert code == EXIT_GUARD
+        assert f"points[1].{key}[{k}]" in capsys.readouterr().err
+
+    def test_directory_path_is_usage_error(self, tmp_path, capsys):
+        src = run_branch(tmp_path, steps=1)
+        assert main(["render", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert main(["render", str(src), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_malformed_json(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"b": 0.6,')

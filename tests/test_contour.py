@@ -62,6 +62,18 @@ def sine_coefficients(patch, P):
     return fvec[:patch.K], fvec[patch.K:2 * patch.K]
 
 
+def direct_stream_integral(src, dst, patch, theta, P):
+    """S(Phi_src, Phi_dst) at w = e^{i theta} as one direct mean over the
+    P rotated half-offset nodes, the reference for ``stream_integral``."""
+    w = np.exp(1j * theta)
+    tau = w * np.exp(2j * math.pi * (np.arange(P) + 0.5) / P)
+    maps_t = contour._map_values(patch, tau)
+    maps_w = contour._map_values(patch, np.array([w]))
+    phi_t, dphi_t = maps_t[src - 1], maps_t[src + 1]
+    phi_w, dphi_w = maps_w[dst - 1][0], maps_w[dst + 1][0]
+    return complex(((tau * dphi_t - w * dphi_w) / np.abs(phi_t - phi_w)).mean())
+
+
 class TestPatchPair:
     def test_guard_rejects_large_coefficients(self):
         with pytest.raises(PreconditionError):
@@ -156,6 +168,16 @@ class TestStreamIntegral:
         with pytest.raises(BoundaryCollision):
             stream_integral(2, 2, patch, 0.5, 64)
 
+    @pytest.mark.parametrize("P", [64, 2048])
+    def test_matches_direct_one_point_formula(self, P):
+        # non-circular patch, every (src, dst) pair and two target angles
+        patch = small_patch(seed=5)
+        for src in (1, 2):
+            for dst in (1, 2):
+                for theta in (0.3, 2.0):
+                    ref = direct_stream_integral(src, dst, patch, theta, P)
+                    assert abs(stream_integral(src, dst, patch, theta, P) - ref) <= 1e-14
+
     def test_parameter_validation(self):
         patch = annulus_patch(0.5, 3, 2, 0.0)
         with pytest.raises(PreconditionError):
@@ -242,6 +264,14 @@ class TestResidual:
         blocked_sines = sine_coefficients(patch, 1280)
         for full, part in zip(whole + whole_sines, blocked + blocked_sines):
             assert np.abs(part - full).max() <= 1e-13
+
+    def test_collision_guard_on_grid_passes(self):
+        # the residual and Jacobian passes share the guard of stream_integral
+        patch = annulus_patch(1e-9, 2, 1, 0.0)
+        with pytest.raises(BoundaryCollision):
+            collocation_residual(patch, 64)
+        with pytest.raises(BoundaryCollision):
+            contour._exact_jacobian(patch, contour._pack(patch), 0.0, (1.0, 0.0), 64)
 
     def test_perturbation_coefficients_stable_under_refinement(self):
         patch = small_patch(m=4, K=3, seed=9)
@@ -337,10 +367,13 @@ class TestExactJacobian:
     def test_chunk_boundaries(self, monkeypatch):
         patch = small_patch(b=0.6, m=5, K=8, seed=4, scale=3e-4)
         x = contour._pack(patch)
+        monkeypatch.setattr(contour, "_BLOCK_PAIRS", 1280 * 1280)  # one block
         whole, _, _ = contour._exact_jacobian(patch, x, 0.0, self.VHAT, 1280)
-        monkeypatch.setattr(contour, "_CHUNK", 64)  # q = 256: 127 targets, 2 blocks
-        chunked, _, _ = contour._exact_jacobian(patch, x, 0.0, self.VHAT, 1280)
-        assert np.abs(chunked - whole).max() <= 1e-13 * np.abs(whole).max()
+        # q = 256: 127 targets in blocks of 64 + 63, then 100 + 27
+        for block in (64, 100):
+            monkeypatch.setattr(contour, "_BLOCK_PAIRS", 1280 * block)
+            chunked, _, _ = contour._exact_jacobian(patch, x, 0.0, self.VHAT, 1280)
+            assert np.abs(chunked - whole).max() <= 1e-13 * np.abs(whole).max()
 
     @pytest.mark.parametrize("m,K,P", [(5, 8, 1280), (6, 2, 256), (4, 1, 20)])
     def test_fused_residual_matches_system(self, m, K, P):

@@ -14,61 +14,21 @@ from sqg_vstates.quadrature import adaptive_quad
 from sqg_vstates.specfun import (
     AnnulusConstants,
     contiguous_residuals,
-    gamma,
     gauss_2f1,
     gauss_2f1_euler,
     lambda_coeff,
     lambda_integral_oracle,
-    pochhammer,
     pochhammer_ratio,
     s_sum,
 )
 
 
-class TestGamma:
-    def test_known_values(self):
-        assert gamma(1.0) == pytest.approx(1.0, rel=1e-14)
-        assert gamma(5.0) == pytest.approx(24.0, rel=1e-14)
-        assert gamma(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
-        assert gamma(2.5) == pytest.approx(1.5 * 0.5 * math.sqrt(math.pi), rel=1e-14)
-
-    def test_against_stdlib_on_working_range(self):
-        # library contract: relative error <= 1e-13 on (0, 30)
-        xs = np.linspace(0.02, 29.98, 1500)
-        worst = max(abs(gamma(float(x)) - math.gamma(float(x))) / math.gamma(float(x)) for x in xs)
-        assert worst <= 1e-13
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(PreconditionError):
-            gamma(0.0)
-        with pytest.raises(PreconditionError):
-            gamma(-1.5)
-
-
 class TestPochhammer:
-    def test_empty_product(self):
-        assert pochhammer(0.7, 0) == 1.0
-
-    def test_direct_products(self):
-        assert pochhammer(0.5, 2) == pytest.approx(0.75, rel=1e-15)
-        assert pochhammer(2.0, 3) == pytest.approx(24.0, rel=1e-15)
-
-    def test_recurrence(self):
-        rng = np.random.default_rng(42)
-        for _ in range(50):
-            x = rng.uniform(-3.0, 5.0)
-            n = int(rng.integers(0, 20))
-            assert pochhammer(x, n + 1) == pytest.approx((x + n) * pochhammer(x, n), abs=1e-300, rel=1e-12)
-
-    def test_overflow_is_range_error(self):
-        with pytest.raises(OverflowError):
-            pochhammer(10.0, 400)
-
     def test_ratio_matches_quotient_for_small_n(self):
         for x in (0.5, 1.5, 3.25):
             for n in range(0, 12):
                 assert pochhammer_ratio(x, n) == pytest.approx(
-                    pochhammer(x, n) / math.factorial(n), rel=1e-13
+                    math.prod(x + k for k in range(n)) / math.factorial(n), rel=1e-13
                 )
 
     def test_ratio_survives_large_n(self):
