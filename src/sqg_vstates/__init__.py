@@ -24,7 +24,6 @@ from .errors import (
     BoundaryCollision,
     IndexOutOfTable,
     NoConvergence,
-    NonConvergence,
     NotAnEigenvalue,
     NotSimple,
     PreconditionError,
@@ -83,7 +82,6 @@ __all__ = [
     "KernelVector",
     "ModeMatrix",
     "NoConvergence",
-    "NonConvergence",
     "NotAnEigenvalue",
     "NotSimple",
     "PatchPair",

@@ -31,7 +31,6 @@ from .errors import (
     BoundaryCollision,
     IndexOutOfTable,
     NoConvergence,
-    NonConvergence,
     NotAnEigenvalue,
     NotSimple,
     PreconditionError,
@@ -48,7 +47,7 @@ EXIT_GUARD = 3
 EXIT_NUMERIC = 4
 
 _GUARD_ERRORS = (PreconditionError, NotSimple, NotAnEigenvalue, TableExhausted, IndexOutOfTable)
-_NUMERIC_ERRORS = (NonConvergence, NoConvergence, SingularJacobian, BoundaryCollision)
+_NUMERIC_ERRORS = (NoConvergence, SingularJacobian, BoundaryCollision)
 
 
 def _fmt17(x: float) -> str:

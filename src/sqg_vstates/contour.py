@@ -18,11 +18,18 @@ where S is the mean-value boundary integral
     S(Phi_i, Phi_j)(w) = avg_{tau in T} [tau Phi_i'(tau) - w Phi_j'(w)]
                                         / |Phi_i(tau) - Phi_j(w)|.
 
-The self-interaction integrand (i = j) is bounded but has a corner where
-tau passes w; quadrature uses trapezoidal sums on half-offset nodes, the
-standard contour-dynamics treatment, validated against closed forms by the
-``verify`` module.  The interaction integrand (i != j) is smooth because
-the boundaries are disjoint, and the same rule converges spectrally.
+Quadrature and collocation share one grid: the P nodes
+tau_l = exp(2 pi i l / P) are also the targets.  The interaction
+integrand (i != j) is smooth because the boundaries are disjoint, and the
+trapezoidal weight 1/P converges spectrally.  The self-interaction
+integrand (i = j) has a corner where tau passes w, so it gets
+Martensen-Kussmaul product integration (R. Kress, *Linear Integral
+Equations*, ch. 12): f = (A - B) |tau - w| / |D| is smooth and vanishes at
+tau = w, and 1/|tau - w| is integrated exactly against the trigonometric
+interpolant of f.  The moments are the (c1) circle moments
+mu_n = -2/pi - s_sum(|n|), mu_0 = 0, so pair (l, k) has the weight
+V_{(l-k) mod P} / |D|, with V_j = W_j 2|sin(pi j / P)| and W the inverse
+FFT of mu; V_0 = 0 drops the diagonal.
 
 ``residual`` collocates G_1, G_2 on a uniform grid and projects onto the
 retained sine modes sin(n m theta); ``newton_correct`` and
@@ -33,25 +40,27 @@ every column follows in closed form from the kernel matrices of one pass.
 Central differences remain only as the independent oracle, in the tests
 and in ``verify``.
 
-Grid symmetry.  With P quadrature nodes tau_j = exp(2 pi i (j + 1/2) / P)
-and targets w_k = exp(2 pi i k / P), let g = gcd(m, P) and q = P / g.
-Rotation by 2 pi / g permutes both node sets, and because g | m every map
-obeys Phi(rho z) = rho Phi(z), so the discrete residual is q-periodic:
-G_{k+q} = G_k.  Conjugation maps node j to node P-1-j and target k to
-target P-k, and real coefficients give Phi(conj z) = conj Phi(z), so it is
-odd: G_{P-k} = -G_k.  Both identities hold for the discrete sums, not
-only in the limit, so every kernel pass evaluates only the orbit
-representatives k = 0..floor(q/2) (see :func:`_collocation_grid` and
-:func:`collocation_residual`); the rest are copies up to summation order.
+Grid symmetry.  Let g = gcd(m, P) and q = P / g.  Rotation by 2 pi / g
+shifts every grid index by q, and because g | m every map obeys
+Phi(rho z) = rho Phi(z); the self weights depend only on l - k, so the
+discrete residual is q-periodic: G_{k+q} = G_k.  Conjugation maps index l
+to P - l, real coefficients give Phi(conj z) = conj Phi(z), and V is even
+(V_j = V_{P-j}), so it is odd: G_{P-k} = -G_k.  Both identities hold for
+the discrete sums, not only in the limit, so every kernel pass evaluates
+only the orbit representatives k = 0..floor(q/2) (see
+:func:`_collocation_grid` and :func:`collocation_residual`); the rest are
+copies up to summation order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     BoundaryCollision,
@@ -60,7 +69,7 @@ from .errors import (
     PreconditionError,
     SingularJacobian,
 )
-from .specfun import AnnulusConstants
+from .specfun import AnnulusConstants, _s_table
 from .spectrum import KernelVector, bifurcation_row, kernel_vector, mode_matrix, threshold_N
 
 __all__ = [
@@ -202,17 +211,16 @@ def _monomials(patch: PatchPair, w: np.ndarray) -> np.ndarray:
     return w[:, None] ** (-patch.mode_exponents()[None, :])
 
 
-def _map_values(patch: PatchPair, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Phi_1, Phi_2, Phi_1', Phi_2' on an array of unit-circle points."""
+def _map_values(patch: PatchPair, w: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """(Phi_j, A_j = w Phi_j'(w)) for both maps on an array of unit-circle
+    points: the one map evaluation of a kernel pass."""
     p = patch.mode_exponents()
     wneg = _monomials(patch, w)
-    phi1 = w + wneg @ patch.a
-    phi2 = patch.b * w + wneg @ patch.c
-    # Phi'(w) = 1 - sum (nm-1) a_n w^{-nm}
-    wneg_d = wneg * w[:, None] ** (-1)
-    dphi1 = 1.0 - wneg_d @ (p * patch.a)
-    dphi2 = patch.b - wneg_d @ (p * patch.c)
-    return phi1, phi2, dphi1, dphi2
+    # w Phi'(w) = w - sum (nm-1) a_n w^{-(nm-1)}
+    return (
+        (w + wneg @ patch.a, w - wneg @ (p * patch.a)),
+        (patch.b * w + wneg @ patch.c, patch.b * w - wneg @ (p * patch.c)),
+    )
 
 
 def eval_maps(patch: PatchPair, theta: float) -> tuple[complex, complex, complex, complex]:
@@ -221,55 +229,71 @@ def eval_maps(patch: PatchPair, theta: float) -> tuple[complex, complex, complex
     Returns (Phi_1, Phi_2, dPhi_1/dtheta, dPhi_2/dtheta) at w = e^{i theta};
     the tangential derivative is i w Phi'(w).
     """
-    w = np.array([np.exp(1j * theta)])
-    phi1, phi2, dphi1, dphi2 = _map_values(patch, w)
-    iw = 1j * w[0]
-    return complex(phi1[0]), complex(phi2[0]), complex(iw * dphi1[0]), complex(iw * dphi2[0])
+    (phi1, a1), (phi2, a2) = _map_values(patch, np.array([np.exp(1j * theta)]))
+    return complex(phi1[0]), complex(phi2[0]), complex(1j * a1[0]), complex(1j * a2[0])
 
 
 def stream_integral(src: int, dst: int, patch: PatchPair, theta: float, P: int) -> complex:
-    """S(Phi_src, Phi_dst) at w = e^{i theta} by offset trapezoidal quadrature.
+    """S(Phi_src, Phi_dst) at w = e^{i theta}: the one-target case of
+    :func:`_stream_on_grid` on the grid tau_l = w e^{2 pi i l / P}, whose
+    node 0 is w.
 
-    The integration variable is tau = w e^{i eta} with eta on the P
-    half-offset nodes 2 pi (k + 1/2) / P; the offset keeps the node set
-    clear of eta = 0 where the self-interaction integrand has its bounded
-    corner.  This is the one-target case of :func:`_stream_on_grid` on the
-    rotated nodes.  Raises :class:`BoundaryCollision` if any quadrature
-    denominator drops below the disjointness guard.
+    Product integration on a self pair (src = dst), the trapezoidal rule
+    otherwise.  Raises :class:`BoundaryCollision` if any quadrature
+    denominator other than the self pair's zero diagonal drops below the
+    disjointness guard.
     """
     if src not in (1, 2) or dst not in (1, 2):
         raise PreconditionError(f"boundary selectors must be 1 or 2, got src={src}, dst={dst}")
     if P < 64 or P % 2:
         raise PreconditionError(f"quadrature size must be even and >= 64, got {P}")
-    w = np.array([np.exp(1j * theta)])
-    tau = w * np.exp(1j * TWO_PI * (np.arange(P) + 0.5) / P)
-    maps_t = _map_values(patch, tau)
-    maps_w = _map_values(patch, w)
-    # _map_values returns (Phi_1, Phi_2, Phi_1', Phi_2')
-    value = _stream_on_grid(tau, maps_t[src - 1], maps_t[src + 1], w, maps_w[dst - 1], maps_w[dst + 1])
-    return complex(value[0])
+    maps = _map_values(patch, np.exp(1j * theta) * _nodes(P))
+    return complex(_stream_on_grid(maps[src - 1], maps[dst - 1], slice(0, 1), src == dst)[0])
+
+
+def _nodes(P: int) -> np.ndarray:
+    """The P grid nodes e^{2 pi i l / P}, quadrature nodes and targets alike."""
+    return np.exp(1j * TWO_PI * np.arange(P) / P)
+
+
+@lru_cache(maxsize=8)
+def _self_weights(P: int) -> np.ndarray:
+    """Self-pair weights as a read-only (P + 1, P) view of the array [V, V]
+    whose row k holds P V_{(l-k) mod P} for the nodes l = 0..P-1.
+
+    W, the inverse real FFT of the (c1) moments with mu_0 = 0 (module
+    docstring), takes the Nyquist term once.  The factor P lets self and
+    cross pairs share the final 1/P of every kernel sum.
+    """
+    mu = np.concatenate(([0.0], -2.0 / math.pi - _s_table(P // 2)))
+    v = np.fft.irfft(mu, P) * P * 2.0 * np.abs(np.sin(math.pi * np.arange(P) / P))
+    return sliding_window_view(np.concatenate([v, v]), P)[::-1]
 
 
 def _distance_blocks(
-    phi_src_t: np.ndarray, phi_dst_w: np.ndarray
-) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
-    """The kernel distances |D| = |Phi_src(tau) - Phi_dst(w)|, one block of
-    targets w at a time: the one place every kernel pass forms them.
+    phi_src: np.ndarray, phi_dst: np.ndarray, targets: slice, self_pair: bool
+) -> Iterator[tuple[int, int, np.ndarray, np.ndarray, np.ndarray | float]]:
+    """The kernel distances |D| = |Phi_src(tau_l) - Phi_dst(tau_k)| from the
+    P grid nodes l to the targets k in the index range ``targets``, one
+    block of targets at a time: the one place every kernel pass forms them.
 
-    Targets are split into blocks of about ``_BLOCK_PAIRS`` kernel pairs.
-    Two flat buffers are allocated once per call, so a pass holds two
-    P x block arrays whatever its target count.  Yields (lo, hi, d, spare)
-    per block, where ``d`` holds |D| for targets lo..hi-1 as a contiguous
-    (P, hi - lo) view and ``spare`` is working space of the same shape; the
-    caller may overwrite both before the next block.  Raises
-    :class:`BoundaryCollision` if any distance drops below the
-    disjointness guard.
+    Blocks hold about ``_BLOCK_PAIRS`` kernel pairs in two buffers
+    allocated once per call.  Yields (lo, hi, d, spare, weight) per block:
+    ``d`` holds |D| for targets lo..hi-1 of ``targets`` as a contiguous
+    (hi - lo, P) view and ``spare`` is working space of the same shape;
+    the caller may overwrite both.  The pair weight is ``weight`` / P: the
+    matching rows of :func:`_self_weights` on a self pair, 1.0 on a cross
+    pair.  On a self pair the diagonal l = k, where D = 0, is set to +inf,
+    so it passes the guard and its kernel ``weight / d`` is exactly 0.
+    Raises :class:`BoundaryCollision` if any other distance drops below
+    the disjointness guard.
     """
-    P = phi_src_t.size
-    n_dst = phi_dst_w.size
+    P = phi_src.size
+    first = targets.start
+    dst = phi_dst[targets]
+    n_dst = dst.size
     step = max(1, _BLOCK_PAIRS // P)
-    src_re = np.ascontiguousarray(phi_src_t.real)
-    src_im = np.ascontiguousarray(phi_src_t.imag)
+    weights = _self_weights(P) if self_pair else None
     # one allocation for both buffers: freed whole, it lifts glibc's dynamic
     # mmap and trim thresholds above their joint size, so the pages stay in
     # the heap for the next pass (two separate buffers were returned to the
@@ -277,46 +301,47 @@ def _distance_blocks(
     d_buf, spare_buf = np.empty((2, P * min(step, n_dst)))
     for lo in range(0, n_dst, step):
         hi = min(lo + step, n_dst)
-        d = d_buf[:P * (hi - lo)].reshape(P, hi - lo)
-        spare = spare_buf[:P * (hi - lo)].reshape(P, hi - lo)
-        np.subtract.outer(src_re, phi_dst_w.real[lo:hi], out=d)
-        np.subtract.outer(src_im, phi_dst_w.imag[lo:hi], out=spare)
+        d = d_buf[:P * (hi - lo)].reshape(hi - lo, P)
+        spare = spare_buf[:P * (hi - lo)].reshape(hi - lo, P)
+        np.subtract(phi_src.real, dst.real[lo:hi, None], out=d)
+        np.subtract(phi_src.imag, dst.imag[lo:hi, None], out=spare)
         d *= d
         spare *= spare
         d += spare
         np.sqrt(d, out=d)
+        weight = 1.0
+        if weights is not None:
+            np.fill_diagonal(d[:, first + lo:first + hi], np.inf)
+            weight = weights[first + lo:first + hi]
         if d.min() < COLLISION_TOL:
             raise BoundaryCollision(
                 f"boundaries closer than {COLLISION_TOL} at a quadrature node"
             )
-        yield lo, hi, d, spare
+        yield lo, hi, d, spare, weight
 
 
 def _stream_on_grid(
-    tau: np.ndarray,
-    phi_src_t: np.ndarray,
-    dphi_src_t: np.ndarray,
-    w: np.ndarray,
-    phi_dst_w: np.ndarray,
-    dphi_dst_w: np.ndarray,
+    src: tuple[np.ndarray, np.ndarray],
+    dst: tuple[np.ndarray, np.ndarray],
+    targets: slice,
+    self_pair: bool,
 ) -> np.ndarray:
-    """S(Phi_src, Phi_dst) at every target w, vectorized.
-
-    tau runs over the P quadrature nodes and w over the targets; on the
-    half-offset master grid and the integer grid the relative offsets
-    reproduce the single-point rule of :func:`stream_integral` exactly.
-    The kernel 1/|D| comes block by block from :func:`_distance_blocks`.
+    """S(Phi_src, Phi_dst) at the targets ``targets`` of the P grid nodes,
+    from (Phi, A) of each map on the nodes (:func:`_map_values`).  The
+    weighted kernel comes block by block from :func:`_distance_blocks`.
     """
-    P = tau.size
-    num_src = tau * dphi_src_t
-    # Re A, Im A and the ones that give the column sum, all in one matrix
+    phi_src, num_src = src
+    phi_dst, num_dst = dst
+    P = phi_src.size
+    # Re A, Im A and the ones that give the row sum, all in one matrix
     # product per block
-    sums = np.stack([num_src.real, num_src.imag, np.ones(P)])
-    out = np.empty(w.size, dtype=complex)
-    for lo, hi, d, _ in _distance_blocks(phi_src_t, phi_dst_w):
-        np.reciprocal(d, out=d)
-        re, im, total = sums @ d
-        out[lo:hi] = (re + 1j * im - (w[lo:hi] * dphi_dst_w[lo:hi]) * total) / P
+    sums = np.column_stack([num_src.real, num_src.imag, np.ones(P)])
+    num_w = num_dst[targets]
+    out = np.empty(num_w.size, dtype=complex)
+    for lo, hi, d, _, weight in _distance_blocks(phi_src, phi_dst, targets, self_pair):
+        np.divide(weight, d, out=d)
+        re, im, total = (d @ sums).T
+        out[lo:hi] = (re + 1j * im - num_w[lo:hi] * total) / P
     return out
 
 
@@ -327,23 +352,18 @@ def _check_grid(m: int, K: int, P: int) -> None:
         )
 
 
-def _boundary_residuals(patch: PatchPair, theta: np.ndarray, P: int) -> tuple[np.ndarray, np.ndarray]:
-    """G_1, G_2 at the target angles ``theta``, with the stream integrals
-    taken over the P half-offset quadrature nodes."""
-    eta = TWO_PI * (np.arange(P) + 0.5) / P
-    w = np.exp(1j * theta)
-    tau = np.exp(1j * eta)
-    phi1_w, phi2_w, dphi1_w, dphi2_w = _map_values(patch, w)
-    phi1_t, phi2_t, dphi1_t, dphi2_t = _map_values(patch, tau)
-
-    s11 = _stream_on_grid(tau, phi1_t, dphi1_t, w, phi1_w, dphi1_w)
-    s21 = _stream_on_grid(tau, phi2_t, dphi2_t, w, phi1_w, dphi1_w)
-    s12 = _stream_on_grid(tau, phi1_t, dphi1_t, w, phi2_w, dphi2_w)
-    s22 = _stream_on_grid(tau, phi2_t, dphi2_t, w, phi2_w, dphi2_w)
-
-    g1 = np.imag((patch.omega * phi1_w - s11 + s21) * np.conj(dphi1_w) * np.conj(w))
-    g2 = np.imag((patch.omega * phi2_w - s12 + s22) * np.conj(dphi2_w) * np.conj(w))
-    return g1, g2
+def _boundary_residuals(patch: PatchPair, targets: slice, P: int) -> tuple[np.ndarray, np.ndarray]:
+    """G_1, G_2 at the targets ``targets``, a range of grid indices, with
+    the stream integrals taken over the P grid nodes: one map evaluation."""
+    maps = _map_values(patch, _nodes(P))
+    g = []
+    for j, (phi, num) in enumerate(maps):
+        # E_j = Omega Phi_j - S(Phi_1, Phi_j) + S(Phi_2, Phi_j)
+        e = patch.omega * phi[targets]
+        e -= _stream_on_grid(maps[0], maps[j], targets, j == 0)
+        e += _stream_on_grid(maps[1], maps[j], targets, j == 1)
+        g.append(np.imag(e * np.conj(num[targets])))
+    return tuple(g)
 
 
 def _symmetry_period(m: int, P: int) -> int:
@@ -364,7 +384,7 @@ def collocation_residual(patch: PatchPair, P: int) -> tuple[np.ndarray, np.ndarr
     _check_grid(patch.m, patch.K, P)
     q = _symmetry_period(patch.m, P)
     half = q // 2
-    g1, g2 = _boundary_residuals(patch, TWO_PI * np.arange(half + 1) / P, P)
+    g1, g2 = _boundary_residuals(patch, slice(0, half + 1), P)
     r = np.arange(P) % q
     mirrored = r > half
     src = np.where(mirrored, q - r, r)
@@ -381,21 +401,13 @@ def residual(patch: PatchPair, P: int) -> ResidualSpectrum:
     of m.
     """
     m, K = patch.m, patch.K
-    g1, g2 = collocation_residual(patch, P)
-    freqs = np.arange(1, K + 1) * m
-    spec1 = np.fft.rfft(g1)
-    spec2 = np.fft.rfft(g2)
+    spec = np.fft.rfft(np.stack(collocation_residual(patch, P)))
     # real signal: g = sum_p [ (2 Re X_p / P) cos - (2 Im X_p / P) sin ]
-    r1 = -2.0 * np.imag(spec1[freqs]) / P
-    r2 = -2.0 * np.imag(spec2[freqs]) / P
-    p_all = np.arange(spec1.size)
-    off = p_all % m != 0
-    leak = 0.0
-    if off.any():
-        leak = 2.0 / P * max(float(np.abs(spec1[off]).max()), float(np.abs(spec2[off]).max()))
-    r1.setflags(write=False)
-    r2.setflags(write=False)
-    return ResidualSpectrum(m=m, K=K, r1=r1, r2=r2, leak=leak)
+    r = -2.0 * np.imag(spec[:, np.arange(1, K + 1) * m]) / P
+    r.setflags(write=False)
+    off = np.arange(spec.shape[1]) % m != 0
+    leak = 2.0 / P * float(np.abs(spec[:, off]).max()) if off.any() else 0.0
+    return ResidualSpectrum(m=m, K=K, r1=r[0], r2=r[1], leak=leak)
 
 
 def _linearization_probe(
@@ -414,30 +426,18 @@ def _linearization_probe(
     -(n m) M_{n m}.  Returns (observed, expected, max relative block error,
     off-block magnitude relative to the block scale).
     """
-    K = max(2, n + 2)
-    zeros = np.zeros(K)
+    K = n + 2
     observed = np.zeros((2, 2))
     offblock = 0.0
-    idx = n - 1
-    for col, boundary in enumerate(("outer", "inner")):
-        dpls = zeros.copy()
-        dpls[idx] = h
-        if boundary == "outer":
-            plus = PatchPair(b, m, K, dpls, zeros, omega)
-            minus = PatchPair(b, m, K, -dpls, zeros, omega)
-        else:
-            plus = PatchPair(b, m, K, zeros, dpls, omega)
-            minus = PatchPair(b, m, K, zeros, -dpls, omega)
-        rp = residual(plus, P)
-        rm = residual(minus, P)
-        d1 = (rp.r1 - rm.r1) / (2.0 * h)
-        d2 = (rp.r2 - rm.r2) / (2.0 * h)
-        observed[0, col] = d1[idx]
-        observed[1, col] = d2[idx]
-        others = np.delete(np.arange(K), idx)
-        if others.size:
-            offblock = max(offblock, float(np.abs(d1[others]).max()), float(np.abs(d2[others]).max()))
-        offblock = max(offblock, max(rp.leak, rm.leak) / (2.0 * h))
+    for col in range(2):  # outer, then inner boundary
+        step = np.zeros((2, K))
+        step[col, n - 1] = h
+        rp = residual(PatchPair(b, m, K, *step, omega), P)
+        rm = residual(PatchPair(b, m, K, *-step, omega), P)
+        deriv = (np.stack([rp.r1, rp.r2]) - np.stack([rm.r1, rm.r2])) / (2.0 * h)
+        observed[:, col] = deriv[:, n - 1]
+        others = float(np.abs(np.delete(deriv, n - 1, axis=1)).max())
+        offblock = max(offblock, others, max(rp.leak, rm.leak) / (2.0 * h))
     p = n * m
     expected = -p * mode_matrix(p, b, omega, consts).matrix()
     scale = float(np.abs(expected).max())
@@ -469,8 +469,9 @@ def linearization_check(
     return rel
 
 
-def _collocation_grid(m: int, K: int, P: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """Target angles, their sine table sin(n m theta) and projection scale.
+def _collocation_grid(m: int, K: int, P: int) -> tuple[slice, np.ndarray, float]:
+    """Target grid indices, their sine table sin(n m theta) and projection
+    scale.
 
     The one target rule of the Newton path.  With g = gcd(m, P) and
     q = P / g the discrete residual is q-periodic and odd (module
@@ -481,10 +482,12 @@ def _collocation_grid(m: int, K: int, P: int) -> tuple[np.ndarray, np.ndarray, f
     targets are k = 1..ceil(q/2)-1 and the retained coefficient is
     (4/q) sum_k G(theta_k) sin(n m theta_k).  g = 1 needs no special case.
     """
+    _check_grid(m, K, P)
     q = _symmetry_period(m, P)
-    theta = TWO_PI * np.arange(1, (q + 1) // 2) / P
+    targets = slice(1, (q + 1) // 2)
+    theta = TWO_PI * np.arange(targets.start, targets.stop) / P
     sines = np.sin(np.outer(theta, np.arange(1, K + 1) * m))
-    return theta, sines, 4.0 / q
+    return targets, sines, 4.0 / q
 
 
 # ---------------------------------------------------------------------------
@@ -499,26 +502,16 @@ def _pack(patch: PatchPair) -> np.ndarray:
     return np.concatenate([patch.a, patch.c, [patch.omega]])
 
 
-def _augmented(
-    g1: np.ndarray,
-    g2: np.ndarray,
-    sines: np.ndarray,
-    scale: float,
-    x: np.ndarray,
-    s: float,
-    vhat: tuple[float, float],
-) -> tuple[np.ndarray, float]:
-    """The augmented residual F from G_1, G_2 on the targets of
+def _augmented(g: tuple[np.ndarray, ...], sines: np.ndarray, scale: float, x: np.ndarray,
+               s: float, vhat: tuple[float, float]) -> tuple[np.ndarray, float]:
+    """The augmented residual F from g = (G_1, G_2) on the targets of
     :func:`_collocation_grid`: the 2K retained sine coefficients, then the
     amplitude constraint, which pins the projection of (a_1, c_1) onto the
     normalized kernel direction to s.  Returns (F, max sine coefficient).
     """
     K = sines.shape[1]
-    fvec = np.empty(2 * K + 1)
-    fvec[:K] = scale * (g1 @ sines)
-    fvec[K:2 * K] = scale * (g2 @ sines)
-    fvec[2 * K] = x[0] * vhat[0] + x[K] * vhat[1] - s
-    return fvec, float(np.abs(fvec[:2 * K]).max())
+    coeffs = scale * np.concatenate([g_j @ sines for g_j in g])
+    return np.append(coeffs, x[0] * vhat[0] + x[K] * vhat[1] - s), float(np.abs(coeffs).max())
 
 
 def _system(patch_like: PatchPair, x: np.ndarray, s: float, vhat: tuple[float, float], P: int) -> tuple[np.ndarray, float]:
@@ -526,10 +519,8 @@ def _system(patch_like: PatchPair, x: np.ndarray, s: float, vhat: tuple[float, f
     kernel pass over the targets of :func:`_collocation_grid`."""
     K = patch_like.K
     patch = patch_like.with_state(x[:K], x[K:2 * K], float(x[2 * K]))
-    _check_grid(patch.m, K, P)
-    theta, sines, scale = _collocation_grid(patch.m, K, P)
-    g1, g2 = _boundary_residuals(patch, theta, P)
-    return _augmented(g1, g2, sines, scale, x, s, vhat)
+    targets, sines, scale = _collocation_grid(patch.m, K, P)
+    return _augmented(_boundary_residuals(patch, targets, P), sines, scale, x, s, vhat)
 
 
 def _source_tables(t_neg: np.ndarray, num: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -537,14 +528,13 @@ def _source_tables(t_neg: np.ndarray, num: np.ndarray) -> tuple[np.ndarray, np.n
     map into every column sum :func:`_pair_derivatives` needs.
 
     ``t_neg`` is the monomial table T = tau^{-p} and ``num`` the numerator
-    A = tau Phi'(tau) of the source map on the P quadrature nodes.  Column
+    A = tau Phi'(tau) of the source map on the P grid nodes.  Column
     blocks, which :func:`_pair_derivatives` slices by position:
     t_r = [Re T, Im T, 1, Re A, Im A],
     t_u = [Re T, Re A Re T, Im A Re T, 1, Re A, Im A] and t_v the same
     with Im T in place of Re T.
     """
-    ones = np.ones((num.size, 1))
-    tail = np.column_stack([ones, num.real, num.imag])
+    tail = np.column_stack([np.ones(num.size), num.real, num.imag])
     t_r = np.column_stack([t_neg.real, t_neg.imag, tail])
     t_u = np.column_stack([t_neg.real, num.real[:, None] * t_neg.real, num.imag[:, None] * t_neg.real, tail])
     t_v = np.column_stack([t_neg.imag, num.real[:, None] * t_neg.imag, num.imag[:, None] * t_neg.imag, tail])
@@ -552,43 +542,47 @@ def _source_tables(t_neg: np.ndarray, num: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 def _pair_derivatives(
-    phi_src_t: np.ndarray,
+    phi_src: np.ndarray,
     tables: tuple[np.ndarray, np.ndarray, np.ndarray],
-    phi_dst_w: np.ndarray,
-    num_dst_w: np.ndarray,
+    dst: tuple[np.ndarray, np.ndarray],
+    targets: slice,
+    self_pair: bool,
     w_neg: np.ndarray,
     p: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """S(Phi_src, Phi_dst) at every target w and its exact derivatives
-    with respect to the source and destination coefficients.
+    """S(Phi_src, Phi_dst) at the targets ``targets`` and its exact
+    derivatives with respect to the source and destination coefficients.
 
-    With D = Phi_src(tau) - Phi_dst(w), R = 1/|D|, A = tau Phi_src'(tau)
-    and B = w Phi_dst'(w), the rule is S = avg_tau (A - B) R.  A source
-    coefficient moves D by tau^{-p} and A by -p tau^{-p}; a destination
-    coefficient moves D by -w^{-p} and B by -p w^{-p}; and
-    dR = -R^3 Re(conj(D) dD).  With U = Re(D) R^3 and V = Im(D) R^3 every
-    column is a product of R, U or V with a table of
-    :func:`_source_tables`.  R, U and V are formed block by block in the
-    two buffers of :func:`_distance_blocks`, as in :func:`_stream_on_grid`.
-    Returns (S, dS/dsource, dS/ddestination), the last two as (len(w), K)
-    arrays.
+    With D = Phi_src(tau) - Phi_dst(w), A = tau Phi_src'(tau),
+    B = w Phi_dst'(w) and the pair weight c (1/P, or V_{l-k} on a self
+    pair), S = sum_tau (A - B) R with R = c/|D|.  A source coefficient
+    moves D by tau^{-p} and A by -p tau^{-p}; a destination coefficient
+    moves D by -w^{-p} and B by -p w^{-p}; c is constant, so
+    dR = -(c/|D|^3) Re(conj(D) dD).  With U = Re(D) c/|D|^3 and
+    V = Im(D) c/|D|^3 every column is a product of R, U or V with a table
+    of :func:`_source_tables`, formed block by block in the buffers of
+    :func:`_distance_blocks`.  ``dst`` is (Phi_dst, B) on the nodes and
+    ``w_neg`` is w^{-p} at the targets.  Returns
+    (S, dS/dsource, dS/ddestination), the last two as (targets, K) arrays.
     """
-    P = phi_src_t.size
+    P = phi_src.size
     K = p.size
     t_r, t_u, t_v = tables
-    r_cols, u_cols, v_cols = (np.empty((phi_dst_w.size, t.shape[1])) for t in tables)
-    for lo, hi, d, spare in _distance_blocks(phi_src_t, phi_dst_w):
+    phi_w = dst[0][targets]
+    num_w = dst[1][targets]
+    r_cols, u_cols, v_cols = (np.empty((phi_w.size, t.shape[1])) for t in tables)
+    for lo, hi, d, spare, weight in _distance_blocks(phi_src, dst[0], targets, self_pair):
         np.multiply(d, d, out=spare)
         spare *= d
-        np.reciprocal(d, out=d)  # R
-        np.reciprocal(spare, out=spare)  # R^3
-        r_cols[lo:hi] = d.T @ t_r
-        np.subtract.outer(phi_src_t.real, phi_dst_w.real[lo:hi], out=d)
+        np.divide(weight, d, out=d)  # R
+        np.divide(weight, spare, out=spare)  # c/|D|^3
+        r_cols[lo:hi] = d @ t_r
+        np.subtract(phi_src.real, phi_w.real[lo:hi, None], out=d)
         d *= spare  # U
-        u_cols[lo:hi] = d.T @ t_u
-        np.subtract.outer(phi_src_t.imag, phi_dst_w.imag[lo:hi], out=d)
+        u_cols[lo:hi] = d @ t_u
+        np.subtract(phi_src.imag, phi_w.imag[lo:hi, None], out=d)
         d *= spare  # V
-        v_cols[lo:hi] = d.T @ t_v
+        v_cols[lo:hi] = d @ t_v
 
     def tail(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # column sum and sum against A
@@ -597,8 +591,8 @@ def _pair_derivatives(
     sum_r, r_a = tail(r_cols)
     sum_u, u_a = tail(u_cols)
     sum_v, v_a = tail(v_cols)
-    b = num_dst_w[:, None]
-    value = (r_a - num_dst_w * sum_r) / P
+    b = num_w[:, None]
+    value = (r_a - num_w * sum_r) / P
     d_src = (
         -p * (r_cols[:, :K] + 1j * r_cols[:, K:2 * K])
         - (u_cols[:, K:2 * K] + 1j * u_cols[:, 2 * K:3 * K])
@@ -607,8 +601,8 @@ def _pair_derivatives(
     ) / P
     d_dst = (
         p * w_neg * sum_r[:, None]
-        + w_neg.real * (u_a - num_dst_w * sum_u)[:, None]
-        + w_neg.imag * (v_a - num_dst_w * sum_v)[:, None]
+        + w_neg.real * (u_a - num_w * sum_u)[:, None]
+        + w_neg.imag * (v_a - num_w * sum_v)[:, None]
     ) / P
     return value, d_src, d_dst
 
@@ -619,47 +613,43 @@ def _exact_jacobian(
     """:func:`_system` at x = (a, c, Omega) and its exact derivative, from
     one kernel pass.
 
-    The same half-offset quadrature, targets and sine projection as the
-    residual, differentiated in closed form: G_j = Im(E_j conj(B_j)) with
+    The same grid, weights, targets and sine projection as the residual,
+    differentiated in closed form: G_j = Im(E_j conj(B_j)) with
     E_j = Omega Phi_j - S(Phi_1, Phi_j) + S(Phi_2, Phi_j) and
     B_j = w Phi_j'(w), so each coefficient column is
     Im(dE_j conj(B_j)) + Im(E_j conj(dB_j)) and the Omega column is
-    Im(Phi_j conj(B_j)).  The pass forms every E_j, so G_j and F cost no
-    further kernel work.  Each (source, destination) pair is one call of
-    :func:`_pair_derivatives` over all targets, one source map's tables at
-    a time.  Returns (J, F, max sine coefficient); F agrees with
-    :func:`_system` up to summation order.
+    Im(Phi_j conj(B_j)).  Maps and monomials are evaluated once, on the P
+    nodes, and the pass forms every E_j, so G_j and F cost no further
+    kernel work.  Each (source, destination) pair is one call of
+    :func:`_pair_derivatives`, one source map's tables at a time.  Returns
+    (J, F, max sine coefficient); F agrees with :func:`_system` up to
+    summation order.
     """
     K = patch_like.K
     patch = patch_like.with_state(x[:K], x[K:2 * K], float(x[2 * K]))
-    _check_grid(patch.m, K, P)
-    theta, sines, scale = _collocation_grid(patch.m, K, P)
+    targets, sines, scale = _collocation_grid(patch.m, K, P)
     p = patch.mode_exponents()
-    w = np.exp(1j * theta)
-    tau = np.exp(1j * TWO_PI * (np.arange(P) + 0.5) / P)
+    tau = _nodes(P)
     t_neg = _monomials(patch, tau)
-    w_neg = _monomials(patch, w)
-    phi1_t, phi2_t, dphi1_t, dphi2_t = _map_values(patch, tau)
-    phi1_w, phi2_w, dphi1_w, dphi2_w = _map_values(patch, w)
-    src = ((phi1_t, tau * dphi1_t), (phi2_t, tau * dphi2_t))
-    dst = ((phi1_w, w * dphi1_w), (phi2_w, w * dphi2_w))
+    w_neg = t_neg[targets]
+    maps = _map_values(patch, tau)
+    dst = [(phi[targets], num[targets]) for phi, num in maps]
 
     # e_val[j] = E_j and d_e[j][k] = dE_j / d(coefficients of map k)
     e_val = [patch.omega * phi_w for phi_w, _ in dst]
-    d_e = [[np.zeros((w.size, K), dtype=complex) for _ in range(2)] for _ in range(2)]
+    d_e = [[np.zeros(w_neg.shape, dtype=complex) for _ in range(2)] for _ in range(2)]
     for j in range(2):
         d_e[j][j] += patch.omega * w_neg
     for i, sign in ((0, -1.0), (1, 1.0)):
-        phi_t, num_t = src[i]
+        phi_t, num_t = maps[i]
         tables = _source_tables(t_neg, num_t)
-        for j, (phi_w, num_w) in enumerate(dst):
-            value, d_src, d_dst = _pair_derivatives(phi_t, tables, phi_w, num_w, w_neg, p)
+        for j in range(2):
+            value, d_src, d_dst = _pair_derivatives(phi_t, tables, maps[j], targets, i == j, w_neg, p)
             e_val[j] += sign * value
             d_e[j][i] += sign * d_src
             d_e[j][j] += sign * d_dst
         del tables  # one source's tables live at a time
 
-    g1, g2 = (np.imag(e * np.conj(num_w)) for e, (_, num_w) in zip(e_val, dst))
     jac = np.zeros((2 * K + 1, 2 * K + 1))
     proj = scale * sines.T
     for j, (phi_w, num_w) in enumerate(dst):
@@ -673,7 +663,8 @@ def _exact_jacobian(
         jac[rows, 2 * K] = proj @ np.imag(phi_w * np.conj(num_w))
     jac[2 * K, 0] = vhat[0]
     jac[2 * K, K] = vhat[1]
-    return (jac, *_augmented(g1, g2, sines, scale, x, s, vhat))
+    g = [np.imag(e * np.conj(num_w)) for e, (_, num_w) in zip(e_val, dst)]
+    return (jac, *_augmented(g, sines, scale, x, s, vhat))
 
 
 def _check_tol(newton_tol: float) -> None:
@@ -861,5 +852,5 @@ def boundary_samples(patch: PatchPair, npoints: int = 512) -> np.ndarray:
     """
     theta = TWO_PI * np.arange(npoints) / npoints
     w = np.exp(1j * theta)
-    phi1, phi2, _, _ = _map_values(patch, w)
+    (phi1, _), (phi2, _) = _map_values(patch, w)
     return np.column_stack([theta, phi1.real, phi1.imag, phi2.real, phi2.imag])

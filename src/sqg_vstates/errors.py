@@ -15,10 +15,6 @@ class PreconditionError(VStatesError, ValueError):
     """An argument or state violates a documented precondition or guard."""
 
 
-class NonConvergence(VStatesError):
-    """A series or iteration hit its term cap before reaching tolerance."""
-
-
 class IndexOutOfTable(VStatesError, LookupError):
     """A mode index exceeds the memoized constant tables."""
 
@@ -41,7 +37,8 @@ class BoundaryCollision(VStatesError):
 
 
 class NoConvergence(VStatesError):
-    """Newton iteration failed to reach the residual tolerance."""
+    """A series, quadrature or Newton iteration hit its cap before reaching
+    tolerance."""
 
 
 class SingularJacobian(VStatesError):

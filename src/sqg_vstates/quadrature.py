@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .errors import NonConvergence
+from .errors import NoConvergence
 
 # Kronrod-15 abscissae on [-1, 1]; every second entry (odd index) is a
 # Gauss-7 abscissa, so one set of integrand values serves both rules.
@@ -61,7 +61,7 @@ def adaptive_quad(
 
     Raises
     ------
-    NonConvergence
+    NoConvergence
         if a subinterval still misses the tolerance after ``max_depth``
         halvings; the message names that interval.
     """
@@ -71,7 +71,7 @@ def adaptive_quad(
         if err <= tol * max(1.0, abs(est)):
             return est
         if depth >= max_depth:
-            raise NonConvergence(
+            raise NoConvergence(
                 f"adaptive quadrature unresolved on [{lo!r}, {hi!r}] after {max_depth} "
                 f"halvings: error estimate {err:.3e} exceeds tolerance {tol:.3e}"
             )

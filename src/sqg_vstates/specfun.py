@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IndexOutOfTable, NonConvergence, PreconditionError
+from .errors import IndexOutOfTable, NoConvergence, PreconditionError
 from .quadrature import adaptive_quad
 
 __all__ = [
@@ -86,7 +86,7 @@ def gauss_2f1(
 
     Raises
     ------
-    NonConvergence
+    NoConvergence
         if ``max_terms`` terms do not reach the tolerance (z too close
         to 1 for the given parameters).
     """
@@ -98,7 +98,7 @@ def gauss_2f1(
         total += term
         if abs(term) <= tol * abs(total):
             return total
-    raise NonConvergence(
+    raise NoConvergence(
         f"2F1 series did not converge in {max_terms} terms for "
         f"(a={a}, b={b}, c={c}, z={z})"
     )

@@ -124,16 +124,27 @@ def check_c1_c2(n_max: int = 20, samples: int = 8, P: int = 1 << 16,
     """
     rng = np.random.default_rng(seed)
     xi = _offset_phases(P)
+    # P-length work arrays, allocated once and written with out=: fresh
+    # temporaries per sample went back to the kernel and faulted in again
+    tau, tau_n, work = (np.empty(P, dtype=complex) for _ in range(3))
+    dist = np.empty(P)
     err1 = err2 = 0.0
     rot_errors = []
     cases = 0
     for n in range(1, n_max + 1):
         for j in range(samples):
             w = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-            tau = w * xi
-            lhs1 = ((tau ** n - w ** n) / np.abs(w - tau)).mean()
+            np.multiply(w, xi, out=tau)
+            np.power(tau, n, out=tau_n)
+            tau_n -= w ** n
+            np.abs(np.subtract(w, tau, out=work), out=dist)
+            lhs1 = np.divide(tau_n, dist, out=work).mean()
             rhs1 = -(w ** n) * (2.0 / math.pi + s_sum(n))
-            lhs2 = ((tau - w) ** 2 * (tau ** n - w ** n) / np.abs(w - tau) ** 3).mean()
+            # (tau - w)^2 (tau^n - w^n) / |w - tau|^3
+            np.square(np.subtract(tau, w, out=work), out=work)
+            work *= tau_n
+            work /= np.power(dist, 3, out=dist)
+            lhs2 = work.mean()
             rhs2 = w ** (n + 2) * s_sum(n + 1)
             err1 = max(err1, abs(lhs1 - rhs1))
             err2 = max(err2, abs(lhs2 - rhs2))

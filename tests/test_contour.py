@@ -25,7 +25,7 @@ from sqg_vstates.errors import (
     NotSimple,
     PreconditionError,
 )
-from sqg_vstates.specfun import AnnulusConstants, gauss_2f1, lambda_coeff
+from sqg_vstates.specfun import AnnulusConstants, gauss_2f1, lambda_coeff, s_sum
 from sqg_vstates.spectrum import bifurcation_row, kernel_vector, mode_matrix, threshold_N
 
 
@@ -62,16 +62,45 @@ def sine_coefficients(patch, P):
     return fvec[:patch.K], fvec[patch.K:2 * patch.K]
 
 
-def direct_stream_integral(src, dst, patch, theta, P):
+def _point_maps(src, dst, patch, tau, w):
+    phi_t, num_t = contour._map_values(patch, tau)[src - 1]
+    phi_w, num_w = contour._map_values(patch, np.array([w]))[dst - 1]
+    return num_t - num_w[0], np.abs(phi_t - phi_w[0])
+
+
+def offset_trapezoid(src, dst, patch, theta, P):
     """S(Phi_src, Phi_dst) at w = e^{i theta} as one direct mean over the
-    P rotated half-offset nodes, the reference for ``stream_integral``."""
+    P rotated half-offset nodes.  Second order on a self pair, so it is the
+    independent oracle for ``stream_integral`` only at large P."""
     w = np.exp(1j * theta)
     tau = w * np.exp(2j * math.pi * (np.arange(P) + 0.5) / P)
-    maps_t = contour._map_values(patch, tau)
-    maps_w = contour._map_values(patch, np.array([w]))
-    phi_t, dphi_t = maps_t[src - 1], maps_t[src + 1]
-    phi_w, dphi_w = maps_w[dst - 1][0], maps_w[dst + 1][0]
-    return complex(((tau * dphi_t - w * dphi_w) / np.abs(phi_t - phi_w)).mean())
+    num, dist = _point_maps(src, dst, patch, tau, w)
+    return complex((num / dist).mean())
+
+
+def dense_product_rule(src, dst, patch, theta, P):
+    """S(Phi_src, Phi_dst) at w = e^{i theta} as one dense sum over the P
+    rotated integer nodes tau_l = w e^{i eta_l}: the trapezoid on a cross
+    pair; on a self pair the product-integration weights
+    V_l = W_l 2|sin(eta_l / 2)|, with W_l = (1/P) sum_{|n| <= P/2} mu_n
+    cos(n eta_l) summed term by term from the (c1) moments
+    mu_n = -2/pi - s_sum(|n|), and the node l = 0 left out."""
+    w = np.exp(1j * theta)
+    ell = np.arange(P)
+    eta = 2.0 * math.pi * ell / P
+    tau = w * np.exp(1j * eta)
+    num, dist = _point_maps(src, dst, patch, tau, w)
+    if src != dst:
+        return complex((num / dist).mean())
+    n = np.arange(1, P // 2 + 1)
+    mu = np.array([-2.0 / math.pi - s_sum(k) for k in n], dtype=np.longdouble)
+    mu[:-1] *= 2  # +-n for n < P/2, the Nyquist term once
+    # the cosine sum cancels heavily, so it runs in extended precision;
+    # cos(n eta_l) is looked up as cos(2 pi ((n l) mod P) / P)
+    cosines = np.cos(8 * np.arctan(np.longdouble(1)) * ell / P)
+    weights = (cosines[np.outer(ell, n) % P] @ mu / P).astype(float)
+    weights *= 2.0 * np.abs(np.sin(eta / 2.0))
+    return complex((weights[1:] * num[1:] / dist[1:]).sum())
 
 
 class TestPatchPair:
@@ -127,7 +156,7 @@ class TestEvalMaps:
 
 class TestStreamIntegral:
     def test_self_interaction_annulus(self):
-        # S(Id, Id) = -(2/pi) w; corner-limited quadrature, second order in 1/P
+        # S(Id, Id) = -(2/pi) w
         patch = annulus_patch(0.5, 3, 2, 0.0)
         for theta in (0.0, 0.7, 3.1):
             val = stream_integral(1, 1, patch, theta, 4096)
@@ -153,13 +182,34 @@ class TestStreamIntegral:
         s12 = stream_integral(1, 2, patch, theta, 2048)
         assert abs(s12 - w * b * (lambda_coeff(1, b) - f_half)) <= 1e-12
 
+    def test_self_interaction_annulus_exact_on_coarse_grid(self):
+        # on the annulus the product rule integrates tau - w exactly: the
+        # result is w mu_1 = -(2/pi) w up to roundoff, already at P = 64
+        patch = annulus_patch(0.5, 3, 2, 0.0)
+        for src in (1, 2):
+            for theta in (0.0, 0.7, 3.1):
+                val = stream_integral(src, src, patch, theta, 64)
+                assert abs(val - (-2.0 / math.pi) * np.exp(1j * theta)) <= 1e-14
+
     def test_quadrature_convergence_order(self):
-        # doubling P should shrink the corner error by about 4
+        # the half-offset oracle: doubling P should shrink the corner error
+        # by about 4
         patch = annulus_patch(0.5, 3, 2, 0.0)
         target = (-2.0 / math.pi) * np.exp(0.3j)
-        errs = [abs(stream_integral(1, 1, patch, 0.3, P) - target) for P in (512, 1024, 2048)]
+        errs = [abs(offset_trapezoid(1, 1, patch, 0.3, P) - target) for P in (512, 1024, 2048)]
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.2)
         assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.2)
+
+    def test_matches_offset_trapezoid_at_large_size(self):
+        # independent of the (c1) moments the self weights are built from:
+        # on a non-circular patch the product rule at P = 64 agrees with
+        # the second-order half-offset trapezoid at P = 2^16
+        patch = small_patch(seed=5)
+        for src in (1, 2):
+            for dst in (1, 2):
+                for theta in (0.3, 2.0):
+                    ref = offset_trapezoid(src, dst, patch, theta, 1 << 16)
+                    assert abs(stream_integral(src, dst, patch, theta, 64) - ref) <= 1e-9
 
     def test_collision_guard(self):
         # degenerate inner circle: |Phi_2(tau) - Phi_2(w)| = b |tau - w|
@@ -175,7 +225,7 @@ class TestStreamIntegral:
         for src in (1, 2):
             for dst in (1, 2):
                 for theta in (0.3, 2.0):
-                    ref = direct_stream_integral(src, dst, patch, theta, P)
+                    ref = dense_product_rule(src, dst, patch, theta, P)
                     assert abs(stream_integral(src, dst, patch, theta, P) - ref) <= 1e-14
 
     def test_parameter_validation(self):
@@ -247,7 +297,7 @@ class TestResidual:
     def test_reduced_grid_matches_brute_force(self, m, K, P):
         # reference: every one of the P targets evaluated by the kernel pass
         patch = small_patch(b=0.6, m=m, K=K, seed=3, scale=3e-4)
-        ref1, ref2 = contour._boundary_residuals(patch, 2.0 * math.pi * np.arange(P) / P, P)
+        ref1, ref2 = contour._boundary_residuals(patch, slice(0, P), P)
         g1, g2 = collocation_residual(patch, P)
         assert g1.shape == g2.shape == (P,)
         assert np.abs(g1 - ref1).max() <= 1e-13
@@ -272,6 +322,17 @@ class TestResidual:
             collocation_residual(patch, 64)
         with pytest.raises(BoundaryCollision):
             contour._exact_jacobian(patch, contour._pack(patch), 0.0, (1.0, 0.0), 64)
+
+    @pytest.mark.parametrize("sign", ["plus", "minus"])
+    def test_sine_coefficients_converge_spectrally(self, consts_06, sign):
+        # step 10 of the criterion-10 branch, traced at P = 4 K m = 160:
+        # the 2K retained sine coefficients are converged there already
+        m = threshold_N(0.6, consts_06) + 1
+        run = branch_continue(m, 0.6, sign, steps=10, ds=1e-3, K=8, P=160, consts=consts_06)
+        patch = run.points[-1].patch
+        ref = np.concatenate(sine_coefficients(patch, 1280))
+        for P in (160, 320):
+            assert np.abs(np.concatenate(sine_coefficients(patch, P)) - ref).max() <= 1e-13
 
     def test_perturbation_coefficients_stable_under_refinement(self):
         patch = small_patch(m=4, K=3, seed=9)
@@ -309,7 +370,7 @@ class TestLinearization:
 
     def test_fd_truncation_is_second_order(self):
         # compare FD blocks against a small-step reference so the
-        # quadrature bias (shared by all steps) cancels
+        # discretization error (shared by all steps) cancels
         from sqg_vstates.contour import _linearization_probe
 
         consts = AnnulusConstants.build(0.5, n_max=200)
@@ -387,7 +448,7 @@ class TestExactJacobian:
     @pytest.mark.parametrize("n", [1, 2])
     def test_annulus_block_is_mode_matrix(self, n):
         # criterion 8 without a step: the exact block at frequency n m is
-        # -(n m) M_{n m}, up to the quadrature bias at P = 4096
+        # -(n m) M_{n m}, up to the discretization error at P = 4096
         m, b, omega, P = 5, 0.5, 0.25, 4096
         K = n + 2
         consts = AnnulusConstants.build(b, n_max=200)

@@ -7,7 +7,7 @@ import pytest
 
 from sqg_vstates.errors import (
     IndexOutOfTable,
-    NonConvergence,
+    NoConvergence,
     PreconditionError,
 )
 from sqg_vstates.quadrature import adaptive_quad
@@ -87,7 +87,7 @@ class TestGauss2F1:
             assert abs(series - integral) <= 1e-10 * (1.0 + abs(series))
 
     def test_nonconvergence_near_one(self):
-        with pytest.raises(NonConvergence):
+        with pytest.raises(NoConvergence):
             gauss_2f1(0.5, 0.5, 1.0, 1.0 - 1e-9)
 
     def test_invalid_arguments(self):
@@ -113,7 +113,7 @@ class TestAdaptiveQuad:
         # a jump at an irrational point never meets a tight tolerance in 3
         # halvings; the Kronrod value must not be returned silently
         jump = 1.0 / math.sqrt(2.0)
-        with pytest.raises(NonConvergence, match=r"unresolved on \[0\.625, 0\.75\]"):
+        with pytest.raises(NoConvergence, match=r"unresolved on \[0\.625, 0\.75\]"):
             adaptive_quad(lambda x: 1.0 if x < jump else 0.0, 0.0, 1.0, tol=1e-12, max_depth=3)
 
 
