@@ -63,7 +63,6 @@ from .contour import (
     branch_continue,
     collocation_residual,
     eval_maps,
-    linearization_check,
     newton_correct,
     residual,
     stream_integral,
@@ -105,7 +104,6 @@ __all__ = [
     "kernel_vector",
     "lambda_coeff",
     "lambda_integral_oracle",
-    "linearization_check",
     "mode_matrix",
     "newton_correct",
     "pochhammer_ratio",

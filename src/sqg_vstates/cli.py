@@ -38,7 +38,7 @@ from .errors import (
     TableExhausted,
 )
 from .specfun import AnnulusConstants
-from .spectrum import bifurcation_row, discriminant, threshold_N
+from .spectrum import SpectrumRow, bifurcation_row, discriminant, threshold_N
 from .verify import DEFAULT_SEED, format_report_table, run_default_suite
 
 EXIT_OK = 0
@@ -78,6 +78,11 @@ def _write_text(path: Optional[str], text: str) -> None:
             fh.write(text)
 
 
+def _transversal(row: SpectrumRow) -> bool:
+    """The transversality column: the eigenvalue pair is simple."""
+    return row.delta_m > 1e-12
+
+
 def cmd_spectrum(args: argparse.Namespace) -> int:
     consts = AnnulusConstants.build(args.b, n_max=_table_size((args.m_max or 0) + 1))
     n_thr = threshold_N(args.b, consts)
@@ -99,7 +104,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
                 "lambda_plus": r.lambda_plus,
                 "omega_minus": r.omega_minus,
                 "omega_plus": r.omega_plus,
-                "transversal": r.transversal,
+                "transversal": _transversal(r),
             }
             for r in rows
         ]
@@ -112,7 +117,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
                     [str(r.m)]
                     + [_fmt17(v) for v in (r.c_m, r.d_m, r.delta_m, r.lambda_minus,
                                            r.lambda_plus, r.omega_minus, r.omega_plus)]
-                    + ["true" if r.transversal else "false"]
+                    + ["true" if _transversal(r) else "false"]
                 )
             )
         _write_text(args.out, "\n".join(lines) + "\n")
@@ -322,7 +327,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_br.add_argument("--steps", type=int, default=10)
     p_br.add_argument("--ds", type=float, default=1e-3)
     p_br.add_argument("--modes", type=int, default=32, help="retained modes K")
-    p_br.add_argument("--quad", type=int, default=4096, help="collocation/quadrature size P > 0, rounded up to a multiple of 4*K*m")
+    p_br.add_argument("--quad", type=int, default=None,
+                      help="collocation/quadrature size P > 0, rounded up to a multiple of "
+                           "4*K*m (default: 4*K*m)")
     p_br.add_argument("--tol", type=float, default=1e-10)
     p_br.add_argument("--out", default=None)
     p_br.add_argument("--boundaries", action="store_true",

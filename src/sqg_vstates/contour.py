@@ -19,14 +19,21 @@ where S is the mean-value boundary integral
                                         / |Phi_i(tau) - Phi_j(w)|.
 
 Quadrature and collocation share one grid: the P nodes
-tau_l = exp(2 pi i l / P) are also the targets.  The interaction
-integrand (i != j) is smooth because the boundaries are disjoint, and the
-trapezoidal weight 1/P converges spectrally.  The self-interaction
-integrand (i = j) has a corner where tau passes w, so it gets
-Martensen-Kussmaul product integration (R. Kress, *Linear Integral
-Equations*, ch. 12): f = (A - B) |tau - w| / |D| is smooth and vanishes at
-tau = w, and 1/|tau - w| is integrated exactly against the trigonometric
-interpolant of f.  The moments are the (c1) circle moments
+tau_l = exp(2 pi i l / P) are also the targets.  The maps have one
+evaluator, :func:`_map_values`.  On the grid a term w^{-p} is
+e^{-2 pi i p l / P}, which depends on p only through p mod P, so each
+map's coefficient series is one FFT with exponent p in bin p mod P; the
+fold is exact on the grid for every P.  Every power of a node is a node,
+tau_k^p = tau_{(k p) mod P}, so the Jacobian's monomial table and the sine
+projection table are index lookups (:func:`_node_powers`).
+
+The interaction integrand (i != j) is smooth because the boundaries are
+disjoint, and the trapezoidal weight 1/P converges spectrally.  The
+self-interaction integrand (i = j) has a corner where tau passes w, so it
+gets Martensen-Kussmaul product integration (R. Kress, *Linear Integral
+Equations*, ch. 12): f = (A - B) |tau - w| / |D| is smooth and vanishes
+at tau = w, and 1/|tau - w| is integrated exactly against the
+trigonometric interpolant of f.  The moments are the (c1) circle moments
 mu_n = -2/pi - s_sum(|n|), mu_0 = 0, so pair (l, k) has the weight
 V_{(l-k) mod P} / |D|, with V_j = W_j 2|sin(pi j / P)| and W the inverse
 FFT of mu; V_0 = 0 drops the diagonal.
@@ -45,11 +52,11 @@ shifts every grid index by q, and because g | m every map obeys
 Phi(rho z) = rho Phi(z); the self weights depend only on l - k, so the
 discrete residual is q-periodic: G_{k+q} = G_k.  Conjugation maps index l
 to P - l, real coefficients give Phi(conj z) = conj Phi(z), and V is even
-(V_j = V_{P-j}), so it is odd: G_{P-k} = -G_k.  Both identities hold for
-the discrete sums, not only in the limit, so every kernel pass evaluates
-only the orbit representatives k = 0..floor(q/2) (see
-:func:`_collocation_grid` and :func:`collocation_residual`); the rest are
-copies up to summation order.
+(V_j = V_{P-j}), so it is odd: G_{P-k} = -G_k, which forces
+G_0 = G_{q/2} = 0.  Both identities hold for the discrete sums, not only
+in the limit, so every kernel pass evaluates only the orbit
+representatives k = 1..ceil(q/2)-1, which :func:`_collocation_grid` alone
+defines; the rest are copies up to summation order, or zero.
 """
 
 from __future__ import annotations
@@ -70,7 +77,7 @@ from .errors import (
     SingularJacobian,
 )
 from .specfun import AnnulusConstants, _s_table
-from .spectrum import KernelVector, bifurcation_row, kernel_vector, mode_matrix, threshold_N
+from .spectrum import KernelVector, bifurcation_row, kernel_vector, threshold_N
 
 __all__ = [
     "PatchPair",
@@ -82,7 +89,6 @@ __all__ = [
     "eval_maps",
     "stream_integral",
     "residual",
-    "linearization_check",
     "newton_correct",
     "branch_continue",
     "boundary_samples",
@@ -197,30 +203,43 @@ class BranchPoint:
 class BranchRun:
     """A traced branch.  ``stopped_reason`` is None for a complete run, or
     a short message naming the failure that truncated it.  ``P`` is the
-    effective collocation size used (the requested size rounded up to a
-    multiple of 4 K m)."""
+    effective collocation size used: 4 K m by default, or the requested
+    size rounded up to a multiple of 4 K m."""
 
     points: tuple[BranchPoint, ...]
     stopped_reason: Optional[str]
     P: int
 
 
-def _monomials(patch: PatchPair, w: np.ndarray) -> np.ndarray:
-    """The (len(w), K) table w^{-(n m - 1)}: the derivative of either map
-    with respect to its n-th coefficient."""
-    return w[:, None] ** (-patch.mode_exponents()[None, :])
+def _nodes(P: int) -> np.ndarray:
+    """The P grid nodes e^{2 pi i l / P}, quadrature nodes and targets alike."""
+    return np.exp(1j * TWO_PI * np.arange(P) / P)
 
 
-def _map_values(patch: PatchPair, w: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """(Phi_j, A_j = w Phi_j'(w)) for both maps on an array of unit-circle
-    points: the one map evaluation of a kernel pass."""
+def _node_powers(P: int, k: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """The (k, p) table tau_k^p for grid indices k and integer exponents
+    p, by lookup: tau_k^p is the node tau_{(k p) mod P}."""
+    return _nodes(P)[np.outer(k, p) % P]
+
+
+def _map_values(
+    patch: PatchPair, P: int, theta: float = 0.0
+) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """(Phi_j, A_j = w Phi_j'(w)) for both maps on the rotated grid
+    w_l = e^{i theta} tau_l, l = 0..P-1: the one map evaluator.
+
+    A term c w^{-p} equals c e^{-i p theta} e^{-2 pi i (p mod P) l / P} on
+    the grid, so each coefficient series is one FFT with that coefficient
+    in bin p mod P; A_j carries -p on every term.  The leading terms w and
+    b w are added as they are.  P = 1 is the single point e^{i theta}.
+    """
     p = patch.mode_exponents()
-    wneg = _monomials(patch, w)
-    # w Phi'(w) = w - sum (nm-1) a_n w^{-(nm-1)}
-    return (
-        (w + wneg @ patch.a, w - wneg @ (p * patch.a)),
-        (patch.b * w + wneg @ patch.c, patch.b * w - wneg @ (p * patch.c)),
-    )
+    coeffs = np.array([patch.a, patch.c, -p * patch.a, -p * patch.c]) * np.exp(-1j * theta * p)
+    bins = np.zeros((4, P), dtype=complex)
+    np.add.at(bins, (slice(None), p % P), coeffs)
+    s1, s2, t1, t2 = np.fft.fft(bins)
+    w = np.exp(1j * theta) * _nodes(P)
+    return (w + s1, w + t1), (patch.b * w + s2, patch.b * w + t2)
 
 
 def eval_maps(patch: PatchPair, theta: float) -> tuple[complex, complex, complex, complex]:
@@ -229,7 +248,7 @@ def eval_maps(patch: PatchPair, theta: float) -> tuple[complex, complex, complex
     Returns (Phi_1, Phi_2, dPhi_1/dtheta, dPhi_2/dtheta) at w = e^{i theta};
     the tangential derivative is i w Phi'(w).
     """
-    (phi1, a1), (phi2, a2) = _map_values(patch, np.array([np.exp(1j * theta)]))
+    (phi1, a1), (phi2, a2) = _map_values(patch, 1, theta)
     return complex(phi1[0]), complex(phi2[0]), complex(1j * a1[0]), complex(1j * a2[0])
 
 
@@ -247,13 +266,8 @@ def stream_integral(src: int, dst: int, patch: PatchPair, theta: float, P: int) 
         raise PreconditionError(f"boundary selectors must be 1 or 2, got src={src}, dst={dst}")
     if P < 64 or P % 2:
         raise PreconditionError(f"quadrature size must be even and >= 64, got {P}")
-    maps = _map_values(patch, np.exp(1j * theta) * _nodes(P))
+    maps = _map_values(patch, P, theta)
     return complex(_stream_on_grid(maps[src - 1], maps[dst - 1], slice(0, 1), src == dst)[0])
-
-
-def _nodes(P: int) -> np.ndarray:
-    """The P grid nodes e^{2 pi i l / P}, quadrature nodes and targets alike."""
-    return np.exp(1j * TWO_PI * np.arange(P) / P)
 
 
 @lru_cache(maxsize=8)
@@ -345,17 +359,10 @@ def _stream_on_grid(
     return out
 
 
-def _check_grid(m: int, K: int, P: int) -> None:
-    if P % 2 or P < 4 * K * m:
-        raise PreconditionError(
-            f"collocation size P={P} must be even and >= 4*K*m = {4 * K * m}"
-        )
-
-
 def _boundary_residuals(patch: PatchPair, targets: slice, P: int) -> tuple[np.ndarray, np.ndarray]:
     """G_1, G_2 at the targets ``targets``, a range of grid indices, with
     the stream integrals taken over the P grid nodes: one map evaluation."""
-    maps = _map_values(patch, _nodes(P))
+    maps = _map_values(patch, P)
     g = []
     for j, (phi, num) in enumerate(maps):
         # E_j = Omega Phi_j - S(Phi_1, Phi_j) + S(Phi_2, Phi_j)
@@ -366,9 +373,29 @@ def _boundary_residuals(patch: PatchPair, targets: slice, P: int) -> tuple[np.nd
     return tuple(g)
 
 
-def _symmetry_period(m: int, P: int) -> int:
-    """Period q = P / gcd(m, P), in grid steps, of the discrete residual."""
-    return P // math.gcd(m, P)
+def _collocation_grid(m: int, K: int, P: int) -> tuple[int, slice, np.ndarray]:
+    """The residual period q, the orbit representatives (the targets of
+    every kernel pass) and their projection table: the one target rule.
+
+    With g = gcd(m, P) and q = P / g the discrete residual is q-periodic
+    and odd (module docstring), and so is sin(n m theta_k) because
+    g | n m.  The full-circle projection (2/P) sum_k G_k sin(n m theta_k)
+    is therefore g times the sum over one period, whose terms k and q - k
+    are equal and whose terms k = 0 and k = q/2 vanish.  The targets are
+    k = 1..ceil(q/2)-1 and the table holds (4/q) sin(n m theta_k), the
+    imaginary part of the node tau_{(k n m) mod P}, so the retained
+    coefficient is G @ table.  g = 1 needs no special case.
+
+    Raises :class:`PreconditionError` unless P is even and >= 4 K m.
+    """
+    if P % 2 or P < 4 * K * m:
+        raise PreconditionError(
+            f"collocation size P={P} must be even and >= 4*K*m = {4 * K * m}"
+        )
+    q = P // math.gcd(m, P)
+    targets = slice(1, (q + 1) // 2)
+    sines = _node_powers(P, np.arange(targets.start, targets.stop), np.arange(1, K + 1) * m).imag
+    return q, targets, 4.0 / q * sines
 
 
 def collocation_residual(patch: PatchPair, P: int) -> tuple[np.ndarray, np.ndarray]:
@@ -376,20 +403,17 @@ def collocation_residual(patch: PatchPair, P: int) -> tuple[np.ndarray, np.ndarr
     angles 2 pi k / P, k = 0..P-1.
 
     ``P`` must be even and at least 4 K m so the retained frequency band is
-    resolved with margin.  With q = P / gcd(m, P), only the orbit
-    representatives k = 0..floor(q/2) are evaluated; the grid symmetries
-    (module docstring) give G_k = G_r for r = k mod q <= q/2 and
-    G_k = -G_{q-r} above, exactly up to summation order.
+    resolved with margin.  Only the targets of :func:`_collocation_grid`
+    are evaluated; the grid symmetries (module docstring) give the rest:
+    G is q-periodic, G_{q-k} = -G_k, and G_0 = G_{q/2} = 0 exactly.
     """
-    _check_grid(patch.m, patch.K, P)
-    q = _symmetry_period(patch.m, P)
-    half = q // 2
-    g1, g2 = _boundary_residuals(patch, slice(0, half + 1), P)
-    r = np.arange(P) % q
-    mirrored = r > half
-    src = np.where(mirrored, q - r, r)
-    sign = np.where(mirrored, -1.0, 1.0)
-    return sign * g1[src], sign * g2[src]
+    q, targets, _ = _collocation_grid(patch.m, patch.K, P)
+    period = np.zeros((2, q))
+    period[:, targets] = _boundary_residuals(patch, targets, P)
+    k = np.arange(targets.start, targets.stop)
+    period[:, q - k] = -period[:, k]
+    g1, g2 = np.tile(period, P // q)
+    return g1, g2
 
 
 def residual(patch: PatchPair, P: int) -> ResidualSpectrum:
@@ -410,86 +434,6 @@ def residual(patch: PatchPair, P: int) -> ResidualSpectrum:
     return ResidualSpectrum(m=m, K=K, r1=r[0], r2=r[1], leak=leak)
 
 
-def _linearization_probe(
-    m: int,
-    b: float,
-    omega: float,
-    n: int,
-    h: float,
-    P: int,
-    consts: AnnulusConstants,
-) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """Central-difference block of the residual Jacobian at the annulus.
-
-    Perturbs coefficient n of each boundary by +-h, assembles the observed
-    2x2 block at frequency n m, and compares with the analytic block
-    -(n m) M_{n m}.  Returns (observed, expected, max relative block error,
-    off-block magnitude relative to the block scale).
-    """
-    K = n + 2
-    observed = np.zeros((2, 2))
-    offblock = 0.0
-    for col in range(2):  # outer, then inner boundary
-        step = np.zeros((2, K))
-        step[col, n - 1] = h
-        rp = residual(PatchPair(b, m, K, *step, omega), P)
-        rm = residual(PatchPair(b, m, K, *-step, omega), P)
-        deriv = (np.stack([rp.r1, rp.r2]) - np.stack([rm.r1, rm.r2])) / (2.0 * h)
-        observed[:, col] = deriv[:, n - 1]
-        others = float(np.abs(np.delete(deriv, n - 1, axis=1)).max())
-        offblock = max(offblock, others, max(rp.leak, rm.leak) / (2.0 * h))
-    p = n * m
-    expected = -p * mode_matrix(p, b, omega, consts).matrix()
-    scale = float(np.abs(expected).max())
-    rel = float(np.abs(observed - expected).max()) / scale
-    return observed, expected, rel, offblock / scale
-
-
-def linearization_check(
-    m: int,
-    b: float,
-    omega: float,
-    n: int,
-    h: float,
-    P: int,
-    consts: Optional[AnnulusConstants] = None,
-) -> float:
-    """Max relative error between the finite-difference Jacobian block of
-    the residual at the annulus (frequency n m) and the analytic block
-    -(n m) M_{n m}.
-
-    The minus sign reflects the sine convention: the linearized operator
-    contributes -(n m) sin(n m theta) M_{n m} per unit coefficient.
-    """
-    if n * m - 1 < 1:
-        raise PreconditionError(f"perturbed exponent n*m-1 must be >= 1, got n={n}, m={m}")
-    if consts is None:
-        consts = AnnulusConstants.build(b, n_max=max(200, 4 * (n + 2) * m))
-    _, _, rel, _ = _linearization_probe(m, b, omega, n, h, P, consts)
-    return rel
-
-
-def _collocation_grid(m: int, K: int, P: int) -> tuple[slice, np.ndarray, float]:
-    """Target grid indices, their sine table sin(n m theta) and projection
-    scale.
-
-    The one target rule of the Newton path.  With g = gcd(m, P) and
-    q = P / g the discrete residual is q-periodic and odd (module
-    docstring), and so is sin(n m theta_k) because g | n m.  The
-    full-circle projection (2/P) sum_k G_k sin(n m theta_k) is therefore
-    g times the sum over one period, whose terms k and q - k are equal and
-    whose terms k = 0 and k = q/2 vanish (sin(n m theta_k) = 0 there).  The
-    targets are k = 1..ceil(q/2)-1 and the retained coefficient is
-    (4/q) sum_k G(theta_k) sin(n m theta_k).  g = 1 needs no special case.
-    """
-    _check_grid(m, K, P)
-    q = _symmetry_period(m, P)
-    targets = slice(1, (q + 1) // 2)
-    theta = TWO_PI * np.arange(targets.start, targets.stop) / P
-    sines = np.sin(np.outer(theta, np.arange(1, K + 1) * m))
-    return targets, sines, 4.0 / q
-
-
 # ---------------------------------------------------------------------------
 # Newton corrector and branch continuation
 # ---------------------------------------------------------------------------
@@ -502,15 +446,16 @@ def _pack(patch: PatchPair) -> np.ndarray:
     return np.concatenate([patch.a, patch.c, [patch.omega]])
 
 
-def _augmented(g: tuple[np.ndarray, ...], sines: np.ndarray, scale: float, x: np.ndarray,
+def _augmented(g: tuple[np.ndarray, ...], proj: np.ndarray, x: np.ndarray,
                s: float, vhat: tuple[float, float]) -> tuple[np.ndarray, float]:
     """The augmented residual F from g = (G_1, G_2) on the targets of
-    :func:`_collocation_grid`: the 2K retained sine coefficients, then the
-    amplitude constraint, which pins the projection of (a_1, c_1) onto the
-    normalized kernel direction to s.  Returns (F, max sine coefficient).
+    :func:`_collocation_grid` and its projection table ``proj``: the 2K
+    retained sine coefficients, then the amplitude constraint, which pins
+    the projection of (a_1, c_1) onto the normalized kernel direction to s.
+    Returns (F, max sine coefficient).
     """
-    K = sines.shape[1]
-    coeffs = scale * np.concatenate([g_j @ sines for g_j in g])
+    K = proj.shape[1]
+    coeffs = np.concatenate([g_j @ proj for g_j in g])
     return np.append(coeffs, x[0] * vhat[0] + x[K] * vhat[1] - s), float(np.abs(coeffs).max())
 
 
@@ -519,8 +464,8 @@ def _system(patch_like: PatchPair, x: np.ndarray, s: float, vhat: tuple[float, f
     kernel pass over the targets of :func:`_collocation_grid`."""
     K = patch_like.K
     patch = patch_like.with_state(x[:K], x[K:2 * K], float(x[2 * K]))
-    targets, sines, scale = _collocation_grid(patch.m, K, P)
-    return _augmented(_boundary_residuals(patch, targets, P), sines, scale, x, s, vhat)
+    _, targets, proj = _collocation_grid(patch.m, K, P)
+    return _augmented(_boundary_residuals(patch, targets, P), proj, x, s, vhat)
 
 
 def _source_tables(t_neg: np.ndarray, num: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -618,21 +563,20 @@ def _exact_jacobian(
     E_j = Omega Phi_j - S(Phi_1, Phi_j) + S(Phi_2, Phi_j) and
     B_j = w Phi_j'(w), so each coefficient column is
     Im(dE_j conj(B_j)) + Im(E_j conj(dB_j)) and the Omega column is
-    Im(Phi_j conj(B_j)).  Maps and monomials are evaluated once, on the P
-    nodes, and the pass forms every E_j, so G_j and F cost no further
-    kernel work.  Each (source, destination) pair is one call of
-    :func:`_pair_derivatives`, one source map's tables at a time.  Returns
-    (J, F, max sine coefficient); F agrees with :func:`_system` up to
-    summation order.
+    Im(Phi_j conj(B_j)).  The maps and the monomial table tau^{-p} are
+    formed once, on the P nodes, and the pass forms every E_j, so G_j and
+    F cost no further kernel work.  Each (source, destination) pair is one
+    call of :func:`_pair_derivatives`, one source map's tables at a time.
+    Returns (J, F, max sine coefficient); F agrees with :func:`_system` up
+    to summation order.
     """
     K = patch_like.K
     patch = patch_like.with_state(x[:K], x[K:2 * K], float(x[2 * K]))
-    targets, sines, scale = _collocation_grid(patch.m, K, P)
+    _, targets, proj = _collocation_grid(patch.m, K, P)
     p = patch.mode_exponents()
-    tau = _nodes(P)
-    t_neg = _monomials(patch, tau)
+    t_neg = _node_powers(P, np.arange(P), -p)
     w_neg = t_neg[targets]
-    maps = _map_values(patch, tau)
+    maps = _map_values(patch, P)
     dst = [(phi[targets], num[targets]) for phi, num in maps]
 
     # e_val[j] = E_j and d_e[j][k] = dE_j / d(coefficients of map k)
@@ -651,7 +595,6 @@ def _exact_jacobian(
         del tables  # one source's tables live at a time
 
     jac = np.zeros((2 * K + 1, 2 * K + 1))
-    proj = scale * sines.T
     for j, (phi_w, num_w) in enumerate(dst):
         conj_b = np.conj(num_w)[:, None]
         rows = slice(j * K, (j + 1) * K)
@@ -659,12 +602,12 @@ def _exact_jacobian(
             d_g = np.imag(d_e[j][k] * conj_b)
             if k == j:
                 d_g -= p * np.imag(e_val[j][:, None] * np.conj(w_neg))
-            jac[rows, k * K:(k + 1) * K] = proj @ d_g
-        jac[rows, 2 * K] = proj @ np.imag(phi_w * np.conj(num_w))
+            jac[rows, k * K:(k + 1) * K] = proj.T @ d_g
+        jac[rows, 2 * K] = proj.T @ np.imag(phi_w * np.conj(num_w))
     jac[2 * K, 0] = vhat[0]
     jac[2 * K, K] = vhat[1]
     g = [np.imag(e * np.conj(num_w)) for e, (_, num_w) in zip(e_val, dst)]
-    return (jac, *_augmented(g, sines, scale, x, s, vhat))
+    return (jac, *_augmented(g, proj, x, s, vhat))
 
 
 def _check_tol(newton_tol: float) -> None:
@@ -782,7 +725,7 @@ def branch_continue(
     steps: int,
     ds: float,
     K: int = 32,
-    P: int = 4096,
+    P: Optional[int] = None,
     newton_tol: float = 1e-10,
     max_iter: int = 25,
     consts: Optional[AnnulusConstants] = None,
@@ -798,21 +741,22 @@ def branch_continue(
     Newton failure the partial branch up to the last good point is
     returned with ``stopped_reason`` set; nothing is discarded.
 
-    ``P`` must be positive; it is rounded up to the nearest multiple of
-    4 K m so every retained mode is resolved with alias margin and
-    gcd(m, P) = m, the largest grid symmetry: every kernel pass then
-    evaluates about P / (2 m) targets (:func:`_collocation_grid`).  The
-    effective size is recorded on the returned run.
+    ``P`` defaults to 4 K m, which resolves every retained mode with alias
+    margin; an explicit ``P`` must be positive and is rounded up to the
+    nearest multiple of 4 K m.  Either way gcd(m, P) = m, the largest grid
+    symmetry, so every kernel pass evaluates about P / (2 m) targets
+    (:func:`_collocation_grid`).  The effective size is recorded on the
+    returned run.
     """
     if sign not in ("plus", "minus"):
         raise PreconditionError(f"sign must be 'plus' or 'minus', got {sign!r}")
     if steps < 0 or not (math.isfinite(ds) and ds > 0.0):
         raise PreconditionError(f"need steps >= 0 and finite ds > 0, got steps={steps}, ds={ds}")
-    if K < 1 or m < 2 or P < 1:
+    if K < 1 or m < 2 or (P is not None and P < 1):
         raise PreconditionError(f"need K >= 1, m >= 2 and P >= 1, got K={K}, m={m}, P={P}")
     _check_tol(newton_tol)
     block = 4 * K * m
-    P = block * -(-P // block)
+    P = block if P is None else block * -(-P // block)
     if consts is None:
         consts = AnnulusConstants.build(b, n_max=max(200, 4 * K * m))
     elif consts.b != b:
@@ -826,9 +770,9 @@ def branch_continue(
     vhat = kern.normalized()
 
     start = annulus_patch(b, m, K, omega0)
-    start_norm = residual(start, P).max_abs()
-    points = [BranchPoint(s=0.0, patch=start, residual_norm=start_norm, step_index=0)]
     history = [_pack(start)]
+    _, start_norm = _system(start, history[0], 0.0, vhat, P)
+    points = [BranchPoint(s=0.0, patch=start, residual_norm=start_norm, step_index=0)]
     stopped: Optional[str] = None
     s = 0.0
     for step_index in range(1, steps + 1):
@@ -850,7 +794,8 @@ def boundary_samples(patch: PatchPair, npoints: int = 512) -> np.ndarray:
 
     Returns an (npoints, 5) array with columns theta, x1, y1, x2, y2.
     """
+    if npoints < 1:
+        raise PreconditionError(f"need npoints >= 1, got {npoints}")
     theta = TWO_PI * np.arange(npoints) / npoints
-    w = np.exp(1j * theta)
-    (phi1, _), (phi2, _) = _map_values(patch, w)
+    (phi1, _), (phi2, _) = _map_values(patch, npoints)
     return np.column_stack([theta, phi1.real, phi1.imag, phi2.real, phi2.imag])

@@ -23,8 +23,9 @@ kernel are
 real and distinct exactly when ``Delta_m > 0``, which happens for every
 mode at or above the threshold ``N(b)`` (the first mode with
 ``E_n(b) > 0``).  Transversality of the bifurcating branch is equivalent
-to the eigenvalue being simple, i.e. to ``Delta_m > 0``; that is the
-criterion implemented here.
+to the eigenvalue being simple, i.e. to ``Delta_m > 0``, which
+:func:`bifurcation_row` requires; the table writers of the command line
+report the flag as ``Delta_m > 1e-12``.
 """
 
 from __future__ import annotations
@@ -50,12 +51,10 @@ __all__ = [
     "eigenvalue_monotonicity_scan",
 ]
 
+
 # Determinant-zero tests scale with the entry products; entries grow like
 # s_sum(m) ~ log(m), so the floor max(1, .) keeps the test meaningful for
 # all table sizes.
-DET_TOL = 1e-12
-
-
 def _det_scale(m11: float, m12: float, m21: float, m22: float) -> float:
     return max(1.0, abs(m11 * m22), abs(m12 * m21))
 
@@ -89,9 +88,8 @@ class ModeMatrix:
 
 @dataclass(frozen=True)
 class SpectrumRow:
-    """Per-mode bifurcation data: quadratic coefficients, discriminant,
-    eigenvalues in both the ``lambda`` and ``Omega`` variables, and the
-    transversality flag."""
+    """Per-mode bifurcation data: quadratic coefficients, discriminant and
+    eigenvalues in both the ``lambda`` and ``Omega`` variables."""
 
     m: int
     b: float
@@ -102,7 +100,6 @@ class SpectrumRow:
     lambda_plus: float
     omega_minus: float
     omega_plus: float
-    transversal: bool
 
 
 @dataclass(frozen=True)
@@ -220,7 +217,6 @@ def bifurcation_row(m: int, b: float, consts: AnnulusConstants) -> SpectrumRow:
         lambda_plus=lambda_plus,
         omega_minus=0.5 * (1.0 - lambda_plus),
         omega_plus=0.5 * (1.0 - lambda_minus),
-        transversal=delta > 1e-12,
     )
 
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .contour import _linearization_probe
+from .contour import PatchPair, residual
 from .specfun import AnnulusConstants, gauss_2f1, pochhammer_ratio, s_sum
 from .spectrum import (
     bifurcation_row,
@@ -280,6 +280,42 @@ def check_spectral(b_set: tuple[float, ...] = (0.2, 0.5, 0.8), m_hi: int = 200,
         _report("spectral_kernel", kern_err, kern_cases),
         _report("spectral_threshold", thr_err, len(b_set)),
     ]
+
+
+def _linearization_probe(
+    m: int,
+    b: float,
+    omega: float,
+    n: int,
+    h: float,
+    P: int,
+    consts: AnnulusConstants,
+) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """Central-difference block of the residual Jacobian at the annulus.
+
+    Perturbs coefficient n of each boundary by +-h, assembles the observed
+    2x2 block at frequency n m, and compares with the analytic block
+    -(n m) M_{n m}; the minus sign is the sine convention.  Returns
+    (observed, expected, max relative block error, off-block magnitude
+    relative to the block scale).
+    """
+    K = n + 2
+    observed = np.zeros((2, 2))
+    offblock = 0.0
+    for col in range(2):  # outer, then inner boundary
+        step = np.zeros((2, K))
+        step[col, n - 1] = h
+        rp = residual(PatchPair(b, m, K, *step, omega), P)
+        rm = residual(PatchPair(b, m, K, *-step, omega), P)
+        deriv = (np.stack([rp.r1, rp.r2]) - np.stack([rm.r1, rm.r2])) / (2.0 * h)
+        observed[:, col] = deriv[:, n - 1]
+        others = float(np.abs(np.delete(deriv, n - 1, axis=1)).max())
+        offblock = max(offblock, others, max(rp.leak, rm.leak) / (2.0 * h))
+    p = n * m
+    expected = -p * mode_matrix(p, b, omega, consts).matrix()
+    scale = float(np.abs(expected).max())
+    rel = float(np.abs(observed - expected).max()) / scale
+    return observed, expected, rel, offblock / scale
 
 
 def check_linearization(b_set: tuple[float, ...] = (0.5, 0.7),

@@ -112,6 +112,21 @@ class TestBranchCommand:
         ]
         assert all(p["residual_norm"] <= 1e-10 for p in data["points"])
 
+    def test_default_quad_is_4km(self, tmp_path):
+        # without --quad the grid is P = 4 K m, already converged: Omega
+        # matches --quad 4096 (rounded up to 4160) at every point
+        runs = []
+        for name, extra in (("default.json", ()), ("fine.json", ("--quad", "4096"))):
+            out = tmp_path / name
+            assert main(["branch", "--b", "0.6", "--m", "5", "--steps", "3", "--ds", "1e-3",
+                         "--modes", "4", "--out", str(out), *extra]) == EXIT_OK
+            runs.append(json.loads(out.read_text()))
+        default, fine = runs
+        assert default["P"] == 4 * 4 * 5 and fine["P"] == 4160
+        assert len(default["points"]) == len(fine["points"]) == 4
+        for pt, ref in zip(default["points"], fine["points"]):
+            assert abs(pt["omega"] - ref["omega"]) <= 1e-12
+
     def test_boundaries_csv(self, tmp_path):
         run_branch(tmp_path, steps=1, extra=("--boundaries",))
         for idx in (0, 1):

@@ -14,7 +14,6 @@ from sqg_vstates.contour import (
     branch_continue,
     collocation_residual,
     eval_maps,
-    linearization_check,
     newton_correct,
     residual,
     stream_integral,
@@ -27,6 +26,7 @@ from sqg_vstates.errors import (
 )
 from sqg_vstates.specfun import AnnulusConstants, gauss_2f1, lambda_coeff, s_sum
 from sqg_vstates.spectrum import bifurcation_row, kernel_vector, mode_matrix, threshold_N
+from sqg_vstates.verify import _linearization_probe
 
 
 @pytest.fixture(scope="module")
@@ -62,9 +62,20 @@ def sine_coefficients(patch, P):
     return fvec[:patch.K], fvec[patch.K:2 * patch.K]
 
 
+def direct_maps(patch, w):
+    """(Phi_j, w Phi_j'(w)) for both maps at the points ``w`` by the direct
+    power sum, independent of the FFT evaluator."""
+    p = patch.mode_exponents()
+    wneg = np.asarray(w)[:, None] ** -p
+    return (
+        (w + wneg @ patch.a, w - wneg @ (p * patch.a)),
+        (patch.b * w + wneg @ patch.c, patch.b * w - wneg @ (p * patch.c)),
+    )
+
+
 def _point_maps(src, dst, patch, tau, w):
-    phi_t, num_t = contour._map_values(patch, tau)[src - 1]
-    phi_w, num_w = contour._map_values(patch, np.array([w]))[dst - 1]
+    phi_t, num_t = direct_maps(patch, tau)[src - 1]
+    phi_w, num_w = direct_maps(patch, np.array([w]))[dst - 1]
     return num_t - num_w[0], np.abs(phi_t - phi_w[0])
 
 
@@ -152,6 +163,42 @@ class TestEvalMaps:
             _, _, dz1, dz2 = eval_maps(patch, theta)
             assert abs((z1p - z1m) / (2 * h) - dz1) <= 1e-8
             assert abs((z2p - z2m) / (2 * h) - dz2) <= 1e-8
+
+
+class TestGridEvaluators:
+    @pytest.mark.parametrize("P", [1, 7, 64, 1280])
+    @pytest.mark.parametrize("theta", [0.0, 0.7])
+    def test_fft_maps_match_direct_sum(self, P, theta):
+        # exponents n m - 1 = 4..79 reach past P = 1, 7 and 64, where the
+        # FFT folds them into bin p mod P
+        patch = small_patch(b=0.5, m=5, K=16, seed=2, scale=1e-4)
+        w = np.exp(1j * theta) * np.exp(2j * math.pi * np.arange(P) / P)
+        for got, ref in zip(contour._map_values(patch, P, theta), direct_maps(patch, w)):
+            for g, r in zip(got, ref):
+                assert np.abs(g - r).max() <= 1e-14
+
+    @pytest.mark.parametrize("m,K,P", SYMMETRY_GRIDS)
+    def test_lookup_tables_match_direct_powers(self, m, K, P):
+        p = np.arange(1, K + 1) * m - 1
+        tau = np.exp(2j * math.pi * np.arange(P) / P)
+        monomials = contour._node_powers(P, np.arange(P), -p)
+        assert np.abs(monomials - tau[:, None] ** -p).max() <= 1e-13
+        q, targets, proj = contour._collocation_grid(m, K, P)
+        theta = 2.0 * math.pi * np.arange(targets.start, targets.stop) / P
+        sines = 4.0 / q * np.sin(np.outer(theta, np.arange(1, K + 1) * m))
+        assert np.abs(proj - sines).max() <= 1e-13
+
+    @pytest.mark.parametrize("m,K,P", SYMMETRY_GRIDS)
+    def test_residual_is_exactly_zero_at_symmetry_points(self, m, K, P):
+        # G_0 = G_{q/2} = 0 by the reflection symmetry, and so are their
+        # rotated copies
+        q = P // math.gcd(m, P)
+        patch = small_patch(b=0.6, m=m, K=K, seed=3, scale=3e-4)
+        for g in collocation_residual(patch, P):
+            assert np.all(g[::q] == 0.0)
+            if q % 2 == 0:
+                assert np.all(g[q // 2::q] == 0.0)
+            assert np.abs(g).max() > 0.0
 
 
 class TestStreamIntegral:
@@ -363,16 +410,15 @@ class TestResidual:
 class TestLinearization:
     def test_block_matches_mode_matrix(self):
         # m = N(0.5) + 2 = 5, first two blocks
-        rel = linearization_check(5, 0.5, 0.25, 1, 1e-6, 4096)
+        consts = AnnulusConstants.build(0.5, n_max=200)
+        _, _, rel, _ = _linearization_probe(5, 0.5, 0.25, 1, 1e-6, 4096, consts)
         assert rel <= 1e-5
-        rel = linearization_check(5, 0.5, 0.25, 2, 1e-6, 2048)
+        _, _, rel, _ = _linearization_probe(5, 0.5, 0.25, 2, 1e-6, 2048, consts)
         assert rel <= 1e-5
 
     def test_fd_truncation_is_second_order(self):
         # compare FD blocks against a small-step reference so the
         # discretization error (shared by all steps) cancels
-        from sqg_vstates.contour import _linearization_probe
-
         consts = AnnulusConstants.build(0.5, n_max=200)
         ref, _, _, _ = _linearization_probe(5, 0.5, 0.25, 1, 1e-6, 2048, consts)
         coarse, _, _, _ = _linearization_probe(5, 0.5, 0.25, 1, 1e-4, 2048, consts)
@@ -382,15 +428,15 @@ class TestLinearization:
         assert 25.0 <= e_coarse / e_mid <= 400.0
 
     def test_off_block_leakage(self):
-        from sqg_vstates.contour import _linearization_probe
-
         consts = AnnulusConstants.build(0.5, n_max=200)
         _, _, _, off = _linearization_probe(5, 0.5, 0.25, 1, 1e-6, 2048, consts)
         assert off <= 1e-7
 
     def test_exponent_guard(self):
+        # m = 1 perturbs exponent n m - 1 = 0: the patch guard refuses it
+        consts = AnnulusConstants.build(0.5, n_max=200)
         with pytest.raises(PreconditionError):
-            linearization_check(1, 0.5, 0.0, 1, 1e-6, 256)
+            _linearization_probe(1, 0.5, 0.0, 1, 1e-6, 256, consts)
 
 
 def fd_jacobian(patch, x, s, vhat, P, h=1e-7):
@@ -638,6 +684,18 @@ class TestBoundarySamples:
         inner = np.hypot(samples[:, 3], samples[:, 4])
         assert np.abs(outer - 1.0).max() <= 1e-14
         assert np.abs(inner - 0.5).max() <= 1e-14
+
+    def test_matches_direct_sum(self):
+        # the P = npoints case of the FFT evaluator, at an odd count
+        patch = small_patch(seed=4)
+        samples = boundary_samples(patch, npoints=7)
+        (phi1, _), (phi2, _) = direct_maps(patch, np.exp(1j * samples[:, 0]))
+        assert np.abs(samples[:, 1] + 1j * samples[:, 2] - phi1).max() <= 1e-15
+        assert np.abs(samples[:, 3] + 1j * samples[:, 4] - phi2).max() <= 1e-15
+
+    def test_rejects_empty_sampling(self):
+        with pytest.raises(PreconditionError):
+            boundary_samples(annulus_patch(0.5, 4, 2, 0.0), npoints=0)
 
 
 class TestConcurrency:

@@ -177,7 +177,7 @@ class TestBifurcationRow:
             assert row.omega_plus == 0.5 * (1.0 - row.lambda_minus)
             assert row.omega_minus == 0.5 * (1.0 - row.lambda_plus)
             assert row.lambda_minus < row.lambda_plus
-            assert row.transversal
+            assert row.delta_m > 1e-12
 
     def test_det_sign_structure(self, consts_05):
         # upward parabola in lambda: negative strictly between the
