@@ -21,12 +21,12 @@ from sqg_vstates import (
     branch_continue,
     threshold_N,
 )
-from sqg_vstates.cli import _render_svg
+from sqg_vstates.cli import _branch_payload, _render_svg
 
 HERE = pathlib.Path(__file__).resolve().parent
 
 b = 0.6
-consts = AnnulusConstants.build(b, n_max=400)
+consts = AnnulusConstants.build(b)
 m = threshold_N(b, consts) + 1
 row = bifurcation_row(m, b, consts)
 print(f"b = {b}, m = {m}: Omega_m^- = {row.omega_minus:.10f}, Omega_m^+ = {row.omega_plus:.10f}")
@@ -43,20 +43,9 @@ for sign, omega0 in (("plus", row.omega_plus), ("minus", row.omega_minus)):
         print("stopped early:", run.stopped_reason)
 
     # render the most deformed patch pair of this branch
-    last = run.points[-1]
-    payload = {
-        "b": b, "m": m, "K": K, "P": P, "sign": sign,
-        "points": [{
-            "s": last.s,
-            "omega": last.patch.omega,
-            "a": list(last.patch.a),
-            "c": list(last.patch.c),
-            "residual_norm": last.residual_norm,
-        }],
-    }
     svg_path = HERE / f"branch_{sign}_m{m}.svg"
-    svg_path.write_text(_render_svg(payload, [0]))
+    svg_path.write_text(_render_svg(_branch_payload(run, sign), [len(run.points) - 1]))
     print(f"wrote {svg_path.name}")
 
-print("\nThe branch JSON written by `vstates branch --out run.json` has the same")
-print("schema as the payload above; `vstates render run.json` draws it.")
+print("\n`vstates branch --out run.json` writes the same payload these SVGs were")
+print("drawn from; `vstates render run.json` draws it.")

@@ -6,7 +6,7 @@ The library is organized in four layers:
 
 * :mod:`sqg_vstates.specfun` -- scalar special functions (Gauss
   hypergeometric series with an Euler-integral oracle, odd-harmonic sums,
-  annulus coupling coefficients) and the memoized
+  annulus coupling coefficients) and the cached
   :class:`~sqg_vstates.specfun.AnnulusConstants` tables;
 * :mod:`sqg_vstates.spectrum` -- the linearized operator at the annulus:
   mode matrices, eigenvalues, bifurcation threshold, kernel vectors;
@@ -22,13 +22,11 @@ rendering of computed boundaries.
 
 from .errors import (
     BoundaryCollision,
-    IndexOutOfTable,
     NoConvergence,
     NotAnEigenvalue,
     NotSimple,
     PreconditionError,
     SingularJacobian,
-    TableExhausted,
     VStatesError,
 )
 from .specfun import (
@@ -77,7 +75,6 @@ __all__ = [
     "BranchPoint",
     "BranchRun",
     "CheckReport",
-    "IndexOutOfTable",
     "KernelVector",
     "ModeMatrix",
     "NoConvergence",
@@ -88,7 +85,6 @@ __all__ = [
     "ResidualSpectrum",
     "SingularJacobian",
     "SpectrumRow",
-    "TableExhausted",
     "VStatesError",
     "annulus_patch",
     "bifurcation_row",

@@ -11,8 +11,8 @@ Subcommands::
 
 Exit codes: 0 success, 2 usage error (including a file that cannot be
 opened), 3 guard violation, 4 numerical failure.  Output is deterministic: identical invocations produce
-byte-identical files.  The environment variable ``VSTATES_NMAX`` overrides
-the size of the memoized constant tables.
+byte-identical files.  Every inner radius 0 < b < 1 gets its threshold
+N(b), however large: the constant tables are a cache, not a limit.
 """
 
 from __future__ import annotations
@@ -26,16 +26,14 @@ from typing import Optional
 
 import numpy as np
 
-from .contour import PatchPair, boundary_samples, branch_continue
+from .contour import BranchRun, PatchPair, boundary_samples, branch_continue
 from .errors import (
     BoundaryCollision,
-    IndexOutOfTable,
     NoConvergence,
     NotAnEigenvalue,
     NotSimple,
     PreconditionError,
     SingularJacobian,
-    TableExhausted,
 )
 from .specfun import AnnulusConstants
 from .spectrum import SpectrumRow, bifurcation_row, discriminant, threshold_N
@@ -46,7 +44,7 @@ EXIT_USAGE = 2
 EXIT_GUARD = 3
 EXIT_NUMERIC = 4
 
-_GUARD_ERRORS = (PreconditionError, NotSimple, NotAnEigenvalue, TableExhausted, IndexOutOfTable)
+_GUARD_ERRORS = (PreconditionError, NotSimple, NotAnEigenvalue)
 _NUMERIC_ERRORS = (NoConvergence, SingularJacobian, BoundaryCollision)
 
 
@@ -56,16 +54,6 @@ def _fmt17(x: float) -> str:
 
 # One boundary CSV row; "%.17g" formats a float exactly as _fmt17 does.
 _BOUNDARY_ROW = "%.17g,%.17g,%.17g,%.17g,%.17g\n"
-
-
-def _table_size(*requested: int) -> int:
-    env = os.environ.get("VSTATES_NMAX")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise PreconditionError(f"VSTATES_NMAX must be an integer, got {env!r}") from exc
-    return max(200, *requested) if requested else 200
 
 
 def _write_text(path: Optional[str], text: str) -> None:
@@ -84,10 +72,10 @@ def _transversal(row: SpectrumRow) -> bool:
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
-    consts = AnnulusConstants.build(args.b, n_max=_table_size((args.m_max or 0) + 1))
+    consts = AnnulusConstants.build(args.b, n_max=max(200, (args.m_max or 0) + 1))
     n_thr = threshold_N(args.b, consts)
     m_min = args.m_min if args.m_min is not None else n_thr
-    m_max = args.m_max if args.m_max is not None else n_thr + 20
+    m_max = args.m_max if args.m_max is not None else m_min + 20
     if m_min < n_thr:
         raise PreconditionError(f"m-min={m_min} is below threshold N({args.b}) = {n_thr}")
     if m_max < m_min:
@@ -125,7 +113,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def cmd_threshold(args: argparse.Namespace) -> int:
-    consts = AnnulusConstants.build(args.b, n_max=_table_size())
+    consts = AnnulusConstants.build(args.b)
     n_thr = threshold_N(args.b, consts)
     _, e_prev, _ = discriminant(n_thr - 1, args.b, consts)
     _, e_at, _ = discriminant(n_thr, args.b, consts)
@@ -133,18 +121,15 @@ def cmd_threshold(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_branch(args: argparse.Namespace) -> int:
-    consts = AnnulusConstants.build(args.b, n_max=_table_size(4 * args.modes * args.m))
-    run = branch_continue(
-        args.m, args.b, args.sign, args.steps, args.ds,
-        K=args.modes, P=args.quad, newton_tol=args.tol, consts=consts,
-    )
-    payload = {
-        "b": args.b,
-        "m": args.m,
-        "K": args.modes,
+def _branch_payload(run: BranchRun, sign: str) -> dict:
+    """The branch JSON object that ``vstates render`` reads back."""
+    start = run.points[0].patch
+    return {
+        "b": start.b,
+        "m": start.m,
+        "K": start.K,
         "P": run.P,
-        "sign": args.sign,
+        "sign": sign,
         "stopped_reason": run.stopped_reason,
         "points": [
             {
@@ -157,7 +142,14 @@ def cmd_branch(args: argparse.Namespace) -> int:
             for pt in run.points
         ],
     }
-    _write_text(args.out, json.dumps(payload, indent=2))
+
+
+def cmd_branch(args: argparse.Namespace) -> int:
+    run = branch_continue(
+        args.m, args.b, args.sign, args.steps, args.ds,
+        K=args.modes, P=args.quad, newton_tol=args.tol,
+    )
+    _write_text(args.out, json.dumps(_branch_payload(run, args.sign), indent=2))
     if args.boundaries:
         stem = os.path.splitext(args.out)[0] if args.out else "branch"
         for pt in run.points:
@@ -312,8 +304,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_spec = sub.add_parser("spectrum", help="per-mode bifurcation table")
     _add_b(p_spec)
-    p_spec.add_argument("--m-min", type=int, default=None)
-    p_spec.add_argument("--m-max", type=int, default=None)
+    p_spec.add_argument("--m-min", type=int, default=None,
+                        help="first mode, at least N(b) (default: N(b))")
+    p_spec.add_argument("--m-max", type=int, default=None,
+                        help="last mode (default: m-min + 20)")
     p_spec.add_argument("--out", default=None)
     p_spec.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
 
@@ -363,6 +357,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     if hasattr(args, "b") and not (math.isfinite(args.b) and 0.0 < args.b < 1.0):
         parser.error(f"--b must lie strictly between 0 and 1, got {args.b}")
+    if hasattr(args, "seed") and args.seed < 0:
+        parser.error(f"--seed must be a non-negative integer, got {args.seed}")
     try:
         return _COMMANDS[args.command](args)
     except _GUARD_ERRORS as exc:

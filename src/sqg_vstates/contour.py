@@ -758,7 +758,7 @@ def branch_continue(
     block = 4 * K * m
     P = block if P is None else block * -(-P // block)
     if consts is None:
-        consts = AnnulusConstants.build(b, n_max=max(200, 4 * K * m))
+        consts = AnnulusConstants.build(b)
     elif consts.b != b:
         raise PreconditionError(f"constants were built for b={consts.b}, got b={b}")
     n_threshold = threshold_N(b, consts)

@@ -2,8 +2,8 @@
 
 Every failure mode raised by this package derives from :class:`VStatesError`,
 so callers can trap the whole family with one clause.  Guard and argument
-violations additionally derive from :class:`ValueError` and table lookups
-from :class:`LookupError`, keeping standard ``except`` idioms working.
+violations additionally derive from :class:`ValueError`, keeping the
+standard ``except`` idiom working.
 """
 
 
@@ -13,14 +13,6 @@ class VStatesError(Exception):
 
 class PreconditionError(VStatesError, ValueError):
     """An argument or state violates a documented precondition or guard."""
-
-
-class IndexOutOfTable(VStatesError, LookupError):
-    """A mode index exceeds the memoized constant tables."""
-
-
-class TableExhausted(VStatesError):
-    """A scan ran off the end of the constant tables without resolving."""
 
 
 class NotSimple(VStatesError):

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IndexOutOfTable, NoConvergence, PreconditionError
+from .errors import NoConvergence, PreconditionError
 from .quadrature import adaptive_quad
 
 __all__ = [
@@ -210,12 +210,16 @@ def lambda_integral_oracle(n: int, b: float) -> float:
 
 @dataclass(frozen=True)
 class AnnulusConstants:
-    """Inner radius ``b`` plus memoized tables of ``s_sum`` and
-    ``lambda_coeff`` for modes 1..n_max.
+    """Inner radius ``b`` plus a cache of ``s_sum`` and ``lambda_coeff``
+    for modes 1..n_max.
 
-    Tables are built eagerly and frozen; instances are immutable and safe
-    to share across threads.  Index helpers are 1-based to match the mode
-    numbering used throughout the library.
+    ``s(n)`` and ``lam(n)`` answer for every mode n >= 1: up to ``n_max``
+    they read the table, above it they call the function the table is
+    built from, so ``n_max`` sets what is precomputed, not what can be
+    asked.  Tables are built eagerly and frozen, and a lookup past them
+    stores nothing, so instances are immutable and safe to share across
+    threads.  Indices are 1-based to match the mode numbering used
+    throughout the library.
     """
 
     b: float
@@ -234,16 +238,14 @@ class AnnulusConstants:
         lam.setflags(write=False)
         return cls(b=b, n_max=n_max, s_table=s, lambda_table=lam)
 
-    def _check_index(self, n: int) -> None:
-        if not 1 <= n <= self.n_max:
-            raise IndexOutOfTable(f"mode n={n} outside table range 1..{self.n_max}")
-
     def s(self, n: int) -> float:
-        """Memoized ``s_sum(n)``."""
-        self._check_index(n)
-        return float(self.s_table[n - 1])
+        """``s_sum(n)``, from the table when 1 <= n <= n_max."""
+        if 1 <= n <= self.n_max:
+            return float(self.s_table[n - 1])
+        return s_sum(n)
 
     def lam(self, n: int) -> float:
-        """Memoized ``lambda_coeff(n, b)``."""
-        self._check_index(n)
-        return float(self.lambda_table[n - 1])
+        """``lambda_coeff(n, b)``, from the table when 1 <= n <= n_max."""
+        if 1 <= n <= self.n_max:
+            return float(self.lambda_table[n - 1])
+        return lambda_coeff(n, self.b)

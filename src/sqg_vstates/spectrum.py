@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotAnEigenvalue, NotSimple, PreconditionError, TableExhausted
+from .errors import NotAnEigenvalue, NotSimple, PreconditionError
 from .specfun import AnnulusConstants
 
 __all__ = [
@@ -54,7 +54,7 @@ __all__ = [
 
 # Determinant-zero tests scale with the entry products; entries grow like
 # s_sum(m) ~ log(m), so the floor max(1, .) keeps the test meaningful for
-# all table sizes.
+# all modes.
 def _det_scale(m11: float, m12: float, m21: float, m22: float) -> float:
     return max(1.0, abs(m11 * m22), abs(m12 * m21))
 
@@ -118,7 +118,7 @@ class KernelVector:
 
 
 def mode_matrix(n: int, b: float, omega: float, consts: AnnulusConstants) -> ModeMatrix:
-    """Assemble the linearization block M_n; requires ``n`` in the tables."""
+    """Assemble the linearization block M_n for any mode n >= 2."""
     if n < 2:
         raise PreconditionError(f"mode matrix is defined for n >= 2, got {n}")
     _check_tables(b, consts)
@@ -178,20 +178,19 @@ def threshold_N(b: float, consts: AnnulusConstants) -> int:
     """Smallest mode ``n >= 2`` with E_n(b) > 0.
 
     E_n is strictly increasing in ``n`` and E_1 < 0, so a linear scan from
-    n = 2 finds the unique sign change.  At and above the returned mode the
-    reduced discriminant is positive and both eigenvalues are real and
-    simple.  Equivalent to the smallest ``n`` with
-    ``S_n > b ((1+b^2) L_1 + 2 b L_n) / (1+b)`` (same inequality scaled by
-    the positive factor b/(1+b)).
+    n = 2 finds the unique sign change.  The scan always ends: S_n grows
+    like (1/pi) log n while L_n decreases to 0, so E_n -> +infinity; it
+    reads past the end of ``consts`` when N(b) does (thin annuli, b -> 1).
+    At and above the returned mode the reduced discriminant is positive
+    and both eigenvalues are real and simple.  Equivalent to the smallest
+    ``n`` with ``S_n > b ((1+b^2) L_1 + 2 b L_n) / (1+b)`` (same
+    inequality scaled by the positive factor b/(1+b)).
     """
     _check_tables(b, consts)
-    for n in range(2, consts.n_max + 1):
-        _, e_n, _ = discriminant(n, b, consts)
-        if e_n > 0.0:
-            return n
-    raise TableExhausted(
-        f"no sign change of E_n below n_max={consts.n_max}; enlarge the constant tables"
-    )
+    n = 2
+    while discriminant(n, b, consts)[1] <= 0.0:
+        n += 1
+    return n
 
 
 def bifurcation_row(m: int, b: float, consts: AnnulusConstants) -> SpectrumRow:

@@ -111,7 +111,7 @@ def check_c1_c2(n_max: int = 20, samples: int = 8, P: int = 1 << 16,
     """Quadrature of the two self-interaction circle moments against their
     odd-harmonic closed forms:
 
-        avg_tau (tau^n - w^n) / |w - tau| / ... = -(2 w^n / pi) sum_{k=0}^{n-1} 1/(2k+1)
+        avg_tau (tau^n - w^n) / |w - tau| = -(2 w^n / pi) sum_{k=0}^{n-1} 1/(2k+1)
         avg_tau (tau-w)^2 (tau^n - w^n) / |w - tau|^3 = (2 w^{n+2} / pi) sum_{k=1}^{n} 1/(2k+1)
 
     (both as mean-value integrals with weight dtau/tau), that is
@@ -333,11 +333,8 @@ def check_linearization(b_set: tuple[float, ...] = (0.5, 0.7),
     block_err = off_err = 0.0
     cases = 0
     for b in b_set:
-        consts = AnnulusConstants.build(b, n_max=200)
+        consts = AnnulusConstants.build(b)
         m = threshold_N(b, consts) + 1
-        need = max(200, 4 * (max(modes) + 2) * m)
-        if need > consts.n_max:
-            consts = AnnulusConstants.build(b, n_max=need)
         for n in modes:
             _, _, rel, off = _linearization_probe(m, b, omega, n, h, P, consts)
             block_err = max(block_err, rel)

@@ -64,6 +64,12 @@ class TestSpectrumCommand:
             main(["spectrum", "--b", "1.2"])
         assert exc.value.code == 2
 
+    def test_default_m_max_follows_m_min(self, tmp_path):
+        out = tmp_path / "spec.csv"
+        assert main(["spectrum", "--b", "0.5", "--m-min", "50", "--out", str(out)]) == EXIT_OK
+        rows = out.read_text().strip().splitlines()[1:]
+        assert [int(r.split(",")[0]) for r in rows] == list(range(50, 71))
+
 
 class TestThresholdCommand:
     def test_prints_bracketing(self, capsys):
@@ -83,6 +89,11 @@ class TestThresholdCommand:
         with pytest.raises(SystemExit) as exc:
             main(["threshold", "--b", "1.2"])
         assert exc.value.code == 2
+
+    def test_threshold_past_default_table(self, capsys):
+        # N(0.995) = 284 lies past the 200-mode default table
+        assert main(["threshold", "--b", "0.995"]) == EXIT_OK
+        assert " N=284 " in capsys.readouterr().out
 
 
 class TestBranchCommand:
@@ -273,20 +284,11 @@ class TestCheckCommand:
         reports = check_c3_c8(b_set=(0.4,), n_max=3, P=1024)
         assert all(r.passed for r in reports)
 
-    def test_env_override_table_size(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("VSTATES_NMAX", "40")
-        assert main(["threshold", "--b", "0.5"]) == EXIT_OK
-        # N(0.9) = 14 <= 40 still fine; a tiny table must fail loudly
-        monkeypatch.setenv("VSTATES_NMAX", "5")
-        code = main(["threshold", "--b", "0.9"])
-        assert code == EXIT_GUARD
-        assert "enlarge" in capsys.readouterr().err
-
-
-    def test_non_integer_table_size(self, monkeypatch, capsys):
-        monkeypatch.setenv("VSTATES_NMAX", "abc")
-        assert main(["threshold", "--b", "0.5"]) == EXIT_GUARD
-        assert "VSTATES_NMAX" in capsys.readouterr().err
+    def test_negative_seed_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--seed", "-1"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
 
 
 class TestUsageErrors:

@@ -5,11 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from sqg_vstates.errors import (
-    IndexOutOfTable,
-    NoConvergence,
-    PreconditionError,
-)
+from sqg_vstates.errors import NoConvergence, PreconditionError
 from sqg_vstates.quadrature import adaptive_quad
 from sqg_vstates.specfun import (
     AnnulusConstants,
@@ -214,8 +210,13 @@ class TestAnnulusConstants:
             consts.lambda_table[3] = 0.0
 
     def test_index_guard(self):
+        # past the table the lookup evaluates the function the table is
+        # built from, so the value is bitwise what a larger table holds
         consts = AnnulusConstants.build(0.5, n_max=10)
-        with pytest.raises(IndexOutOfTable):
-            consts.s(11)
-        with pytest.raises(IndexOutOfTable):
+        assert consts.s(11) == s_sum(11)
+        assert consts.lam(11) == lambda_coeff(11, 0.5)
+        assert consts.s(11) == AnnulusConstants.build(0.5, n_max=11).s(11)
+        with pytest.raises(PreconditionError):
             consts.lam(0)
+        with pytest.raises(PreconditionError):
+            consts.s(0)

@@ -6,13 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from sqg_vstates.errors import (
-    IndexOutOfTable,
-    NotAnEigenvalue,
-    NotSimple,
-    PreconditionError,
-    TableExhausted,
-)
+from sqg_vstates.errors import NotAnEigenvalue, NotSimple, PreconditionError
 from sqg_vstates.specfun import AnnulusConstants, lambda_coeff, s_sum
 from sqg_vstates.spectrum import (
     bifurcation_row,
@@ -71,8 +65,9 @@ class TestModeMatrix:
             mode_matrix(1, 0.5, 0.0, consts_05)
         with pytest.raises(PreconditionError):
             mode_matrix(3, 0.6, 0.0, consts_05)  # consts built for b=0.5
-        with pytest.raises(IndexOutOfTable):
-            mode_matrix(500, 0.5, 0.0, consts_05)
+        # a mode past the table gets the matrix a large enough table gives
+        past = mode_matrix(500, 0.5, 0.0, consts_05)
+        assert past == mode_matrix(500, 0.5, 0.0, AnnulusConstants.build(0.5, n_max=501))
 
 
 class TestQuadraticCoefficients:
@@ -153,9 +148,9 @@ class TestThreshold:
         assert threshold_N(0.9, consts_map[0.9]) == 14
 
     def test_table_exhaustion(self):
-        consts = AnnulusConstants.build(0.9, n_max=5)  # N(0.9) = 14 > 5
-        with pytest.raises(TableExhausted):
-            threshold_N(0.9, consts)
+        # N(0.9) = 14 > 5: the scan runs past the table instead of failing
+        consts = AnnulusConstants.build(0.9, n_max=5)
+        assert threshold_N(0.9, consts) == 14
 
 
 class TestBifurcationRow:
