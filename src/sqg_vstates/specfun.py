@@ -80,9 +80,11 @@ def gauss_2f1(
     """Gauss hypergeometric function F(a, b, c; z) by its power series.
 
     Terms are accumulated until the current term falls below ``tol``
-    relative to the partial sum.  All uses in this library have
-    ``z = b_radius**2`` bounded away from 1, so the plain series is the
-    whole story; no transformation formulas are applied.
+    relative to the partial sum.  No transformation formulas are applied,
+    and the terms decay like z^n, so the term count grows like 1/(1 - z).
+    The library's uses have ``z = b_radius**2``: at inner radius 0.9999
+    (z = 0.9998) ``lambda_coeff`` needs more than the default
+    ``max_terms`` and ``NoConvergence`` is raised.
 
     Raises
     ------

@@ -4,13 +4,14 @@ library is bound to an independent numerical check.
 The checks fall into four groups:
 
 * ``check_c1_c2`` -- the self-interaction circle moments (c1), (c2):
-  quadrature of the corner-type integrands against their odd-harmonic
-  closed forms.
+  Gauss-Legendre quadrature of the corner-type integrands, in the angle
+  measured from the evaluation point, against their odd-harmonic closed
+  forms.
 * ``check_c3_c8`` -- the cross-circle kernel moments (c3)..(c8):
-  quadrature of the smooth integrands against their hypergeometric closed
-  forms.  (c4) and (c5) carry the conjugate symmetry of (c3) and (c6):
-  their closed forms are the same real factor attached to the conjugate
-  power of the evaluation point.
+  trapezoidal quadrature of the smooth periodic integrands against their
+  hypergeometric closed forms.  (c4) and (c5) carry the conjugate
+  symmetry of (c3) and (c6): their closed forms are the same real factor
+  attached to the conjugate power of the evaluation point.
 * ``check_spectral`` -- algebraic structure of the mode matrices:
   determinant quadratic, reduced-discriminant identity, eigenvalue
   monotonicity and interleaving, kernel residuals, and agreement of the
@@ -19,9 +20,9 @@ The checks fall into four groups:
   residual at the annulus against the analytic frequency blocks.
 
 Each check emits :class:`CheckReport` rows aggregated by name; tolerances
-live in one table (``TOLERANCES``).  Quadrature-limited checks get 1e-7,
-algebraic identities 1e-10 to 1e-12.  Random sample points derive from one
-seed, so the suite is deterministic.
+live in one table (``TOLERANCES``).  The moment quadratures get 1e-7
+(both rules reach about 1e-14), algebraic identities 1e-10 to 1e-12.
+Random sample points derive from one seed, so the suite is deterministic.
 """
 
 from __future__ import annotations
@@ -102,11 +103,10 @@ def _report(name: str, max_error: float, cases: int) -> CheckReport:
     )
 
 
-def _offset_phases(P: int) -> np.ndarray:
-    return np.exp(1j * 2.0 * np.pi * (np.arange(P) + 0.5) / P)
+_C3_C8_NODES = 4096  # trapezoid nodes; resolves (c3)..(c8) to roundoff
 
 
-def check_c1_c2(n_max: int = 20, samples: int = 8, P: int = 1 << 16,
+def check_c1_c2(n_max: int = 20, samples: int = 8,
                 seed: int = DEFAULT_SEED) -> list[CheckReport]:
     """Quadrature of the two self-interaction circle moments against their
     odd-harmonic closed forms:
@@ -116,35 +116,30 @@ def check_c1_c2(n_max: int = 20, samples: int = 8, P: int = 1 << 16,
 
     (both as mean-value integrals with weight dtau/tau), that is
     -w^n (2/pi + s_sum(n)) and w^{n+2} s_sum(n+1).  The closed forms use
-    the library's own ``s_sum``, so the quadrature side, which does not,
-    checks the multiplier the spectrum is built on.  The integrands
-    have a bounded corner at tau = w; half-offset nodes converge at second
-    order, so the default P is large.  A rotation-invariance report checks
-    that the quadrature error is independent of w.
+    the library's own ``s_sum``; the quadrature side forms tau^n - w^n
+    and |w - tau| directly, so it checks the multiplier the spectrum is
+    built on.  In the angle phi in (0, 2 pi) from w, tau = w e^{i phi},
+    the integrands' corner at tau = w sits at both interval ends and they
+    are analytic on the closed interval, so 2 n_max + 24 Gauss-Legendre
+    nodes in phi resolve them to roundoff.  A rotation-invariance report
+    checks that the quadrature error is independent of w.
     """
     rng = np.random.default_rng(seed)
-    xi = _offset_phases(P)
-    # P-length work arrays, allocated once and written with out=: fresh
-    # temporaries per sample went back to the kernel and faulted in again
-    tau, tau_n, work = (np.empty(P, dtype=complex) for _ in range(3))
-    dist = np.empty(P)
+    x, wts = np.polynomial.legendre.leggauss(2 * n_max + 24)
+    turn = np.exp(1j * math.pi * (x + 1.0))  # e^{i phi}, phi = pi (x + 1)
+    wts = wts / 2.0  # mean over phi in (0, 2 pi)
     err1 = err2 = 0.0
     rot_errors = []
     cases = 0
     for n in range(1, n_max + 1):
         for j in range(samples):
             w = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-            np.multiply(w, xi, out=tau)
-            np.power(tau, n, out=tau_n)
-            tau_n -= w ** n
-            np.abs(np.subtract(w, tau, out=work), out=dist)
-            lhs1 = np.divide(tau_n, dist, out=work).mean()
+            tau = w * turn
+            tau_n = tau ** n - w ** n
+            dist = np.abs(w - tau)
+            lhs1 = wts @ (tau_n / dist)
             rhs1 = -(w ** n) * (2.0 / math.pi + s_sum(n))
-            # (tau - w)^2 (tau^n - w^n) / |w - tau|^3
-            np.square(np.subtract(tau, w, out=work), out=work)
-            work *= tau_n
-            work /= np.power(dist, 3, out=dist)
-            lhs2 = work.mean()
+            lhs2 = wts @ ((tau - w) ** 2 * tau_n / dist ** 3)
             rhs2 = w ** (n + 2) * s_sum(n + 1)
             err1 = max(err1, abs(lhs1 - rhs1))
             err2 = max(err2, abs(lhs2 - rhs2))
@@ -160,14 +155,15 @@ def check_c1_c2(n_max: int = 20, samples: int = 8, P: int = 1 << 16,
 
 
 def check_c3_c8(b_set: tuple[float, ...] = (0.3, 0.6), n_max: int = 10,
-                P: int = 4096, seed: int = DEFAULT_SEED) -> list[CheckReport]:
+                seed: int = DEFAULT_SEED) -> list[CheckReport]:
     """Quadrature of the cross-circle kernel moments against their
     hypergeometric closed forms, for inner radii in ``b_set`` and modes up
     to ``n_max``.  The weighted moments (c7), (c8) are exercised with
     random real weight pairs.
     """
     rng = np.random.default_rng(seed)
-    xi = _offset_phases(P)
+    P = _C3_C8_NODES
+    xi = np.exp(1j * 2.0 * np.pi * (np.arange(P) + 0.5) / P)
     errs = {name: 0.0 for name in ("c3", "c4", "c5", "c6", "c7", "c8")}
     cases = 0
 

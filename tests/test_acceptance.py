@@ -175,8 +175,8 @@ def test_criterion_08_linearized_operator():
 def test_criterion_09_singular_integral_oracles():
     # self-interaction moments to 1e-7 for n <= 20; cross-circle moments
     # to 1e-7 for n <= 10, b in {0.3, 0.6}
-    reports = check_c1_c2(n_max=20, samples=8, P=1 << 16)
-    reports += check_c3_c8(b_set=(0.3, 0.6), n_max=10, P=4096)
+    reports = check_c1_c2(n_max=20, samples=8)
+    reports += check_c3_c8(b_set=(0.3, 0.6), n_max=10)
     failed = [r.name for r in reports if not r.passed]
     worst = max(r.max_error / r.tolerance for r in reports)
     _verdict("criterion 9 (singular-integral oracles)", not failed,

@@ -254,6 +254,26 @@ class TestRenderCommand:
         assert code == EXIT_GUARD
         assert f"points[1].{key}[{k}]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("path,bad", [
+        ("points[1].omega", True), ("points[1].s", False),
+        ("points[1].residual_norm", True), ("K", True), ("P", True), ("m", True),
+    ])
+    def test_boolean_scalar_names_field(self, tmp_path, capsys, path, bad):
+        src = run_branch(tmp_path, steps=1)
+        data = json.loads(src.read_text())
+        if path.startswith("points[1]."):
+            data["points"][1][path.split(".")[1]] = bad
+        else:
+            data[path] = bad
+        if path == "K":  # true would read as one retained mode
+            for pt in data["points"]:
+                pt["a"], pt["c"] = pt["a"][:1], pt["c"][:1]
+        bad_file = tmp_path / "bad.json"
+        bad_file.write_text(json.dumps(data))
+        code = main(["render", str(bad_file), "--out", str(tmp_path / "img.svg")])
+        assert code == EXIT_GUARD
+        assert f"at {path}:" in capsys.readouterr().err
+
     def test_directory_path_is_usage_error(self, tmp_path, capsys):
         src = run_branch(tmp_path, steps=1)
         assert main(["render", str(tmp_path)]) == 2
@@ -281,7 +301,7 @@ class TestCheckCommand:
         # the plumbing: text table to a file, json format, exit code
         from sqg_vstates.verify import check_c3_c8
 
-        reports = check_c3_c8(b_set=(0.4,), n_max=3, P=1024)
+        reports = check_c3_c8(b_set=(0.4,), n_max=3)
         assert all(r.passed for r in reports)
 
     def test_negative_seed_is_usage_error(self, capsys):

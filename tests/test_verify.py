@@ -12,7 +12,7 @@ from sqg_vstates.verify import (
 
 
 def test_c1_c2_reduced():
-    reports = check_c1_c2(n_max=8, samples=4, P=1 << 14)
+    reports = check_c1_c2(n_max=8, samples=4)
     by_name = {r.name: r for r in reports}
     assert set(by_name) == {"c1", "c2", "rotation_invariance"}
     for r in reports:
@@ -21,8 +21,23 @@ def test_c1_c2_reduced():
         assert r.cases > 0
 
 
+def test_c1_c2_default_is_spectral():
+    # Gauss-Legendre in the angle from w: roundoff, not a discretization
+    # floor, at the default configuration
+    by_name = {r.name: r for r in check_c1_c2()}
+    assert by_name["c1"].max_error <= 1e-12
+    assert by_name["c2"].max_error <= 1e-12
+    assert by_name["rotation_invariance"].max_error <= 1e-12
+
+
+def test_c1_c2_nodes_follow_n_max():
+    by_name = {r.name: r for r in check_c1_c2(n_max=80, samples=2)}
+    assert by_name["c1"].max_error <= 1e-12
+    assert by_name["c2"].max_error <= 1e-12
+
+
 def test_c3_c8_reduced():
-    reports = check_c3_c8(b_set=(0.4,), n_max=6, P=2048)
+    reports = check_c3_c8(b_set=(0.4,), n_max=6)
     assert {r.name for r in reports} == {"c3", "c4", "c5", "c6", "c7", "c8"}
     for r in reports:
         assert r.passed, f"{r.name}: {r.max_error} > {r.tolerance}"
@@ -47,13 +62,13 @@ def test_linearization_reduced():
 
 
 def test_deterministic_given_seed():
-    a = check_c3_c8(b_set=(0.4,), n_max=4, P=1024, seed=777)
-    b = check_c3_c8(b_set=(0.4,), n_max=4, P=1024, seed=777)
+    a = check_c3_c8(b_set=(0.4,), n_max=4, seed=777)
+    b = check_c3_c8(b_set=(0.4,), n_max=4, seed=777)
     assert a == b
 
 
 def test_report_table_format():
-    reports = check_c3_c8(b_set=(0.4,), n_max=3, P=1024)
+    reports = check_c3_c8(b_set=(0.4,), n_max=3)
     table = format_report_table(reports)
     lines = table.splitlines()
     assert len(lines) == len(reports) + 1
@@ -64,7 +79,7 @@ def test_report_table_format():
 def test_report_passed_definition():
     import json
 
-    reports = check_c1_c2(n_max=4, samples=2, P=1 << 13)
+    reports = check_c1_c2(n_max=4, samples=2)
     for r in reports:
         assert r.passed == (r.max_error <= r.tolerance)
         d = r.to_dict()
