@@ -2,6 +2,10 @@
 residual structure, linearization blocks, Newton correction and branches."""
 
 import math
+import multiprocessing
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -713,3 +717,139 @@ class TestConcurrency:
         for s, p in zip(serial_res, par_res):
             assert np.array_equal(s.r1, p.r1) and np.array_equal(s.r2, p.r2)
         assert serial_rows == par_rows
+
+    def test_results_independent_of_worker_count(self, monkeypatch):
+        # m = 6, P = 4096: g = 2, 1023 targets in 64 blocks of 16
+        patch = small_patch(b=0.6, m=6, K=3, seed=12, scale=3e-4)
+        runs = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(contour, "_WORKERS", workers)
+            spec = residual(patch, 4096)
+            streams = [stream_integral(i, j, patch, 0.3, 4096) for i in (1, 2) for j in (1, 2)]
+            runs.append([*collocation_residual(patch, 4096), spec.r1, spec.r2,
+                         np.array([spec.leak]), np.array(streams)])
+        assert contour._pool is not None  # the multi-worker passes used it
+        for run in runs[1:]:
+            for serial, parallel in zip(runs[0], run):
+                assert np.array_equal(serial, parallel)
+
+    def test_concurrent_callers_start_one_pool(self, monkeypatch):
+        # more workers than cores and a short switch interval: callers that
+        # race to start the pool must start one, and get the serial result
+        import concurrent.futures
+
+        patch = small_patch(b=0.6, m=4, K=3, seed=11)
+        monkeypatch.setattr(contour, "_WORKERS", 1)
+        serial = residual(patch, 2048)  # q = 512: 255 targets in 8 blocks
+        callers = concurrent.futures.ThreadPoolExecutor(max_workers=4)
+        started = []
+
+        class Counted(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                started.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counted)
+        monkeypatch.setattr(contour, "_pool", None)
+        monkeypatch.setattr(contour, "_WORKERS", 3)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with callers:
+                futures = [callers.submit(residual, patch, 2048) for _ in range(8)]
+                _, pending = concurrent.futures.wait(futures, timeout=60)
+                assert not pending
+        finally:
+            sys.setswitchinterval(interval)
+            for pool in started:
+                pool.shutdown()
+        assert len(started) == 1
+        for future in futures:
+            par = future.result()
+            assert np.array_equal(serial.r1, par.r1) and np.array_equal(serial.r2, par.r2)
+
+    def test_collision_in_a_worker_block_reaches_the_caller(self, monkeypatch):
+        # 16 blocks of 4 targets on 2 workers; the colliding target 21 is in
+        # block 5, which the second stripe takes on a pool thread
+        P = 64
+        nodes = contour._nodes(P)
+        src = (nodes, nodes)
+        dst = 0.5 * nodes
+        dst[21] = nodes[3]
+        monkeypatch.setattr(contour, "_BLOCK_PAIRS", 4 * P)
+        monkeypatch.setattr(contour, "_WORKERS", 2)
+        with pytest.raises(BoundaryCollision):
+            contour._stream_on_grid(src, (dst, dst), slice(0, P), False)
+        # the pool survives the error: a later pass gives the serial result
+        patch = small_patch(b=0.6, m=4, K=3, seed=5)
+        after = collocation_residual(patch, 256)
+        monkeypatch.setattr(contour, "_WORKERS", 1)
+        serial = collocation_residual(patch, 256)
+        assert all(np.array_equal(a, s) for a, s in zip(after, serial))
+
+    def test_error_waits_for_every_stripe(self, monkeypatch):
+        # the collision is in block 2, early in the caller's stripe; the pool
+        # stripe's blocks are slow, and all of them end before the raise
+        import time
+
+        P = 64
+        nodes = contour._nodes(P)
+        dst = 0.5 * nodes
+        dst[9] = nodes[3]
+        monkeypatch.setattr(contour, "_BLOCK_PAIRS", 4 * P)
+        done = []
+
+        def block(lo, hi, d, spare, weight):
+            if lo // 4 % 2:
+                time.sleep(0.005)
+            done.append(lo)
+
+        with pytest.raises(BoundaryCollision):
+            contour._distance_blocks(nodes, dst, slice(0, P), False, block, 2)
+        assert sorted(done) == [0] + list(range(4, P, 8))
+
+    @pytest.mark.filterwarnings("ignore:.*fork.*:DeprecationWarning")
+    def test_pool_works_in_a_forked_child(self, monkeypatch):
+        # the child inherits a started pool whose threads were not copied;
+        # without the reset at fork its passes would wait for them forever
+        monkeypatch.setattr(contour, "_WORKERS", 2)
+        patch = small_patch(b=0.6, m=6, K=3, seed=12, scale=3e-4)
+        parent = residual(patch, 4096)
+        assert contour._pool is not None
+        ctx = multiprocessing.get_context("fork")
+        receive, send = ctx.Pipe(duplex=False)
+
+        def child():
+            child_res = residual(patch, 4096)
+            send.send((child_res.r1, child_res.r2))
+
+        proc = ctx.Process(target=child)
+        proc.start()
+        try:
+            assert receive.poll(20), "forked child did not finish its residual pass in 20 s"
+            r1, r2 = receive.recv()
+        finally:
+            proc.join(5)
+            if proc.is_alive():
+                proc.kill()
+                proc.join()
+        assert proc.exitcode == 0
+        assert np.array_equal(r1, parent.r1) and np.array_equal(r2, parent.r2)
+
+    def test_pool_starts_lazily(self):
+        # commands without a multi-block kernel pass, and a single-block
+        # residual, start no thread and import no executor
+        script = (
+            "import sys, threading\n"
+            "from sqg_vstates import cli, contour\n"
+            "assert cli.main(['spectrum', '--b', '0.5', '--m-max', '40']) == 0\n"
+            "assert cli.main(['threshold', '--b', '0.9']) == 0\n"
+            "contour.residual(contour.annulus_patch(0.6, 4, 3, 0.3), 256)\n"
+            "assert threading.active_count() == 1, threading.enumerate()\n"
+            "assert 'concurrent.futures' not in sys.modules\n"
+        )
+        src = pathlib.Path(contour.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-c", script], cwd=src, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
