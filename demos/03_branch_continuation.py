@@ -31,9 +31,9 @@ m = threshold_N(b, consts) + 1
 row = bifurcation_row(m, b, consts)
 print(f"b = {b}, m = {m}: Omega_m^- = {row.omega_minus:.10f}, Omega_m^+ = {row.omega_plus:.10f}")
 
-K, P = 8, 1280  # 8 retained modes, collocation well above the 4*K*m floor
+K = 8  # retained modes; P defaults to 4*K*m
 for sign, omega0 in (("plus", row.omega_plus), ("minus", row.omega_minus)):
-    run = branch_continue(m, b, sign, steps=8, ds=1e-3, K=K, P=P, consts=consts)
+    run = branch_continue(m, b, sign, steps=8, ds=1e-3, K=K, consts=consts)
     print(f"\nbranch {sign} (from Omega = {omega0:.10f})")
     print(f"{'s':>8} {'Omega(s)':>16} {'Omega-Omega_0':>14} {'residual':>10}")
     for pt in run.points:

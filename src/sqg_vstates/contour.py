@@ -58,22 +58,13 @@ in the limit, so every kernel pass evaluates only the orbit
 representatives k = 1..ceil(q/2)-1, which :func:`_collocation_grid` alone
 defines; the rest are copies up to summation order, or zero.
 
-Threads.  The target blocks of a kernel pass are independent, and numpy
-releases the GIL inside its ufuncs and matrix products, so the residual
-passes (:func:`_stream_on_grid`) run their blocks on one thread per usable
-core: the caller and a thread pool started by the first pass with more
-than one block.  A single-block pass, or a process on one core, runs
-inline.  The block layout depends only on P and the number of targets, so
-every result is bitwise the same on any number of cores.  The Jacobian
-pass keeps one worker: a multithreaded BLAS already splits its wider
-matrix products.
+Threads.  Kernel passes run on the calling thread; BLAS threads are the
+only parallelism.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
@@ -113,41 +104,8 @@ TWO_PI = 2.0 * math.pi
 COLLISION_TOL = 1e-10
 
 # Kernel pairs per target block of every kernel pass: about 512 KB per
-# P x block buffer, two buffers per worker, so on two cores the pass keeps
-# 2 MB in flight and each worker's blocks stay in cache.
+# P x block buffer, so the pass's two buffers stay in cache.
 _BLOCK_PAIRS = 1 << 16
-
-# Kernel-pass workers, the calling thread included: one per usable core.
-# The block layout depends only on P and the number of targets, never on
-# this count, so results do not either.
-_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-# The kernel-pass thread pool: _WORKERS - 1 threads beside the caller,
-# started by the first pass with more than one block.
-_pool = None
-_pool_lock = threading.Lock()
-
-
-def _reset_pool() -> None:
-    """Forget the pool in a forked child: its threads were not copied."""
-    global _pool, _pool_lock
-    _pool = None
-    _pool_lock = threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_reset_pool)
-
-
-def _executor():
-    """The kernel-pass thread pool, started on first use."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            _pool = ThreadPoolExecutor(max_workers=max(1, _WORKERS - 1), thread_name_prefix="vstates-kernel")
-        return _pool
 
 
 @dataclass(frozen=True)
@@ -335,79 +293,52 @@ def _distance_blocks(
     targets: slice,
     self_pair: bool,
     block: Callable[[int, int, np.ndarray, np.ndarray, np.ndarray | float], None],
-    workers: int,
 ) -> None:
     """The kernel distances |D| = |Phi_src(tau_l) - Phi_dst(tau_k)| from the
     P grid nodes l to the targets k in the index range ``targets``, one
     block of targets at a time: the one place every kernel pass forms them.
 
-    Blocks hold about ``_BLOCK_PAIRS`` kernel pairs; their layout depends
-    only on P and the number of targets.  They are dealt in turn to
-    min(workers, blocks) stripes, each with two buffers of its own, all
-    allocated once per call.  The calling thread runs the first stripe and
-    the thread pool of :func:`_executor` the others.  Calls
-    ``block(lo, hi, d, spare, weight)`` per block, from the stripe's
-    thread: ``d`` holds |D| for targets lo..hi-1 of ``targets`` as a
+    Blocks hold about ``_BLOCK_PAIRS`` kernel pairs in two buffers
+    allocated once per call.  Calls ``block(lo, hi, d, spare, weight)``
+    per block: ``d`` holds |D| for targets lo..hi-1 of ``targets`` as a
     contiguous (hi - lo, P) view and ``spare`` is working space of the
-    same shape; ``block`` may overwrite both, and writes only rows lo..hi-1
-    of its outputs, so every result is bitwise independent of ``workers``.
-    The pair weight is ``weight`` / P: the matching rows of
-    :func:`_self_weights` on a self pair, 1.0 on a cross pair.  On a self
-    pair the diagonal l = k, where D = 0, is set to +inf, so it passes the
-    guard and its kernel ``weight / d`` is exactly 0.  Raises
-    :class:`BoundaryCollision` if any other distance drops below the
-    disjointness guard; the pass waits for every stripe before it raises
-    the error of the first stripe that failed.
+    same shape; ``block`` may overwrite both.  The pair weight is
+    ``weight`` / P: the matching rows of :func:`_self_weights` on a self
+    pair, 1.0 on a cross pair.  On a self pair the diagonal l = k, where
+    D = 0, is set to +inf, so it passes the guard and its kernel
+    ``weight / d`` is exactly 0.  Raises :class:`BoundaryCollision` if any
+    other distance drops below the disjointness guard.
     """
     P = phi_src.size
     first = targets.start
     dst = phi_dst[targets]
     n_dst = dst.size
     step = max(1, _BLOCK_PAIRS // P)
-    starts = range(0, n_dst, step)
-    stripes = max(1, min(workers, len(starts)))
     weights = _self_weights(P) if self_pair else None
-    # one allocation for every buffer: freed whole, it lifts glibc's dynamic
+    # one allocation for both buffers: freed whole, it lifts glibc's dynamic
     # mmap and trim thresholds above their joint size, so the pages stay in
     # the heap for the next pass (separate buffers were returned to the
     # kernel and faulted in again, page by page, on every call)
-    buffers = np.empty((stripes, 2, P * min(step, n_dst)))
-
-    def stripe(i: int) -> None:
-        d_buf, spare_buf = buffers[i]
-        for lo in starts[i::stripes]:
-            hi = min(lo + step, n_dst)
-            d = d_buf[:P * (hi - lo)].reshape(hi - lo, P)
-            spare = spare_buf[:P * (hi - lo)].reshape(hi - lo, P)
-            np.subtract(phi_src.real, dst.real[lo:hi, None], out=d)
-            np.subtract(phi_src.imag, dst.imag[lo:hi, None], out=spare)
-            d *= d
-            spare *= spare
-            d += spare
-            np.sqrt(d, out=d)
-            weight = 1.0
-            if weights is not None:
-                np.fill_diagonal(d[:, first + lo:first + hi], np.inf)
-                weight = weights[first + lo:first + hi]
-            if d.min() < COLLISION_TOL:
-                raise BoundaryCollision(
-                    f"boundaries closer than {COLLISION_TOL} at a quadrature node"
-                )
-            block(lo, hi, d, spare, weight)
-
-    if stripes == 1:
-        stripe(0)
-        return
-    from concurrent.futures import wait
-
-    # the caller takes the first stripe, the pool the others
-    futures = [_executor().submit(stripe, i) for i in range(1, stripes)]
-    try:
-        stripe(0)
-    finally:
-        wait(futures)
-    for future in futures:
-        future.result()
+    d_buf, spare_buf = np.empty((2, P * min(step, n_dst)))
+    for lo in range(0, n_dst, step):
+        hi = min(lo + step, n_dst)
+        d = d_buf[:P * (hi - lo)].reshape(hi - lo, P)
+        spare = spare_buf[:P * (hi - lo)].reshape(hi - lo, P)
+        np.subtract(phi_src.real, dst.real[lo:hi, None], out=d)
+        np.subtract(phi_src.imag, dst.imag[lo:hi, None], out=spare)
+        d *= d
+        spare *= spare
+        d += spare
+        np.sqrt(d, out=d)
+        weight = 1.0
+        if weights is not None:
+            np.fill_diagonal(d[:, first + lo:first + hi], np.inf)
+            weight = weights[first + lo:first + hi]
+        if d.min() < COLLISION_TOL:
+            raise BoundaryCollision(
+                f"boundaries closer than {COLLISION_TOL} at a quadrature node"
+            )
+        block(lo, hi, d, spare, weight)
 
 
 def _stream_on_grid(
@@ -418,8 +349,7 @@ def _stream_on_grid(
 ) -> np.ndarray:
     """S(Phi_src, Phi_dst) at the targets ``targets`` of the P grid nodes,
     from (Phi, A) of each map on the nodes (:func:`_map_values`).  The
-    weighted kernel comes block by block from :func:`_distance_blocks`,
-    on every kernel-pass worker.
+    weighted kernel comes block by block from :func:`_distance_blocks`.
     """
     phi_src, num_src = src
     phi_dst, num_dst = dst
@@ -435,7 +365,7 @@ def _stream_on_grid(
         re, im, total = (d @ sums).T
         out[lo:hi] = (re + 1j * im - num_w[lo:hi] * total) / P
 
-    _distance_blocks(phi_src, phi_dst, targets, self_pair, block, _WORKERS)
+    _distance_blocks(phi_src, phi_dst, targets, self_pair, block)
     return out
 
 
@@ -610,9 +540,7 @@ def _pair_derivatives(
         d *= spare  # V
         v_cols[lo:hi] = d @ t_v
 
-    # one worker: a multithreaded BLAS already splits the Jacobian's wider
-    # matrix products
-    _distance_blocks(phi_src, dst[0], targets, self_pair, block, 1)
+    _distance_blocks(phi_src, dst[0], targets, self_pair, block)
 
     def tail(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # column sum and sum against A

@@ -164,7 +164,7 @@ def test_criterion_08_linearized_operator():
     # FD Jacobian blocks match -(n m) M_{n m} to 1e-5 relative for
     # n in {1, 2}, m = N(b)+1, b in {0.5, 0.7}; off-block leakage <= 1e-7
     reports = {r.name: r for r in check_linearization(
-        b_set=(0.5, 0.7), modes=(1, 2), h=1e-6, P=4096)}
+        b_set=(0.5, 0.7), modes=(1, 2), h=1e-6)}
     block = reports["linearization_block"]
     off = reports["linearization_offblock"]
     ok = block.passed and off.passed

@@ -1,6 +1,11 @@
 """Oracle suite: every check passes at reduced (fast) sizes, reports are
 well-formed, and the suite is deterministic under a fixed seed."""
 
+import inspect
+import math
+
+from sqg_vstates.specfun import AnnulusConstants
+from sqg_vstates.spectrum import threshold_N
 from sqg_vstates.verify import (
     TOLERANCES,
     check_c1_c2,
@@ -59,6 +64,20 @@ def test_linearization_reduced():
     by_name = {r.name: r for r in reports}
     assert by_name["linearization_block"].passed
     assert by_name["linearization_offblock"].passed
+
+
+def test_linearization_default_grid():
+    # the default P keeps an m-not-dividing-P aliasing probe, resolves every
+    # probe's K = n + 2 modes at P >= 4 K m, and costs no accuracy
+    defaults = {k: v.default for k, v in inspect.signature(check_linearization).parameters.items()}
+    P = defaults["P"]
+    probes = [(threshold_N(b, AnnulusConstants.build(b)) + 1, n)
+              for b in defaults["b_set"] for n in defaults["modes"]]
+    assert any(math.gcd(m, P) < m for m, _ in probes)
+    assert all(P >= 4 * (n + 2) * m for m, n in probes)
+    by_name = {r.name: r for r in check_linearization()}
+    assert by_name["linearization_block"].max_error <= 1e-10
+    assert by_name["linearization_offblock"].max_error <= 5e-10
 
 
 def test_deterministic_given_seed():
