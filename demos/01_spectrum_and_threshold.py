@@ -3,8 +3,8 @@
 For each inner radius b the annulus is a rotating patch at every angular
 velocity, but non-trivial m-fold patch pairs branch off only at the
 discrete angular velocities Omega_m^± and only for fold symmetries m at or
-above a threshold N(b).  This script computes the threshold across radii
-and prints the bifurcation table for one radius.
+above a threshold N(b).  This script computes the threshold across radii,
+thin annuli included, and prints the bifurcation table for one radius.
 
 Run:  python demos/01_spectrum_and_threshold.py
 """
@@ -28,6 +28,12 @@ for b in np.linspace(0.1, 0.9, 9):
     _, e_prev, _ = discriminant(n - 1, float(b), consts)
     _, e_at, _ = discriminant(n, float(b), consts)
     print(f"{b:>5.1f} {n:>5d} {e_prev:>12.4e} {e_at:>12.4e}")
+
+# -- thin annuli: N(b) grows like 1.4226 / (1 - b) as b -> 1.
+print(f"\n{'b':>6} {'N(b)':>6} {'N(b)(1-b)':>10}")
+for b in (0.99, 0.999, 0.9999):
+    n = threshold_N(b, AnnulusConstants.build(b))
+    print(f"{b:>6} {n:>6d} {n * (1.0 - b):>10.4f}")
 
 # -- the full spectrum table at b = 0.6: for each admissible m, the pair
 #    of angular velocities where the linearized operator acquires a

@@ -11,9 +11,10 @@ Subcommands::
 
 Exit codes: 0 success, 2 usage error (including a file that cannot be
 opened), 3 guard violation, 4 numerical failure.  Output is deterministic: identical invocations produce
-byte-identical files.  No table size caps the threshold N(b), but thin
-annuli are slow or out of reach: b = 0.9997 gives N = 4742 in about a
-minute, and from about b = 0.9999 ``gauss_2f1`` runs out of terms (exit 4).
+byte-identical files.  No table size caps the threshold N(b), which grows
+like 1.4226 / (1 - b) for thin annuli: b = 0.9999 gives N = 14225 in about
+a second.  The constants need a recurrence of about 40 / (1 - b) steps,
+capped at ten million, so from about b = 0.999996 the command exits 4.
 """
 
 from __future__ import annotations

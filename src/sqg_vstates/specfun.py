@@ -1,5 +1,5 @@
-"""Special-function kernel: Pochhammer ratios, the Gauss hypergeometric
-series, odd-harmonic sums, and the annulus coupling coefficients.
+"""Special-function kernel: odd-harmonic sums, the annulus coupling
+coefficients, and the Pochhammer and Gauss hypergeometric oracles.
 
 All quantities are real scalars in double precision.  The two quantities
 the rest of the library is built on are
@@ -17,7 +17,7 @@ kernel can be cross-validated end to end:
 * ``gauss_2f1`` sums the defining power series of F(a, b, c; z);
   ``gauss_2f1_euler`` evaluates the Euler integral representation (valid
   for c > b > 0, cf. DLMF 15.6.1) by adaptive quadrature.
-* ``lambda_coeff`` uses the closed hypergeometric form;
+* ``lambda_coeff`` reads the AGM-and-recurrence ``_lambda_table``;
   ``lambda_integral_oracle`` integrates the equivalent Beta-type integral.
 * ``contiguous_residuals`` exposes four contiguous-parameter relations of
   F (cf. DLMF 15.5.11 ff.) that must vanish identically.
@@ -69,41 +69,24 @@ def _validate_2f1_args(a: float, b: float, c: float, z: float) -> None:
         raise PreconditionError(f"2F1 argument z must lie in [0, 1), got {z}")
 
 
-def gauss_2f1(
-    a: float,
-    b: float,
-    c: float,
-    z: float,
-    tol: float = 1e-15,
-    max_terms: int = 100000,
-) -> float:
-    """Gauss hypergeometric function F(a, b, c; z) by its power series.
+def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
+    """Gauss hypergeometric function F(a, b, c; z) by its power series,
+    an oracle only: no production constant is built from it.
 
-    Terms are accumulated until the current term falls below ``tol``
+    Terms are accumulated until the current term falls below 1e-15
     relative to the partial sum.  No transformation formulas are applied,
-    and the terms decay like z^n, so the term count grows like 1/(1 - z).
-    The library's uses have ``z = b_radius**2``: at inner radius 0.9999
-    (z = 0.9998) ``lambda_coeff`` needs more than the default
-    ``max_terms`` and ``NoConvergence`` is raised.
-
-    Raises
-    ------
-    NoConvergence
-        if ``max_terms`` terms do not reach the tolerance (z too close
-        to 1 for the given parameters).
+    and the terms decay like z^n, so the term count grows like 1/(1 - z);
+    ``NoConvergence`` is raised after 100000 terms.
     """
     _validate_2f1_args(a, b, c, z)
     term = 1.0
     total = 1.0
-    for n in range(max_terms):
+    for n in range(100000):
         term *= (a + n) * (b + n) / ((c + n) * (1.0 + n)) * z
         total += term
-        if abs(term) <= tol * abs(total):
+        if abs(term) <= 1e-15 * abs(total):
             return total
-    raise NoConvergence(
-        f"2F1 series did not converge in {max_terms} terms for "
-        f"(a={a}, b={b}, c={c}, z={z})"
-    )
+    raise NoConvergence(f"2F1 series did not converge in 100000 terms (a={a}, b={b}, c={c}, z={z})")
 
 
 def gauss_2f1_euler(a: float, b: float, c: float, z: float) -> float:
@@ -183,14 +166,48 @@ def _validate_mode_radius(n: int, b: float) -> None:
         raise PreconditionError(f"inner radius must satisfy 0 < b < 1, got {b}")
 
 
-def lambda_coeff(n: int, b: float) -> float:
-    """Annulus coupling coefficient at mode ``n`` for inner radius ``b``.
+# Longest recurrence _lambda_table runs: about 40 / (1 - b) steps reach b = 0.99999.
+_MAX_RECURRENCE = 10**7
 
-    Closed form ``((1/2)_n / n!) * b^(n-1) * F(1/2, n+1/2, n+1; b^2)``.
-    Positive, strictly decreasing in ``n``, strictly increasing in ``b``.
+
+def _agm(x: float, y: float) -> float:
+    """Arithmetic-geometric mean of x >= y > 0.  The relative gap at least
+    halves each step, and from 1e-9 one more mean is exact to rounding."""
+    while x - y > 1e-9 * x:
+        x, y = 0.5 * (x + y), math.sqrt(x * y)
+    return 0.5 * (x + y)
+
+
+def _lambda_table(b: float, n_max: int) -> np.ndarray:
+    """``lambda_coeff(n, b)`` for n = 1..n_max.  Lambda_n = b^(n) / (2b) for
+    the Laplace coefficients b^(j) of (1 - 2b cos psi + b^2)^(-1/2), with
+    b^(0) = 2 / AGM(1 + b, 1 - b) (DLMF 19.8); Lambda_n is the minimal
+    solution of (j + 1/2) b^(j+1) = j (b + 1/b) b^(j) - (j - 1/2) b^(j-1),
+    run backwards from 40 / |ln b| past n_max (Miller's algorithm) in the
+    deviation sigma_j = 1 - b^(j) / (b b^(j-1)), whose terms are positive.
+    Entries depend only on (b, n): a table is bitwise a prefix of a larger one.
     """
+    start = n_max + math.ceil(40.0 / -math.log(b)) + 2
+    if start > _MAX_RECURRENCE:
+        raise NoConvergence(f"Lambda_n at b={b} needs a recurrence of {start} steps,"
+                            f" over the cap of {_MAX_RECURRENCE}")
+    b2, half_gap = b * b, 0.5 * (1.0 - b) * (1.0 + b)
+    sigma, sigmas = 0.5 / start, []
+    for j in range(start - 1, 0, -1):
+        t = b2 * (j + 0.5) * sigma
+        sigma = (half_gap + t) / (j - 0.5 * b2 + t)
+        if j <= n_max:
+            sigmas.append(sigma)
+    log_prod = np.cumsum(np.log1p(-np.array(sigmas[::-1])))
+    return (1.0 / _agm(1.0 + b, 1.0 - b)) * b ** np.arange(n_max) * np.exp(log_prod)
+
+
+def lambda_coeff(n: int, b: float) -> float:
+    """Annulus coupling coefficient ``((1/2)_n / n!) * b^(n-1) * F(1/2, n+1/2,
+    n+1; b^2)``, the last entry of ``_lambda_table(b, n)``.  Positive,
+    strictly decreasing in ``n``, strictly increasing in ``b``."""
     _validate_mode_radius(n, b)
-    return pochhammer_ratio(0.5, n) * b ** (n - 1) * gauss_2f1(0.5, n + 0.5, n + 1.0, b * b)
+    return float(_lambda_table(b, n)[-1])
 
 
 def lambda_integral_oracle(n: int, b: float) -> float:
@@ -235,7 +252,7 @@ class AnnulusConstants:
         if n_max < 1:
             raise PreconditionError(f"n_max must be >= 1, got {n_max}")
         s = _s_table(n_max)
-        lam = np.array([lambda_coeff(n, b) for n in range(1, n_max + 1)])
+        lam = _lambda_table(b, n_max)
         s.setflags(write=False)
         lam.setflags(write=False)
         return cls(b=b, n_max=n_max, s_table=s, lambda_table=lam)

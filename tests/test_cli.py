@@ -2,11 +2,12 @@
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
 
-from sqg_vstates.cli import EXIT_GUARD, EXIT_OK, _fmt17, main
+from sqg_vstates.cli import EXIT_GUARD, EXIT_NUMERIC, EXIT_OK, _fmt17, main
 from sqg_vstates.contour import PatchPair, boundary_samples
 
 SPECTRUM_HEADER = "m,C_m,D_m,Delta_m,lambda_minus,lambda_plus,omega_minus,omega_plus,transversal"
@@ -94,6 +95,13 @@ class TestThresholdCommand:
         # N(0.995) = 284 lies past the 200-mode default table
         assert main(["threshold", "--b", "0.995"]) == EXIT_OK
         assert " N=284 " in capsys.readouterr().out
+
+    def test_thinnest_annulus_fails_fast(self, capsys):
+        # b = 1 - 2^-53 would need a recurrence of about 4e17 steps
+        t0 = time.perf_counter()
+        assert main(["threshold", "--b", "0.9999999999999999"]) == EXIT_NUMERIC
+        assert time.perf_counter() - t0 < 1.0
+        assert "needs a recurrence of" in capsys.readouterr().err
 
 
 class TestBranchCommand:

@@ -1,6 +1,8 @@
 """Special-function kernel: series vs oracle routes, exact values, invariants."""
 
+import decimal
 import math
+import time
 
 import numpy as np
 import pytest
@@ -9,6 +11,8 @@ from sqg_vstates.errors import NoConvergence, PreconditionError
 from sqg_vstates.quadrature import adaptive_quad
 from sqg_vstates.specfun import (
     AnnulusConstants,
+    _agm,
+    _lambda_table,
     contiguous_residuals,
     gauss_2f1,
     gauss_2f1_euler,
@@ -186,6 +190,68 @@ class TestLambdaCoefficient:
             lambda_coeff(3, 1.0)
         with pytest.raises(PreconditionError):
             lambda_integral_oracle(3, 0.0)
+
+
+def _decimal_lambda_table(b: float, n_max: int, digits: int = 40) -> list[float]:
+    """The AGM and backward recurrence of ``_lambda_table``, from the same
+    start index, in ``digits``-digit decimal arithmetic."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        one, half, bd = decimal.Decimal(1), decimal.Decimal("0.5"), decimal.Decimal(b)
+        x, y = one + bd, one - bd
+        while x - y > decimal.Decimal(10) ** (-digits // 2) * x:
+            x, y = (x + y) / 2, (x * y).sqrt()
+        b2, start = bd * bd, n_max + math.ceil(40.0 / -math.log(b)) + 2
+        sigma, sigmas = one / (2 * start), []
+        for j in range(start - 1, 0, -1):
+            t = b2 * (j + half) * sigma
+            sigma = (half * (one - b2) + t) / (j - half * b2 + t)
+            if j <= n_max:
+                sigmas.append(sigma)
+        lam, out = 2 / (x + y) / bd, []
+        for sigma in reversed(sigmas):
+            lam *= bd * (one - sigma)
+            out.append(float(lam))
+        return out
+
+
+class TestLambdaTable:
+    # the seed-6 and seed-13 radii of the diagram benchmark, where a
+    # recurrence on the ratio r_j instead of sigma_j drifted most
+    RADII = [float(b) for b in np.linspace(0.05, 0.95, 19)] + [0.6924954403848922, 0.933956871298993]
+
+    @pytest.mark.parametrize("b", RADII)
+    def test_matches_closed_form(self, b):
+        table = _lambda_table(b, 999)
+        for n in range(1, 1000):
+            closed = pochhammer_ratio(0.5, n) * b ** (n - 1) * gauss_2f1(0.5, n + 0.5, n + 1.0, b * b)
+            if closed > 1e-250:  # subnormal values carry fewer digits
+                assert abs(table[n - 1] - closed) <= 3e-14 * closed, (b, n)
+
+    @pytest.mark.parametrize("b", [0.99, 0.999])
+    def test_matches_40_digit_recurrence(self, b):
+        ref = np.array(_decimal_lambda_table(b, 1000))
+        assert np.max(np.abs(_lambda_table(b, 1000) / ref - 1.0)) <= 2e-14
+
+    @pytest.mark.parametrize("b", [0.05, 0.3, 0.6, 0.9, 0.999])
+    def test_bitwise_prefix_of_larger_table(self, b):
+        full = _lambda_table(b, 999)
+        for n in (1, 7, 64, 199, 200, 511, 999):
+            assert np.array_equal(_lambda_table(b, n), full[:n]), n
+
+    def test_agm_ends_for_extreme_radii(self):
+        assert _agm(1.0 + 1e-300, 1.0 - 1e-300) == 1.0
+        # 2 / AGM(1 + k, 1 - k) = (4/pi) K(k), K(1/2) = 1.6857503548125960
+        assert 2.0 / _agm(1.5, 0.5) == pytest.approx(4.0 / math.pi * 1.685750354812596, rel=1e-15)
+        # K(k) -> log(4/k') as k -> 1, with k' = 2^-26 at b = 1 - 2^-53
+        b = 1.0 - 2.0**-53
+        assert _agm(1.0 + b, 1.0 - b) == pytest.approx(math.pi / (56.0 * math.log(2.0)), rel=1e-14)
+
+    def test_thin_annulus_cap_fails_fast(self):
+        t0 = time.perf_counter()
+        with pytest.raises(NoConvergence, match=r"b=0\.9999999999999999 needs a recurrence of \d+ steps"):
+            lambda_coeff(1, 1.0 - 2.0**-53)
+        assert time.perf_counter() - t0 < 1.0
 
 
 class TestAnnulusConstants:

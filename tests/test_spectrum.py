@@ -2,6 +2,7 @@
 kernel, and the brute-force determinant cross-checks."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -92,6 +93,17 @@ class TestQuadraticCoefficients:
                 delta, _, _ = discriminant(n, b, consts)
                 assert abs(c_n * c_n - d_n - delta) <= 1e-10 * max(1.0, abs(delta))
 
+    def test_d_n_to_rounding_against_exact_arithmetic(self, consts_map):
+        # D_n of the same float inputs in exact rational arithmetic; the
+        # expanded polynomial loses up to 11 units of 2^-52 here, the product 2
+        for b, consts in consts_map.items():
+            B, L1 = Fraction(b), Fraction(consts.lam(1))
+            for n in range(2, 201):
+                S, LN = Fraction(consts.s(n)), Fraction(consts.lam(n))
+                exact = (1 - 2 * S + 2 * B * B * L1) * (1 + 2 * S / B - 2 * L1) + 4 * B * B * LN * LN
+                d_n = quadratic_coeffs(n, b, consts)[1]
+                assert abs(Fraction(d_n) - exact) <= Fraction(2.0**-50) * max(1, abs(exact))
+
     def test_large_radius_is_finite(self):
         consts = AnnulusConstants.build(0.999, n_max=10)
         c_n, d_n = quadratic_coeffs(2, 0.999, consts)
@@ -151,6 +163,13 @@ class TestThreshold:
         # N(0.9) = 14 > 5: the scan runs past the table instead of failing
         consts = AnnulusConstants.build(0.9, n_max=5)
         assert threshold_N(0.9, consts) == 14
+
+    def test_thin_annulus_limit(self):
+        # N(b) (1 - b) -> 1.4226 as b -> 1; each N lies far past the
+        # default 200-mode table
+        for b, n in ((0.999, 1422), (0.9997, 4742), (0.9999, 14225)):
+            assert threshold_N(b, AnnulusConstants.build(b)) == n
+            assert n * (1.0 - b) == pytest.approx(1.4226, abs=1e-3)
 
 
 class TestBifurcationRow:
