@@ -38,7 +38,7 @@ from .errors import (
     SingularJacobian,
 )
 from .specfun import AnnulusConstants
-from .spectrum import SpectrumRow, bifurcation_row, discriminant, threshold_N
+from .spectrum import SpectrumRow, _threshold_scan, bifurcation_row, discriminant, threshold_N
 from .verify import DEFAULT_SEED, format_report_table, run_default_suite
 
 EXIT_OK = 0
@@ -115,8 +115,8 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def cmd_threshold(args: argparse.Namespace) -> int:
-    consts = AnnulusConstants.build(args.b)
-    n_thr = threshold_N(args.b, consts)
+    # the table the scan ends on reaches N, so E[N-1] and E[N] are lookups
+    n_thr, consts = _threshold_scan(args.b, AnnulusConstants.build(args.b))
     _, e_prev, _ = discriminant(n_thr - 1, args.b, consts)
     _, e_at, _ = discriminant(n_thr, args.b, consts)
     print(f"b={_fmt17(args.b)} N={n_thr} E[N-1]={_fmt17(e_prev)} E[N]={_fmt17(e_at)}")

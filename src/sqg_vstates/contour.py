@@ -41,11 +41,15 @@ FFT of mu; V_0 = 0 drops the diagonal.
 ``residual`` collocates G_1, G_2 on a uniform grid and projects onto the
 retained sine modes sin(n m theta); ``newton_correct`` and
 ``branch_continue`` trace solution branches off the annulus in the kernel
-direction of the linearized operator.  The Newton Jacobian is the exact
-derivative of the discrete residual: both maps are linear in (a, c), so
-every column follows in closed form from the kernel matrices of one pass.
-Central differences remain only as the independent oracle, in the tests
-and in ``verify``.
+direction of the linearized operator.  The Newton Jacobian comes from
+the 4 K m grid, where it is the exact derivative of that grid's discrete
+residual: both maps are linear in (a, c), so every column follows in
+closed form from the kernel matrices of one pass.  On a finer grid P it
+agrees with the exact one to roundoff once 4 K m resolves the solution
+(2.3e-15 relative at P = 1280, K = 8, m = 5), so a kernel pass at P is
+only ever a residual; acceptance, ``residual_norm`` and the tolerance
+are always at P.  Central differences remain only as the independent
+oracle, in the tests and in ``verify``.
 
 Grid symmetry.  Let g = gcd(m, P) and q = P / g.  Rotation by 2 pi / g
 shifts every grid index by q, and because g | m every map obeys
@@ -636,24 +640,33 @@ def newton_correct(
     max_iter: int = 25,
     newton_tol: float = 1e-10,
 ) -> tuple[PatchPair, float]:
-    """Solve the augmented system {residual = 0, kernel projection = s}.
+    """Solve the augmented system {residual = 0, kernel projection = s}
+    on the P grid.
 
-    Damped Newton on the 2K+1 unknowns (a, c, Omega).  The Jacobian is the
-    exact derivative of the discrete residual (same quadrature, targets and
-    projection), and one kernel pass (:func:`_exact_jacobian`) gives both
-    the residual F and the Jacobian at a point; central differences serve
-    only as the oracle in the tests and in ``verify``.  The residual is
-    evaluated on its own only at line-search trial points, so an iterate
-    that converges after one full step costs one Jacobian pass and one
-    residual pass.  The Jacobian is reused across iterations while full
-    steps keep reducing the residual, and refreshed when progress stalls.
-    Returns the corrected patch and its residual norm (max sine
-    coefficient).
+    Damped Newton on the 2K+1 unknowns (a, c, Omega) with the Jacobian of
+    the 4 K m grid: the exact derivative of the discrete residual there,
+    from the kernel pass (:func:`_exact_jacobian`) that also gives that
+    grid's residual F.  Newton first solves the 4 K m system; when P is
+    larger, it then evaluates the residual at P and goes on from there
+    with that residual as the right-hand side and the same 4 K m Jacobian
+    (a two-grid Newton, or defect correction), so a kernel pass at P is
+    only ever a residual.  A point is accepted only on its residual at P,
+    and the returned norm is that residual's.  When the 4 K m grid
+    resolves the solution, a point that converges after one full step
+    costs one Jacobian pass and one residual pass at 4 K m and one
+    residual pass at P.  The residual is evaluated on its own only at
+    line-search trial points and at that switch.  The Jacobian is reused
+    across iterations while full steps keep reducing the residual, and
+    refreshed when progress stalls.  The ``max_iter`` budget spans both
+    grids.  Central differences serve only as the oracle in the tests and
+    in ``verify``.  Returns the corrected patch and its residual norm (max
+    sine coefficient at P).
 
     Raises
     ------
     PreconditionError
-        if ``newton_tol`` is not finite and positive.
+        if ``newton_tol`` is not finite and positive, or P is not even and
+        at least 4 K m.
     NoConvergence
         after ``max_iter`` iterations above tolerance.
     SingularJacobian
@@ -661,16 +674,29 @@ def newton_correct(
     """
     _check_tol(newton_tol)
     K = patch.K
+    coarse = 4 * K * patch.m
+    _collocation_grid(patch.m, K, P)  # P is checked before any work
     vhat = kernel.normalized()
     x = _pack(patch)
     jac: Optional[np.ndarray]
-    jac, fvec, rnorm = _exact_jacobian(patch, x, s, vhat, P)
+    jac, fvec, rnorm = _exact_jacobian(patch, x, s, vhat, coarse)
     jac_fresh = True
-    for _ in range(max_iter):
+    grid = coarse  # the grid of fvec and of the line-search trials
+    iterations = 0
+    while True:
         if np.abs(fvec).max() <= newton_tol:
-            break
+            if grid == P:
+                return patch.with_state(x[:K], x[K:2 * K], float(x[2 * K])), rnorm
+            grid = P
+            fvec, rnorm = _system(patch, x, s, vhat, P)
+            continue
+        if iterations == max_iter:
+            raise NoConvergence(f"Newton did not reach {newton_tol} in {max_iter} iterations")
+        iterations += 1
         if jac is None:
-            jac, fvec, rnorm = _exact_jacobian(patch, x, s, vhat, P)
+            jac, *coarse_f = _exact_jacobian(patch, x, s, vhat, coarse)
+            if grid == coarse:
+                fvec, rnorm = coarse_f
             jac_fresh = True
         if jac_fresh and np.linalg.cond(jac) > _COND_LIMIT:
             raise SingularJacobian(
@@ -682,7 +708,7 @@ def newton_correct(
         accepted = False
         for _ in range(_MAX_BACKTRACK):
             try:
-                f_try, r_try = _system(patch, x + step * dx, s, vhat, P)
+                f_try, r_try = _system(patch, x + step * dx, s, vhat, grid)
             except (PreconditionError, BoundaryCollision):
                 step *= 0.5
                 continue
@@ -701,9 +727,6 @@ def newton_correct(
             jac = None
         else:
             jac_fresh = False
-    if np.abs(fvec).max() <= newton_tol:
-        return patch.with_state(x[:K], x[K:2 * K], float(x[2 * K])), rnorm
-    raise NoConvergence(f"Newton did not reach {newton_tol} in {max_iter} iterations")
 
 
 # Polynomial extrapolation in s through the last 2 or 3 accepted points of
@@ -750,9 +773,12 @@ def branch_continue(
     unknowns (a, c, Omega) in s: the secant through the last two accepted
     points, then the quadratic through the last three (:func:`_predict`),
     which leaves a predictor residual small enough for one Newton
-    iteration.  The corrector is :func:`newton_correct`.  On a guard or
-    Newton failure the partial branch up to the last good point is
-    returned with ``stopped_reason`` set; nothing is discarded.
+    iteration.  The corrector is :func:`newton_correct`: its Jacobian
+    comes from the 4 K m grid, while every accepted point's
+    ``residual_norm`` is its residual at P and meets ``newton_tol``
+    there.  On a guard or Newton failure the partial branch up to the
+    last good point is returned with ``stopped_reason`` set; nothing is
+    discarded.
 
     ``P`` defaults to 4 K m, which resolves every retained mode with alias
     margin; an explicit ``P`` must be positive and is rounded up to the

@@ -9,6 +9,7 @@ import pytest
 
 from sqg_vstates.cli import EXIT_GUARD, EXIT_NUMERIC, EXIT_OK, _fmt17, main
 from sqg_vstates.contour import PatchPair, boundary_samples
+from sqg_vstates.specfun import AnnulusConstants
 
 SPECTRUM_HEADER = "m,C_m,D_m,Delta_m,lambda_minus,lambda_plus,omega_minus,omega_plus,transversal"
 
@@ -95,6 +96,21 @@ class TestThresholdCommand:
         # N(0.995) = 284 lies past the 200-mode default table
         assert main(["threshold", "--b", "0.995"]) == EXIT_OK
         assert " N=284 " in capsys.readouterr().out
+
+    def test_thin_annulus_builds_two_tables(self, capsys, monkeypatch):
+        # the default table, then one sized from N(b) (1 - b) -> 1.4226 that
+        # reaches N, so E[N-1] and E[N] need no further recurrence
+        builds = []
+        build = AnnulusConstants.build.__func__
+
+        def counted(cls, b, n_max=200):
+            builds.append(n_max)
+            return build(cls, b, n_max)
+
+        monkeypatch.setattr(AnnulusConstants, "build", classmethod(counted))
+        assert main(["threshold", "--b", "0.9999"]) == EXIT_OK
+        assert " N=14225 " in capsys.readouterr().out
+        assert len(builds) <= 2
 
     def test_thinnest_annulus_fails_fast(self, capsys):
         # b = 1 - 2^-53 would need a recurrence of about 4e17 steps

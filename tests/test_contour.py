@@ -62,6 +62,13 @@ def sine_coefficients(patch, P):
     return fvec[:patch.K], fvec[patch.K:2 * patch.K]
 
 
+def kernel_direction(m, b, sign, consts):
+    """The normalized kernel direction of the branch ``sign`` at mode m."""
+    row = bifurcation_row(m, b, consts)
+    omega0 = row.omega_plus if sign == "plus" else row.omega_minus
+    return kernel_vector(m, b, omega0, consts).normalized()
+
+
 def direct_maps(patch, w):
     """(Phi_j, w Phi_j'(w)) for both maps at the points ``w`` by the direct
     power sum, independent of the FFT evaluator."""
@@ -553,6 +560,35 @@ class TestNewton:
             newton_correct(start, 1e-3, kern, P=320, newton_tol=tol)
 
 
+    @pytest.mark.parametrize("sign", ["plus", "minus"])
+    def test_coarse_jacobian_matches_fine_grid(self, consts_06, sign):
+        # the premise of the two-grid Newton: at the criterion-10 step-10
+        # point the Jacobian on the 4Km grid is the one at P = 1280
+        m, K, P = 5, 8, 1280
+        run = branch_continue(m, 0.6, sign, steps=10, ds=1e-3, K=K, P=P, consts=consts_06)
+        assert run.stopped_reason is None
+        pt = run.points[-1]
+        vhat = kernel_direction(m, 0.6, sign, consts_06)
+        x = contour._pack(pt.patch)
+        fine = contour._exact_jacobian(pt.patch, x, pt.s, vhat, P)[0]
+        coarse = contour._exact_jacobian(pt.patch, x, pt.s, vhat, 4 * K * m)[0]
+        assert np.abs(coarse - fine).max() <= 1e-12 * np.abs(fine).max()
+
+    @pytest.mark.parametrize("sign", ["plus", "minus"])
+    def test_residual_at_p_decides_when_coarse_grid_under_resolves(self, consts_06, sign):
+        # with K = 1 the 4Km = 20 grid misses the solution at P = 320, so
+        # Newton must go on from the residual at P until that one converges
+        m, K, P = 5, 1, 320
+        run = branch_continue(m, 0.6, sign, steps=4, ds=1e-2, K=K, P=P, consts=consts_06)
+        assert run.stopped_reason is None and len(run.points) == 5
+        vhat = kernel_direction(m, 0.6, sign, consts_06)
+        for pt in run.points[1:]:
+            x = contour._pack(pt.patch)
+            at_p = contour._system(pt.patch, x, pt.s, vhat, P)[1]
+            at_coarse = contour._system(pt.patch, x, pt.s, vhat, 4 * K * m)[1]
+            assert pt.residual_norm == at_p <= 1e-10
+            assert at_coarse > 1e-6
+
 class TestBranchContinue:
     def test_zero_steps_single_point(self, consts_06):
         m = threshold_N(0.6, consts_06) + 1
@@ -615,28 +651,49 @@ class TestBranchContinue:
                 branch_continue(5, 0.6, "plus", steps=1, ds=1e-3, K=4, P=P, consts=consts_06)
 
     def test_one_jacobian_and_one_residual_pass_per_step(self, consts_06, monkeypatch):
+        # Newton forms its Jacobian on the 4Km grid only; a kernel pass at a
+        # finer P is a residual, and from step 3 on (quadratic predictor)
+        # each point costs one Jacobian pass at 4Km and one residual pass
+        # at P, plus one 4Km trial residual when P > 4Km
         calls = []
         for name in ("_exact_jacobian", "_system"):
             def counted(*args, _name=name, _orig=getattr(contour, name)):
-                calls.append(_name)
+                calls.append((_name, args[-1]))
                 return _orig(*args)
             monkeypatch.setattr(contour, name, counted)
         step_calls = []
         newton = contour.newton_correct
+        depth = 0
 
         def per_step(*args):
-            calls.clear()
-            out = newton(*args)
-            step_calls.append((calls.count("_exact_jacobian"), calls.count("_system")))
-            return out
+            # an inner call of newton_correct is counted in its outer step
+            nonlocal depth
+            if depth == 0:
+                calls.clear()
+            depth += 1
+            try:
+                return newton(*args)
+            finally:
+                depth -= 1
+                if depth == 0:
+                    step_calls.append(list(calls))
 
         monkeypatch.setattr(contour, "newton_correct", per_step)
         m = threshold_N(0.6, consts_06) + 1
-        run = branch_continue(m, 0.6, "plus", steps=6, ds=1e-3, K=4, P=320, consts=consts_06)
-        assert run.stopped_reason is None and len(run.points) == 7
-        assert len(step_calls) == 6
-        assert all(jac == 1 for jac, _ in step_calls)
-        assert all(res == 1 for _, res in step_calls[2:])
+        K = 4
+        coarse = 4 * K * m
+        for P in (coarse, 4 * coarse):
+            step_calls.clear()
+            run = branch_continue(m, 0.6, "plus", steps=6, ds=1e-3, K=K, P=P, consts=consts_06)
+            assert run.stopped_reason is None and len(run.points) == 7
+            assert len(step_calls) == 6
+            for k, step in enumerate(step_calls):
+                assert all(grid in (coarse, P) for _, grid in step)
+                assert step.count(("_exact_jacobian", P)) == (1 if P == coarse else 0)
+                if k >= 2:
+                    assert step.count(("_exact_jacobian", coarse)) == 1
+                    assert step.count(("_system", P)) == 1
+                    assert len(step) == (2 if P == coarse else 3)
 
     def test_predictor_extrapolates_quadratic_path(self):
         K, ds, vhat = 3, 1e-3, (0.6, 0.8)
