@@ -11,10 +11,10 @@ Subcommands::
 
 Exit codes: 0 success, 2 usage error (including a file that cannot be
 opened), 3 guard violation, 4 numerical failure.  Output is deterministic: identical invocations produce
-byte-identical files.  No table size caps the threshold N(b), which grows
-like 1.4226 / (1 - b) for thin annuli: b = 0.9999 gives N = 14225 in about
-a second.  The constants need a recurrence of about 40 / (1 - b) steps,
-capped at ten million, so from about b = 0.999996 the command exits 4.
+byte-identical files.  Each command builds one constants table, which
+reaches N(b) ~ 1.4226 / (1 - b): b = 0.9999 gives N = 14225 in about 0.3 s.
+It needs a recurrence of about 41.5 / (1 - b) steps, capped at ten
+million, so from about b = 0.9999959 the command exits 4.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .errors import (
     SingularJacobian,
 )
 from .specfun import AnnulusConstants
-from .spectrum import SpectrumRow, _threshold_scan, bifurcation_row, discriminant, threshold_N
+from .spectrum import SpectrumRow, bifurcation_row, discriminant, threshold_N
 from .verify import DEFAULT_SEED, format_report_table, run_default_suite
 
 EXIT_OK = 0
@@ -74,7 +74,9 @@ def _transversal(row: SpectrumRow) -> bool:
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
-    consts = AnnulusConstants.build(args.b, n_max=max(200, (args.m_max or 0) + 1))
+    # build() reaches N(b) from any floor; an --m-max below 1 is refused below
+    sized = args.m_max is not None and args.m_max >= 1
+    consts = AnnulusConstants.build(args.b, args.m_max) if sized else AnnulusConstants.build(args.b)
     n_thr = threshold_N(args.b, consts)
     m_min = args.m_min if args.m_min is not None else n_thr
     m_max = args.m_max if args.m_max is not None else m_min + 20
@@ -115,8 +117,9 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def cmd_threshold(args: argparse.Namespace) -> int:
-    # the table the scan ends on reaches N, so E[N-1] and E[N] are lookups
-    n_thr, consts = _threshold_scan(args.b, AnnulusConstants.build(args.b))
+    # the table reaches N, so E[N-1] and E[N] are lookups
+    consts = AnnulusConstants.build(args.b)
+    n_thr = threshold_N(args.b, consts)
     _, e_prev, _ = discriminant(n_thr - 1, args.b, consts)
     _, e_at, _ = discriminant(n_thr, args.b, consts)
     print(f"b={_fmt17(args.b)} N={n_thr} E[N-1]={_fmt17(e_prev)} E[N]={_fmt17(e_at)}")

@@ -797,9 +797,7 @@ def branch_continue(
     block = 4 * K * m
     P = block if P is None else block * -(-P // block)
     if consts is None:
-        consts = AnnulusConstants.build(b)
-    elif consts.b != b:
-        raise PreconditionError(f"constants were built for b={consts.b}, got b={b}")
+        consts = AnnulusConstants.build(b, m)
     n_threshold = threshold_N(b, consts)
     if m < n_threshold:
         raise NotSimple(f"mode m={m} is below the threshold N({b}) = {n_threshold}")

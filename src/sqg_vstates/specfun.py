@@ -166,7 +166,8 @@ def _validate_mode_radius(n: int, b: float) -> None:
         raise PreconditionError(f"inner radius must satisfy 0 < b < 1, got {b}")
 
 
-# Longest recurrence _lambda_table runs: about 40 / (1 - b) steps reach b = 0.99999.
+# Longest recurrence _lambda_table runs: a table built for b needs about
+# 41.5 / (1 - b) steps, so the cap is reached from b = 1 - 4.15e-6.
 _MAX_RECURRENCE = 10**7
 
 
@@ -235,10 +236,10 @@ class AnnulusConstants:
     ``s(n)`` and ``lam(n)`` answer for every mode n >= 1: up to ``n_max``
     they read the table, above it they call the function the table is
     built from, so ``n_max`` sets what is precomputed, not what can be
-    asked.  Tables are built eagerly and frozen, and a lookup past them
-    stores nothing, so instances are immutable and safe to share across
-    threads.  Indices are 1-based to match the mode numbering used
-    throughout the library.
+    asked; a table from :meth:`build` reaches the threshold N(b).  Tables
+    are built eagerly and frozen, and a lookup past them stores nothing, so
+    instances are immutable and safe to share across threads.  Indices
+    are 1-based to match the mode numbering used throughout the library.
     """
 
     b: float
@@ -248,11 +249,16 @@ class AnnulusConstants:
 
     @classmethod
     def build(cls, b: float, n_max: int = 200) -> "AnnulusConstants":
+        """Tables of max(n_max, ceil(1.5 / (1 - b))) modes: ``n_max`` is a floor,
+        and the second term reaches N(b) (N(b) (1 - b) -> 1.4226; N over it
+        was at most 0.95 on 3981 radii in (0, 0.995] and 200 in [0.99, 0.99999]).
+        The recurrence length is checked before anything is allocated."""
         _validate_mode_radius(1, b)
         if n_max < 1:
             raise PreconditionError(f"n_max must be >= 1, got {n_max}")
-        s = _s_table(n_max)
+        n_max = max(n_max, math.ceil(1.5 / (1.0 - b)))
         lam = _lambda_table(b, n_max)
+        s = _s_table(n_max)
         s.setflags(write=False)
         lam.setflags(write=False)
         return cls(b=b, n_max=n_max, s_table=s, lambda_table=lam)

@@ -178,31 +178,20 @@ def threshold_N(b: float, consts: AnnulusConstants) -> int:
 
     E_n is strictly increasing in ``n`` and E_1 < 0, so a linear scan from
     n = 2 finds the unique sign change.  The scan always ends: S_n grows
-    like (1/pi) log n while L_n decreases to 0, so E_n -> +infinity.  When
-    it passes the end of ``consts`` it goes on with a table that reaches
-    1.5 / (1 - b) modes (at least twice the mode reached): thin annuli
-    need long ones, and since N(b) (1 - b) -> 1.4226 as b -> 1
-    (N = 1422, 4742 and 14225 at b = 0.999, 0.9997 and 0.9999) one such
-    table reaches N.
+    like (1/pi) log n while L_n decreases to 0, so E_n -> +infinity.  A
+    table from :meth:`AnnulusConstants.build` reaches N(b), so the scan
+    builds nothing; past the end of a shorter table it reads the
+    past-table lookups, which give the same values one at a time.
     At and above the returned mode the reduced discriminant is positive
     and both eigenvalues are real and simple.  Equivalent to the smallest
     ``n`` with ``S_n > b ((1+b^2) L_1 + 2 b L_n) / (1+b)`` (same
     inequality scaled by the positive factor b/(1+b)).
     """
-    return _threshold_scan(b, consts)[0]
-
-
-def _threshold_scan(b: float, consts: AnnulusConstants) -> tuple[int, AnnulusConstants]:
-    """:func:`threshold_N` and a table of ``b`` that reaches it: ``consts``
-    or the larger one the scan went on with."""
     _check_tables(b, consts)
     n = 2
-    while True:
-        if n > consts.n_max:
-            consts = AnnulusConstants.build(b, max(2 * n, math.ceil(1.5 / (1.0 - b))))
-        if discriminant(n, b, consts)[1] > 0.0:
-            return n, consts
+    while discriminant(n, b, consts)[1] <= 0.0:
         n += 1
+    return n
 
 
 def bifurcation_row(m: int, b: float, consts: AnnulusConstants) -> SpectrumRow:

@@ -7,9 +7,10 @@ import time
 import numpy as np
 import pytest
 
+from sqg_vstates import specfun
 from sqg_vstates.cli import EXIT_GUARD, EXIT_NUMERIC, EXIT_OK, _fmt17, main
 from sqg_vstates.contour import PatchPair, boundary_samples
-from sqg_vstates.specfun import AnnulusConstants
+from sqg_vstates.specfun import AnnulusConstants, lambda_coeff
 
 SPECTRUM_HEADER = "m,C_m,D_m,Delta_m,lambda_minus,lambda_plus,omega_minus,omega_plus,transversal"
 
@@ -23,6 +24,37 @@ def run_branch(tmp_path, name="branch.json", steps=2, extra=()):
     ])
     assert code == EXIT_OK
     return out
+
+
+def count_constants(monkeypatch):
+    """Record every ``AnnulusConstants.build`` call and every
+    ``lambda_coeff`` recurrence run past a table's end."""
+    builds, lookups = [], []
+    build = AnnulusConstants.build.__func__
+
+    def counted(cls, *args, **kwargs):
+        builds.append(args)
+        return build(cls, *args, **kwargs)
+
+    def counted_lambda(n, b):
+        lookups.append(n)
+        return lambda_coeff(n, b)
+
+    monkeypatch.setattr(AnnulusConstants, "build", classmethod(counted))
+    monkeypatch.setattr(specfun, "lambda_coeff", counted_lambda)
+    return builds, lookups
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--b", "0.5", "--m-max", "1000000000"],
+    ["branch", "--b", "0.6", "--m", "1000000000"],
+])
+def test_huge_mode_fails_fast(argv, capsys):
+    # the recurrence-length cap is checked before any table is allocated
+    t0 = time.perf_counter()
+    assert main(argv) == EXIT_NUMERIC
+    assert time.perf_counter() - t0 < 1.0
+    assert "needs a recurrence of" in capsys.readouterr().err
 
 
 class TestSpectrumCommand:
@@ -66,6 +98,14 @@ class TestSpectrumCommand:
             main(["spectrum", "--b", "1.2"])
         assert exc.value.code == 2
 
+    def test_thin_annulus_reads_one_table(self, capsys, monkeypatch):
+        # N(0.9999) = 14225 and its 20 rows above all come from one table
+        builds, lookups = count_constants(monkeypatch)
+        assert main(["spectrum", "--b", "0.9999"]) == EXIT_OK
+        rows = capsys.readouterr().out.strip().splitlines()[1:]
+        assert rows[0].startswith("14225,") and len(rows) == 21
+        assert len(builds) == 1 and lookups == []
+
     def test_default_m_max_follows_m_min(self, tmp_path):
         out = tmp_path / "spec.csv"
         assert main(["spectrum", "--b", "0.5", "--m-min", "50", "--out", str(out)]) == EXIT_OK
@@ -97,20 +137,12 @@ class TestThresholdCommand:
         assert main(["threshold", "--b", "0.995"]) == EXIT_OK
         assert " N=284 " in capsys.readouterr().out
 
-    def test_thin_annulus_builds_two_tables(self, capsys, monkeypatch):
-        # the default table, then one sized from N(b) (1 - b) -> 1.4226 that
-        # reaches N, so E[N-1] and E[N] need no further recurrence
-        builds = []
-        build = AnnulusConstants.build.__func__
-
-        def counted(cls, b, n_max=200):
-            builds.append(n_max)
-            return build(cls, b, n_max)
-
-        monkeypatch.setattr(AnnulusConstants, "build", classmethod(counted))
+    def test_thin_annulus_builds_one_table(self, capsys, monkeypatch):
+        # the table build() sizes reaches N, so E[N-1] and E[N] are lookups
+        builds, lookups = count_constants(monkeypatch)
         assert main(["threshold", "--b", "0.9999"]) == EXIT_OK
         assert " N=14225 " in capsys.readouterr().out
-        assert len(builds) <= 2
+        assert len(builds) == 1 and lookups == []
 
     def test_thinnest_annulus_fails_fast(self, capsys):
         # b = 1 - 2^-53 would need a recurrence of about 4e17 steps

@@ -3,6 +3,7 @@
 import decimal
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -267,6 +268,25 @@ class TestAnnulusConstants:
         assert np.all(np.diff(consts.s_table) > 0)
         assert np.all(consts.lambda_table > 0)
         assert np.all(np.diff(consts.lambda_table) < 0)
+
+    def test_n_max_is_a_floor(self):
+        # build() holds max(n_max, ceil(1.5 / (1 - b))) modes (1.5 / (1 - 0.9)
+        # rounds to 15.000000000000004), and a larger table extends a smaller
+        # one bitwise
+        short, full = AnnulusConstants.build(0.9, n_max=5), AnnulusConstants.build(0.9, n_max=40)
+        assert (short.n_max, full.n_max) == (16, 40)
+        assert np.array_equal(short.lambda_table, full.lambda_table[:16])
+        assert np.array_equal(short.s_table, full.s_table[:16])
+
+    def test_unreachable_size_fails_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(NoConvergence, match="needs a recurrence of"):
+                AnnulusConstants.build(0.5, n_max=10**9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_immutable(self):
         consts = AnnulusConstants.build(0.5, n_max=10)

@@ -160,9 +160,19 @@ class TestThreshold:
         assert threshold_N(0.9, consts_map[0.9]) == 14
 
     def test_table_exhaustion(self):
-        # N(0.9) = 14 > 5: the scan runs past the table instead of failing
-        consts = AnnulusConstants.build(0.9, n_max=5)
+        # N(0.9) = 14 > 5: the scan runs past a short hand-made table
+        # instead of failing (build() itself would hold 16 modes)
+        full = AnnulusConstants.build(0.9, n_max=20)
+        consts = AnnulusConstants(b=0.9, n_max=5, s_table=full.s_table[:5],
+                                  lambda_table=full.lambda_table[:5])
         assert threshold_N(0.9, consts) == 14
+
+    def test_built_table_reaches_threshold(self):
+        # build() holds at least ceil(1.5 / (1 - b)) modes, which reaches N(b)
+        radii = list(np.linspace(0.005, 0.985, 197)) + [0.995, 0.999, 0.9997, 0.9999]
+        for b in radii:
+            consts = AnnulusConstants.build(float(b))
+            assert threshold_N(float(b), consts) <= consts.n_max
 
     def test_thin_annulus_limit(self):
         # N(b) (1 - b) -> 1.4226 as b -> 1; each N lies far past the
