@@ -9,7 +9,8 @@ The library is organized in four layers:
   annulus coupling coefficients) and the cached
   :class:`~sqg_vstates.specfun.AnnulusConstants` tables;
 * :mod:`sqg_vstates.spectrum` -- the linearized operator at the annulus:
-  mode matrices, eigenvalues, bifurcation threshold, kernel vectors;
+  mode matrices, eigenvalues (per mode or as columns over a mode range),
+  bifurcation threshold, kernel vectors;
 * :mod:`sqg_vstates.contour` -- the discretized nonlinear boundary
   equations, singular-integral quadrature, and Newton branch continuation;
 * :mod:`sqg_vstates.verify` -- the oracle suite cross-checking every
@@ -42,6 +43,7 @@ from .specfun import (
 from .spectrum import (
     KernelVector,
     ModeMatrix,
+    SpectrumColumns,
     SpectrumRow,
     bifurcation_row,
     discriminant,
@@ -49,6 +51,7 @@ from .spectrum import (
     kernel_vector,
     mode_matrix,
     quadratic_coeffs,
+    spectrum_columns,
     threshold_N,
 )
 from .contour import (
@@ -84,6 +87,7 @@ __all__ = [
     "PreconditionError",
     "ResidualSpectrum",
     "SingularJacobian",
+    "SpectrumColumns",
     "SpectrumRow",
     "VStatesError",
     "annulus_patch",
@@ -107,6 +111,7 @@ __all__ = [
     "residual",
     "run_default_suite",
     "s_sum",
+    "spectrum_columns",
     "stream_integral",
     "threshold_N",
 ]

@@ -26,12 +26,21 @@ mode at or above the threshold ``N(b)`` (the first mode with
 to the eigenvalue being simple, i.e. to ``Delta_m > 0``, which
 :func:`bifurcation_row` requires; the table writers of the command line
 report the flag as ``Delta_m > 1e-12``.
+
+Each per-mode formula is written once, on values that are either one
+mode's floats or arrays over many modes.  The scalar functions
+(:func:`mode_matrix`, :func:`quadratic_coeffs`, :func:`discriminant`)
+evaluate it for one mode and return Python floats; :func:`spectrum_columns`
+evaluates it over a whole mode range from slices of the constant tables.
+Elementwise ``+ - * /`` and ``sqrt`` round exactly as on Python floats, so
+a column entry is bitwise the scalar value, and :func:`bifurcation_row`
+is the one-mode column.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -41,22 +50,71 @@ from .specfun import AnnulusConstants
 __all__ = [
     "ModeMatrix",
     "SpectrumRow",
+    "SpectrumColumns",
     "KernelVector",
     "mode_matrix",
     "quadratic_coeffs",
     "discriminant",
     "threshold_N",
+    "spectrum_columns",
     "bifurcation_row",
     "kernel_vector",
     "eigenvalue_monotonicity_scan",
 ]
 
 
+# The per-mode formulas.  Every argument but ``b`` is one mode's float or
+# an array over modes; the operation order is the same either way.
+
+def _entries(b, omega, s_n, lam_1, lam_n):
+    """Entries (m11, m12, m21, m22) of M_n."""
+    return (
+        omega - s_n + b * b * lam_1,
+        -b * b * lam_n,
+        b * lam_n,
+        b * omega + s_n - b * lam_1,
+    )
+
+
+def _det(m11, m12, m21, m22):
+    return m11 * m22 - m12 * m21
+
+
 # Determinant-zero tests scale with the entry products; entries grow like
 # s_sum(m) ~ log(m), so the floor max(1, .) keeps the test meaningful for
 # all modes.
-def _det_scale(m11: float, m12: float, m21: float, m22: float) -> float:
-    return max(1.0, abs(m11 * m22), abs(m12 * m21))
+def _det_scale(m11, m12, m21, m22):
+    return np.maximum(1.0, np.maximum(abs(m11 * m22), abs(m12 * m21)))
+
+
+def _quadratic(b, s_n, lam_1, lam_n):
+    """(C_n, D_n) of the determinant quadratic."""
+    c_n = 1.0 + (1.0 / b - 1.0) * s_n - (1.0 - b * b) * lam_1
+    # D_n = alpha beta + 4 b^2 L_n^2 from the diagonal entries -(lambda - alpha)/2
+    # and -b (lambda - beta)/2; the product avoids the cancellation of the
+    # expanded polynomial, whose terms are several times larger than D_n
+    alpha = 1.0 - 2.0 * s_n + 2.0 * b * b * lam_1
+    beta = 1.0 + 2.0 * s_n / b - 2.0 * lam_1
+    d_n = alpha * beta + 4.0 * b * b * lam_n * lam_n
+    return c_n, d_n
+
+
+def _factors(b, s_n, lam_1, lam_n):
+    """(Delta_n, E_n, F_n)."""
+    core = (1.0 / b + 1.0) * s_n - (1.0 + b * b) * lam_1
+    e_n = core - 2.0 * b * lam_n
+    f_n = core + 2.0 * b * lam_n
+    delta = core * core - 4.0 * b * b * lam_n * lam_n
+    return delta, e_n, f_n
+
+
+def _table_values(n: np.ndarray, consts: AnnulusConstants) -> tuple[np.ndarray, np.ndarray]:
+    """(S_n, L_n) at an integer array of modes n >= 1: table entries, or
+    one lookup per mode when a mode lies past the table."""
+    if n.size and n.max() > consts.n_max:
+        return (np.array([consts.s(int(k)) for k in n]),
+                np.array([consts.lam(int(k)) for k in n]))
+    return consts.s_table[n - 1], consts.lambda_table[n - 1]
 
 
 def _check_tables(b: float, consts: AnnulusConstants) -> None:
@@ -80,10 +138,10 @@ class ModeMatrix:
         return np.array([[self.m11, self.m12], [self.m21, self.m22]])
 
     def det(self) -> float:
-        return self.m11 * self.m22 - self.m12 * self.m21
+        return _det(self.m11, self.m12, self.m21, self.m22)
 
     def det_scale(self) -> float:
-        return _det_scale(self.m11, self.m12, self.m21, self.m22)
+        return float(_det_scale(self.m11, self.m12, self.m21, self.m22))
 
 
 @dataclass(frozen=True)
@@ -100,6 +158,22 @@ class SpectrumRow:
     lambda_plus: float
     omega_minus: float
     omega_plus: float
+
+
+@dataclass(frozen=True)
+class SpectrumColumns:
+    """The :class:`SpectrumRow` fields of consecutive modes, one array per
+    field; ``m`` holds the modes."""
+
+    b: float
+    m: np.ndarray
+    c_m: np.ndarray
+    d_m: np.ndarray
+    delta_m: np.ndarray
+    lambda_minus: np.ndarray
+    lambda_plus: np.ndarray
+    omega_minus: np.ndarray
+    omega_plus: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -122,18 +196,8 @@ def mode_matrix(n: int, b: float, omega: float, consts: AnnulusConstants) -> Mod
     if n < 2:
         raise PreconditionError(f"mode matrix is defined for n >= 2, got {n}")
     _check_tables(b, consts)
-    s_n = consts.s(n)
-    lam_1 = consts.lam(1)
-    lam_n = consts.lam(n)
-    return ModeMatrix(
-        n=n,
-        b=b,
-        omega=omega,
-        m11=omega - s_n + b * b * lam_1,
-        m12=-b * b * lam_n,
-        m21=b * lam_n,
-        m22=b * omega + s_n - b * lam_1,
-    )
+    m11, m12, m21, m22 = _entries(b, omega, consts.s(n), consts.lam(1), consts.lam(n))
+    return ModeMatrix(n=n, b=b, omega=omega, m11=m11, m12=m12, m21=m21, m22=m22)
 
 
 def quadratic_coeffs(n: int, b: float, consts: AnnulusConstants) -> tuple[float, float]:
@@ -141,17 +205,7 @@ def quadratic_coeffs(n: int, b: float, consts: AnnulusConstants) -> tuple[float,
     if n < 2:
         raise PreconditionError(f"quadratic coefficients defined for n >= 2, got {n}")
     _check_tables(b, consts)
-    s_n = consts.s(n)
-    lam_1 = consts.lam(1)
-    lam_n = consts.lam(n)
-    c_n = 1.0 + (1.0 / b - 1.0) * s_n - (1.0 - b * b) * lam_1
-    # D_n = alpha beta + 4 b^2 L_n^2 from the diagonal entries -(lambda - alpha)/2
-    # and -b (lambda - beta)/2; the product avoids the cancellation of the
-    # expanded polynomial, whose terms are several times larger than D_n
-    alpha = 1.0 - 2.0 * s_n + 2.0 * b * b * lam_1
-    beta = 1.0 + 2.0 * s_n / b - 2.0 * lam_1
-    d_n = alpha * beta + 4.0 * b * b * lam_n * lam_n
-    return c_n, d_n
+    return _quadratic(b, consts.s(n), consts.lam(1), consts.lam(n))
 
 
 def discriminant(n: int, b: float, consts: AnnulusConstants) -> tuple[float, float, float]:
@@ -163,53 +217,64 @@ def discriminant(n: int, b: float, consts: AnnulusConstants) -> tuple[float, flo
     if n < 1:
         raise PreconditionError(f"discriminant defined for n >= 1, got {n}")
     _check_tables(b, consts)
-    s_n = consts.s(n)
-    lam_1 = consts.lam(1)
-    lam_n = consts.lam(n)
-    core = (1.0 / b + 1.0) * s_n - (1.0 + b * b) * lam_1
-    e_n = core - 2.0 * b * lam_n
-    f_n = core + 2.0 * b * lam_n
-    delta = core * core - 4.0 * b * b * lam_n * lam_n
-    return delta, e_n, f_n
+    return _factors(b, consts.s(n), consts.lam(1), consts.lam(n))
 
 
 def threshold_N(b: float, consts: AnnulusConstants) -> int:
     """Smallest mode ``n >= 2`` with E_n(b) > 0.
 
-    E_n is strictly increasing in ``n`` and E_1 < 0, so a linear scan from
-    n = 2 finds the unique sign change.  The scan always ends: S_n grows
-    like (1/pi) log n while L_n decreases to 0, so E_n -> +infinity.  A
-    table from :meth:`AnnulusConstants.build` reaches N(b), so the scan
-    builds nothing; past the end of a shorter table it reads the
-    past-table lookups, which give the same values one at a time.
+    E_n is strictly increasing in ``n`` and E_1 < 0, so the first mode
+    with E_n > 0 is the unique sign change; it is found over the whole
+    table at once.  A table from :meth:`AnnulusConstants.build` reaches
+    N(b); past the end of a shorter table the scan goes on one mode at a
+    time through the past-table lookups, and always ends: S_n grows like
+    (1/pi) log n while L_n decreases to 0, so E_n -> +infinity.
     At and above the returned mode the reduced discriminant is positive
     and both eigenvalues are real and simple.  Equivalent to the smallest
     ``n`` with ``S_n > b ((1+b^2) L_1 + 2 b L_n) / (1+b)`` (same
     inequality scaled by the positive factor b/(1+b)).
     """
     _check_tables(b, consts)
-    n = 2
+    _, e_n, _ = _factors(b, consts.s_table[1:], consts.lam(1), consts.lambda_table[1:])
+    # ~(E_n <= 0), not E_n > 0: a NaN ends the scan here as it ends the loop below
+    above = np.flatnonzero(~(e_n <= 0.0))
+    if above.size:
+        return int(above[0]) + 2
+    n = max(2, consts.n_max + 1)
     while discriminant(n, b, consts)[1] <= 0.0:
         n += 1
     return n
 
 
-def bifurcation_row(m: int, b: float, consts: AnnulusConstants) -> SpectrumRow:
-    """Eigenvalue pair and angular velocities at mode ``m``.
+def spectrum_columns(m_min: int, m_max: int, b: float,
+                     consts: AnnulusConstants) -> SpectrumColumns:
+    """Eigenvalue pairs and angular velocities of the modes m_min..m_max.
 
     lambda_m^{+,-} = C_m +- sqrt(Delta_m) and Omega_m^{+,-} = (1 - lambda_m^{-,+})/2;
-    requires Delta_m > 0 (``m`` at or above the threshold).
+    requires Delta_m > 0 (every mode at or above the threshold) and raises
+    :class:`NotSimple` at the first mode where it fails.
     """
-    c_m, d_m = quadratic_coeffs(m, b, consts)
-    delta, _, _ = discriminant(m, b, consts)
-    if delta <= 0.0:
-        raise NotSimple(f"Delta_{m}(b={b}) = {delta} <= 0: eigenvalues not simple")
-    root = math.sqrt(delta)
+    if m_min < 2:
+        raise PreconditionError(f"spectrum rows are defined for m >= 2, got {m_min}")
+    if m_max < m_min:
+        raise PreconditionError(f"mode range {m_min}..{m_max} is empty")
+    _check_tables(b, consts)
+    m = np.arange(m_min, m_max + 1)
+    s_n, lam_n = _table_values(m, consts)
+    lam_1 = consts.lam(1)
+    c_m, d_m = _quadratic(b, s_n, lam_1, lam_n)
+    delta, _, _ = _factors(b, s_n, lam_1, lam_n)
+    low = np.flatnonzero(delta <= 0.0)
+    if low.size:
+        i = low[0]
+        raise NotSimple(f"Delta_{int(m[i])}(b={b}) = {float(delta[i])} <= 0:"
+                        " eigenvalues not simple")
+    root = np.sqrt(delta)
     lambda_minus = c_m - root
     lambda_plus = c_m + root
-    return SpectrumRow(
-        m=m,
+    return SpectrumColumns(
         b=b,
+        m=m,
         c_m=c_m,
         d_m=d_m,
         delta_m=delta,
@@ -218,6 +283,15 @@ def bifurcation_row(m: int, b: float, consts: AnnulusConstants) -> SpectrumRow:
         omega_minus=0.5 * (1.0 - lambda_plus),
         omega_plus=0.5 * (1.0 - lambda_minus),
     )
+
+
+def bifurcation_row(m: int, b: float, consts: AnnulusConstants) -> SpectrumRow:
+    """Eigenvalue pair and angular velocities at mode ``m``: the one-mode
+    :func:`spectrum_columns`, as Python floats."""
+    cols = spectrum_columns(m, m, b, consts)
+    values = {f.name: float(getattr(cols, f.name)[0])
+              for f in fields(SpectrumRow) if f.name not in ("m", "b")}
+    return SpectrumRow(m=m, b=b, **values)
 
 
 def kernel_vector(m: int, b: float, omega: float, consts: AnnulusConstants) -> KernelVector:
@@ -250,25 +324,39 @@ def eigenvalue_monotonicity_scan(b: float, n_hi: int, consts: AnnulusConstants) 
     strictly and lambda_n^- decreases strictly, and for every pair
     m > n >= N(b) the interleaving lambda_m^- < lambda_n^- < lambda_n^+
     < lambda_m^+.  Returns a list of human-readable violations (expected
-    empty).
+    empty), ordered by mode.
     """
     start = threshold_N(b, consts)
+    if n_hi < start:
+        return []
+    cols = spectrum_columns(start, n_hi, b, consts)
+    delta, lam_minus, lam_plus = cols.delta_m, cols.lambda_minus, cols.lambda_plus
     violations: list[str] = []
-    rows = [bifurcation_row(n, b, consts) for n in range(start, n_hi + 1)]
-    for prev, cur in zip(rows, rows[1:]):
-        n = cur.m
-        if not cur.delta_m > prev.delta_m:
+    up_delta = delta[1:] > delta[:-1]
+    up_plus = lam_plus[1:] > lam_plus[:-1]
+    down_minus = lam_minus[1:] < lam_minus[:-1]
+    for i in np.flatnonzero(~(up_delta & up_plus & down_minus)).tolist():
+        n = start + 1 + i
+        if not up_delta[i]:
             violations.append(f"Delta_{n} <= Delta_{n-1} at b={b}")
-        if not cur.lambda_plus > prev.lambda_plus:
+        if not up_plus[i]:
             violations.append(f"lambda^+_{n} <= lambda^+_{n-1} at b={b}")
-        if not cur.lambda_minus < prev.lambda_minus:
+        if not down_minus[i]:
             violations.append(f"lambda^-_{n} >= lambda^-_{n-1} at b={b}")
     # Interleaving across non-adjacent pairs follows from the monotone
     # sequences, but is asserted directly as an independent consistency net.
-    for i, low in enumerate(rows):
-        for high in rows[i + 1:]:
-            if not (high.lambda_minus < low.lambda_minus < low.lambda_plus < high.lambda_plus):
+    # A low mode interleaves with every higher one exactly when it does with
+    # the largest lambda^- and the smallest lambda^+ above it (a NaN
+    # propagates and fails), so pairs are listed only for low modes that fail.
+    top_minus = np.maximum.accumulate(lam_minus[::-1])[::-1][1:]
+    bottom_plus = np.minimum.accumulate(lam_plus[::-1])[::-1][1:]
+    low_minus, low_plus = lam_minus[:-1], lam_plus[:-1]
+    nested = (top_minus < low_minus) & (low_minus < low_plus) & (low_plus < bottom_plus)
+    lo_list, hi_list = lam_minus.tolist(), lam_plus.tolist()
+    for i in np.flatnonzero(~nested).tolist():
+        for j in range(i + 1, len(lo_list)):
+            if not (lo_list[j] < lo_list[i] < hi_list[i] < hi_list[j]):
                 violations.append(
-                    f"interleaving failed for modes {low.m} < {high.m} at b={b}"
+                    f"interleaving failed for modes {start + i} < {start + j} at b={b}"
                 )
     return violations

@@ -35,12 +35,17 @@ import numpy as np
 from .contour import PatchPair, residual
 from .specfun import AnnulusConstants, gauss_2f1, pochhammer_ratio, s_sum
 from .spectrum import (
+    _det,
+    _det_scale,
+    _entries,
+    _factors,
+    _quadratic,
+    _table_values,
     bifurcation_row,
     discriminant,
     eigenvalue_monotonicity_scan,
     kernel_vector,
     mode_matrix,
-    quadratic_coeffs,
     threshold_N,
 )
 
@@ -231,19 +236,25 @@ def check_spectral(b_set: tuple[float, ...] = (0.2, 0.5, 0.8), m_hi: int = 200,
 
         violations += len(eigenvalue_monotonicity_scan(b, m_hi, consts))
 
-        for _ in range(samples):
-            n = int(rng.integers(2, m_hi + 1))
-            omega = rng.uniform(-1.5, 1.5)
-            mat = mode_matrix(n, b, omega, consts)
-            lam = 1.0 - 2.0 * omega
-            c_n, d_n = quadratic_coeffs(n, b, consts)
-            quad = 0.25 * b * (lam * lam - 2.0 * c_n * lam + d_n)
-            det_err = max(det_err, abs(mat.det() - quad) / mat.det_scale())
-            delta, e_n, f_n = discriminant(n, b, consts)
-            ref = max(1.0, abs(delta))
-            disc_err = max(disc_err, abs(c_n * c_n - d_n - delta) / ref)
-            disc_err = max(disc_err, abs(e_n * f_n - delta) / ref)
-            det_cases += 1
+        # n and omega are drawn case by case, interleaved: drawing each as
+        # one array would take other values from the stream
+        draws = [(int(rng.integers(2, m_hi + 1)), rng.uniform(-1.5, 1.5))
+                 for _ in range(samples)]
+        n = np.array([d[0] for d in draws], dtype=int)
+        omega = np.array([d[1] for d in draws], dtype=float)
+        s_n, lam_n = _table_values(n, consts)
+        lam_1 = consts.lam(1)
+        entries = _entries(b, omega, s_n, lam_1, lam_n)
+        lam = 1.0 - 2.0 * omega
+        c_n, d_n = _quadratic(b, s_n, lam_1, lam_n)
+        quad = 0.25 * b * (lam * lam - 2.0 * c_n * lam + d_n)
+        det_err = max(det_err, np.max(abs(_det(*entries) - quad) / _det_scale(*entries),
+                                      initial=0.0))
+        delta, e_n, f_n = _factors(b, s_n, lam_1, lam_n)
+        ref = np.maximum(1.0, abs(delta))
+        disc_err = max(disc_err, np.max(abs(c_n * c_n - d_n - delta) / ref, initial=0.0),
+                       np.max(abs(e_n * f_n - delta) / ref, initial=0.0))
+        det_cases += samples
 
         for m in range(n_thr, m_hi + 1, max(1, (m_hi - n_thr) // 8)):
             row = bifurcation_row(m, b, consts)

@@ -11,6 +11,7 @@ from sqg_vstates import specfun
 from sqg_vstates.cli import EXIT_GUARD, EXIT_NUMERIC, EXIT_OK, _fmt17, main
 from sqg_vstates.contour import PatchPair, boundary_samples
 from sqg_vstates.specfun import AnnulusConstants, lambda_coeff
+from sqg_vstates.spectrum import threshold_N
 
 SPECTRUM_HEADER = "m,C_m,D_m,Delta_m,lambda_minus,lambda_plus,omega_minus,omega_plus,transversal"
 
@@ -43,6 +44,23 @@ def count_constants(monkeypatch):
     monkeypatch.setattr(AnnulusConstants, "build", classmethod(counted))
     monkeypatch.setattr(specfun, "lambda_coeff", counted_lambda)
     return builds, lookups
+
+
+def reference_row(b, m, consts):
+    """One spectrum row from the scalar formulas on Python floats: the
+    columns m, C_m, D_m, Delta_m, lambda^-, lambda^+, Omega^-, Omega^+ and
+    the transversal flag."""
+    s_m, lam_1, lam_m = consts.s(m), consts.lam(1), consts.lam(m)
+    c_m = 1.0 + (1.0 / b - 1.0) * s_m - (1.0 - b * b) * lam_1
+    alpha = 1.0 - 2.0 * s_m + 2.0 * b * b * lam_1
+    beta = 1.0 + 2.0 * s_m / b - 2.0 * lam_1
+    d_m = alpha * beta + 4.0 * b * b * lam_m * lam_m
+    core = (1.0 / b + 1.0) * s_m - (1.0 + b * b) * lam_1
+    delta = core * core - 4.0 * b * b * lam_m * lam_m
+    root = math.sqrt(delta)
+    lam_minus, lam_plus = c_m - root, c_m + root
+    return [m, c_m, d_m, delta, lam_minus, lam_plus,
+            0.5 * (1.0 - lam_plus), 0.5 * (1.0 - lam_minus), delta > 1e-12]
 
 
 @pytest.mark.parametrize("argv", [
@@ -105,6 +123,45 @@ class TestSpectrumCommand:
         rows = capsys.readouterr().out.strip().splitlines()[1:]
         assert rows[0].startswith("14225,") and len(rows) == 21
         assert len(builds) == 1 and lookups == []
+
+    def test_m_min_sizes_the_table(self, capsys, monkeypatch):
+        # rows from 20000 lie past the 15000 modes that reach N(0.9999); the
+        # one table is built to the last row, so no row is a past-table lookup
+        builds, lookups = count_constants(monkeypatch)
+        assert main(["spectrum", "--b", "0.9999", "--m-min", "20000"]) == EXIT_OK
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert rows[0].startswith("20000,") and len(rows) == 21
+        assert len(builds) == 1 and lookups == []
+        assert main(["spectrum", "--b", "0.9999", "--m-max", "20020"]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[-21:] == rows
+
+    @pytest.mark.parametrize("b, m_min, m_max", [
+        (0.05, None, 400),
+        (0.6, None, None),
+        (0.95, 60, 300),
+        (0.9999, None, None),
+    ])
+    def test_rows_equal_scalar_reference(self, b, m_min, m_max, tmp_path):
+        # every written value equals, bitwise, the scalar formulas on
+        # Python floats
+        consts = AnnulusConstants.build(b)
+        first = m_min if m_min is not None else threshold_N(b, consts)
+        last = m_max if m_max is not None else first + 20
+        argv = ["spectrum", "--b", repr(b)]
+        argv += ["--m-min", str(m_min)] if m_min is not None else []
+        argv += ["--m-max", str(m_max)] if m_max is not None else []
+        csv_out, json_out = tmp_path / "s.csv", tmp_path / "s.json"
+        assert main([*argv, "--out", str(csv_out)]) == EXIT_OK
+        assert main([*argv, "--format", "json", "--out", str(json_out)]) == EXIT_OK
+        lines = csv_out.read_text().splitlines()
+        assert lines[0] == SPECTRUM_HEADER
+        fields = [line.split(",") for line in lines[1:]]
+        assert all(f[8] in ("true", "false") for f in fields)
+        csv_rows = [[int(f[0])] + [float(v) for v in f[1:8]] + [f[8] == "true"] for f in fields]
+        json_rows = [list(row.values()) for row in json.loads(json_out.read_text())]
+        expected = [reference_row(b, m, consts) for m in range(first, last + 1)]
+        assert csv_rows == expected
+        assert json_rows == expected
 
     def test_default_m_max_follows_m_min(self, tmp_path):
         out = tmp_path / "spec.csv"

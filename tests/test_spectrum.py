@@ -254,3 +254,44 @@ class TestMonotonicityScan:
     def test_single_mode_trivial(self, consts_05):
         n_thr = threshold_N(0.5, consts_05)
         assert eigenvalue_monotonicity_scan(0.5, n_thr, consts_05) == []
+
+    @pytest.mark.parametrize("s_mode, s_factor, lam_mode, lam_factor, expected", [
+        # S_26 raised: lambda^+_26 passes the modes above it; L_20 raised:
+        # Delta_20 drops below Delta_19 and lambda^+_20 below lambda^+_18
+        (26, 1.04, 20, 4.0, [
+            "Delta_20 <= Delta_19 at b=0.9",
+            "lambda^+_20 <= lambda^+_19 at b=0.9",
+            "lambda^-_20 >= lambda^-_19 at b=0.9",
+            "Delta_27 <= Delta_26 at b=0.9",
+            "lambda^+_27 <= lambda^+_26 at b=0.9",
+            "lambda^-_27 >= lambda^-_26 at b=0.9",
+            "interleaving failed for modes 18 < 20 at b=0.9",
+            "interleaving failed for modes 19 < 20 at b=0.9",
+            "interleaving failed for modes 26 < 27 at b=0.9",
+            "interleaving failed for modes 26 < 28 at b=0.9",
+            "interleaving failed for modes 26 < 29 at b=0.9",
+        ]),
+        # both raised at mode 22: C_22 rises as sqrt(Delta_22) falls, so only
+        # lambda^-_22 leaves its place, above lambda^-_21
+        (22, 1.03, 22, 6.0, [
+            "Delta_22 <= Delta_21 at b=0.9",
+            "lambda^-_22 >= lambda^-_21 at b=0.9",
+            "interleaving failed for modes 21 < 22 at b=0.9",
+        ]),
+        # as above, tuned so only lambda^+_22 moves, above lambda^+_23
+        (22, 1.05, 22, 5.5, [
+            "lambda^+_23 <= lambda^+_22 at b=0.9",
+            "interleaving failed for modes 22 < 23 at b=0.9",
+        ]),
+    ])
+    def test_perturbed_tables_report_each_violation(self, s_mode, s_factor, lam_mode,
+                                                     lam_factor, expected):
+        # the scan names the adjacent failures mode by mode, then every pair
+        # that fails to interleave
+        b = 0.9
+        full = AnnulusConstants.build(b, n_max=40)
+        s, lam = full.s_table.copy(), full.lambda_table.copy()
+        s[s_mode - 1] *= s_factor
+        lam[lam_mode - 1] *= lam_factor
+        consts = AnnulusConstants(b=b, n_max=40, s_table=s, lambda_table=lam)
+        assert eigenvalue_monotonicity_scan(b, 30, consts) == expected
