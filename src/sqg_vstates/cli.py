@@ -10,10 +10,12 @@ Subcommands::
     vstates render    INPUT.json [--points last|all|none|i,j,...] [--out F]
 
 Exit codes: 0 success, 2 usage error (including a file that cannot be
-opened), 3 guard violation, 4 numerical failure.  Output is deterministic: identical invocations produce
-byte-identical files.  Each command builds one constants table, which
-reaches N(b) ~ 1.4226 / (1 - b): b = 0.9999 gives N = 14225 in about 0.1 s
-in process.
+opened), 3 guard violation, 4 numerical failure.  A branch that stops
+early still exits 0 and prints one ``stopped: <reason>`` line to stderr.
+Output is deterministic: identical invocations produce byte-identical
+files.  Each command builds one constants table, which reaches
+N(b) + 20 with N(b) ~ 1.4226 / (1 - b): b = 0.9999 gives N = 14225 in
+about 0.1 s in process.
 It needs a recurrence of about 41.5 / (1 - b) steps, capped at ten
 million, so from about b = 0.9999959 the command exits 4.  ``spectrum``
 builds the table to its last row and computes the rows as columns over
@@ -23,6 +25,7 @@ the whole mode range, then writes them with one format string per row.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -78,12 +81,11 @@ _SPECTRUM_ROW = "%d," + "%.17g," * 7 + "%s\n"
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
-    # the table reaches the last row; build() reaches N(b) from any floor,
-    # and an --m-max below 1 is refused below
+    # the table reaches the last row: --m-max, --m-min + 20, or N(b) + 20,
+    # which build() reaches from any floor; an --m-max below 1 is refused below
     last = args.m_max if args.m_max is not None else (
-        args.m_min + 20 if args.m_min is not None else None)
-    sized = last is not None and last >= 1
-    consts = AnnulusConstants.build(args.b, last) if sized else AnnulusConstants.build(args.b)
+        args.m_min + 20 if args.m_min is not None else 1)
+    consts = AnnulusConstants.build(args.b, max(last, 1))
     n_thr = threshold_N(args.b, consts)
     m_min = args.m_min if args.m_min is not None else n_thr
     m_max = args.m_max if args.m_max is not None else m_min + 20
@@ -148,6 +150,8 @@ def cmd_branch(args: argparse.Namespace) -> int:
         K=args.modes, P=args.quad, newton_tol=args.tol,
     )
     _write_text(args.out, json.dumps(_branch_payload(run, args.sign), indent=2))
+    if run.stopped_reason is not None:
+        print(f"stopped: {run.stopped_reason}", file=sys.stderr)
     if args.boundaries:
         stem = os.path.splitext(args.out)[0] if args.out else "branch"
         for pt in run.points:
@@ -288,6 +292,7 @@ def _add_b(p: argparse.ArgumentParser) -> None:
     p.add_argument("--b", type=float, required=True, help="inner radius, 0 < b < 1")
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vstates",

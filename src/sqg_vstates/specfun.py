@@ -230,15 +230,13 @@ def lambda_integral_oracle(n: int, b: float) -> float:
 
 @dataclass(frozen=True)
 class AnnulusConstants:
-    """Inner radius ``b`` plus a cache of ``s_sum`` and ``lambda_coeff``
+    """Inner radius ``b`` plus tables of ``s_sum`` and ``lambda_coeff``
     for modes 1..n_max.
 
-    ``s(n)`` and ``lam(n)`` answer for every mode n >= 1: up to ``n_max``
-    they read the table, above it they call the function the table is
-    built from, so ``n_max`` sets what is precomputed, not what can be
-    asked; a table from :meth:`build` reaches the threshold N(b).  Tables
-    are built eagerly and frozen, and a lookup past them stores nothing, so
-    instances are immutable and safe to share across threads.  Indices
+    ``s(n)`` and ``lam(n)`` answer only for the modes the table holds and
+    raise :class:`PreconditionError` for any other ``n``; a table from
+    :meth:`build` reaches N(b) + 20.  Tables are built eagerly and frozen,
+    so instances are immutable and safe to share across threads.  Indices
     are 1-based to match the mode numbering used throughout the library.
     """
 
@@ -249,28 +247,33 @@ class AnnulusConstants:
 
     @classmethod
     def build(cls, b: float, n_max: int = 200) -> "AnnulusConstants":
-        """Tables of max(n_max, ceil(1.5 / (1 - b))) modes: ``n_max`` is a floor,
-        and the second term reaches N(b) (N(b) (1 - b) -> 1.4226; N over it
+        """Tables of max(n_max, ceil(1.5 / (1 - b)) + 20) modes: ``n_max`` is a
+        floor, and the second term reaches N(b) + 20, the default rows of
+        ``vstates spectrum`` (N(b) (1 - b) -> 1.4226; N over ceil(1.5 / (1 - b))
         was at most 0.95 on 3981 radii in (0, 0.995] and 200 in [0.99, 0.99999]).
         The recurrence length is checked before anything is allocated."""
         _validate_mode_radius(1, b)
         if n_max < 1:
             raise PreconditionError(f"n_max must be >= 1, got {n_max}")
-        n_max = max(n_max, math.ceil(1.5 / (1.0 - b)))
+        n_max = max(n_max, math.ceil(1.5 / (1.0 - b)) + 20)
         lam = _lambda_table(b, n_max)
         s = _s_table(n_max)
         s.setflags(write=False)
         lam.setflags(write=False)
         return cls(b=b, n_max=n_max, s_table=s, lambda_table=lam)
 
+    def require(self, n: int) -> None:
+        """Raise :class:`PreconditionError` unless the table holds mode ``n``."""
+        if not 1 <= n <= self.n_max:
+            raise PreconditionError(f"mode n={n} is outside the table's modes 1..n_max="
+                                    f"{self.n_max}; AnnulusConstants.build(b, n_max=n) holds 1..n")
+
     def s(self, n: int) -> float:
-        """``s_sum(n)``, from the table when 1 <= n <= n_max."""
-        if 1 <= n <= self.n_max:
-            return float(self.s_table[n - 1])
-        return s_sum(n)
+        """``s_sum(n)`` from the table."""
+        self.require(n)
+        return float(self.s_table[n - 1])
 
     def lam(self, n: int) -> float:
-        """``lambda_coeff(n, b)``, from the table when 1 <= n <= n_max."""
-        if 1 <= n <= self.n_max:
-            return float(self.lambda_table[n - 1])
-        return lambda_coeff(n, self.b)
+        """``lambda_coeff(n, b)`` from the table."""
+        self.require(n)
+        return float(self.lambda_table[n - 1])

@@ -109,11 +109,9 @@ def _factors(b, s_n, lam_1, lam_n):
 
 
 def _table_values(n: np.ndarray, consts: AnnulusConstants) -> tuple[np.ndarray, np.ndarray]:
-    """(S_n, L_n) at an integer array of modes n >= 1: table entries, or
-    one lookup per mode when a mode lies past the table."""
-    if n.size and n.max() > consts.n_max:
-        return (np.array([consts.s(int(k)) for k in n]),
-                np.array([consts.lam(int(k)) for k in n]))
+    """(S_n, L_n) at an integer array of modes n >= 1, read from the tables;
+    :class:`PreconditionError` when a mode lies past them."""
+    consts.require(int(n.max(initial=1)))
     return consts.s_table[n - 1], consts.lambda_table[n - 1]
 
 
@@ -192,7 +190,7 @@ class KernelVector:
 
 
 def mode_matrix(n: int, b: float, omega: float, consts: AnnulusConstants) -> ModeMatrix:
-    """Assemble the linearization block M_n for any mode n >= 2."""
+    """Assemble the linearization block M_n for a mode 2 <= n <= consts.n_max."""
     if n < 2:
         raise PreconditionError(f"mode matrix is defined for n >= 2, got {n}")
     _check_tables(b, consts)
@@ -214,36 +212,30 @@ def discriminant(n: int, b: float, consts: AnnulusConstants) -> tuple[float, flo
     Delta_n = ((1/b + 1) S_n - (1 + b^2) L_1)^2 - 4 b^2 L_n^2 = E_n * F_n with
     E_n, F_n the difference/sum factors; E_1 = -(1+b)^2 L_1 < 0 always.
     """
-    if n < 1:
-        raise PreconditionError(f"discriminant defined for n >= 1, got {n}")
     _check_tables(b, consts)
     return _factors(b, consts.s(n), consts.lam(1), consts.lam(n))
 
 
 def threshold_N(b: float, consts: AnnulusConstants) -> int:
-    """Smallest mode ``n >= 2`` with E_n(b) > 0.
+    """Smallest mode ``n >= 2`` with E_n(b) > 0, found over the whole table.
 
-    E_n is strictly increasing in ``n`` and E_1 < 0, so the first mode
-    with E_n > 0 is the unique sign change; it is found over the whole
-    table at once.  A table from :meth:`AnnulusConstants.build` reaches
-    N(b); past the end of a shorter table the scan goes on one mode at a
-    time through the past-table lookups, and always ends: S_n grows like
-    (1/pi) log n while L_n decreases to 0, so E_n -> +infinity.
-    At and above the returned mode the reduced discriminant is positive
-    and both eigenvalues are real and simple.  Equivalent to the smallest
-    ``n`` with ``S_n > b ((1+b^2) L_1 + 2 b L_n) / (1+b)`` (same
-    inequality scaled by the positive factor b/(1+b)).
+    E_n is strictly increasing in ``n``, E_1 < 0 and E_n -> +infinity (S_n
+    grows like (1/pi) log n while L_n decreases to 0), so the first mode
+    with E_n > 0 is the unique sign change.  A table from
+    :meth:`AnnulusConstants.build` reaches N(b); a hand-made table that
+    ends below it raises :class:`PreconditionError`.  At and above N(b)
+    the reduced discriminant is positive and both eigenvalues are real
+    and simple.  Equivalent to the smallest ``n`` with ``S_n > b ((1+b^2)
+    L_1 + 2 b L_n) / (1+b)`` (the same inequality scaled by b/(1+b) > 0).
     """
     _check_tables(b, consts)
     _, e_n, _ = _factors(b, consts.s_table[1:], consts.lam(1), consts.lambda_table[1:])
-    # ~(E_n <= 0), not E_n > 0: a NaN ends the scan here as it ends the loop below
+    # ~(E_n <= 0), not E_n > 0: a NaN entry ends the scan at its mode
     above = np.flatnonzero(~(e_n <= 0.0))
-    if above.size:
-        return int(above[0]) + 2
-    n = max(2, consts.n_max + 1)
-    while discriminant(n, b, consts)[1] <= 0.0:
-        n += 1
-    return n
+    if not above.size:
+        raise PreconditionError(f"the table's modes 1..{consts.n_max} end below N({b});"
+                                " AnnulusConstants.build(b) reaches it")
+    return int(above[0]) + 2
 
 
 def spectrum_columns(m_min: int, m_max: int, b: float,

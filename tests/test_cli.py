@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from sqg_vstates import specfun
-from sqg_vstates.cli import EXIT_GUARD, EXIT_NUMERIC, EXIT_OK, _fmt17, main
+from sqg_vstates.cli import EXIT_GUARD, EXIT_NUMERIC, EXIT_OK, _fmt17, build_parser, main
 from sqg_vstates.contour import PatchPair, boundary_samples
-from sqg_vstates.specfun import AnnulusConstants, lambda_coeff
+from sqg_vstates.specfun import AnnulusConstants, lambda_coeff, s_sum
 from sqg_vstates.spectrum import threshold_N
 
 SPECTRUM_HEADER = "m,C_m,D_m,Delta_m,lambda_minus,lambda_plus,omega_minus,omega_plus,transversal"
@@ -28,8 +28,9 @@ def run_branch(tmp_path, name="branch.json", steps=2, extra=()):
 
 
 def count_constants(monkeypatch):
-    """Record every ``AnnulusConstants.build`` call and every
-    ``lambda_coeff`` recurrence run past a table's end."""
+    """Record every ``AnnulusConstants.build`` call and every one-mode
+    ``s_sum`` or ``lambda_coeff`` evaluation (a value computed outside
+    a table)."""
     builds, lookups = [], []
     build = AnnulusConstants.build.__func__
 
@@ -37,11 +38,16 @@ def count_constants(monkeypatch):
         builds.append(args)
         return build(cls, *args, **kwargs)
 
+    def counted_s(n):
+        lookups.append(("s_sum", n))
+        return s_sum(n)
+
     def counted_lambda(n, b):
-        lookups.append(n)
+        lookups.append(("lambda_coeff", n))
         return lambda_coeff(n, b)
 
     monkeypatch.setattr(AnnulusConstants, "build", classmethod(counted))
+    monkeypatch.setattr(specfun, "s_sum", counted_s)
     monkeypatch.setattr(specfun, "lambda_coeff", counted_lambda)
     return builds, lookups
 
@@ -135,6 +141,17 @@ class TestSpectrumCommand:
         assert main(["spectrum", "--b", "0.9999", "--m-max", "20020"]) == EXIT_OK
         assert capsys.readouterr().out.splitlines()[-21:] == rows
 
+    def test_default_rows_lie_in_the_table(self, capsys, monkeypatch):
+        # N(0.993) = 203 and rows 216..223 lie past ceil(1.5 / (1 - b)) = 215:
+        # build() reaches N(b) + 20, so one table holds every default row
+        builds, lookups = count_constants(monkeypatch)
+        assert main(["spectrum", "--b", "0.993"]) == EXIT_OK
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert rows[0].startswith("203,") and len(rows) == 21
+        assert len(builds) == 1 and lookups == []
+        assert main(["spectrum", "--b", "0.993", "--m-max", "223"]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[-21:] == rows
+
     @pytest.mark.parametrize("b, m_min, m_max", [
         (0.05, None, 400),
         (0.6, None, None),
@@ -143,8 +160,8 @@ class TestSpectrumCommand:
     ])
     def test_rows_equal_scalar_reference(self, b, m_min, m_max, tmp_path):
         # every written value equals, bitwise, the scalar formulas on
-        # Python floats
-        consts = AnnulusConstants.build(b)
+        # Python floats; the reference table reaches the last row
+        consts = AnnulusConstants.build(b) if m_max is None else AnnulusConstants.build(b, m_max)
         first = m_min if m_min is not None else threshold_N(b, consts)
         last = m_max if m_max is not None else first + 20
         argv = ["spectrum", "--b", repr(b)]
@@ -275,6 +292,27 @@ class TestBranchCommand:
     @pytest.mark.parametrize("value", [-0.0, 5e-324, 1.0 / 3.0, 1e300])
     def test_percent_format_matches_fmt17(self, value):
         assert "%.17g" % value == _fmt17(value)
+
+    def test_early_stop_is_reported_on_stderr(self, tmp_path, capsys):
+        # the univalence guard ends this branch at step 8: the command still
+        # writes the partial branch and exits 0, and says why on stderr
+        out = tmp_path / "early.json"
+        assert main(["branch", "--b", "0.6", "--m", "5", "--modes", "8", "--ds", "5e-3",
+                     "--out", str(out)]) == EXIT_OK
+        data = json.loads(out.read_text())
+        assert len(data["points"]) == 8
+        assert data["stopped_reason"].startswith("PreconditionError at step 8: ")
+        assert capsys.readouterr().err == f"stopped: {data['stopped_reason']}\n"
+
+    @pytest.mark.parametrize("sign", ["plus", "minus"])
+    def test_full_branch_writes_no_stderr(self, tmp_path, capsys, sign):
+        # the criterion-10 configuration runs all 10 steps in silence
+        out = tmp_path / "branch.json"
+        assert main(["branch", "--b", "0.6", "--m", "5", "--sign", sign, "--steps", "10",
+                     "--ds", "1e-3", "--modes", "8", "--quad", "1280",
+                     "--out", str(out)]) == EXIT_OK
+        assert json.loads(out.read_text())["stopped_reason"] is None
+        assert capsys.readouterr().err == ""
 
     def test_below_threshold_guard(self, tmp_path, capsys):
         code = main(["branch", "--b", "0.6", "--m", "2", "--steps", "1",
@@ -422,6 +460,25 @@ class TestCheckCommand:
             main(["check", "--seed", "-1"])
         assert exc.value.code == 2
         assert "--seed" in capsys.readouterr().err
+
+
+def test_parser_is_built_once(capsys):
+    # commands of different kinds in one process write what each writes
+    # with a parser of its own, and the process builds one parser
+    argvs = [["spectrum", "--b", "0.5", "--m-max", "5", "--format", "json"],
+             ["threshold", "--b", "0.5"],
+             ["spectrum", "--b", "0.5", "--m-max", "5"]]
+    separate = []
+    for argv in argvs:
+        build_parser.cache_clear()
+        assert main(argv) == EXIT_OK
+        separate.append(capsys.readouterr())
+    build_parser.cache_clear()
+    for argv, expected in zip(argvs, separate):
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr() == expected
+    info = build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
 
 
 class TestUsageErrors:

@@ -270,13 +270,13 @@ class TestAnnulusConstants:
         assert np.all(np.diff(consts.lambda_table) < 0)
 
     def test_n_max_is_a_floor(self):
-        # build() holds max(n_max, ceil(1.5 / (1 - b))) modes (1.5 / (1 - 0.9)
+        # build() holds max(n_max, ceil(1.5 / (1 - b)) + 20) modes (1.5 / (1 - 0.9)
         # rounds to 15.000000000000004), and a larger table extends a smaller
         # one bitwise
         short, full = AnnulusConstants.build(0.9, n_max=5), AnnulusConstants.build(0.9, n_max=40)
-        assert (short.n_max, full.n_max) == (16, 40)
-        assert np.array_equal(short.lambda_table, full.lambda_table[:16])
-        assert np.array_equal(short.s_table, full.s_table[:16])
+        assert (short.n_max, full.n_max) == (36, 40)
+        assert np.array_equal(short.lambda_table, full.lambda_table[:36])
+        assert np.array_equal(short.s_table, full.s_table[:36])
 
     def test_unreachable_size_fails_before_allocating(self):
         tracemalloc.start()
@@ -296,13 +296,15 @@ class TestAnnulusConstants:
             consts.lambda_table[3] = 0.0
 
     def test_index_guard(self):
-        # past the table the lookup evaluates the function the table is
-        # built from, so the value is bitwise what a larger table holds
+        # a table answers for its modes 1..n_max only; past its end the
+        # message names the mode, the table's end and the build that holds it
         consts = AnnulusConstants.build(0.5, n_max=10)
-        assert consts.s(11) == s_sum(11)
-        assert consts.lam(11) == lambda_coeff(11, 0.5)
-        assert consts.s(11) == AnnulusConstants.build(0.5, n_max=11).s(11)
-        with pytest.raises(PreconditionError):
-            consts.lam(0)
-        with pytest.raises(PreconditionError):
-            consts.s(0)
+        n = consts.n_max
+        assert consts.s(n) == consts.s_table[-1]
+        assert consts.lam(n) == consts.lambda_table[-1]
+        for lookup in (consts.s, consts.lam):
+            with pytest.raises(PreconditionError, match=rf"n={n + 1}\b.*n_max={n}\b") as exc:
+                lookup(n + 1)
+            assert "AnnulusConstants.build(b, n_max=n)" in str(exc.value)
+            with pytest.raises(PreconditionError):
+                lookup(0)

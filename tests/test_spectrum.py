@@ -16,6 +16,7 @@ from sqg_vstates.spectrum import (
     kernel_vector,
     mode_matrix,
     quadratic_coeffs,
+    spectrum_columns,
     threshold_N,
 )
 
@@ -66,9 +67,22 @@ class TestModeMatrix:
             mode_matrix(1, 0.5, 0.0, consts_05)
         with pytest.raises(PreconditionError):
             mode_matrix(3, 0.6, 0.0, consts_05)  # consts built for b=0.5
-        # a mode past the table gets the matrix a large enough table gives
-        past = mode_matrix(500, 0.5, 0.0, consts_05)
-        assert past == mode_matrix(500, 0.5, 0.0, AnnulusConstants.build(0.5, n_max=501))
+        # a mode past the table is refused, not computed outside it
+        with pytest.raises(PreconditionError, match=r"n=500\b.*n_max=220\b"):
+            mode_matrix(500, 0.5, 0.0, consts_05)
+
+    @pytest.mark.parametrize("call", [
+        lambda c: quadratic_coeffs(221, 0.5, c),
+        lambda c: discriminant(221, 0.5, c),
+        lambda c: bifurcation_row(221, 0.5, c),
+        lambda c: spectrum_columns(200, 221, 0.5, c),
+        lambda c: kernel_vector(221, 0.5, 0.0, c),
+        lambda c: eigenvalue_monotonicity_scan(0.5, 221, c),
+    ], ids=["quadratic_coeffs", "discriminant", "bifurcation_row", "spectrum_columns",
+            "kernel_vector", "eigenvalue_monotonicity_scan"])
+    def test_past_the_table_is_a_guard_error(self, consts_05, call):
+        with pytest.raises(PreconditionError, match=r"n=221\b.*n_max=220\b"):
+            call(consts_05)
 
 
 class TestQuadraticCoefficients:
@@ -160,19 +174,22 @@ class TestThreshold:
         assert threshold_N(0.9, consts_map[0.9]) == 14
 
     def test_table_exhaustion(self):
-        # N(0.9) = 14 > 5: the scan runs past a short hand-made table
-        # instead of failing (build() itself would hold 16 modes)
+        # N(0.9) = 14 > 5: a short hand-made table that ends below N is
+        # refused (build() itself holds 36 modes)
         full = AnnulusConstants.build(0.9, n_max=20)
         consts = AnnulusConstants(b=0.9, n_max=5, s_table=full.s_table[:5],
                                   lambda_table=full.lambda_table[:5])
-        assert threshold_N(0.9, consts) == 14
+        with pytest.raises(PreconditionError, match=r"modes 1\.\.5 end below N\(0\.9\)"):
+            threshold_N(0.9, consts)
+        assert threshold_N(0.9, full) == 14
 
     def test_built_table_reaches_threshold(self):
-        # build() holds at least ceil(1.5 / (1 - b)) modes, which reaches N(b)
-        radii = list(np.linspace(0.005, 0.985, 197)) + [0.995, 0.999, 0.9997, 0.9999]
+        # build() holds at least ceil(1.5 / (1 - b)) + 20 modes, which reaches
+        # N(b) + 20, the default spectrum rows
+        radii = list(np.linspace(0.005, 0.985, 197)) + [0.993, 0.995, 0.999, 0.9997, 0.9999]
         for b in radii:
-            consts = AnnulusConstants.build(float(b))
-            assert threshold_N(float(b), consts) <= consts.n_max
+            consts = AnnulusConstants.build(float(b), n_max=1)
+            assert threshold_N(float(b), consts) + 20 <= consts.n_max
 
     def test_thin_annulus_limit(self):
         # N(b) (1 - b) -> 1.4226 as b -> 1; each N lies far past the
