@@ -63,10 +63,8 @@ from .contour import (
     boundary_samples,
     branch_continue,
     collocation_residual,
-    eval_maps,
     newton_correct,
     residual,
-    stream_integral,
 )
 from .verify import CheckReport, run_default_suite
 
@@ -98,7 +96,6 @@ __all__ = [
     "contiguous_residuals",
     "discriminant",
     "eigenvalue_monotonicity_scan",
-    "eval_maps",
     "gauss_2f1",
     "gauss_2f1_euler",
     "kernel_vector",
@@ -112,6 +109,5 @@ __all__ = [
     "run_default_suite",
     "s_sum",
     "spectrum_columns",
-    "stream_integral",
     "threshold_N",
 ]

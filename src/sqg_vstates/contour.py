@@ -18,8 +18,8 @@ where S is the mean-value boundary integral
     S(Phi_i, Phi_j)(w) = avg_{tau in T} [tau Phi_i'(tau) - w Phi_j'(w)]
                                         / |Phi_i(tau) - Phi_j(w)|.
 
-Quadrature and collocation share one grid: the P nodes
-tau_l = exp(2 pi i l / P) are also the targets.  The maps have one
+Quadrature and collocation share one grid, with no rotation: the P
+nodes tau_l = exp(2 pi i l / P) are also the targets.  The maps have one
 evaluator, :func:`_map_values`.  On the grid a term w^{-p} is
 e^{-2 pi i p l / P}, which depends on p only through p mod P, so each
 map's coefficient series is one FFT with exponent p in bin p mod P; the
@@ -38,8 +38,9 @@ mu_n = -2/pi - s_sum(|n|), mu_0 = 0, so pair (l, k) has the weight
 V_{(l-k) mod P} / |D|, with V_j = W_j 2|sin(pi j / P)| and W the inverse
 FFT of mu; V_0 = 0 drops the diagonal.
 
-``residual`` collocates G_1, G_2 on a uniform grid and projects onto the
-retained sine modes sin(n m theta); ``newton_correct`` and
+``residual`` collocates G_1, G_2 on the grid and projects onto the
+retained sine modes sin(n m theta) with the projection Newton drives to
+zero (:func:`_sine_coefficients`); ``newton_correct`` and
 ``branch_continue`` trace solution branches off the annulus in the kernel
 direction of the linearized operator.  The Newton Jacobian comes from
 the 4 K m grid, where it is the exact derivative of that grid's discrete
@@ -93,8 +94,6 @@ __all__ = [
     "BranchPoint",
     "BranchRun",
     "annulus_patch",
-    "eval_maps",
-    "stream_integral",
     "residual",
     "newton_correct",
     "branch_continue",
@@ -106,6 +105,10 @@ TWO_PI = 2.0 * math.pi
 # Disjointness guard: quadrature denominators below this signal touching
 # or crossing boundaries.
 COLLISION_TOL = 1e-10
+
+# Grid cap: a pass's tables grow like K P; near the cap the traced peaks are
+# 250 MB (Jacobian, K = 320, m = 5) and 440 MB (grid and maps, K = 1).
+MAX_KP = 1 << 21
 
 # Kernel pairs per target block of every kernel pass: about 512 KB per
 # P x block buffer, so the pass's two buffers stay in cache.
@@ -180,9 +183,10 @@ class ResidualSpectrum:
     frequencies that are not multiples of m (the leakage diagnostic).
 
     The collocated residual is exactly periodic with period 2 pi / g,
-    g = gcd(m, P), so its spectrum lives on multiples of g.  When m | P
-    (g = m) ``leak`` is therefore zero up to FFT roundoff; when g < m it
-    measures the aliasing at multiples of g that are not multiples of m.
+    g = gcd(m, P), so its spectrum lives on multiples of g, and ``leak``
+    is computed from one period of q = P / g values.  When m | P (g = m)
+    no frequency is left to leak, and ``leak`` is exactly 0.0; when g < m
+    it measures the aliasing at multiples of g that are not multiples of m.
     """
 
     m: int
@@ -229,52 +233,22 @@ def _node_powers(P: int, k: np.ndarray, p: np.ndarray) -> np.ndarray:
     return _nodes(P)[np.outer(k, p) % P]
 
 
-def _map_values(
-    patch: PatchPair, P: int, theta: float = 0.0
-) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """(Phi_j, A_j = w Phi_j'(w)) for both maps on the rotated grid
-    w_l = e^{i theta} tau_l, l = 0..P-1: the one map evaluator.
+def _map_values(patch: PatchPair, P: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """(Phi_j, A_j = w Phi_j'(w)) for both maps on the P grid nodes: the
+    one map evaluator.
 
-    A term c w^{-p} equals c e^{-i p theta} e^{-2 pi i (p mod P) l / P} on
-    the grid, so each coefficient series is one FFT with that coefficient
-    in bin p mod P; A_j carries -p on every term.  The leading terms w and
-    b w are added as they are.  P = 1 is the single point e^{i theta}.
+    A term c w^{-p} equals c e^{-2 pi i (p mod P) l / P} on the grid, so
+    each coefficient series is one FFT with that coefficient in bin
+    p mod P; A_j carries -p on every term.  The leading terms w and b w
+    are added as they are.
     """
     p = patch.mode_exponents()
-    coeffs = np.array([patch.a, patch.c, -p * patch.a, -p * patch.c]) * np.exp(-1j * theta * p)
+    coeffs = np.array([patch.a, patch.c, -p * patch.a, -p * patch.c])
     bins = np.zeros((4, P), dtype=complex)
     np.add.at(bins, (slice(None), p % P), coeffs)
     s1, s2, t1, t2 = np.fft.fft(bins)
-    w = np.exp(1j * theta) * _nodes(P)
+    w = _nodes(P)
     return (w + s1, w + t1), (patch.b * w + s2, patch.b * w + t2)
-
-
-def eval_maps(patch: PatchPair, theta: float) -> tuple[complex, complex, complex, complex]:
-    """Boundary points and tangential derivatives at angle ``theta``.
-
-    Returns (Phi_1, Phi_2, dPhi_1/dtheta, dPhi_2/dtheta) at w = e^{i theta};
-    the tangential derivative is i w Phi'(w).
-    """
-    (phi1, a1), (phi2, a2) = _map_values(patch, 1, theta)
-    return complex(phi1[0]), complex(phi2[0]), complex(1j * a1[0]), complex(1j * a2[0])
-
-
-def stream_integral(src: int, dst: int, patch: PatchPair, theta: float, P: int) -> complex:
-    """S(Phi_src, Phi_dst) at w = e^{i theta}: the one-target case of
-    :func:`_stream_on_grid` on the grid tau_l = w e^{2 pi i l / P}, whose
-    node 0 is w.
-
-    Product integration on a self pair (src = dst), the trapezoidal rule
-    otherwise.  Raises :class:`BoundaryCollision` if any quadrature
-    denominator other than the self pair's zero diagonal drops below the
-    disjointness guard.
-    """
-    if src not in (1, 2) or dst not in (1, 2):
-        raise PreconditionError(f"boundary selectors must be 1 or 2, got src={src}, dst={dst}")
-    if P < 64 or P % 2:
-        raise PreconditionError(f"quadrature size must be even and >= 64, got {P}")
-    maps = _map_values(patch, P, theta)
-    return complex(_stream_on_grid(maps[src - 1], maps[dst - 1], slice(0, 1), src == dst)[0])
 
 
 @lru_cache(maxsize=8)
@@ -400,16 +374,33 @@ def _collocation_grid(m: int, K: int, P: int) -> tuple[int, slice, np.ndarray]:
     imaginary part of the node tau_{(k n m) mod P}, so the retained
     coefficient is G @ table.  g = 1 needs no special case.
 
-    Raises :class:`PreconditionError` unless P is even and >= 4 K m.
+    Raises :class:`PreconditionError`, before anything is allocated,
+    unless P is even, P >= 4 K m and K P <= ``MAX_KP``.
     """
-    if P % 2 or P < 4 * K * m:
-        raise PreconditionError(
-            f"collocation size P={P} must be even and >= 4*K*m = {4 * K * m}"
-        )
+    if P % 2 or not 4 * K * m <= P <= MAX_KP // K:
+        raise PreconditionError(f"collocation size P={P} with K={K} modes must be even,"
+                                f" >= 4*K*m = {4 * K * m} and within the cap K*P <= {MAX_KP}")
     q = P // math.gcd(m, P)
     targets = slice(1, (q + 1) // 2)
     sines = _node_powers(P, np.arange(targets.start, targets.stop), np.arange(1, K + 1) * m).imag
     return q, targets, 4.0 / q * sines
+
+
+def _sine_coefficients(g: tuple[np.ndarray, ...], proj: np.ndarray) -> np.ndarray:
+    """The (2, K) retained sine coefficients of g = (G_1, G_2) on the targets
+    of :func:`_collocation_grid`: the one projection, for F and residual()."""
+    return np.stack([g_j @ proj for g_j in g])
+
+
+def _period(g: tuple[np.ndarray, ...], targets: slice, q: int) -> np.ndarray:
+    """One period k = 0..q-1 of (G_1, G_2), a (2, q) array, unfolded from
+    their values at the targets of :func:`_collocation_grid` by
+    G_{q-k} = -G_k; G_0 = G_{q/2} = 0 exactly."""
+    period = np.zeros((2, q))
+    period[:, targets] = g
+    k = np.arange(targets.start, targets.stop)
+    period[:, q - k] = -period[:, k]
+    return period
 
 
 def collocation_residual(patch: PatchPair, P: int) -> tuple[np.ndarray, np.ndarray]:
@@ -422,11 +413,7 @@ def collocation_residual(patch: PatchPair, P: int) -> tuple[np.ndarray, np.ndarr
     G is q-periodic, G_{q-k} = -G_k, and G_0 = G_{q/2} = 0 exactly.
     """
     q, targets, _ = _collocation_grid(patch.m, patch.K, P)
-    period = np.zeros((2, q))
-    period[:, targets] = _boundary_residuals(patch, targets, P)
-    k = np.arange(targets.start, targets.stop)
-    period[:, q - k] = -period[:, k]
-    g1, g2 = np.tile(period, P // q)
+    g1, g2 = np.tile(_period(_boundary_residuals(patch, targets, P), targets, q), P // q)
     return g1, g2
 
 
@@ -434,17 +421,21 @@ def residual(patch: PatchPair, P: int) -> ResidualSpectrum:
     """Collocate G_1, G_2 on P uniform angles and project onto sine modes.
 
     The reported coefficient for mode n m is the coefficient of
-    sin(n m theta) in the real-valued residual; the leakage diagnostic is
-    the largest spectral magnitude at frequencies that are not multiples
-    of m.
+    sin(n m theta) in the real-valued residual, bitwise the one Newton
+    drives to zero (:func:`_sine_coefficients`).  The leakage diagnostic
+    is the largest spectral magnitude at frequencies that are not
+    multiples of m, from the real FFT of one period of q = P / g values,
+    whose bin j is frequency j g.
     """
     m, K = patch.m, patch.K
-    spec = np.fft.rfft(np.stack(collocation_residual(patch, P)))
-    # real signal: g = sum_p [ (2 Re X_p / P) cos - (2 Im X_p / P) sin ]
-    r = -2.0 * np.imag(spec[:, np.arange(1, K + 1) * m]) / P
+    q, targets, proj = _collocation_grid(m, K, P)
+    g = _boundary_residuals(patch, targets, P)
+    r = _sine_coefficients(g, proj)
     r.setflags(write=False)
-    off = np.arange(spec.shape[1]) % m != 0
-    leak = 2.0 / P * float(np.abs(spec[:, off]).max()) if off.any() else 0.0
+    spec = np.fft.rfft(_period(g, targets, q))
+    # real signal: a frequency's amplitude is 2 |Y_j| / q
+    off = np.arange(spec.shape[1]) * (P // q) % m != 0
+    leak = 2.0 / q * float(np.abs(spec[:, off]).max()) if off.any() else 0.0
     return ResidualSpectrum(m=m, K=K, r1=r[0], r2=r[1], leak=leak)
 
 
@@ -469,7 +460,7 @@ def _augmented(g: tuple[np.ndarray, ...], proj: np.ndarray, x: np.ndarray,
     Returns (F, max sine coefficient).
     """
     K = proj.shape[1]
-    coeffs = np.concatenate([g_j @ proj for g_j in g])
+    coeffs = _sine_coefficients(g, proj).ravel()
     return np.append(coeffs, x[0] * vhat[0] + x[K] * vhat[1] - s), float(np.abs(coeffs).max())
 
 

@@ -115,7 +115,15 @@ def _table_values(n: np.ndarray, consts: AnnulusConstants) -> tuple[np.ndarray, 
     return consts.s_table[n - 1], consts.lambda_table[n - 1]
 
 
+# Smallest inner radius: S_n < 6 for every mode a table can hold, so the
+# largest product formed here, (S_n / b)^2, stays finite for b >= 1e-150.
+MIN_RADIUS = 1e-150
+
+
 def _check_tables(b: float, consts: AnnulusConstants) -> None:
+    if b < MIN_RADIUS:
+        raise PreconditionError(f"inner radius b={b} is below {MIN_RADIUS}, where the"
+                                " spectrum's products (S_n / b)^2 overflow")
     if consts.b != b:
         raise PreconditionError(f"constants were built for b={consts.b}, got b={b}")
 
@@ -242,7 +250,8 @@ def spectrum_columns(m_min: int, m_max: int, b: float,
                      consts: AnnulusConstants) -> SpectrumColumns:
     """Eigenvalue pairs and angular velocities of the modes m_min..m_max.
 
-    lambda_m^{+,-} = C_m +- sqrt(Delta_m) and Omega_m^{+,-} = (1 - lambda_m^{-,+})/2;
+    lambda_m^{+,-} = C_m +- sqrt(Delta_m), the root of smaller magnitude
+    taken as D_m over the other, and Omega_m^{+,-} = (1 - lambda_m^{-,+})/2;
     requires Delta_m > 0 (every mode at or above the threshold) and raises
     :class:`NotSimple` at the first mode where it fails.
     """
@@ -261,9 +270,11 @@ def spectrum_columns(m_min: int, m_max: int, b: float,
         i = low[0]
         raise NotSimple(f"Delta_{int(m[i])}(b={b}) = {float(delta[i])} <= 0:"
                         " eigenvalues not simple")
-    root = np.sqrt(delta)
-    lambda_minus = c_m - root
-    lambda_plus = c_m + root
+    # the root of larger magnitude, then the other from the product of the
+    # roots, D_m: C_m - sqrt(Delta_m) cancels when D_m << C_m^2 (small b)
+    q = c_m + np.copysign(np.sqrt(delta), c_m)
+    lambda_minus = np.minimum(q, d_m / q)
+    lambda_plus = np.maximum(q, d_m / q)
     return SpectrumColumns(
         b=b,
         m=m,

@@ -3,13 +3,15 @@
 import json
 import math
 import time
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from sqg_vstates import specfun
 from sqg_vstates.cli import EXIT_GUARD, EXIT_NUMERIC, EXIT_OK, _fmt17, build_parser, main
-from sqg_vstates.contour import PatchPair, boundary_samples
+from sqg_vstates.contour import MAX_KP, PatchPair, boundary_samples
 from sqg_vstates.specfun import AnnulusConstants, lambda_coeff, s_sum
 from sqg_vstates.spectrum import threshold_N
 
@@ -63,8 +65,9 @@ def reference_row(b, m, consts):
     d_m = alpha * beta + 4.0 * b * b * lam_m * lam_m
     core = (1.0 / b + 1.0) * s_m - (1.0 + b * b) * lam_1
     delta = core * core - 4.0 * b * b * lam_m * lam_m
-    root = math.sqrt(delta)
-    lam_minus, lam_plus = c_m - root, c_m + root
+    # the root of larger magnitude, the other from the product D_m
+    q = c_m + math.copysign(math.sqrt(delta), c_m)
+    lam_minus, lam_plus = min(q, d_m / q), max(q, d_m / q)
     return [m, c_m, d_m, delta, lam_minus, lam_plus,
             0.5 * (1.0 - lam_plus), 0.5 * (1.0 - lam_minus), delta > 1e-12]
 
@@ -79,6 +82,20 @@ def test_huge_mode_fails_fast(argv, capsys):
     assert main(argv) == EXIT_NUMERIC
     assert time.perf_counter() - t0 < 1.0
     assert "needs a recurrence of" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--b", "1e-300"],
+    ["threshold", "--b", "5e-324"],
+])
+def test_tiny_radius_is_a_guard_error(argv, capsys):
+    # (S_n / b)^2 overflows: a guard error, not inf or nan with exit 0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == EXIT_GUARD
+    out, err = capsys.readouterr()
+    assert out == "" and not caught
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestSpectrumCommand:
@@ -335,6 +352,26 @@ class TestBranchCommand:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("extra", [
+        ("--modes", "100000"),  # P = 4Km = 2e6: a 149 GiB table
+        ("--modes", "8", "--quad", "1000000000"),  # 7.45 GiB of node indices
+    ])
+    def test_oversized_grid_fails_before_allocating(self, tmp_path, capsys, extra):
+        out = tmp_path / "x.json"
+        tracemalloc.start()
+        try:
+            code = main(["branch", "--b", "0.6", "--m", "5", "--steps", "1",
+                         "--out", str(out), *extra])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_GUARD
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"cap K*P <= {MAX_KP}" in err and f"K={extra[1]} " in err
+        assert peak < 32 * 2**20
+        assert not out.exists()
+
 
 class TestRenderCommand:
     def test_round_trip_from_branch(self, tmp_path):
@@ -360,21 +397,20 @@ class TestRenderCommand:
         assert data["points"][0]["s"] == 0.0
 
     def test_mfold_symmetry_of_samples(self, tmp_path):
-        # boundary points map onto themselves under rotation by 2 pi / m
-        from sqg_vstates.contour import PatchPair, eval_maps
-
+        # boundary points map onto themselves under rotation by 2 pi / m,
+        # a shift by a whole number of samples
         src = run_branch(tmp_path, steps=2)
         data = json.loads(src.read_text())
         pt = data["points"][-1]
         patch = PatchPair(b=data["b"], m=data["m"], K=data["K"],
                           a=np.array(pt["a"]), c=np.array(pt["c"]),
                           omega=pt["omega"])
+        shift = 32
+        samples = boundary_samples(patch, npoints=shift * data["m"])
         rot = np.exp(2j * math.pi / data["m"])
-        for theta in np.linspace(0.0, 2.0 * math.pi, 32, endpoint=False):
-            z1, z2, _, _ = eval_maps(patch, theta)
-            z1r, z2r, _, _ = eval_maps(patch, theta + 2.0 * math.pi / data["m"])
-            assert abs(z1r - rot * z1) <= 1e-9
-            assert abs(z2r - rot * z2) <= 1e-9
+        for col in (1, 3):
+            z = samples[:, col] + 1j * samples[:, col + 1]
+            assert np.abs(np.roll(z, -shift) - rot * z).max() <= 1e-9
 
     def test_empty_selection(self, tmp_path):
         src = run_branch(tmp_path, steps=1)

@@ -13,10 +13,8 @@ from sqg_vstates.contour import (
     boundary_samples,
     branch_continue,
     collocation_residual,
-    eval_maps,
     newton_correct,
     residual,
-    stream_integral,
 )
 from sqg_vstates.errors import (
     BoundaryCollision,
@@ -86,6 +84,19 @@ def _point_maps(src, dst, patch, tau, w):
     return num_t - num_w[0], np.abs(phi_t - phi_w[0])
 
 
+def node_angle(theta, P):
+    """The grid node k nearest the angle ``theta`` and its angle 2 pi k / P."""
+    k = round(theta * P / (2.0 * math.pi)) % P
+    return k, 2.0 * math.pi * k / P
+
+
+def node_stream(src, dst, patch, k, P):
+    """S(Phi_src, Phi_dst) at the grid node k: the one-target kernel pass
+    of the P grid."""
+    maps = contour._map_values(patch, P)
+    return complex(contour._stream_on_grid(maps[src - 1], maps[dst - 1], slice(k, k + 1), src == dst)[0])
+
+
 def offset_trapezoid(src, dst, patch, theta, P):
     """S(Phi_src, Phi_dst) at w = e^{i theta} as one direct mean over the
     P rotated half-offset nodes.  Second order on a self pair, so it is the
@@ -145,42 +156,41 @@ class TestPatchPair:
 class TestEvalMaps:
     def test_annulus(self):
         patch = annulus_patch(0.5, 4, 3, 0.0)
-        for theta in (0.0, 0.7, 2.0, 5.5):
-            z1, z2, dz1, dz2 = eval_maps(patch, theta)
-            w = np.exp(1j * theta)
-            assert z1 == pytest.approx(w, abs=1e-15)
-            assert z2 == pytest.approx(0.5 * w, abs=1e-15)
-            assert dz1 == pytest.approx(1j * w, abs=1e-15)
-            assert dz2 == pytest.approx(0.5j * w, abs=1e-15)
+        w = contour._nodes(8)
+        (z1, a1), (z2, a2) = contour._map_values(patch, 8)
+        assert np.abs(z1 - w).max() <= 1e-15
+        assert np.abs(z2 - 0.5 * w).max() <= 1e-15
+        assert np.abs(a1 - w).max() <= 1e-15
+        assert np.abs(a2 - 0.5 * w).max() <= 1e-15
 
     def test_single_mode(self):
-        eps, m = 1e-3, 5
+        eps, m, P = 1e-3, 5, 64
         patch = PatchPair(b=0.5, m=m, K=1, a=np.array([eps]), c=np.zeros(1), omega=0.0)
-        theta = 1.234
-        z1, _, _, _ = eval_maps(patch, theta)
+        theta = 2.0 * math.pi * np.arange(P) / P
+        (z1, _), _ = contour._map_values(patch, P)
         expected = np.exp(1j * theta) + eps * np.exp(-1j * (m - 1) * theta)
-        assert z1 == pytest.approx(expected, abs=1e-15)
+        assert np.abs(z1 - expected).max() <= 1e-15
 
     def test_tangential_derivative_matches_finite_difference(self):
+        # central difference between neighbouring nodes against the
+        # tangential derivative i w Phi'(w) = i A
         patch = small_patch(seed=7)
-        h = 1e-5
-        for theta in (0.3, 1.9, 4.4):
-            z1p, z2p, _, _ = eval_maps(patch, theta + h)
-            z1m, z2m, _, _ = eval_maps(patch, theta - h)
-            _, _, dz1, dz2 = eval_maps(patch, theta)
-            assert abs((z1p - z1m) / (2 * h) - dz1) <= 1e-8
-            assert abs((z2p - z2m) / (2 * h) - dz2) <= 1e-8
+        P = 1 << 17
+        h = 2.0 * math.pi / P
+        for phi, num in contour._map_values(patch, P):
+            for theta in (0.3, 1.9, 4.4):
+                k, _ = node_angle(theta, P)
+                assert abs((phi[k + 1] - phi[k - 1]) / (2 * h) - 1j * num[k]) <= 1e-8
 
 
 class TestGridEvaluators:
     @pytest.mark.parametrize("P", [1, 7, 64, 1280])
-    @pytest.mark.parametrize("theta", [0.0, 0.7])
-    def test_fft_maps_match_direct_sum(self, P, theta):
+    def test_fft_maps_match_direct_sum(self, P):
         # exponents n m - 1 = 4..79 reach past P = 1, 7 and 64, where the
         # FFT folds them into bin p mod P
         patch = small_patch(b=0.5, m=5, K=16, seed=2, scale=1e-4)
-        w = np.exp(1j * theta) * np.exp(2j * math.pi * np.arange(P) / P)
-        for got, ref in zip(contour._map_values(patch, P, theta), direct_maps(patch, w)):
+        w = np.exp(2j * math.pi * np.arange(P) / P)
+        for got, ref in zip(contour._map_values(patch, P), direct_maps(patch, w)):
             for g, r in zip(got, ref):
                 assert np.abs(g - r).max() <= 1e-14
 
@@ -213,27 +223,29 @@ class TestStreamIntegral:
         # S(Id, Id) = -(2/pi) w
         patch = annulus_patch(0.5, 3, 2, 0.0)
         for theta in (0.0, 0.7, 3.1):
-            val = stream_integral(1, 1, patch, theta, 4096)
-            assert abs(val - (-2.0 / math.pi) * np.exp(1j * theta)) <= 1e-7
+            k, theta_k = node_angle(theta, 4096)
+            val = node_stream(1, 1, patch, k, 4096)
+            assert abs(val - (-2.0 / math.pi) * np.exp(1j * theta_k)) <= 1e-7
 
     def test_inner_self_interaction_scales_out(self):
         # the b factors cancel: S(Phi_2, Phi_2) = -(2/pi) w as well
         patch = annulus_patch(0.5, 3, 2, 0.0)
-        val = stream_integral(2, 2, patch, 0.9, 4096)
-        assert abs(val - (-2.0 / math.pi) * np.exp(0.9j)) <= 1e-7
+        k, theta_k = node_angle(0.9, 4096)
+        val = node_stream(2, 2, patch, k, 4096)
+        assert abs(val - (-2.0 / math.pi) * np.exp(1j * theta_k)) <= 1e-7
 
     @pytest.mark.parametrize("b", [0.3, 0.5, 0.7])
     def test_cross_interaction_closed_forms(self, b):
         # smooth integrands: spectral accuracy against the hypergeometric
         # closed forms assembled from the cross-circle kernel moments
         patch = annulus_patch(b, 3, 2, 0.0)
-        theta = 0.9
-        w = np.exp(1j * theta)
+        k, theta_k = node_angle(0.9, 2048)
+        w = np.exp(1j * theta_k)
         b2 = b * b
         f_half = gauss_2f1(0.5, 0.5, 1.0, b2)
-        s21 = stream_integral(2, 1, patch, theta, 2048)
+        s21 = node_stream(2, 1, patch, k, 2048)
         assert abs(s21 - w * (0.5 * b2 * gauss_2f1(0.5, 1.5, 2.0, b2) - f_half)) <= 1e-12
-        s12 = stream_integral(1, 2, patch, theta, 2048)
+        s12 = node_stream(1, 2, patch, k, 2048)
         assert abs(s12 - w * b * (lambda_coeff(1, b) - f_half)) <= 1e-12
 
     def test_self_interaction_annulus_exact_on_coarse_grid(self):
@@ -242,8 +254,9 @@ class TestStreamIntegral:
         patch = annulus_patch(0.5, 3, 2, 0.0)
         for src in (1, 2):
             for theta in (0.0, 0.7, 3.1):
-                val = stream_integral(src, src, patch, theta, 64)
-                assert abs(val - (-2.0 / math.pi) * np.exp(1j * theta)) <= 1e-14
+                k, theta_k = node_angle(theta, 64)
+                val = node_stream(src, src, patch, k, 64)
+                assert abs(val - (-2.0 / math.pi) * np.exp(1j * theta_k)) <= 1e-14
 
     def test_quadrature_convergence_order(self):
         # the half-offset oracle: doubling P should shrink the corner error
@@ -262,15 +275,16 @@ class TestStreamIntegral:
         for src in (1, 2):
             for dst in (1, 2):
                 for theta in (0.3, 2.0):
-                    ref = offset_trapezoid(src, dst, patch, theta, 1 << 16)
-                    assert abs(stream_integral(src, dst, patch, theta, 64) - ref) <= 1e-9
+                    k, theta_k = node_angle(theta, 64)
+                    ref = offset_trapezoid(src, dst, patch, theta_k, 1 << 16)
+                    assert abs(node_stream(src, dst, patch, k, 64) - ref) <= 1e-9
 
     def test_collision_guard(self):
         # degenerate inner circle: |Phi_2(tau) - Phi_2(w)| = b |tau - w|
         # drops below the disjointness guard for b ~ 1e-9
         patch = annulus_patch(1e-9, 2, 1, 0.0)
         with pytest.raises(BoundaryCollision):
-            stream_integral(2, 2, patch, 0.5, 64)
+            node_stream(2, 2, patch, 5, 64)
 
     @pytest.mark.parametrize("P", [64, 2048])
     def test_matches_direct_one_point_formula(self, P):
@@ -279,17 +293,9 @@ class TestStreamIntegral:
         for src in (1, 2):
             for dst in (1, 2):
                 for theta in (0.3, 2.0):
-                    ref = dense_product_rule(src, dst, patch, theta, P)
-                    assert abs(stream_integral(src, dst, patch, theta, P) - ref) <= 1e-14
-
-    def test_parameter_validation(self):
-        patch = annulus_patch(0.5, 3, 2, 0.0)
-        with pytest.raises(PreconditionError):
-            stream_integral(0, 1, patch, 0.0, 256)
-        with pytest.raises(PreconditionError):
-            stream_integral(1, 1, patch, 0.0, 31)
-        with pytest.raises(PreconditionError):
-            stream_integral(1, 1, patch, 0.0, 257)
+                    k, theta_k = node_angle(theta, P)
+                    ref = dense_product_rule(src, dst, patch, theta_k, P)
+                    assert abs(node_stream(src, dst, patch, k, P) - ref) <= 1e-14
 
 
 class TestResidual:
@@ -315,8 +321,8 @@ class TestResidual:
         assert abs(g1[0]) <= 1e-12 and abs(g2[0]) <= 1e-12
 
     def test_matches_single_point_rule(self):
-        # grid evaluation is the same quadrature as stream_integral, which
-        # evaluates each point directly and uses no grid symmetry
+        # the reduced grid evaluation against one-target kernel passes at
+        # each node, which use no grid symmetry
         P = 256
         cases = [
             (3, 2, 5, (0, 7, 100, 255)),  # gcd(m, P) = 1: reflection only
@@ -328,21 +334,17 @@ class TestResidual:
         for m, K, seed, ks in cases:
             patch = small_patch(m=m, K=K, seed=seed)
             g1, g2 = collocation_residual(patch, P)
+            (z1, a1), (z2, a2) = contour._map_values(patch, P)
             for k in ks:
-                theta = 2.0 * math.pi * k / P
-                w = np.exp(1j * theta)
-                z1, z2, dz1, dz2 = eval_maps(patch, theta)
-                dphi1 = dz1 / (1j * w)
-                dphi2 = dz2 / (1j * w)
                 g1_direct = np.imag(
-                    (patch.omega * z1
-                     - stream_integral(1, 1, patch, theta, P)
-                     + stream_integral(2, 1, patch, theta, P)) * np.conj(dphi1) * np.conj(w)
+                    (patch.omega * z1[k]
+                     - node_stream(1, 1, patch, k, P)
+                     + node_stream(2, 1, patch, k, P)) * np.conj(a1[k])
                 )
                 g2_direct = np.imag(
-                    (patch.omega * z2
-                     - stream_integral(1, 2, patch, theta, P)
-                     + stream_integral(2, 2, patch, theta, P)) * np.conj(dphi2) * np.conj(w)
+                    (patch.omega * z2[k]
+                     - node_stream(1, 2, patch, k, P)
+                     + node_stream(2, 2, patch, k, P)) * np.conj(a2[k])
                 )
                 assert g1_direct == pytest.approx(g1[k], abs=1e-14)
                 assert g2_direct == pytest.approx(g2[k], abs=1e-14)
@@ -401,17 +403,41 @@ class TestResidual:
             residual(patch, 40)  # below 4*K*m = 48
         with pytest.raises(PreconditionError):
             residual(patch, 49)  # odd
+        # the size cap K P <= MAX_KP, checked before any table is built
+        P = 2 * (contour.MAX_KP // 6)  # even, K P just below the cap
+        assert contour._collocation_grid(4, 3, P)[0] == P // 2
+        with pytest.raises(PreconditionError, match=f"P={P + 2} with K=3 .* cap K\\*P <= {contour.MAX_KP}"):
+            residual(patch, P + 2)
 
     def test_one_period_collocation_matches_full_grid(self):
-        # grid symmetry: projecting over half a period reproduces the
-        # full-circle sine coefficients to summation roundoff
-        for m, K, P in [(4, 3, 1024)] + SYMMETRY_GRIDS:
+        # reference: the length-P real FFT of all P targets, evaluated with
+        # no grid symmetry; the projection over half a period and the leak
+        # from one period reproduce it to summation roundoff.  (6, 2, 50),
+        # g = 2 and q = 25, has a leak far above roundoff
+        for m, K, P in [(4, 3, 1024), (6, 2, 50)] + SYMMETRY_GRIDS:
             for seed in (1, 5, 9):
                 patch = small_patch(b=0.6, m=m, K=K, seed=seed, scale=3e-4)
-                full = residual(patch, P)
-                r1, r2 = sine_coefficients(patch, P)
-                assert np.abs(r1 - full.r1).max() <= 1e-14
-                assert np.abs(r2 - full.r2).max() <= 1e-14
+                spec = np.fft.rfft(np.stack(contour._boundary_residuals(patch, slice(0, P), P)))
+                ref = -2.0 * np.imag(spec[:, np.arange(1, K + 1) * m]) / P
+                off = np.arange(spec.shape[1]) % m != 0
+                ref_leak = 2.0 / P * np.abs(spec[:, off]).max() if off.any() else 0.0
+                got = residual(patch, P)
+                assert np.abs(got.r1 - ref[0]).max() <= 1e-14
+                assert np.abs(got.r2 - ref[1]).max() <= 1e-14
+                assert got.leak == pytest.approx(ref_leak, abs=1e-14)
+
+    @pytest.mark.parametrize("m,K,P", SYMMETRY_GRIDS)
+    def test_residual_is_the_newton_projection(self, m, K, P):
+        # residual() and Newton's F share one projection, bit for bit
+        patch = small_patch(b=0.6, m=m, K=K, seed=3, scale=3e-4)
+        spec = residual(patch, P)
+        r1, r2 = sine_coefficients(patch, P)
+        assert np.array_equal(spec.r1, r1) and np.array_equal(spec.r2, r2)
+
+    @pytest.mark.parametrize("m,K,P", SYMMETRY_GRIDS)
+    def test_leak_is_exactly_zero_when_m_divides_p(self, m, K, P):
+        patch = small_patch(b=0.6, m=m, K=K, seed=3, scale=3e-4)
+        assert (residual(patch, P).leak == 0.0) == (P % m == 0)
 
 
 class TestLinearization:

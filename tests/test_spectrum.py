@@ -10,6 +10,7 @@ import pytest
 from sqg_vstates.errors import NotAnEigenvalue, NotSimple, PreconditionError
 from sqg_vstates.specfun import AnnulusConstants, lambda_coeff, s_sum
 from sqg_vstates.spectrum import (
+    MIN_RADIUS,
     bifurcation_row,
     discriminant,
     eigenvalue_monotonicity_scan,
@@ -233,6 +234,27 @@ class TestBifurcationRow:
     def test_below_threshold_refused(self, consts_05):
         with pytest.raises(NotSimple):
             bifurcation_row(2, 0.5, consts_05)  # N(0.5) = 3
+
+    @pytest.mark.parametrize("b", [1e-3, 1e-6, 1e-10, 1e-150])
+    def test_small_root_keeps_its_digits_at_small_radius(self, b):
+        # lambda^- = C - sqrt(Delta) cancels when D << C^2; from the
+        # product of the roots det M_m(Omega^+) still vanishes to rounding
+        consts = AnnulusConstants.build(b)
+        start = threshold_N(b, consts)
+        cols = spectrum_columns(start, start + 20, b, consts)
+        for m, omega in zip(cols.m.tolist(), cols.omega_plus.tolist()):
+            mat = mode_matrix(m, b, omega, consts)
+            assert abs(mat.det()) <= 1e-15 * mat.det_scale()
+
+    def test_radius_below_the_floor_is_a_guard_error(self):
+        b = MIN_RADIUS / 2
+        consts = AnnulusConstants.build(b)
+        for call in (lambda: threshold_N(b, consts),
+                     lambda: discriminant(2, b, consts),
+                     lambda: spectrum_columns(2, 3, b, consts)):
+            with pytest.raises(PreconditionError, match="below 1e-150"):
+                call()
+        threshold_N(MIN_RADIUS, AnnulusConstants.build(MIN_RADIUS))
 
 
 class TestKernelVector:
