@@ -63,8 +63,10 @@ in the limit, so every kernel pass evaluates only the orbit
 representatives k = 1..ceil(q/2)-1, which :func:`_collocation_grid` alone
 defines; the rest are copies up to summation order, or zero.
 
-Threads.  Kernel passes run on the calling thread; BLAS threads are the
-only parallelism.
+Kernel passes.  Every pass, a residual's :func:`_stream_on_grid` and
+the Jacobian's :func:`_source_derivatives`, is one loop over the blocks
+of targets that the generator :func:`_distance_blocks` yields, on the
+calling thread; BLAS threads are the only parallelism.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -270,22 +272,23 @@ def _distance_blocks(
     phi_dst: np.ndarray,
     targets: slice,
     self_pair: bool,
-    block: Callable[[int, int, np.ndarray, np.ndarray, np.ndarray | float], None],
-) -> None:
+) -> Iterator[tuple[slice, np.ndarray, np.ndarray, np.ndarray | float]]:
     """The kernel distances |D| = |Phi_src(tau_l) - Phi_dst(tau_k)| from the
     P grid nodes l to the targets k in the index range ``targets``, one
     block of targets at a time: the one place every kernel pass forms them.
 
-    Blocks hold about ``_BLOCK_PAIRS`` kernel pairs in two buffers
-    allocated once per call.  Calls ``block(lo, hi, d, spare, weight)``
-    per block: ``d`` holds |D| for targets lo..hi-1 of ``targets`` as a
-    contiguous (hi - lo, P) view and ``spare`` is working space of the
-    same shape; ``block`` may overwrite both.  The pair weight is
-    ``weight`` / P: the matching rows of :func:`_self_weights` on a self
-    pair, 1.0 on a cross pair.  On a self pair the diagonal l = k, where
-    D = 0, is set to +inf, so it passes the guard and its kernel
-    ``weight / d`` is exactly 0.  Raises :class:`BoundaryCollision` if any
-    other distance drops below the disjointness guard.
+    A generator: blocks hold about ``_BLOCK_PAIRS`` kernel pairs in two
+    buffers allocated once per pass, and each block is yielded as
+    ``(rows, d, spare, weight)``.  ``rows`` is the slice of positions
+    within ``targets`` that the block covers, ``d`` holds their |D| as a
+    contiguous (rows, P) view and ``spare`` is working space of the same
+    shape; the loop body may overwrite both, and the next block reuses
+    them.  The pair weight is ``weight`` / P: the matching rows of
+    :func:`_self_weights` on a self pair, 1.0 on a cross pair.  On a self
+    pair the diagonal l = k, where D = 0, is set to +inf, so it passes the
+    guard and its kernel ``weight / d`` is exactly 0.  Raises
+    :class:`BoundaryCollision` if any other distance drops below the
+    disjointness guard, after the blocks before it have been yielded.
     """
     P = phi_src.size
     first = targets.start
@@ -316,7 +319,7 @@ def _distance_blocks(
             raise BoundaryCollision(
                 f"boundaries closer than {COLLISION_TOL} at a quadrature node"
             )
-        block(lo, hi, d, spare, weight)
+        yield slice(lo, hi), d, spare, weight
 
 
 def _stream_on_grid(
@@ -337,13 +340,10 @@ def _stream_on_grid(
     sums = np.column_stack([num_src.real, num_src.imag, np.ones(P)])
     num_w = num_dst[targets]
     out = np.empty(num_w.size, dtype=complex)
-
-    def block(lo: int, hi: int, d: np.ndarray, _: np.ndarray, weight: np.ndarray | float) -> None:
+    for rows, d, _, weight in _distance_blocks(phi_src, phi_dst, targets, self_pair):
         np.divide(weight, d, out=d)
         re, im, total = (d @ sums).T
-        out[lo:hi] = (re + 1j * im - num_w[lo:hi] * total) / P
-
-    _distance_blocks(phi_src, phi_dst, targets, self_pair, block)
+        out[rows] = (re + 1j * im - num_w[rows] * total) / P
     return out
 
 
@@ -451,6 +451,12 @@ def _pack(patch: PatchPair) -> np.ndarray:
     return np.concatenate([patch.a, patch.c, [patch.omega]])
 
 
+def _unpack(patch_like: PatchPair, x: np.ndarray) -> PatchPair:
+    """The patch at unknowns x = (a, c, Omega), with b, m and K of ``patch_like``."""
+    K = patch_like.K
+    return patch_like.with_state(x[:K], x[K:2 * K], float(x[2 * K]))
+
+
 def _augmented(g: tuple[np.ndarray, ...], proj: np.ndarray, x: np.ndarray,
                s: float, vhat: tuple[float, float]) -> tuple[np.ndarray, float]:
     """The augmented residual F from g = (G_1, G_2) on the targets of
@@ -467,97 +473,80 @@ def _augmented(g: tuple[np.ndarray, ...], proj: np.ndarray, x: np.ndarray,
 def _system(patch_like: PatchPair, x: np.ndarray, s: float, vhat: tuple[float, float], P: int) -> tuple[np.ndarray, float]:
     """Augmented residual (:func:`_augmented`) at x = (a, c, Omega), one
     kernel pass over the targets of :func:`_collocation_grid`."""
-    K = patch_like.K
-    patch = patch_like.with_state(x[:K], x[K:2 * K], float(x[2 * K]))
-    _, targets, proj = _collocation_grid(patch.m, K, P)
+    patch = _unpack(patch_like, x)
+    _, targets, proj = _collocation_grid(patch.m, patch.K, P)
     return _augmented(_boundary_residuals(patch, targets, P), proj, x, s, vhat)
 
 
-def _source_tables(t_neg: np.ndarray, num: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Right-hand sides that turn the kernel matrices R, U, V of one source
-    map into every column sum :func:`_pair_derivatives` needs.
-
-    ``t_neg`` is the monomial table T = tau^{-p} and ``num`` the numerator
-    A = tau Phi'(tau) of the source map on the P grid nodes.  Column
-    blocks, which :func:`_pair_derivatives` slices by position:
-    t_r = [Re T, Im T, 1, Re A, Im A],
-    t_u = [Re T, Re A Re T, Im A Re T, 1, Re A, Im A] and t_v the same
-    with Im T in place of Re T.
-    """
-    tail = np.column_stack([np.ones(num.size), num.real, num.imag])
-    t_r = np.column_stack([t_neg.real, t_neg.imag, tail])
-    t_u = np.column_stack([t_neg.real, num.real[:, None] * t_neg.real, num.imag[:, None] * t_neg.real, tail])
-    t_v = np.column_stack([t_neg.imag, num.real[:, None] * t_neg.imag, num.imag[:, None] * t_neg.imag, tail])
-    return t_r, t_u, t_v
-
-
-def _pair_derivatives(
-    phi_src: np.ndarray,
-    tables: tuple[np.ndarray, np.ndarray, np.ndarray],
-    dst: tuple[np.ndarray, np.ndarray],
+def _source_derivatives(
+    maps: tuple[tuple[np.ndarray, np.ndarray], ...],
+    source: int,
     targets: slice,
-    self_pair: bool,
+    t_neg: np.ndarray,
     w_neg: np.ndarray,
     p: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """S(Phi_src, Phi_dst) at the targets ``targets`` and its exact
-    derivatives with respect to the source and destination coefficients.
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """S(Phi_i, Phi_j) at the targets ``targets`` for source map i =
+    ``source`` and both destinations j, with its exact derivatives with
+    respect to the source and destination coefficients.
 
-    With D = Phi_src(tau) - Phi_dst(w), A = tau Phi_src'(tau),
-    B = w Phi_dst'(w) and the pair weight c (1/P, or V_{l-k} on a self
-    pair), S = sum_tau (A - B) R with R = c/|D|.  A source coefficient
-    moves D by tau^{-p} and A by -p tau^{-p}; a destination coefficient
-    moves D by -w^{-p} and B by -p w^{-p}; c is constant, so
+    With D = Phi_i(tau) - Phi_j(w), A = tau Phi_i'(tau), B = w Phi_j'(w)
+    and the pair weight c (1/P, or V_{l-k} on a self pair),
+    S = sum_tau (A - B) R with R = c/|D|.  A source coefficient moves D by
+    tau^{-p} and A by -p tau^{-p}; a destination coefficient moves D by
+    -w^{-p} and B by -p w^{-p}; c is constant, so
     dR = -(c/|D|^3) Re(conj(D) dD).  With U = Re(D) c/|D|^3 and
-    V = Im(D) c/|D|^3 every column is a product of R, U or V with a table
-    of :func:`_source_tables`, formed block by block in the buffers of
-    :func:`_distance_blocks`.  ``dst`` is (Phi_dst, B) on the nodes and
-    ``w_neg`` is w^{-p} at the targets.  Returns
+    V = Im(D) c/|D|^3 every column is a product of R, U or V with one of
+    three tables of the source map, formed block by block in the buffers
+    of :func:`_distance_blocks`.  With T = tau^{-p} (``t_neg``, on the P
+    nodes) the tables' column blocks are t_r = [Re T, Im T, 1, Re A, Im A],
+    t_u = [Re T, Re A Re T, Im A Re T, 1, Re A, Im A] and t_v the same with
+    Im T in place of Re T; they are built once for both destinations and
+    freed when the generator ends.  ``maps`` holds (Phi, A) of both maps on
+    the nodes and ``w_neg`` is w^{-p} at the targets.  Yields, for j = 1, 2,
     (S, dS/dsource, dS/ddestination), the last two as (targets, K) arrays.
     """
+    phi_src, num_src = maps[source]
     P = phi_src.size
     K = p.size
-    t_r, t_u, t_v = tables
-    phi_w = dst[0][targets]
-    num_w = dst[1][targets]
-    r_cols, u_cols, v_cols = (np.empty((phi_w.size, t.shape[1])) for t in tables)
-
-    def block(lo: int, hi: int, d: np.ndarray, spare: np.ndarray, weight: np.ndarray | float) -> None:
-        np.multiply(d, d, out=spare)
-        spare *= d
-        np.divide(weight, d, out=d)  # R
-        np.divide(weight, spare, out=spare)  # c/|D|^3
-        r_cols[lo:hi] = d @ t_r
-        np.subtract(phi_src.real, phi_w.real[lo:hi, None], out=d)
-        d *= spare  # U
-        u_cols[lo:hi] = d @ t_u
-        np.subtract(phi_src.imag, phi_w.imag[lo:hi, None], out=d)
-        d *= spare  # V
-        v_cols[lo:hi] = d @ t_v
-
-    _distance_blocks(phi_src, dst[0], targets, self_pair, block)
-
-    def tail(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # column sum and sum against A
-        return cols[:, -3], cols[:, -2] + 1j * cols[:, -1]
-
-    sum_r, r_a = tail(r_cols)
-    sum_u, u_a = tail(u_cols)
-    sum_v, v_a = tail(v_cols)
-    b = num_w[:, None]
-    value = (r_a - num_w * sum_r) / P
-    d_src = (
-        -p * (r_cols[:, :K] + 1j * r_cols[:, K:2 * K])
-        - (u_cols[:, K:2 * K] + 1j * u_cols[:, 2 * K:3 * K])
-        - (v_cols[:, K:2 * K] + 1j * v_cols[:, 2 * K:3 * K])
-        + b * (u_cols[:, :K] + v_cols[:, :K])
-    ) / P
-    d_dst = (
-        p * w_neg * sum_r[:, None]
-        + w_neg.real * (u_a - num_w * sum_u)[:, None]
-        + w_neg.imag * (v_a - num_w * sum_v)[:, None]
-    ) / P
-    return value, d_src, d_dst
+    tail = np.column_stack([np.ones(P), num_src.real, num_src.imag])
+    t_r = np.column_stack([t_neg.real, t_neg.imag, tail])
+    t_u = np.column_stack([t_neg.real, num_src.real[:, None] * t_neg.real, num_src.imag[:, None] * t_neg.real, tail])
+    t_v = np.column_stack([t_neg.imag, num_src.real[:, None] * t_neg.imag, num_src.imag[:, None] * t_neg.imag, tail])
+    # the column sums, refilled for each destination
+    r_cols, u_cols, v_cols = (np.empty((w_neg.shape[0], t.shape[1])) for t in (t_r, t_u, t_v))
+    for j, (phi_dst, num_dst) in enumerate(maps):
+        phi_w = phi_dst[targets]
+        num_w = num_dst[targets]
+        for rows, d, spare, weight in _distance_blocks(phi_src, phi_dst, targets, j == source):
+            np.multiply(d, d, out=spare)
+            spare *= d
+            np.divide(weight, d, out=d)  # R
+            np.divide(weight, spare, out=spare)  # c/|D|^3
+            r_cols[rows] = d @ t_r
+            np.subtract(phi_src.real, phi_w.real[rows, None], out=d)
+            d *= spare  # U
+            u_cols[rows] = d @ t_u
+            np.subtract(phi_src.imag, phi_w.imag[rows, None], out=d)
+            d *= spare  # V
+            v_cols[rows] = d @ t_v
+        d = spare = None  # release this pass's buffers before the next pass allocates its own
+        # the last three columns: the column sum and the sum against A
+        sum_r, sum_u, sum_v = r_cols[:, -3], u_cols[:, -3], v_cols[:, -3]
+        r_a, u_a, v_a = (cols[:, -2] + 1j * cols[:, -1] for cols in (r_cols, u_cols, v_cols))
+        value = (r_a - num_w * sum_r) / P
+        d_src = (
+            -p * (r_cols[:, :K] + 1j * r_cols[:, K:2 * K])
+            - (u_cols[:, K:2 * K] + 1j * u_cols[:, 2 * K:3 * K])
+            - (v_cols[:, K:2 * K] + 1j * v_cols[:, 2 * K:3 * K])
+            + num_w[:, None] * (u_cols[:, :K] + v_cols[:, :K])
+        ) / P
+        d_dst = (
+            p * w_neg * sum_r[:, None]
+            + w_neg.real * (u_a - num_w * sum_u)[:, None]
+            + w_neg.imag * (v_a - num_w * sum_v)[:, None]
+        ) / P
+        yield value, d_src, d_dst
 
 
 def _exact_jacobian(
@@ -573,45 +562,39 @@ def _exact_jacobian(
     Im(dE_j conj(B_j)) + Im(E_j conj(dB_j)) and the Omega column is
     Im(Phi_j conj(B_j)).  The maps and the monomial table tau^{-p} are
     formed once, on the P nodes, and the pass forms every E_j, so G_j and
-    F cost no further kernel work.  Each (source, destination) pair is one
-    call of :func:`_pair_derivatives`, one source map's tables at a time.
+    F cost no further kernel work.  Each source map is one call of
+    :func:`_source_derivatives`, one source's tables at a time.
     Returns (J, F, max sine coefficient); F agrees with :func:`_system` up
     to summation order.
     """
-    K = patch_like.K
-    patch = patch_like.with_state(x[:K], x[K:2 * K], float(x[2 * K]))
+    patch = _unpack(patch_like, x)
+    K = patch.K
     _, targets, proj = _collocation_grid(patch.m, K, P)
     p = patch.mode_exponents()
     t_neg = _node_powers(P, np.arange(P), -p)
     w_neg = t_neg[targets]
     maps = _map_values(patch, P)
     dst = [(phi[targets], num[targets]) for phi, num in maps]
+    own = [slice(0, K), slice(K, 2 * K)]  # the columns of map j's coefficients
 
-    # e_val[j] = E_j and d_e[j][k] = dE_j / d(coefficients of map k)
+    # e_val[j] = E_j and d_e[j] = dE_j / d(a, c), a (targets, 2K) array
     e_val = [patch.omega * phi_w for phi_w, _ in dst]
-    d_e = [[np.zeros(w_neg.shape, dtype=complex) for _ in range(2)] for _ in range(2)]
+    d_e = [np.zeros((w_neg.shape[0], 2 * K), dtype=complex) for _ in range(2)]
     for j in range(2):
-        d_e[j][j] += patch.omega * w_neg
+        d_e[j][:, own[j]] += patch.omega * w_neg
     for i, sign in ((0, -1.0), (1, 1.0)):
-        phi_t, num_t = maps[i]
-        tables = _source_tables(t_neg, num_t)
-        for j in range(2):
-            value, d_src, d_dst = _pair_derivatives(phi_t, tables, maps[j], targets, i == j, w_neg, p)
+        for j, (value, d_src, d_dst) in enumerate(_source_derivatives(maps, i, targets, t_neg, w_neg, p)):
             e_val[j] += sign * value
-            d_e[j][i] += sign * d_src
-            d_e[j][j] += sign * d_dst
-        del tables  # one source's tables live at a time
+            d_e[j][:, own[i]] += sign * d_src
+            d_e[j][:, own[j]] += sign * d_dst
 
     jac = np.zeros((2 * K + 1, 2 * K + 1))
     for j, (phi_w, num_w) in enumerate(dst):
-        conj_b = np.conj(num_w)[:, None]
-        rows = slice(j * K, (j + 1) * K)
-        for k in range(2):
-            d_g = np.imag(d_e[j][k] * conj_b)
-            if k == j:
-                d_g -= p * np.imag(e_val[j][:, None] * np.conj(w_neg))
-            jac[rows, k * K:(k + 1) * K] = proj.T @ d_g
-        jac[rows, 2 * K] = proj.T @ np.imag(phi_w * np.conj(num_w))
+        d_g = np.imag(d_e[j] * np.conj(num_w)[:, None])
+        d_g[:, own[j]] -= p * np.imag(e_val[j][:, None] * np.conj(w_neg))
+        for k in range(2):  # per block: one 2K-column product rounds differently at K = 1
+            jac[own[j], own[k]] = proj.T @ d_g[:, own[k]]
+        jac[own[j], 2 * K] = proj.T @ np.imag(phi_w * np.conj(num_w))
     jac[2 * K, 0] = vhat[0]
     jac[2 * K, K] = vhat[1]
     g = [np.imag(e * np.conj(num_w)) for e, (_, num_w) in zip(e_val, dst)]
@@ -677,7 +660,7 @@ def newton_correct(
     while True:
         if np.abs(fvec).max() <= newton_tol:
             if grid == P:
-                return patch.with_state(x[:K], x[K:2 * K], float(x[2 * K])), rnorm
+                return _unpack(patch, x), rnorm
             grid = P
             fvec, rnorm = _system(patch, x, s, vhat, P)
             continue
@@ -807,8 +790,7 @@ def branch_continue(
         s += ds
         x = _predict(history, ds, vhat)
         try:
-            predictor = start.with_state(x[:K], x[K:2 * K], float(x[2 * K]))
-            patch, rnorm = newton_correct(predictor, s, kern, P, max_iter, newton_tol)
+            patch, rnorm = newton_correct(_unpack(start, x), s, kern, P, max_iter, newton_tol)
         except (PreconditionError, BoundaryCollision, NoConvergence, SingularJacobian) as exc:
             stopped = f"{type(exc).__name__} at step {step_index}: {exc}"
             break

@@ -797,9 +797,9 @@ class TestConcurrency:
             assert np.array_equal(s.r1, p.r1) and np.array_equal(s.r2, p.r2)
         assert serial_rows == par_rows
 
-    def test_collision_in_a_worker_block_reaches_the_caller(self, monkeypatch):
+    def test_collision_in_a_block_reaches_the_caller(self, monkeypatch):
         # 16 blocks of 4 targets; the colliding target 21 is in block 5:
-        # the five blocks before it run, then the pass raises
+        # the five blocks before it are yielded, then the pass raises
         P = 64
         nodes = contour._nodes(P)
         dst = 0.5 * nodes
@@ -807,5 +807,6 @@ class TestConcurrency:
         monkeypatch.setattr(contour, "_BLOCK_PAIRS", 4 * P)
         done = []
         with pytest.raises(BoundaryCollision):
-            contour._distance_blocks(nodes, dst, slice(0, P), False, lambda lo, *_: done.append(lo))
+            for rows, *_ in contour._distance_blocks(nodes, dst, slice(0, P), False):
+                done.append(rows.start)
         assert done == [0, 4, 8, 12, 16]
