@@ -145,6 +145,8 @@ class PatchPair:
             raise PreconditionError(f"fold symmetry must satisfy m >= 2, got {self.m}")
         if self.K < 1:
             raise PreconditionError(f"truncation must satisfy K >= 1, got {self.K}")
+        if int(self.K) * int(self.m) > np.iinfo(np.int64).max:
+            raise PreconditionError(f"mode exponents n*m - 1 must fit in int64, got K={self.K}, m={self.m}")
         a = np.asarray(self.a, dtype=float).copy()
         c = np.asarray(self.c, dtype=float).copy()
         if a.shape != (self.K,) or c.shape != (self.K,):
@@ -267,28 +269,23 @@ def _self_weights(P: int) -> np.ndarray:
     return sliding_window_view(np.concatenate([v, v]), P)[::-1]
 
 
-def _distance_blocks(
-    phi_src: np.ndarray,
-    phi_dst: np.ndarray,
-    targets: slice,
-    self_pair: bool,
-) -> Iterator[tuple[slice, np.ndarray, np.ndarray, np.ndarray | float]]:
+def _distance_blocks(phi_src: np.ndarray, phi_dst: np.ndarray, targets: slice,
+                     self_pair: bool) -> Iterator[tuple[slice, np.ndarray, np.ndarray, np.ndarray | float]]:
     """The kernel distances |D| = |Phi_src(tau_l) - Phi_dst(tau_k)| from the
     P grid nodes l to the targets k in the index range ``targets``, one
     block of targets at a time: the one place every kernel pass forms them.
 
     A generator: blocks hold about ``_BLOCK_PAIRS`` kernel pairs in two
-    buffers allocated once per pass, and each block is yielded as
-    ``(rows, d, spare, weight)``.  ``rows`` is the slice of positions
-    within ``targets`` that the block covers, ``d`` holds their |D| as a
-    contiguous (rows, P) view and ``spare`` is working space of the same
-    shape; the loop body may overwrite both, and the next block reuses
-    them.  The pair weight is ``weight`` / P: the matching rows of
-    :func:`_self_weights` on a self pair, 1.0 on a cross pair.  On a self
-    pair the diagonal l = k, where D = 0, is set to +inf, so it passes the
-    guard and its kernel ``weight / d`` is exactly 0.  Raises
-    :class:`BoundaryCollision` if any other distance drops below the
-    disjointness guard, after the blocks before it have been yielded.
+    buffers allocated once per pass and yield ``(rows, d, spare, weight)``:
+    ``d`` holds |D| for the positions ``rows`` of ``targets`` as a
+    contiguous (rows, P) view, and ``spare`` is working space of the same
+    shape that the loop body, like ``d``, may overwrite.  The pair weight
+    is ``weight`` / P: the matching rows of :func:`_self_weights` on a self
+    pair, 1.0 on a cross pair.  On a self pair the diagonal l = k, where
+    D = 0, is set to +inf, so it passes the guard and its kernel
+    ``weight / d`` is exactly 0.  Raises :class:`BoundaryCollision` if any
+    other distance drops below the disjointness guard, after the blocks
+    before it have been yielded.
     """
     P = phi_src.size
     first = targets.start
@@ -316,9 +313,7 @@ def _distance_blocks(
             np.fill_diagonal(d[:, first + lo:first + hi], np.inf)
             weight = weights[first + lo:first + hi]
         if d.min() < COLLISION_TOL:
-            raise BoundaryCollision(
-                f"boundaries closer than {COLLISION_TOL} at a quadrature node"
-            )
+            raise BoundaryCollision(f"boundaries closer than {COLLISION_TOL} at a quadrature node")
         yield slice(lo, hi), d, spare, weight
 
 
@@ -361,6 +356,14 @@ def _boundary_residuals(patch: PatchPair, targets: slice, P: int) -> tuple[np.nd
     return tuple(g)
 
 
+def _check_grid(m: int, K: int, P: int) -> None:
+    """The grid rule, checked before any array of a pass or run is allocated:
+    :class:`PreconditionError` unless P is even, P >= 4 K m and K P <= ``MAX_KP``."""
+    if P % 2 or not 4 * K * m <= P <= MAX_KP // K:
+        raise PreconditionError(f"collocation size P={P} with K={K} modes must be even,"
+                                f" >= 4*K*m = {4 * K * m} and within the cap K*P <= {MAX_KP}")
+
+
 def _collocation_grid(m: int, K: int, P: int) -> tuple[int, slice, np.ndarray]:
     """The residual period q, the orbit representatives (the targets of
     every kernel pass) and their projection table: the one target rule.
@@ -372,14 +375,10 @@ def _collocation_grid(m: int, K: int, P: int) -> tuple[int, slice, np.ndarray]:
     are equal and whose terms k = 0 and k = q/2 vanish.  The targets are
     k = 1..ceil(q/2)-1 and the table holds (4/q) sin(n m theta_k), the
     imaginary part of the node tau_{(k n m) mod P}, so the retained
-    coefficient is G @ table.  g = 1 needs no special case.
-
-    Raises :class:`PreconditionError`, before anything is allocated,
-    unless P is even, P >= 4 K m and K P <= ``MAX_KP``.
+    coefficient is G @ table.  g = 1 needs no special case.  Checks the
+    grid first (:func:`_check_grid`).
     """
-    if P % 2 or not 4 * K * m <= P <= MAX_KP // K:
-        raise PreconditionError(f"collocation size P={P} with K={K} modes must be even,"
-                                f" >= 4*K*m = {4 * K * m} and within the cap K*P <= {MAX_KP}")
+    _check_grid(m, K, P)
     q = P // math.gcd(m, P)
     targets = slice(1, (q + 1) // 2)
     sines = _node_powers(P, np.arange(targets.start, targets.stop), np.arange(1, K + 1) * m).imag
@@ -496,14 +495,12 @@ def _source_derivatives(
     tau^{-p} and A by -p tau^{-p}; a destination coefficient moves D by
     -w^{-p} and B by -p w^{-p}; c is constant, so
     dR = -(c/|D|^3) Re(conj(D) dD).  With U = Re(D) c/|D|^3 and
-    V = Im(D) c/|D|^3 every column is a product of R, U or V with one of
-    three tables of the source map, formed block by block in the buffers
-    of :func:`_distance_blocks`.  With T = tau^{-p} (``t_neg``, on the P
-    nodes) the tables' column blocks are t_r = [Re T, Im T, 1, Re A, Im A],
+    V = Im(D) c/|D|^3 every column is a product of R, U or V with a table
+    of the source map, built once for both destinations: with T = tau^{-p}
+    (``t_neg``) the column blocks are t_r = [Re T, Im T, 1, Re A, Im A],
     t_u = [Re T, Re A Re T, Im A Re T, 1, Re A, Im A] and t_v the same with
-    Im T in place of Re T; they are built once for both destinations and
-    freed when the generator ends.  ``maps`` holds (Phi, A) of both maps on
-    the nodes and ``w_neg`` is w^{-p} at the targets.  Yields, for j = 1, 2,
+    Im T in place of Re T.  ``maps`` holds (Phi, A) of both maps on the
+    nodes and ``w_neg`` is w^{-p} at the targets.  Yields, for j = 1, 2,
     (S, dS/dsource, dS/ddestination), the last two as (targets, K) arrays.
     """
     phi_src, num_src = maps[source]
@@ -649,7 +646,7 @@ def newton_correct(
     _check_tol(newton_tol)
     K = patch.K
     coarse = 4 * K * patch.m
-    _collocation_grid(patch.m, K, P)  # P is checked before any work
+    _check_grid(patch.m, K, P)
     vhat = kernel.normalized()
     x = _pack(patch)
     jac: Optional[np.ndarray]
@@ -771,7 +768,8 @@ def branch_continue(
     block = 4 * K * m
     P = block if P is None else block * -(-P // block)
     if consts is None:
-        consts = AnnulusConstants.build(b, m)
+        consts = AnnulusConstants.build(b, m)  # checks its own length first
+    _check_grid(m, K, P)  # before any array of K or P entries
     n_threshold = threshold_N(b, consts)
     if m < n_threshold:
         raise NotSimple(f"mode m={m} is below the threshold N({b}) = {n_threshold}")

@@ -185,7 +185,10 @@ class SpectrumColumns:
 @dataclass(frozen=True)
 class KernelVector:
     """Generator (v1, v2) of the nullspace of the mode matrix at an
-    eigenvalue: v1 = Omega + S_m/b - L_1(b), v2 = -L_m(b)."""
+    eigenvalue: v2 = -L_m(b), and v1 makes the row of M_m with the larger
+    entries vanish: v1 = Omega + S_m/b - L_1(b) = m22/b from row 2 at a
+    plus eigenvalue, v1 = -b^2 L_m^2 / m11 from row 1 at a minus one, where
+    m22 cancels (at b = 1e-6, m = 3 the row-2 form reads 5.8e-11 for 2.9e-43)."""
 
     v1: float
     v2: float
@@ -298,25 +301,35 @@ def bifurcation_row(m: int, b: float, consts: AnnulusConstants) -> SpectrumRow:
 
 
 def kernel_vector(m: int, b: float, omega: float, consts: AnnulusConstants) -> KernelVector:
-    """Nullspace generator of M_m at an eigenvalue ``omega``.
+    """Nullspace generator of M_m at an eigenvalue ``omega``: the
+    :class:`KernelVector`, which spans the kernel precisely when det(M_m) = 0.
 
-    The candidate (Omega + S_m/b - L_1, -L_m) annihilates the second row of
-    M_m identically; it spans the kernel precisely when det(M_m) = 0.  The
-    residual ``M_m v`` is checked against the determinant tolerance and
-    :class:`NotAnEigenvalue` is raised when ``omega`` is not an eigenvalue.
+    Each row's residual (M_m v)_i is checked against the summed magnitudes
+    of the terms that form it, the summands of m11 and m22 included, plus
+    the smallest normal float times the magnitudes it multiplies, since at
+    small b entries and v (v2 = -L_m) underflow.  Raises
+    :class:`NotAnEigenvalue` when ``omega`` is not an eigenvalue and
+    :class:`PreconditionError` when L_m(b) underflows to 0.
     """
     mat = mode_matrix(m, b, omega, consts)
-    v1 = omega + consts.s(m) / b - consts.lam(1)
-    v2 = -consts.lam(m)
-    scale = mat.det_scale() * max(1.0, math.hypot(v1, v2))
-    res = max(
-        abs(mat.m11 * v1 + mat.m12 * v2),
-        abs(mat.m21 * v1 + mat.m22 * v2),
+    s_m, lam_1, lam_m = consts.s(m), consts.lam(1), consts.lam(m)
+    if lam_m == 0.0:
+        raise PreconditionError(f"L_{m}(b={b}) underflows to 0: the kernel vector (v1, -L_{m}) vanishes")
+    v2 = -lam_m
+    if max(abs(mat.m11), abs(mat.m12)) > max(abs(mat.m21), abs(mat.m22)):
+        v1 = -mat.m12 * v2 / mat.m11
+    else:
+        v1 = omega + s_m / b - lam_1
+    rows = (
+        (mat.m11, mat.m12, (abs(omega) + s_m + b * b * lam_1) * abs(v1) + abs(mat.m12 * v2)),
+        (mat.m21, mat.m22, abs(mat.m21 * v1) + (b * abs(omega) + s_m + b * lam_1) * abs(v2)),
     )
-    if res > 1e-10 * scale:
-        raise NotAnEigenvalue(
-            f"omega={omega} is not an eigenvalue of M_{m} (|M v| = {res:.3e})"
-        )
+    for i, (x1, x2, scale) in enumerate(rows, start=1):
+        res = abs(x1 * v1 + x2 * v2)
+        underflow = np.finfo(float).tiny * (1.0 + abs(x1) + abs(x2) + abs(v1) + abs(v2))
+        if not res <= 1e-10 * scale + underflow:
+            raise NotAnEigenvalue(f"omega={omega} is not an eigenvalue of M_{m}"
+                                  f" (row {i}: |(M v)_{i}| = {res:.3e} against {scale:.3e})")
     return KernelVector(v1=v1, v2=v2, m=m, omega=omega)
 
 

@@ -355,6 +355,8 @@ class TestBranchCommand:
     @pytest.mark.parametrize("extra", [
         ("--modes", "100000"),  # P = 4Km = 2e6: a 149 GiB table
         ("--modes", "8", "--quad", "1000000000"),  # 7.45 GiB of node indices
+        ("--modes", "1000000000000"),  # 7.28 TiB of annulus coefficients
+        ("--modes", str(10**30)),  # beyond numpy's largest dimension
     ])
     def test_oversized_grid_fails_before_allocating(self, tmp_path, capsys, extra):
         out = tmp_path / "x.json"
@@ -371,6 +373,16 @@ class TestBranchCommand:
         assert f"cap K*P <= {MAX_KP}" in err and f"K={extra[1]} " in err
         assert peak < 32 * 2**20
         assert not out.exists()
+
+    def test_minus_branch_starts_at_small_radius(self, tmp_path, capsys):
+        # Omega^- ~ -S_m / b: the kernel direction comes from the first row,
+        # whose terms do not cancel
+        out = tmp_path / "x.json"
+        code = main(["branch", "--b", "1e-6", "--m", "3", "--sign", "minus",
+                     "--modes", "4", "--steps", "1", "--out", str(out)])
+        assert code == EXIT_OK
+        assert capsys.readouterr().err.startswith("stopped: ")
+        assert len(json.loads(out.read_text())["points"]) == 1
 
 
 class TestRenderCommand:
@@ -419,6 +431,18 @@ class TestRenderCommand:
         svg = out.read_text()
         assert "<polygon" not in svg
         assert svg.count("<circle") == 2
+
+    def test_huge_m_is_a_guard_error(self, tmp_path, capsys):
+        src = run_branch(tmp_path, steps=1)
+        data = json.loads(src.read_text())
+        data["m"] = 10**30
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        out = tmp_path / "img.svg"
+        assert main(["render", str(bad), "--out", str(out)]) == EXIT_GUARD
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "int64" in err
+        assert not out.exists()
 
     def test_schema_violation_names_field(self, tmp_path, capsys):
         src = run_branch(tmp_path, steps=1)

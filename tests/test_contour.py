@@ -147,6 +147,16 @@ class TestPatchPair:
         with pytest.raises(PreconditionError):
             PatchPair(b=0.5, m=4, K=1, a=np.array([np.nan]), c=np.zeros(1), omega=0.0)
 
+    def test_mode_exponents_must_fit_int64(self):
+        zeros = np.zeros(1)
+        with pytest.raises(PreconditionError, match="int64"):
+            PatchPair(b=0.5, m=10**30, K=1, a=zeros, c=zeros, omega=0.0)
+        for K in (2, 3):  # K m >= 2**63: the exponents would wrap
+            with pytest.raises(PreconditionError, match="int64"):
+                PatchPair(b=0.5, m=2**62, K=K, a=np.zeros(K), c=np.zeros(K), omega=0.0)
+        patch = PatchPair(b=0.5, m=2**63 - 1, K=1, a=zeros, c=zeros, omega=0.0)
+        assert patch.mode_exponents().tolist() == [2**63 - 2]
+
     def test_coefficients_frozen(self):
         patch = small_patch()
         with pytest.raises(ValueError):

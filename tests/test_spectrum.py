@@ -2,6 +2,7 @@
 kernel, and the brute-force determinant cross-checks."""
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -279,6 +280,42 @@ class TestKernelVector:
         vec = kernel_vector(6, b, row.omega_plus, consts_05)
         mat = mode_matrix(6, b, row.omega_plus, consts_05)
         assert abs(mat.m21 * vec.v1 + mat.m22 * vec.v2) <= 1e-15
+
+    def test_minus_direction_at_small_radius(self):
+        # true ratio v1 / v2 = b^2 L_3 / m11 is about 1e-30; the cancelling
+        # form Omega + S_3/b - L_1 read 185 times v2
+        b = 1e-6
+        consts = AnnulusConstants.build(b, 3)
+        vec = kernel_vector(3, b, bifurcation_row(3, b, consts).omega_minus, consts)
+        assert abs(vec.v1 / vec.v2) < 1e-20
+
+    @pytest.mark.parametrize("b", [1e-3, 1e-6, 1e-10])
+    def test_each_row_vanishes_to_its_terms_at_small_radius(self, b):
+        # each row of M_m v against the summed magnitudes of its terms, the
+        # summands of m11 and m22 included, up to the underflow allowance
+        consts = AnnulusConstants.build(b, 3)
+        n_thr = threshold_N(b, consts)
+        consts = AnnulusConstants.build(b, n_thr + 20)
+        lam_1 = consts.lam(1)
+        for m in range(n_thr, n_thr + 21):
+            row = bifurcation_row(m, b, consts)
+            for omega in (row.omega_minus, row.omega_plus):
+                vec = kernel_vector(m, b, omega, consts)
+                v1, v2 = vec.v1, vec.v2
+                mat = mode_matrix(m, b, omega, consts)
+                s_m = consts.s(m)
+                terms1 = (abs(omega) + s_m + b * b * lam_1) * abs(v1) + abs(mat.m12 * v2)
+                terms2 = abs(mat.m21 * v1) + (b * abs(omega) + s_m + b * lam_1) * abs(v2)
+                for x1, x2, terms in ((mat.m11, mat.m12, terms1), (mat.m21, mat.m22, terms2)):
+                    underflow = sys.float_info.min * (1.0 + abs(x1) + abs(x2) + abs(v1) + abs(v2))
+                    assert abs(x1 * v1 + x2 * v2) <= 1e-14 * terms + underflow
+
+    def test_underflowed_l_m_is_a_guard_error(self):
+        b = 1e-10
+        consts = AnnulusConstants.build(b, 40)
+        assert consts.lam(40) == 0.0
+        with pytest.raises(PreconditionError, match="underflows"):
+            kernel_vector(40, b, bifurcation_row(40, b, consts).omega_minus, consts)
 
     def test_rejects_non_eigenvalue(self, consts_05):
         with pytest.raises(NotAnEigenvalue):
