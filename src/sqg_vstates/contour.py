@@ -66,7 +66,12 @@ defines; the rest are copies up to summation order, or zero.
 Kernel passes.  Every pass, a residual's :func:`_stream_on_grid` and
 the Jacobian's :func:`_source_derivatives`, is one loop over the blocks
 of targets that the generator :func:`_distance_blocks` yields, on the
-calling thread; BLAS threads are the only parallelism.
+calling thread; BLAS threads are the only parallelism.  Re D and Im D
+come from factor tables built once per pass (:func:`_difference_tables`)
+as products with inner dimension 2 (:func:`_differences`), each entry
+the sum of two exact products rounded once: bitwise the subtraction,
+whatever the number of BLAS threads.  The grid nodes and the collocation
+grid are built once per grid size and are read-only.
 """
 
 from __future__ import annotations
@@ -226,9 +231,13 @@ class BranchRun:
     P: int
 
 
+@lru_cache(maxsize=8)
 def _nodes(P: int) -> np.ndarray:
-    """The P grid nodes e^{2 pi i l / P}, quadrature nodes and targets alike."""
-    return np.exp(1j * TWO_PI * np.arange(P) / P)
+    """The P grid nodes e^{2 pi i l / P}, quadrature nodes and targets alike,
+    as a read-only array built once per grid."""
+    nodes = np.exp(1j * TWO_PI * np.arange(P) / P)
+    nodes.setflags(write=False)
+    return nodes
 
 
 def _node_powers(P: int, k: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -269,11 +278,46 @@ def _self_weights(P: int) -> np.ndarray:
     return sliding_window_view(np.concatenate([v, v]), P)[::-1]
 
 
-def _distance_blocks(phi_src: np.ndarray, phi_dst: np.ndarray, targets: slice,
+def _difference_tables(phi_src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rank-2 factor tables of the kernel coordinate differences
+    D = Phi_src(tau_l) - Phi_dst(w_k), from the P source values ``phi_src``
+    to the destination values ``dst``, built once per pass.
+
+    For the part x = Re (index 0) or Im (index 1), ``left[x]`` is the
+    (targets, 2) table [1, -x_k] and ``right[x]`` the (2, P) table
+    [x_l; 1], so row k of ``left[x] @ right[x]`` is x(D) for the target k
+    (:func:`_differences`).
+    """
+    left = np.ones((2, dst.size, 2))
+    left[..., 1] = [-dst.real, -dst.imag]
+    right = np.ones((2, 2, phi_src.size))
+    right[:, 0] = [phi_src.real, phi_src.imag]
+    return left, right
+
+
+def _differences(tables: tuple[np.ndarray, np.ndarray], part: int, rows: slice,
+                 out: np.ndarray) -> np.ndarray:
+    """Re D (``part`` 0) or Im D (``part`` 1) of :func:`_difference_tables`
+    for the target positions ``rows``, written to the (rows, P) array
+    ``out``: the one place a kernel pass forms coordinate differences.
+
+    One BLAS product with inner dimension 2.  Each entry
+    1 * x_l + (-x_k) * 1 is the sum of two exact products, rounded once,
+    so it is bitwise the difference x_l - x_k, except that an exact zero
+    may carry the other sign, which |D| squares away.
+    """
+    left, right = tables
+    return np.matmul(left[part, rows], right[part], out=out)
+
+
+def _distance_blocks(tables: tuple[np.ndarray, np.ndarray], targets: slice,
                      self_pair: bool) -> Iterator[tuple[slice, np.ndarray, np.ndarray, np.ndarray | float]]:
     """The kernel distances |D| = |Phi_src(tau_l) - Phi_dst(tau_k)| from the
     P grid nodes l to the targets k in the index range ``targets``, one
-    block of targets at a time: the one place every kernel pass forms them.
+    block of targets at a time, from the factor tables
+    :func:`_difference_tables` of Phi_src and of Phi_dst at ``targets``:
+    Re D and Im D are two exact rank-2 products per block
+    (:func:`_differences`).
 
     A generator: blocks hold about ``_BLOCK_PAIRS`` kernel pairs in two
     buffers allocated once per pass and yield ``(rows, d, spare, weight)``:
@@ -287,10 +331,8 @@ def _distance_blocks(phi_src: np.ndarray, phi_dst: np.ndarray, targets: slice,
     other distance drops below the disjointness guard, after the blocks
     before it have been yielded.
     """
-    P = phi_src.size
+    n_dst, P = tables[0].shape[1], tables[1].shape[2]
     first = targets.start
-    dst = phi_dst[targets]
-    n_dst = dst.size
     step = max(1, _BLOCK_PAIRS // P)
     weights = _self_weights(P) if self_pair else None
     # one allocation for both buffers: freed whole, it lifts glibc's dynamic
@@ -300,10 +342,9 @@ def _distance_blocks(phi_src: np.ndarray, phi_dst: np.ndarray, targets: slice,
     d_buf, spare_buf = np.empty((2, P * min(step, n_dst)))
     for lo in range(0, n_dst, step):
         hi = min(lo + step, n_dst)
-        d = d_buf[:P * (hi - lo)].reshape(hi - lo, P)
-        spare = spare_buf[:P * (hi - lo)].reshape(hi - lo, P)
-        np.subtract(phi_src.real, dst.real[lo:hi, None], out=d)
-        np.subtract(phi_src.imag, dst.imag[lo:hi, None], out=spare)
+        rows = slice(lo, hi)
+        d = _differences(tables, 0, rows, d_buf[:P * (hi - lo)].reshape(hi - lo, P))
+        spare = _differences(tables, 1, rows, spare_buf[:P * (hi - lo)].reshape(hi - lo, P))
         d *= d
         spare *= spare
         d += spare
@@ -314,7 +355,7 @@ def _distance_blocks(phi_src: np.ndarray, phi_dst: np.ndarray, targets: slice,
             weight = weights[first + lo:first + hi]
         if d.min() < COLLISION_TOL:
             raise BoundaryCollision(f"boundaries closer than {COLLISION_TOL} at a quadrature node")
-        yield slice(lo, hi), d, spare, weight
+        yield rows, d, spare, weight
 
 
 def _stream_on_grid(
@@ -335,7 +376,8 @@ def _stream_on_grid(
     sums = np.column_stack([num_src.real, num_src.imag, np.ones(P)])
     num_w = num_dst[targets]
     out = np.empty(num_w.size, dtype=complex)
-    for rows, d, _, weight in _distance_blocks(phi_src, phi_dst, targets, self_pair):
+    tables = _difference_tables(phi_src, phi_dst[targets])
+    for rows, d, _, weight in _distance_blocks(tables, targets, self_pair):
         np.divide(weight, d, out=d)
         re, im, total = (d @ sums).T
         out[rows] = (re + 1j * im - num_w[rows] * total) / P
@@ -364,6 +406,7 @@ def _check_grid(m: int, K: int, P: int) -> None:
                                 f" >= 4*K*m = {4 * K * m} and within the cap K*P <= {MAX_KP}")
 
 
+@lru_cache(maxsize=8)
 def _collocation_grid(m: int, K: int, P: int) -> tuple[int, slice, np.ndarray]:
     """The residual period q, the orbit representatives (the targets of
     every kernel pass) and their projection table: the one target rule.
@@ -376,13 +419,16 @@ def _collocation_grid(m: int, K: int, P: int) -> tuple[int, slice, np.ndarray]:
     k = 1..ceil(q/2)-1 and the table holds (4/q) sin(n m theta_k), the
     imaginary part of the node tau_{(k n m) mod P}, so the retained
     coefficient is G @ table.  g = 1 needs no special case.  Checks the
-    grid first (:func:`_check_grid`).
+    grid first (:func:`_check_grid`); a valid grid's result is built once
+    and its table is read-only, while an invalid one raises on every call.
     """
     _check_grid(m, K, P)
     q = P // math.gcd(m, P)
     targets = slice(1, (q + 1) // 2)
     sines = _node_powers(P, np.arange(targets.start, targets.stop), np.arange(1, K + 1) * m).imag
-    return q, targets, 4.0 / q * sines
+    proj = 4.0 / q * sines
+    proj.setflags(write=False)
+    return q, targets, proj
 
 
 def _sine_coefficients(g: tuple[np.ndarray, ...], proj: np.ndarray) -> np.ndarray:
@@ -513,18 +559,19 @@ def _source_derivatives(
     # the column sums, refilled for each destination
     r_cols, u_cols, v_cols = (np.empty((w_neg.shape[0], t.shape[1])) for t in (t_r, t_u, t_v))
     for j, (phi_dst, num_dst) in enumerate(maps):
-        phi_w = phi_dst[targets]
         num_w = num_dst[targets]
-        for rows, d, spare, weight in _distance_blocks(phi_src, phi_dst, targets, j == source):
+        # one set of factor tables for |D| and for the U and V columns
+        tables = _difference_tables(phi_src, phi_dst[targets])
+        for rows, d, spare, weight in _distance_blocks(tables, targets, j == source):
             np.multiply(d, d, out=spare)
             spare *= d
             np.divide(weight, d, out=d)  # R
             np.divide(weight, spare, out=spare)  # c/|D|^3
             r_cols[rows] = d @ t_r
-            np.subtract(phi_src.real, phi_w.real[rows, None], out=d)
+            _differences(tables, 0, rows, d)
             d *= spare  # U
             u_cols[rows] = d @ t_u
-            np.subtract(phi_src.imag, phi_w.imag[rows, None], out=d)
+            _differences(tables, 1, rows, d)
             d *= spare  # V
             v_cols[rows] = d @ t_v
         d = spare = None  # release this pass's buffers before the next pass allocates its own
@@ -767,9 +814,9 @@ def branch_continue(
     _check_tol(newton_tol)
     block = 4 * K * m
     P = block if P is None else block * -(-P // block)
+    _check_grid(m, K, P)  # before any array of K or P entries
     if consts is None:
         consts = AnnulusConstants.build(b, m)  # checks its own length first
-    _check_grid(m, K, P)  # before any array of K or P entries
     n_threshold = threshold_N(b, consts)
     if m < n_threshold:
         raise NotSimple(f"mode m={m} is below the threshold N({b}) = {n_threshold}")

@@ -77,11 +77,16 @@ def reference_row(b, m, consts):
     ["branch", "--b", "0.6", "--m", "1000000000"],
 ])
 def test_huge_mode_fails_fast(argv, capsys):
-    # the recurrence-length cap is checked before any table is allocated
+    # spectrum: the recurrence-length cap, checked before any table is
+    # allocated; branch: its grid cap, checked before the table
+    code, message = {
+        "spectrum": (EXIT_NUMERIC, "needs a recurrence of"),
+        "branch": (EXIT_GUARD, f"within the cap K*P <= {MAX_KP}"),
+    }[argv[0]]
     t0 = time.perf_counter()
-    assert main(argv) == EXIT_NUMERIC
+    assert main(argv) == code
     assert time.perf_counter() - t0 < 1.0
-    assert "needs a recurrence of" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

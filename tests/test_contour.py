@@ -1,7 +1,12 @@
 """Contour machinery: conformal maps, stream integrals vs closed forms,
 residual structure, linearization blocks, Newton correction and branches."""
 
+import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -226,6 +231,140 @@ class TestGridEvaluators:
             if q % 2 == 0:
                 assert np.all(g[q // 2::q] == 0.0)
             assert np.abs(g).max() > 0.0
+
+
+def subtraction_differences(tables, part, rows, out):
+    """The broadcast subtraction x_l - x_k that :func:`contour._differences`
+    replaces, from the factor tables' own entries: the reference for the
+    exactness of the rank-2 products."""
+    left, right = tables
+    return np.subtract(right[part, 0], -left[part, rows, 1][:, None], out=out)
+
+
+def spread_points(rng, n):
+    """n complex points whose parts have magnitudes from 1e-8 to 1e8."""
+    parts = rng.choice([-1.0, 1.0], (2, n)) * 10.0 ** rng.uniform(-8.0, 8.0, (2, n))
+    return parts[0] + 1j * parts[1]
+
+
+class TestRank2Differences:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_distances_equal_direct_subtraction(self, seed, monkeypatch):
+        # random parts over 16 decades, with exact copies among them: every
+        # fourth target k copies node 2 k, so |D| = 0 there; target 1 copies
+        # only the real part of node 5, so Re D = 0 with |D| > 0
+        rng = np.random.default_rng(seed)
+        P, n = 97, 40
+        src = spread_points(rng, P)
+        dst = spread_points(rng, n)
+        dst[::4] = src[:2 * n:8]
+        dst[1] = src[5].real + 1j * dst[1].imag
+        monkeypatch.setattr(contour, "COLLISION_TOL", 0.0)  # the arithmetic alone
+        monkeypatch.setattr(contour, "_BLOCK_PAIRS", 7 * P)  # blocks of 7, the last partial
+        tables = contour._difference_tables(src, dst)
+        got = np.empty((n, P))
+        for rows, d, _, _ in contour._distance_blocks(tables, slice(0, n), False):
+            got[rows] = d
+        dx = src.real - dst.real[:, None]
+        dy = src.imag - dst.imag[:, None]
+        assert np.array_equal(got, np.sqrt(dx * dx + dy * dy))
+        assert np.count_nonzero(got == 0.0) == n // 4
+        for part, ref in enumerate((dx, dy)):
+            diff = contour._differences(tables, part, slice(0, n), np.empty((n, P)))
+            assert np.array_equal(diff, ref)
+
+    def test_self_pair_distances_equal_direct_subtraction(self, monkeypatch):
+        # the targets 3..60 of a self pair: +inf on the diagonal l = k,
+        # the direct |D| everywhere else
+        rng = np.random.default_rng(5)
+        P = 64
+        phi = spread_points(rng, P)
+        targets = slice(3, 61)
+        monkeypatch.setattr(contour, "COLLISION_TOL", 0.0)
+        monkeypatch.setattr(contour, "_BLOCK_PAIRS", 9 * P)
+        tables = contour._difference_tables(phi, phi[targets])
+        got = np.empty((targets.stop - targets.start, P))
+        for rows, d, _, weight in contour._distance_blocks(tables, targets, True):
+            got[rows] = d
+            assert weight.shape == d.shape
+        k = np.arange(targets.start, targets.stop)
+        dx = phi.real - phi.real[k, None]
+        dy = phi.imag - phi.imag[k, None]
+        ref = np.sqrt(dx * dx + dy * dy)
+        ref[np.arange(k.size), k] = np.inf
+        assert np.array_equal(got, ref)
+        assert np.isinf(got).sum() == k.size
+
+    @pytest.mark.parametrize("K", [1, 8, 32])
+    def test_passes_match_the_subtraction_bitwise(self, K, monkeypatch):
+        # residual and Jacobian bytes with the products, then with the
+        # subtraction in their place; P = 4Km, plus a multi-block residual
+        m = 5
+        patch = small_patch(b=0.6, m=m, K=K, seed=K, scale=2e-4 / K)
+        x = contour._pack(patch)
+        grids = (4 * K * m, 1280)
+
+        def passes():
+            out = []
+            for P in grids:
+                _, targets, _ = contour._collocation_grid(m, K, P)
+                out += contour._boundary_residuals(patch, targets, P)
+            out += contour._exact_jacobian(patch, x, 1e-3, (0.6, 0.8), grids[0])[:2]
+            return [np.asarray(a).tobytes() for a in out]
+
+        products = passes()
+        monkeypatch.setattr(contour, "_differences", subtraction_differences)
+        assert passes() == products
+
+
+RESIDUAL_BYTES = """
+import hashlib
+import numpy as np
+from sqg_vstates import contour
+rng = np.random.default_rng(7)
+digest = hashlib.md5()
+for K, P in ((8, 1280), (32, 640)):
+    patch = contour.PatchPair(b=0.6, m=5, K=K, a=1e-5 * rng.standard_normal(K),
+                              c=1e-5 * rng.standard_normal(K), omega=0.3)
+    _, targets, _ = contour._collocation_grid(5, K, P)
+    for g in contour._boundary_residuals(patch, targets, P):
+        digest.update(g.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_residual_bytes_do_not_depend_on_blas_threads():
+    src = str(Path(contour.__file__).resolve().parents[1])
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        done = subprocess.run([sys.executable, "-c", RESIDUAL_BYTES], env=env,
+                              capture_output=True, text=True, check=True, timeout=120)
+        digests.add(done.stdout.strip())
+    assert len(digests) == 1
+
+
+class TestGridTables:
+    def test_tables_are_read_only(self):
+        with pytest.raises(ValueError):
+            contour._nodes(64)[0] = 0.0
+        _, _, proj = contour._collocation_grid(5, 2, 40)
+        with pytest.raises(ValueError):
+            proj[0, 0] = 0.0
+
+    def test_repeated_calls_return_the_same_objects(self):
+        assert contour._nodes(96) is contour._nodes(96)
+        first = contour._collocation_grid(6, 2, 96)
+        again = contour._collocation_grid(6, 2, 96)
+        assert again is first and again[2] is first[2]
+
+    def test_invalid_grid_raises_on_every_call(self):
+        for _ in range(3):
+            with pytest.raises(PreconditionError):
+                contour._collocation_grid(4, 3, 40)  # below 4*K*m = 48
+            with pytest.raises(PreconditionError):
+                contour._collocation_grid(4, 3, 49)  # odd
 
 
 class TestStreamIntegral:
@@ -817,6 +956,6 @@ class TestConcurrency:
         monkeypatch.setattr(contour, "_BLOCK_PAIRS", 4 * P)
         done = []
         with pytest.raises(BoundaryCollision):
-            for rows, *_ in contour._distance_blocks(nodes, dst, slice(0, P), False):
+            for rows, *_ in contour._distance_blocks(contour._difference_tables(nodes, dst), slice(0, P), False):
                 done.append(rows.start)
         assert done == [0, 4, 8, 12, 16]
