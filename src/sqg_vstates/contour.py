@@ -70,8 +70,13 @@ calling thread; BLAS threads are the only parallelism.  Re D and Im D
 come from factor tables built once per pass (:func:`_difference_tables`)
 as products with inner dimension 2 (:func:`_differences`), each entry
 the sum of two exact products rounded once: bitwise the subtraction,
-whatever the number of BLAS threads.  The grid nodes and the collocation
-grid are built once per grid size and are read-only.
+whatever the number of BLAS threads.  So residuals, and the whole
+criterion-10 branch (K = 8, P = 1280), are bitwise independent of the
+thread count.  The Jacobian's column products at K = 32 are large enough
+for OpenBLAS to split over threads, so a default ``vstates branch``
+(K = 32) can differ in the last bits between thread counts.  The grid
+nodes and the collocation grid are built once per grid size and are
+read-only.
 """
 
 from __future__ import annotations

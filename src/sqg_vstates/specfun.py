@@ -73,18 +73,20 @@ def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
     """Gauss hypergeometric function F(a, b, c; z) by its power series,
     an oracle only: no production constant is built from it.
 
-    Terms are accumulated until the current term falls below 1e-15
-    relative to the partial sum.  No transformation formulas are applied,
-    and the terms decay like z^n, so the term count grows like 1/(1 - z);
-    ``NoConvergence`` is raised after 100000 terms.
+    Terms are accumulated until the current term falls below
+    1e-15 (1 - z) relative to the partial sum: the terms decay like z^n,
+    so the tail left out is about the last term over 1 - z.  No
+    transformation formulas are applied, so the term count grows like
+    1/(1 - z); ``NoConvergence`` is raised after 100000 terms.
     """
     _validate_2f1_args(a, b, c, z)
     term = 1.0
     total = 1.0
+    tol = 1e-15 * (1.0 - z)
     for n in range(100000):
         term *= (a + n) * (b + n) / ((c + n) * (1.0 + n)) * z
         total += term
-        if abs(term) <= 1e-15 * abs(total):
+        if abs(term) <= tol * abs(total):
             return total
     raise NoConvergence(f"2F1 series did not converge in 100000 terms (a={a}, b={b}, c={c}, z={z})")
 

@@ -4,14 +4,14 @@ library is bound to an independent numerical check.
 The checks fall into four groups:
 
 * ``check_c1_c2`` -- the self-interaction circle moments (c1), (c2):
-  Gauss-Legendre quadrature of the corner-type integrands, in the angle
-  measured from the evaluation point, against their odd-harmonic closed
-  forms.
-* ``check_c3_c8`` -- the cross-circle kernel moments (c3)..(c8):
-  trapezoidal quadrature of the smooth periodic integrands against their
-  hypergeometric closed forms.  (c4) and (c5) carry the conjugate
-  symmetry of (c3) and (c6): their closed forms are the same real factor
-  attached to the conjugate power of the evaluation point.
+  Gauss-Legendre quadrature (Golub-Welsch nodes) of the corner-type
+  integrands, in the angle from the evaluation point, against their
+  odd-harmonic closed forms.
+* ``check_c3_c8`` -- the cross-circle kernel moments (c3)..(c8): per
+  radius b, a trapezoid on 2 (n_max + 2) + ceil(40 / |ln b|) nodes of the
+  smooth periodic integrands against their hypergeometric closed forms.
+  (c4) and (c5) carry the conjugate symmetry of (c3) and (c6): the same
+  real factor attached to the conjugate power of the evaluation point.
 * ``check_spectral`` -- algebraic structure of the mode matrices:
   determinant quadratic, reduced-discriminant identity, eigenvalue
   monotonicity and interleaving, kernel residuals, and agreement of the
@@ -22,7 +22,9 @@ The checks fall into four groups:
 Each check emits :class:`CheckReport` rows aggregated by name; tolerances
 live in one table (``TOLERANCES``).  The moment quadratures get 1e-7
 (both rules reach about 1e-14), algebraic identities 1e-10 to 1e-12.
-Random sample points derive from one seed, so the suite is deterministic.
+Random sample points derive from one seed, so the suite is deterministic;
+each moment check draws all of its points at once and evaluates every
+case in one array expression.
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .contour import PatchPair, residual
+from .contour import MAX_KP, PatchPair, residual
+from .errors import PreconditionError
 from .specfun import AnnulusConstants, gauss_2f1, pochhammer_ratio, s_sum
 from .spectrum import (
     _det,
@@ -98,17 +101,7 @@ class CheckReport:
 
 def _report(name: str, max_error: float, cases: int) -> CheckReport:
     tol = TOLERANCES[name]
-    max_error = float(max_error)
-    return CheckReport(
-        name=name,
-        max_error=max_error,
-        tolerance=tol,
-        passed=bool(max_error <= tol),
-        cases=int(cases),
-    )
-
-
-_C3_C8_NODES = 4096  # trapezoid nodes; resolves (c3)..(c8) to roundoff
+    return CheckReport(name, float(max_error), tol, bool(max_error <= tol), int(cases))
 
 
 def check_c1_c2(n_max: int = 20, samples: int = 8,
@@ -126,37 +119,50 @@ def check_c1_c2(n_max: int = 20, samples: int = 8,
     built on.  In the angle phi in (0, 2 pi) from w, tau = w e^{i phi},
     the integrands' corner at tau = w sits at both interval ends and they
     are analytic on the closed interval, so 2 n_max + 24 Gauss-Legendre
-    nodes in phi resolve them to roundoff.  A rotation-invariance report
-    checks that the quadrature error is independent of w.
+    nodes in phi resolve them to roundoff: the eigenvalues of the Jacobi
+    matrix, with weights from the first eigenvector components
+    (Golub-Welsch).  The ``samples`` points w of each n are one draw, in
+    the order of a loop over n then samples.  A rotation-invariance
+    report checks that the quadrature error at n = 3 is independent of w.
+    Raises :class:`PreconditionError` past n_max samples (2 n_max + 24) <= ``MAX_KP``.
     """
+    if n_max * samples * (2 * n_max + 24) > MAX_KP:
+        raise PreconditionError(f"check_c1_c2 with n_max={n_max}, samples={samples} is past"
+                                f" the cap n_max*samples*(2*n_max + 24) <= {MAX_KP}")
     rng = np.random.default_rng(seed)
-    x, wts = np.polynomial.legendre.leggauss(2 * n_max + 24)
+    w = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(n_max, samples)))
+    k = np.arange(1, 2 * n_max + 24)
+    x, vec = np.linalg.eigh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), -1))
     turn = np.exp(1j * math.pi * (x + 1.0))  # e^{i phi}, phi = pi (x + 1)
-    wts = wts / 2.0  # mean over phi in (0, 2 pi)
-    err1 = err2 = 0.0
-    rot_errors = []
-    cases = 0
-    for n in range(1, n_max + 1):
-        for j in range(samples):
-            w = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-            tau = w * turn
-            tau_n = tau ** n - w ** n
-            dist = np.abs(w - tau)
-            lhs1 = wts @ (tau_n / dist)
-            rhs1 = -(w ** n) * (2.0 / math.pi + s_sum(n))
-            lhs2 = wts @ ((tau - w) ** 2 * tau_n / dist ** 3)
-            rhs2 = w ** (n + 2) * s_sum(n + 1)
-            err1 = max(err1, abs(lhs1 - rhs1))
-            err2 = max(err2, abs(lhs2 - rhs2))
-            if n == 3:
-                rot_errors.append(abs(lhs1 - rhs1))
-            cases += 1
-    rot_spread = max(rot_errors) - min(rot_errors) if rot_errors else 0.0
+    wts = vec[0] ** 2  # half the Gauss weight 2 v_0^2: the mean over phi
+    s = np.array([s_sum(j) for j in range(1, n_max + 2)])[:, None]
+    n = np.arange(1, n_max + 1)[:, None]
+    wn = w ** n
+    tau = w[..., None] * turn
+    tau_n = tau ** n[..., None] - wn[..., None]
+    dist = np.abs(w[..., None] - tau)
+    err1 = np.abs((tau_n / dist) @ wts + wn * (2.0 / math.pi + s[:-1]))
+    err2 = np.abs(((tau - w[..., None]) ** 2 * tau_n / dist ** 3) @ wts - wn * w * w * s[1:])
+    rot = err1[2:3].ravel()  # the n = 3 row
     return [
-        _report("c1", err1, cases),
-        _report("c2", err2, cases),
-        _report("rotation_invariance", rot_spread, len(rot_errors)),
+        _report("c1", err1.max(initial=0.0), err1.size),
+        _report("c2", err2.max(initial=0.0), err2.size),
+        _report("rotation_invariance", np.ptp(rot) if rot.size else 0.0, rot.size),
     ]
+
+
+def _c3_c8_nodes(b: float, n_max: int) -> int:
+    """Trapezoid nodes for (c3)..(c8) at radius b: past the powers up to
+    n_max + 2 the integrands' Fourier coefficients decay like |b|^k, so
+    the ceil(40 / |ln b|) extra nodes leave aliasing below e^-40.  Raises
+    :class:`PreconditionError` for |b| >= 1 or past n_max P <= ``MAX_KP``."""
+    if not abs(b) < 1.0:
+        raise PreconditionError(f"check_c3_c8 requires |b| < 1, got b={b}")
+    P = 2 * (n_max + 2) + (math.ceil(40.0 / -math.log(abs(b))) if b else 0)
+    if n_max * P > MAX_KP:
+        raise PreconditionError(f"check_c3_c8 at b={b} needs P={P} nodes for n_max={n_max},"
+                                f" past the cap n_max*P <= {MAX_KP}")
+    return P
 
 
 def check_c3_c8(b_set: tuple[float, ...] = (0.3, 0.6), n_max: int = 10,
@@ -164,54 +170,44 @@ def check_c3_c8(b_set: tuple[float, ...] = (0.3, 0.6), n_max: int = 10,
     """Quadrature of the cross-circle kernel moments against their
     hypergeometric closed forms, for inner radii in ``b_set`` and modes up
     to ``n_max``.  The weighted moments (c7), (c8) are exercised with
-    random real weight pairs.
+    random real weight pairs.  Each radius gets the half-offset trapezoid
+    on ``_c3_c8_nodes(b, n_max)`` nodes, all checked before anything is
+    built, and reads tau^n from one table of e^{i pi j / P} - 1 (angles in
+    (-pi, pi]); |b tau - w| comes from b - 1 + b (tau / w - 1), which keeps
+    its relative accuracy as b -> 1.  The (w angle, wa, wc) of every case
+    are one draw, in the order of a loop over b then n.
     """
+    nodes = [_c3_c8_nodes(b, n_max) for b in b_set]
     rng = np.random.default_rng(seed)
-    P = _C3_C8_NODES
-    xi = np.exp(1j * 2.0 * np.pi * (np.arange(P) + 0.5) / P)
-    errs = {name: 0.0 for name in ("c3", "c4", "c5", "c6", "c7", "c8")}
-    cases = 0
-
-    def rel(lhs: complex, rhs: complex) -> float:
-        return abs(lhs - rhs) / (1.0 + abs(rhs))
-
-    for b in b_set:
+    draws = rng.uniform([0.0, -1.0, -1.0], [2.0 * np.pi, 1.0, 1.0], size=(len(b_set), n_max, 3))
+    n = np.arange(1, n_max + 1)[:, None]
+    errs = np.zeros(6)
+    for b, P, (phi, wa, wc) in zip(b_set, nodes, draws.transpose(0, 2, 1)[..., None]):
         b2 = b * b
-        f_c7a = 1.5 * gauss_2f1(0.5, 2.5, 2.0, b2)
-        f_c8c = 0.375 * gauss_2f1(1.5, 2.5, 3.0, b2)
-        for n in range(1, n_max + 1):
-            w = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-            tau = w * xi
-            factor_half = b ** n * pochhammer_ratio(0.5, n) * gauss_2f1(0.5, n + 0.5, n + 1.0, b2)
-            factor_three = b ** n * pochhammer_ratio(1.5, n) * gauss_2f1(1.5, n + 1.5, n + 1.0, b2)
-
-            den1 = np.abs(b * tau - w)
-            den3 = den1 ** 3
-            lhs3 = (tau ** (n - 1) / den1 * tau).mean()
-            errs["c3"] = max(errs["c3"], rel(lhs3, w ** n * factor_half))
-            lhs4 = (np.conj(tau) ** (n + 1) / den1 * tau).mean()
-            errs["c4"] = max(errs["c4"], rel(lhs4, np.conj(w) ** n * factor_half))
-            errs["c4"] = max(errs["c4"], rel(lhs4, np.conj(lhs3)))
-            lhs5 = (np.conj(tau) ** (n + 1) / den3 * tau).mean()
-            errs["c5"] = max(errs["c5"], rel(lhs5, np.conj(w) ** n * factor_three))
-            lhs6 = (tau ** (n - 1) / den3 * tau).mean()
-            errs["c6"] = max(errs["c6"], rel(lhs6, w ** n * factor_three))
-
-            wa, wc = rng.uniform(-1.0, 1.0, size=2)
-            lhs7 = ((b * tau - w) * (wa * w ** n - wc * tau ** n) / den3 * tau).mean()
-            rhs7 = -(w ** (n + 2)) * b * (
-                wa * f_c7a
-                - wc * b ** n * pochhammer_ratio(1.5, n + 1) * gauss_2f1(0.5, n + 2.5, n + 2.0, b2)
-            )
-            errs["c7"] = max(errs["c7"], rel(lhs7, rhs7))
-            lhs8 = ((b * w - tau) * (wc * w ** n - wa * tau ** n) / den3 * tau).mean()
-            rhs8 = -(w ** (n + 2)) * b * b * (
-                wc * f_c8c
-                - wa * b ** n * pochhammer_ratio(0.5, n + 2) * gauss_2f1(1.5, n + 2.5, n + 3.0, b2)
-            )
-            errs["c8"] = max(errs["c8"], rel(lhs8, rhs8))
-            cases += 1
-    return [_report(name, errs[name], cases) for name in ("c3", "c4", "c5", "c6", "c7", "c8")]
+        half, three, g7, g8 = np.array([
+            [pochhammer_ratio(0.5, k) * gauss_2f1(0.5, k + 0.5, k + 1.0, b2),
+             pochhammer_ratio(1.5, k) * gauss_2f1(1.5, k + 1.5, k + 1.0, b2),
+             pochhammer_ratio(1.5, k + 1) * gauss_2f1(0.5, k + 2.5, k + 2.0, b2),
+             pochhammer_ratio(0.5, k + 2) * gauss_2f1(1.5, k + 2.5, k + 3.0, b2)]
+            for k in range(1, n_max + 1)]).reshape(-1, 4).T[..., None] * b ** n
+        roots_m1 = np.expm1(1j * np.pi * ((np.arange(2 * P) + P) % (2 * P) - P) / P)  # e^{i pi j/P} - 1
+        odd = np.arange(1, 2 * P, 2)  # node xi_l = e^{i pi (2l + 1) / P}
+        w = np.exp(1j * phi)
+        wn = w ** n
+        tau = w * (1.0 + roots_m1[odd])
+        tau_n = wn * (1.0 + roots_m1[n * odd % (2 * P)])
+        delta = b * roots_m1[odd] + (b - 1.0)  # (b tau - w) / w
+        den1 = np.abs(delta)
+        den3 = den1 ** 3
+        lhs = np.array([f.mean(axis=1, keepdims=True) for f in (
+            tau_n / den1, tau_n.conj() / den1, tau_n.conj() / den3, tau_n / den3,
+            w * delta * (wa * wn - wc * tau_n) / den3 * tau,
+            tau * delta.conj() * (wc * wn - wa * tau_n) / den3 * tau)])  # b w - tau = tau conj(delta)
+        rhs = np.array([wn * half, wn.conj() * half, wn.conj() * three, wn * three,
+                        -wn * w * w * b * (wa * 1.5 * gauss_2f1(0.5, 2.5, 2.0, b2) - wc * g7),
+                        -wn * w * w * b2 * (wc * 0.375 * gauss_2f1(1.5, 2.5, 3.0, b2) - wa * g8)])
+        errs = np.maximum(errs, (abs(lhs - rhs) / (1.0 + abs(rhs))).max(axis=(1, 2), initial=0.0))
+    return [_report(f"c{j}", err, len(b_set) * n_max) for j, err in enumerate(errs, 3)]
 
 
 def check_spectral(b_set: tuple[float, ...] = (0.2, 0.5, 0.8), m_hi: int = 200,

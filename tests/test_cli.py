@@ -2,9 +2,13 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +18,7 @@ from sqg_vstates.cli import EXIT_GUARD, EXIT_NUMERIC, EXIT_OK, _fmt17, build_par
 from sqg_vstates.contour import MAX_KP, PatchPair, boundary_samples
 from sqg_vstates.specfun import AnnulusConstants, lambda_coeff, s_sum
 from sqg_vstates.spectrum import threshold_N
+from sqg_vstates.verify import TOLERANCES
 
 SPECTRUM_HEADER = "m,C_m,D_m,Delta_m,lambda_minus,lambda_plus,omega_minus,omega_plus,transversal"
 
@@ -513,8 +518,7 @@ class TestRenderCommand:
 
 class TestCheckCommand:
     def test_reduced_suite_via_api(self, tmp_path):
-        # the full default suite runs in the acceptance tests; here only
-        # the plumbing: text table to a file, json format, exit code
+        # one reduced check through the API; the default suite runs below
         from sqg_vstates.verify import check_c3_c8
 
         reports = check_c3_c8(b_set=(0.4,), n_max=3)
@@ -525,6 +529,20 @@ class TestCheckCommand:
             main(["check", "--seed", "-1"])
         assert exc.value.code == 2
         assert "--seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", [12345, 288545019])
+    def test_default_suite_json(self, tmp_path, seed):
+        out = tmp_path / "check.json"
+        assert main(["check", "--seed", str(seed), "--format", "json", "--out", str(out)]) == EXIT_OK
+        reports = json.loads(out.read_text())
+        assert len(reports) == 16 and {r["name"] for r in reports} == set(TOLERANCES)
+        assert all(r["passed"] and r["max_error"] <= r["tolerance"] for r in reports)
+
+    def test_default_suite_text(self, capsys):
+        assert main(["check", "--format", "text"]) == EXIT_OK
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 16 and {row.split()[0] for row in rows} == set(TOLERANCES)
+        assert [row.split()[-1] for row in rows] == ["PASS"] * 16
 
 
 def test_parser_is_built_once(capsys):
@@ -559,3 +577,21 @@ class TestUsageErrors:
 
     def test_missing_input_file(self, capsys):
         assert main(["render", "/nonexistent/branch.json"]) == 2
+
+
+def test_criterion_10_branch_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # K = 8: every product stays below OpenBLAS's threading size, so the
+    # output is byte-identical at 1 and 2 threads.  The default K = 32 run
+    # is not: its Jacobian products are threaded and its bytes differ.
+    src = str(Path(specfun.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"k8_{threads}.json"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        argv = ["branch", "--b", "0.6", "--m", "5", "--modes", "8", "--quad", "1280",
+                "--out", str(out)]
+        code = f"from sqg_vstates.cli import main; raise SystemExit(main({argv!r}))"
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=300)
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]

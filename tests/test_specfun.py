@@ -61,6 +61,13 @@ class TestGauss2F1:
             z = rng.uniform(0.0, 0.9)
             assert gauss_2f1(a, b, b, z) == pytest.approx((1.0 - z) ** (-a), rel=1e-13)
 
+    @pytest.mark.parametrize("z", [0.99, 0.998])
+    @pytest.mark.parametrize("a", [0.5, 1.0, 1.5])
+    def test_binomial_closed_form_near_one(self, a, z):
+        # the stopping rule counts the tail, about the last term over 1 - z,
+        # which a plain 1e-15 relative cut left at 5e-13 for z = 0.998
+        assert gauss_2f1(a, 2.0, 2.0, z) == pytest.approx((1.0 - z) ** (-a), rel=3e-14)
+
     def test_euler_oracle_trivial(self):
         assert gauss_2f1_euler(0.8, 1.0, 2.0, 0.0) == pytest.approx(1.0, rel=1e-12)
 

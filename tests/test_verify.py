@@ -3,11 +3,22 @@ well-formed, and the suite is deterministic under a fixed seed."""
 
 import inspect
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
+import numpy as np
+import pytest
+
+from sqg_vstates import verify
+from sqg_vstates.errors import PreconditionError
 from sqg_vstates.specfun import AnnulusConstants
 from sqg_vstates.spectrum import threshold_N
 from sqg_vstates.verify import (
     TOLERANCES,
+    _c3_c8_nodes,
     check_c1_c2,
     check_c3_c8,
     check_linearization,
@@ -104,3 +115,139 @@ def test_report_passed_definition():
         d = r.to_dict()
         assert set(d) == {"name", "max_error", "tolerance", "passed", "cases"}
     json.dumps([r.to_dict() for r in reports])  # plain JSON types only
+
+
+@pytest.mark.parametrize("n_max, samples", [(2, 8), (1, 3), (20, 0), (0, 8)])
+def test_c1_c2_without_rotation_cases(n_max, samples):
+    # n = 3 is missing or has no samples: an empty report, not a max() of
+    # an empty array
+    by_name = {r.name: r for r in check_c1_c2(n_max=n_max, samples=samples)}
+    rot = by_name["rotation_invariance"]
+    assert (rot.cases, rot.max_error, rot.passed) == (0, 0.0, True)
+    for name in ("c1", "c2"):
+        assert by_name[name].cases == n_max * samples and by_name[name].passed
+        assert by_name[name].max_error <= 1e-13
+
+
+def test_c3_c8_without_modes():
+    reports = check_c3_c8(n_max=0)
+    assert [(r.name, r.cases, r.max_error, r.passed) for r in reports] == [
+        (f"c{j}", 0, 0.0, True) for j in range(3, 9)]
+
+
+@pytest.mark.parametrize("b", [0.0, -0.0, -0.5, -0.3])
+def test_c3_c8_zero_and_negative_radius(b):
+    # the node rule takes no log of 0 or of a negative number; b = 0 needs
+    # only the powers, b < 0 the same nodes as |b|
+    assert _c3_c8_nodes(b, 10) == (24 if b == 0.0 else _c3_c8_nodes(-b, 10))
+    for r in check_c3_c8(b_set=(b,)):
+        assert r.cases == 10 and r.max_error <= 1e-14, r
+
+
+class _RecordingGenerator:
+    """Delegates to a real generator and records what ``uniform`` returns."""
+
+    make = staticmethod(np.random.default_rng)
+
+    def __init__(self, seed):
+        self.rng = self.make(seed)
+        self.draws = []
+
+    def uniform(self, *args, **kwargs):
+        self.draws.append(self.rng.uniform(*args, **kwargs))
+        return self.draws[-1]
+
+
+def _recorded_draws(monkeypatch, check, **kwargs):
+    generators = []
+
+    def make(seed):
+        generators.append(_RecordingGenerator(seed))
+        return generators[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", make)
+    check(**kwargs)
+    (gen,) = generators
+    (draws,) = gen.draws  # one draw per check
+    return draws
+
+
+@pytest.mark.parametrize("seed", [12345, 288545019])
+def test_c1_c2_draws_the_per_case_points(monkeypatch, seed):
+    # the scalar draws of a loop over n, then samples, bitwise
+    rng = np.random.default_rng(seed)
+    old = [rng.uniform(0.0, 2.0 * np.pi) for _n in range(20) for _j in range(8)]
+    draws = _recorded_draws(monkeypatch, check_c1_c2, seed=seed)
+    assert draws.shape == (20, 8)
+    assert draws.ravel().tobytes() == np.array(old).tobytes()
+
+
+@pytest.mark.parametrize("seed", [12345, 288545019])
+def test_c3_c8_draws_the_per_case_points(monkeypatch, seed):
+    # per case, in a loop over b then n: the angle of w, then the weight
+    # pair (wa, wc) from one size-2 draw
+    rng = np.random.default_rng(seed)
+    old = []
+    for _b in (0.3, 0.6):
+        for _n in range(10):
+            old.append(rng.uniform(0.0, 2.0 * np.pi))
+            old.extend(rng.uniform(-1.0, 1.0, size=2))
+    draws = _recorded_draws(monkeypatch, check_c3_c8, seed=seed)
+    assert draws.shape == (2, 10, 3)
+    assert draws.ravel().tobytes() == np.array(old).tobytes()
+
+
+def test_c3_c8_default_nodes():
+    assert [_c3_c8_nodes(b, 10) for b in (0.3, 0.6)] == [58, 103]
+
+
+@pytest.mark.parametrize("b", [0.3, 0.6, 0.9, 0.999])
+def test_c3_c8_node_rule_resolves(b):
+    # a fixed 4096-node grid left errors near 9e-2 at b = 0.999
+    for r in check_c3_c8(b_set=(b,)):
+        assert r.max_error <= 1e-13, r
+
+
+def test_c3_c8_quarter_grid_fails(monkeypatch):
+    # the rule has no slack to spare: a quarter of its nodes misses 1e-7
+    rule = verify._c3_c8_nodes
+    monkeypatch.setattr(verify, "_c3_c8_nodes", lambda b, n_max: rule(b, n_max) // 4)
+    assert not all(r.passed for r in check_c3_c8(b_set=(0.6,)))
+
+
+@pytest.mark.parametrize("b", [1.0 - 1e-9, -(1.0 - 1e-9), 1.0, 1.5, math.nan])
+def test_c3_c8_radius_near_one_fails_before_allocating(b):
+    tracemalloc.start()
+    try:
+        with pytest.raises(PreconditionError, match="check_c3_c8"):
+            check_c3_c8(b_set=(0.3, b))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("n_max, samples", [(10**4, 8), (20, 10**9)])
+def test_c1_c2_oversized_fails_before_allocating(n_max, samples):
+    tracemalloc.start()
+    try:
+        with pytest.raises(PreconditionError, match="check_c1_c2"):
+            check_c1_c2(n_max=n_max, samples=samples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_default_suite_leaves_numpy_polynomial_unloaded():
+    # Gauss-Legendre nodes come from the Jacobi matrix, so a cold
+    # ``vstates check`` does not import numpy.polynomial
+    src = str(Path(verify.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    code = ("import sys\n"
+            "from sqg_vstates.verify import run_default_suite\n"
+            "assert all(r.passed for r in run_default_suite())\n"
+            "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))\n")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    assert done.stdout.strip() == "[]"
