@@ -22,14 +22,17 @@ The checks fall into four groups:
 Each check emits :class:`CheckReport` rows aggregated by name; tolerances
 live in one table (``TOLERANCES``).  The moment quadratures get 1e-7
 (both rules reach about 1e-14), algebraic identities 1e-10 to 1e-12.
-Random sample points derive from one seed, so the suite is deterministic;
-each moment check draws all of its points at once and evaluates every
-case in one array expression.
+Random sample points derive from one seed, so the suite is deterministic:
+each check draws its points from its own standard-library
+``random.Random(seed)`` stream, in its documented loop order, and the
+moment checks evaluate every case in one array expression.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import random
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -104,6 +107,17 @@ def _report(name: str, max_error: float, cases: int) -> CheckReport:
     return CheckReport(name, float(max_error), tol, bool(max_error <= tol), int(cases))
 
 
+def _rng(seed: int) -> random.Random:
+    """A check's point stream, seeded with the integer value of ``seed``
+    (a numpy integer seeds as the equal int).  Raises
+    :class:`PreconditionError` for a negative seed, which would draw the
+    points of its absolute value."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise PreconditionError(f"seed must be a non-negative integer, got {seed}")
+    return random.Random(seed)
+
+
 def check_c1_c2(n_max: int = 20, samples: int = 8,
                 seed: int = DEFAULT_SEED) -> list[CheckReport]:
     """Quadrature of the two self-interaction circle moments against their
@@ -121,16 +135,18 @@ def check_c1_c2(n_max: int = 20, samples: int = 8,
     are analytic on the closed interval, so 2 n_max + 24 Gauss-Legendre
     nodes in phi resolve them to roundoff: the eigenvalues of the Jacobi
     matrix, with weights from the first eigenvector components
-    (Golub-Welsch).  The ``samples`` points w of each n are one draw, in
-    the order of a loop over n then samples.  A rotation-invariance
-    report checks that the quadrature error at n = 3 is independent of w.
+    (Golub-Welsch).  The angles of the points w are drawn from
+    ``random.Random(seed)`` in the order of a loop over n then samples.  A
+    rotation-invariance report checks that the quadrature error at n = 3
+    is independent of w.
     Raises :class:`PreconditionError` past n_max samples (2 n_max + 24) <= ``MAX_KP``.
     """
     if n_max * samples * (2 * n_max + 24) > MAX_KP:
         raise PreconditionError(f"check_c1_c2 with n_max={n_max}, samples={samples} is past"
                                 f" the cap n_max*samples*(2*n_max + 24) <= {MAX_KP}")
-    rng = np.random.default_rng(seed)
-    w = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(n_max, samples)))
+    rng = _rng(seed)
+    phi = [rng.uniform(0.0, 2.0 * math.pi) for _ in range(n_max * samples)]
+    w = np.exp(1j * np.array(phi)).reshape(n_max, samples)
     k = np.arange(1, 2 * n_max + 24)
     x, vec = np.linalg.eigh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), -1))
     turn = np.exp(1j * math.pi * (x + 1.0))  # e^{i phi}, phi = pi (x + 1)
@@ -174,12 +190,16 @@ def check_c3_c8(b_set: tuple[float, ...] = (0.3, 0.6), n_max: int = 10,
     on ``_c3_c8_nodes(b, n_max)`` nodes, all checked before anything is
     built, and reads tau^n from one table of e^{i pi j / P} - 1 (angles in
     (-pi, pi]); |b tau - w| comes from b - 1 + b (tau / w - 1), which keeps
-    its relative accuracy as b -> 1.  The (w angle, wa, wc) of every case
-    are one draw, in the order of a loop over b then n.
+    its relative accuracy as b -> +-1 (for b < 0 from |b| and the node
+    angle shifted by pi, so the kernel's peak never sits where the sum
+    cancels).  Each case draws (w angle, wa, wc) from
+    ``random.Random(seed)``, in the order of a loop over b then n.
     """
     nodes = [_c3_c8_nodes(b, n_max) for b in b_set]
-    rng = np.random.default_rng(seed)
-    draws = rng.uniform([0.0, -1.0, -1.0], [2.0 * np.pi, 1.0, 1.0], size=(len(b_set), n_max, 3))
+    rng = _rng(seed)
+    draws = np.array([(rng.uniform(0.0, 2.0 * math.pi), rng.uniform(-1.0, 1.0),
+                       rng.uniform(-1.0, 1.0)) for _ in range(len(b_set) * n_max)])
+    draws = draws.reshape(len(b_set), n_max, 3)
     n = np.arange(1, n_max + 1)[:, None]
     errs = np.zeros(6)
     for b, P, (phi, wa, wc) in zip(b_set, nodes, draws.transpose(0, 2, 1)[..., None]):
@@ -196,7 +216,8 @@ def check_c3_c8(b_set: tuple[float, ...] = (0.3, 0.6), n_max: int = 10,
         wn = w ** n
         tau = w * (1.0 + roots_m1[odd])
         tau_n = wn * (1.0 + roots_m1[n * odd % (2 * P)])
-        delta = b * roots_m1[odd] + (b - 1.0)  # (b tau - w) / w
+        # (b tau - w) / w = |b| (tau / w) e^{i pi [b < 0]} + |b| - 1
+        delta = abs(b) * roots_m1[(odd + (P if b < 0 else 0)) % (2 * P)] + (abs(b) - 1.0)
         den1 = np.abs(delta)
         den3 = den1 ** 3
         lhs = np.array([f.mean(axis=1, keepdims=True) for f in (
@@ -221,8 +242,11 @@ def check_spectral(b_set: tuple[float, ...] = (0.2, 0.5, 0.8), m_hi: int = 200,
     * kernel residual |M v| vanishes at both eigenvalues;
     * the E_n sign-change threshold agrees with the equivalent
       sum-inequality definition, and E_1 = -(1+b)^2 L_1.
+
+    Each case of the sweep draws n = ``randint(2, m_hi)``, then omega =
+    ``uniform(-1.5, 1.5)``, from ``random.Random(seed)``.
     """
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     det_err = disc_err = kern_err = thr_err = 0.0
     violations = 0
     det_cases = kern_cases = 0
@@ -232,10 +256,7 @@ def check_spectral(b_set: tuple[float, ...] = (0.2, 0.5, 0.8), m_hi: int = 200,
 
         violations += len(eigenvalue_monotonicity_scan(b, m_hi, consts))
 
-        # n and omega are drawn case by case, interleaved: drawing each as
-        # one array would take other values from the stream
-        draws = [(int(rng.integers(2, m_hi + 1)), rng.uniform(-1.5, 1.5))
-                 for _ in range(samples)]
+        draws = [(rng.randint(2, m_hi), rng.uniform(-1.5, 1.5)) for _ in range(samples)]
         n = np.array([d[0] for d in draws], dtype=int)
         omega = np.array([d[1] for d in draws], dtype=float)
         s_n, lam_n = _table_values(n, consts)

@@ -2,11 +2,14 @@
 well-formed, and the suite is deterministic under a fixed seed."""
 
 import inspect
+import json
 import math
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -95,6 +98,7 @@ def test_deterministic_given_seed():
     a = check_c3_c8(b_set=(0.4,), n_max=4, seed=777)
     b = check_c3_c8(b_set=(0.4,), n_max=4, seed=777)
     assert a == b
+    assert verify.run_default_suite(seed=777) == verify.run_default_suite(seed=777)
 
 
 def test_report_table_format():
@@ -107,8 +111,6 @@ def test_report_table_format():
 
 
 def test_report_passed_definition():
-    import json
-
     reports = check_c1_c2(n_max=4, samples=2)
     for r in reports:
         assert r.passed == (r.max_error <= r.tolerance)
@@ -144,66 +146,104 @@ def test_c3_c8_zero_and_negative_radius(b):
         assert r.cases == 10 and r.max_error <= 1e-14, r
 
 
-class _RecordingGenerator:
-    """Delegates to a real generator and records what ``uniform`` returns."""
-
-    make = staticmethod(np.random.default_rng)
+class _RecordingRandom(random.Random):
+    """A ``random.Random`` that logs every draw a check makes."""
 
     def __init__(self, seed):
-        self.rng = self.make(seed)
-        self.draws = []
+        self.seed_arg = seed
+        self.log = []
+        super().__init__(seed)
 
-    def uniform(self, *args, **kwargs):
-        self.draws.append(self.rng.uniform(*args, **kwargs))
-        return self.draws[-1]
+    def uniform(self, a, b):
+        self.log.append(("uniform", a, b, super().uniform(a, b)))
+        return self.log[-1][-1]
+
+    def randint(self, a, b):
+        self.log.append(("randint", a, b, super().randint(a, b)))
+        return self.log[-1][-1]
 
 
-def _recorded_draws(monkeypatch, check, **kwargs):
+def _recorded_draws(monkeypatch, check, seed):
     generators = []
 
     def make(seed):
-        generators.append(_RecordingGenerator(seed))
+        generators.append(_RecordingRandom(seed))
         return generators[-1]
 
-    monkeypatch.setattr(np.random, "default_rng", make)
-    check(**kwargs)
-    (gen,) = generators
-    (draws,) = gen.draws  # one draw per check
-    return draws
+    monkeypatch.setattr(verify, "random", types.SimpleNamespace(Random=make))
+    check(seed=seed)
+    (gen,) = generators  # one stream per check
+    assert type(gen.seed_arg) is int and gen.seed_arg == seed
+    return gen.log
+
+
+def _expected_log(seed, calls):
+    """The draws of an explicit scalar loop over ``calls`` = [(method, a, b)]."""
+    rng = random.Random(seed)
+    return [(name, a, b, getattr(rng, name)(a, b)) for name, a, b in calls]
+
+
+def _bitwise_equal(log, expected):
+    assert [entry[:3] for entry in log] == [entry[:3] for entry in expected]
+    assert (np.array([entry[3] for entry in log], dtype=float).tobytes()
+            == np.array([entry[3] for entry in expected], dtype=float).tobytes())
 
 
 @pytest.mark.parametrize("seed", [12345, 288545019])
 def test_c1_c2_draws_the_per_case_points(monkeypatch, seed):
-    # the scalar draws of a loop over n, then samples, bitwise
-    rng = np.random.default_rng(seed)
-    old = [rng.uniform(0.0, 2.0 * np.pi) for _n in range(20) for _j in range(8)]
-    draws = _recorded_draws(monkeypatch, check_c1_c2, seed=seed)
-    assert draws.shape == (20, 8)
-    assert draws.ravel().tobytes() == np.array(old).tobytes()
+    # the angle of w in a loop over n, then samples
+    calls = [("uniform", 0.0, 2.0 * math.pi) for _n in range(20) for _j in range(8)]
+    log = _recorded_draws(monkeypatch, check_c1_c2, seed)
+    _bitwise_equal(log, _expected_log(seed, calls))
 
 
 @pytest.mark.parametrize("seed", [12345, 288545019])
 def test_c3_c8_draws_the_per_case_points(monkeypatch, seed):
-    # per case, in a loop over b then n: the angle of w, then the weight
-    # pair (wa, wc) from one size-2 draw
-    rng = np.random.default_rng(seed)
-    old = []
-    for _b in (0.3, 0.6):
-        for _n in range(10):
-            old.append(rng.uniform(0.0, 2.0 * np.pi))
-            old.extend(rng.uniform(-1.0, 1.0, size=2))
-    draws = _recorded_draws(monkeypatch, check_c3_c8, seed=seed)
-    assert draws.shape == (2, 10, 3)
-    assert draws.ravel().tobytes() == np.array(old).tobytes()
+    # per case, in a loop over b then n: the angle of w, then wa, then wc
+    calls = [("uniform", lo, hi) for _b in (0.3, 0.6) for _n in range(10)
+             for lo, hi in ((0.0, 2.0 * math.pi), (-1.0, 1.0), (-1.0, 1.0))]
+    log = _recorded_draws(monkeypatch, check_c3_c8, seed)
+    _bitwise_equal(log, _expected_log(seed, calls))
+
+
+@pytest.mark.parametrize("seed", [12345, 288545019])
+def test_spectral_draws_the_per_case_points(monkeypatch, seed):
+    # per radius, per case: n, then omega
+    calls = [call for _b in (0.2, 0.5, 0.8) for _j in range(400)
+             for call in (("randint", 2, 200), ("uniform", -1.5, 1.5))]
+    log = _recorded_draws(monkeypatch, check_spectral, seed)
+    _bitwise_equal(log, _expected_log(seed, calls))
+
+
+@pytest.mark.parametrize("check", [check_c1_c2, check_c3_c8, check_spectral])
+def test_seeds_draw_different_points(monkeypatch, check):
+    log_a = _recorded_draws(monkeypatch, check, 777)
+    log_b = _recorded_draws(monkeypatch, check, 778)
+    assert len(log_a) == len(log_b) > 0
+    assert [entry[3] for entry in log_a] != [entry[3] for entry in log_b]
+
+
+def test_numpy_integer_seed_is_its_int():
+    # not Python's seed-by-hash path, which warns for non-int seeds
+    assert check_c3_c8(seed=np.int64(7)) == check_c3_c8(seed=7)
+
+
+@pytest.mark.parametrize("check", [check_c1_c2, check_c3_c8, check_spectral])
+def test_negative_seed_is_a_precondition_error(check):
+    # random.Random would seed with |seed| and repeat another seed's points
+    with pytest.raises(PreconditionError, match="seed"):
+        check(seed=-1)
 
 
 def test_c3_c8_default_nodes():
     assert [_c3_c8_nodes(b, 10) for b in (0.3, 0.6)] == [58, 103]
 
 
-@pytest.mark.parametrize("b", [0.3, 0.6, 0.9, 0.999])
+@pytest.mark.parametrize("b", [0.3, 0.6, 0.9, 0.999, -0.9, -0.999])
 def test_c3_c8_node_rule_resolves(b):
-    # a fixed 4096-node grid left errors near 9e-2 at b = 0.999
+    # a fixed 4096-node grid left errors near 9e-2 at b = 0.999; b < 0
+    # works from |b| on the nodes turned by pi, where b - 1 + b (tau/w - 1)
+    # would cancel at the kernel's peak tau/w = -1 (6.4e-13 at b = -0.999)
     for r in check_c3_c8(b_set=(b,)):
         assert r.max_error <= 1e-13, r
 
@@ -251,3 +291,27 @@ def test_default_suite_leaves_numpy_polynomial_unloaded():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True, timeout=120)
     assert done.stdout.strip() == "[]"
+
+
+def test_commands_leave_numpy_random_unloaded(tmp_path):
+    # the checks draw from the standard library's random, so no command
+    # pays for importing numpy.random
+    src = str(Path(verify.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    branch = tmp_path / "b.json"
+    argvs = [["check", "--format", "json", "--out", str(tmp_path / "check.json")],
+             ["spectrum", "--b", "0.5", "--out", str(tmp_path / "s.csv")],
+             ["threshold", "--b", "0.5"],
+             ["branch", "--b", "0.6", "--m", "5", "--modes", "8", "--steps", "1",
+              "--out", str(branch)],
+             ["render", str(branch), "--out", str(tmp_path / "b.svg")]]
+    code = ("import json, sys\n"
+            "from sqg_vstates.cli import main\n"
+            "loaded = []\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert main(argv) == 0, argv\n"
+            "    loaded.append(sorted(m for m in sys.modules if m.startswith('numpy.random')))\n"
+            "print(json.dumps(loaded))\n")
+    done = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], env=env,
+                          capture_output=True, text=True, check=True, timeout=120)
+    assert json.loads(done.stdout.splitlines()[-1]) == [[]] * len(argvs)
