@@ -60,9 +60,9 @@ def _fmt17(x: float) -> str:
     return f"{x:.17g}"
 
 
-# One boundary CSV row after its formatted theta; "%.17g" formats a float
-# exactly as _fmt17 does.
-_BOUNDARY_ROW = "%s,%.17g,%.17g,%.17g,%.17g\n"
+# The cells of one boundary CSV row after its formatted theta; "%.17g"
+# formats a float exactly as _fmt17 does.
+_BOUNDARY_CELLS = ",%.17g,%.17g,%.17g,%.17g\n"
 
 
 def _write_text(path: Optional[str], text: str) -> None:
@@ -156,13 +156,13 @@ def cmd_branch(args: argparse.Namespace) -> int:
     if args.boundaries:
         stem = os.path.splitext(args.out)[0] if args.out else "branch"
         samples = [boundary_samples(pt.patch) for pt in run.points]
-        # every point is sampled at the same angles: format them once
-        theta = ["%.17g" % t for t in samples[0][:, 0].tolist()]
+        # every point is sampled at the same angles: format them once, into
+        # a template that takes a whole file's cells in one %
+        template = "theta,x1,y1,x2,y2\n" + "".join(
+            "%.17g" % t + _BOUNDARY_CELLS for t in samples[0][:, 0].tolist())
         for pt, sample in zip(run.points, samples):
-            rows = sample[:, 1:].tolist()
             with open(f"{stem}.boundaries.{pt.step_index:03d}.csv", "w", encoding="utf-8") as fh:
-                fh.write("theta,x1,y1,x2,y2\n")
-                fh.writelines(_BOUNDARY_ROW % (t, *row) for t, row in zip(theta, rows))
+                fh.write(template % tuple(sample[:, 1:].ravel().tolist()))
     return EXIT_OK
 
 

@@ -59,20 +59,29 @@ discrete residual is q-periodic: G_{k+q} = G_k.  Conjugation maps index l
 to P - l, real coefficients give Phi(conj z) = conj Phi(z), and V is even
 (V_j = V_{P-j}), so it is odd: G_{P-k} = -G_k, which forces
 G_0 = G_{q/2} = 0.  Both identities hold for the discrete sums, not only
-in the limit, so every kernel pass evaluates only the orbit
+in the limit, so every kernel pass targets only the orbit
 representatives k = 1..ceil(q/2)-1, which :func:`_collocation_grid` alone
-defines; the rest are copies up to summation order, or zero.
+defines; the rest are copies up to summation order, or zero.  The same
+group acts on the cross kernel C[r, l] = 1/|Phi_2(tau_l) - Phi_1(tau_r)|:
+C[r+q, l+q] = C[r, l] = C[-r, -l], and A_j = w Phi_j'(w) turns like Phi_j.
+So the rows r = 0..floor(q/2) represent all P rows, and one block of
+them gives both cross streams: S(Phi_2, Phi_1) from its rows and
+S(Phi_1, Phi_2), which reads C by columns, from its columns folded over
+the group (:func:`_cross_streams`).
 
-Kernel passes.  Every pass, a residual's :func:`_stream_on_grid` and
-the Jacobian's :func:`_source_derivatives`, is one loop over the blocks
-of targets that the generator :func:`_distance_blocks` yields, on the
-calling thread; BLAS threads are the only parallelism.  Re D and Im D
+Kernel passes.  Every pass, a residual's two self passes
+(:func:`_stream_on_grid`) and its cross block (:func:`_cross_streams`),
+and the Jacobian's :func:`_source_derivatives`, is one loop over the
+blocks of targets that the generator :func:`_distance_blocks` yields, on
+the calling thread; BLAS threads are the only parallelism.  Re D and Im D
 come from factor tables built once per pass (:func:`_difference_tables`)
 as products with inner dimension 2 (:func:`_differences`), each entry
 the sum of two exact products rounded once: bitwise the subtraction,
-whatever the number of BLAS threads.  So residuals, and the whole
-criterion-10 branch (K = 8, P = 1280), are bitwise independent of the
-thread count.  The Jacobian's column products at K = 32 are large enough
+whatever the number of BLAS threads.  The cross block's transposed
+products have the size of its row products, and like them give the same
+bytes at any thread count.  So residuals, and the whole criterion-10
+branch (K = 8, P = 1280), are bitwise independent of the thread count.
+The Jacobian's column products at K = 32 are large enough
 for OpenBLAS to split over threads, so a default ``vstates branch``
 (K = 32) can differ in the last bits between thread counts.  The grid
 nodes and the collocation grid are built once per grid size and are
@@ -389,18 +398,75 @@ def _stream_on_grid(
     return out
 
 
+def _cross_streams(
+    maps: tuple[tuple[np.ndarray, np.ndarray], ...],
+    targets: slice,
+    q: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """S(Phi_2, Phi_1) and S(Phi_1, Phi_2) at the targets ``targets``, grid
+    indices within 1..floor(q/2), from (Phi, A) of both maps on the P nodes
+    (:func:`_map_values`) and the residual period q: one loop over
+    :func:`_distance_blocks` for both cross streams.
+
+    The block holds C[r, l] = 1/|Phi_2(tau_l) - Phi_1(tau_r)| for the rows
+    r = 0..floor(q/2), the orbit representatives of all P rows under the
+    grid group (module docstring).  Row products give S(Phi_2, Phi_1) at
+    the targets.  S(Phi_1, Phi_2)_k needs the column sums
+    sum_l C[l, k] A_1(l) and sum_l C[l, k] over all P rows, which the
+    group folds onto the representatives.  With g = P / q,
+    rho = e^{2 pi i / g}, indices mod P and the row weights w_r (1/2 on
+    the rows 0 and q/2 that reflection fixes, 1 otherwise), the
+    transposed products give Y = sum_r w_r C[r, .] A_1(r) and its
+    conjugate counterpart Z = sum_r w_r C[r, .] conj A_1(r), and
+
+        sum_l C[l, k] A_1(l) = sum_{j<g} rho^j (Y[k - j q] + Z[j q - k]);
+
+    the plain sum is the same fold of sum_r w_r C[r, .] with no phase, and
+    S(Phi_1, Phi_2)_k = (sum_l C[l, k] A_1(l) - A_2(k) sum_l C[l, k]) / P.
+    """
+    (phi1, num1), (phi2, num2) = maps
+    P = phi1.size
+    reps = slice(0, q // 2 + 1)
+    row_sums = np.column_stack([num2.real, num2.imag, np.ones(P)])
+    col_sums = np.ones((3, reps.stop))
+    col_sums[0] = num1[reps].real
+    col_sums[1] = num1[reps].imag
+    # rows 0 and q/2 are their own reflections: their orbits hold g rows, not 2 g
+    col_sums[:, 0] *= 0.5
+    if q % 2 == 0:
+        col_sums[:, -1] *= 0.5
+    rows_out = np.empty((reps.stop, 3))
+    cols_out = np.zeros((3, P))
+    for rows, d, _, _ in _distance_blocks(_difference_tables(phi2, phi1[reps]), reps, False):
+        np.divide(1.0, d, out=d)
+        rows_out[rows] = d @ row_sums
+        cols_out += col_sums[:, rows] @ d
+    re, im, total = rows_out[targets].T
+    s21 = (re + 1j * im - num1[targets] * total) / P
+    # the fold for targets 0 < k < q: with u_n = sum_j rho^-j Y[n + j q],
+    # the Z terms sum to rho conj(u_{q-k}), since Z[j q - k] = conj Y[j q - k]
+    k = np.arange(targets.start, targets.stop)
+    nodes = _nodes(P)
+    u = np.conj(nodes[::q]) @ (cols_out[0] + 1j * cols_out[1]).reshape(-1, q)
+    t = cols_out[2].reshape(-1, q).sum(axis=0)
+    col_a = u[k] + nodes[q % P] * np.conj(u[q - k])
+    s12 = (col_a - num2[targets] * (t[k] + t[q - k])) / P
+    return s21, s12
+
+
 def _boundary_residuals(patch: PatchPair, targets: slice, P: int) -> tuple[np.ndarray, np.ndarray]:
-    """G_1, G_2 at the targets ``targets``, a range of grid indices, with
-    the stream integrals taken over the P grid nodes: one map evaluation."""
+    """G_1, G_2 at the targets ``targets`` of :func:`_collocation_grid` (or
+    any range of grid indices within 1..floor(q/2)), with the stream
+    integrals taken over the P grid nodes: one map evaluation, one self
+    pass per boundary (:func:`_stream_on_grid`) and one block for both
+    cross streams (:func:`_cross_streams`)."""
     maps = _map_values(patch, P)
-    g = []
-    for j, (phi, num) in enumerate(maps):
-        # E_j = Omega Phi_j - S(Phi_1, Phi_j) + S(Phi_2, Phi_j)
-        e = patch.omega * phi[targets]
-        e -= _stream_on_grid(maps[0], maps[j], targets, j == 0)
-        e += _stream_on_grid(maps[1], maps[j], targets, j == 1)
-        g.append(np.imag(e * np.conj(num[targets])))
-    return tuple(g)
+    (phi1, num1), (phi2, num2) = maps
+    s21, s12 = _cross_streams(maps, targets, _collocation_grid(patch.m, patch.K, P)[0])
+    # E_j = Omega Phi_j - S(Phi_1, Phi_j) + S(Phi_2, Phi_j)
+    e1 = patch.omega * phi1[targets] - _stream_on_grid(maps[0], maps[0], targets, True) + s21
+    e2 = patch.omega * phi2[targets] - s12 + _stream_on_grid(maps[1], maps[1], targets, True)
+    return np.imag(e1 * np.conj(num1[targets])), np.imag(e2 * np.conj(num2[targets]))
 
 
 def _check_grid(m: int, K: int, P: int) -> None:

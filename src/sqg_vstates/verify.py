@@ -244,8 +244,11 @@ def check_spectral(b_set: tuple[float, ...] = (0.2, 0.5, 0.8), m_hi: int = 200,
       sum-inequality definition, and E_1 = -(1+b)^2 L_1.
 
     Each case of the sweep draws n = ``randint(2, m_hi)``, then omega =
-    ``uniform(-1.5, 1.5)``, from ``random.Random(seed)``.
+    ``uniform(-1.5, 1.5)``, from ``random.Random(seed)``.  Raises
+    :class:`PreconditionError` for ``m_hi`` < 2, before any table is built.
     """
+    if m_hi < 2:
+        raise PreconditionError(f"check_spectral draws modes n in 2..m_hi, so needs m_hi >= 2, got m_hi={m_hi}")
     rng = _rng(seed)
     det_err = disc_err = kern_err = thr_err = 0.0
     violations = 0

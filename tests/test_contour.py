@@ -102,6 +102,21 @@ def node_stream(src, dst, patch, k, P):
     return complex(contour._stream_on_grid(maps[src - 1], maps[dst - 1], slice(k, k + 1), src == dst)[0])
 
 
+def full_grid_residuals(patch, P):
+    """G_1, G_2 at all P grid nodes, each of the four stream integrals a
+    row-wise kernel pass over every target: the residual with no grid
+    symmetry and no shared cross block."""
+    maps = contour._map_values(patch, P)
+    every = slice(0, P)
+    g = []
+    for j, (phi, num) in enumerate(maps):
+        e = patch.omega * phi
+        e -= contour._stream_on_grid(maps[0], maps[j], every, j == 0)
+        e += contour._stream_on_grid(maps[1], maps[j], every, j == 1)
+        g.append(np.imag(e * np.conj(num)))
+    return tuple(g)
+
+
 def offset_trapezoid(src, dst, patch, theta, P):
     """S(Phi_src, Phi_dst) at w = e^{i theta} as one direct mean over the
     P rotated half-offset nodes.  Second order on a self pair, so it is the
@@ -447,6 +462,41 @@ class TestStreamIntegral:
                     assert abs(node_stream(src, dst, patch, k, P) - ref) <= 1e-14
 
 
+class TestCrossBlock:
+    @pytest.mark.parametrize("m,K,P", SYMMETRY_GRIDS + [(2, 3, 26), (5, 1, 22)])
+    def test_folded_streams_match_row_passes(self, m, K, P):
+        # both cross streams from the representative rows, against one
+        # row-wise pass each; (2, 3, 26) has odd q = 13 and g = 2, (5, 1, 22)
+        # has g = 1
+        patch = small_patch(b=0.6, m=m, K=K, seed=6, scale=3e-4)
+        q, targets, _ = contour._collocation_grid(m, K, P)
+        maps = contour._map_values(patch, P)
+        s21, s12 = contour._cross_streams(maps, targets, q)
+        for got, (src, dst) in zip((s21, s12), ((1, 0), (0, 1))):
+            ref = contour._stream_on_grid(maps[src], maps[dst], targets, False)
+            assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("m,K,P", SYMMETRY_GRIDS)
+    def test_residual_pass_rows(self, m, K, P, monkeypatch):
+        # two self passes over the targets and one cross block over the rows
+        # 0..q/2: 383 rows at (5, 8, 1280), where two row-wise cross passes
+        # made it 508
+        rows = []
+        blocks = contour._distance_blocks
+
+        def counted(tables, targets, self_pair):
+            rows.append(tables[0].shape[1])
+            return blocks(tables, targets, self_pair)
+
+        monkeypatch.setattr(contour, "_distance_blocks", counted)
+        q, targets, _ = contour._collocation_grid(m, K, P)
+        contour._boundary_residuals(small_patch(b=0.6, m=m, K=K, seed=3, scale=3e-4), targets, P)
+        assert len(rows) == 3
+        assert sum(rows) == 2 * ((q + 1) // 2 - 1) + q // 2 + 1
+        if (m, K, P) == (5, 8, 1280):
+            assert sum(rows) == 383
+
+
 class TestResidual:
     @pytest.mark.parametrize("b", [0.3, 0.5, 0.7])
     @pytest.mark.parametrize("omega", [-1.0, 0.0, 0.5, 1.0])
@@ -500,9 +550,9 @@ class TestResidual:
 
     @pytest.mark.parametrize("m,K,P", SYMMETRY_GRIDS)
     def test_reduced_grid_matches_brute_force(self, m, K, P):
-        # reference: every one of the P targets evaluated by the kernel pass
+        # reference: every one of the P targets evaluated row by row
         patch = small_patch(b=0.6, m=m, K=K, seed=3, scale=3e-4)
-        ref1, ref2 = contour._boundary_residuals(patch, slice(0, P), P)
+        ref1, ref2 = full_grid_residuals(patch, P)
         g1, g2 = collocation_residual(patch, P)
         assert g1.shape == g2.shape == (P,)
         assert np.abs(g1 - ref1).max() <= 1e-13
@@ -566,7 +616,7 @@ class TestResidual:
         for m, K, P in [(4, 3, 1024), (6, 2, 50)] + SYMMETRY_GRIDS:
             for seed in (1, 5, 9):
                 patch = small_patch(b=0.6, m=m, K=K, seed=seed, scale=3e-4)
-                spec = np.fft.rfft(np.stack(contour._boundary_residuals(patch, slice(0, P), P)))
+                spec = np.fft.rfft(np.stack(full_grid_residuals(patch, P)))
                 ref = -2.0 * np.imag(spec[:, np.arange(1, K + 1) * m]) / P
                 off = np.arange(spec.shape[1]) % m != 0
                 ref_leak = 2.0 / P * np.abs(spec[:, off]).max() if off.any() else 0.0

@@ -235,6 +235,17 @@ def test_negative_seed_is_a_precondition_error(check):
         check(seed=-1)
 
 
+@pytest.mark.parametrize("m_hi", [1, 0, -5])
+def test_spectral_mode_range_below_two_is_a_precondition_error(m_hi, monkeypatch):
+    # the sweep draws n in 2..m_hi; the guard fires before any table is built
+    def no_build(*args, **kwargs):
+        raise AssertionError("a constants table was built")
+
+    monkeypatch.setattr(verify.AnnulusConstants, "build", no_build)
+    with pytest.raises(PreconditionError, match="m_hi=" + str(m_hi)):
+        check_spectral(b_set=(0.5,), m_hi=m_hi, samples=3)
+
+
 def test_c3_c8_default_nodes():
     assert [_c3_c8_nodes(b, 10) for b in (0.3, 0.6)] == [58, 103]
 
