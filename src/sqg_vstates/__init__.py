@@ -4,9 +4,8 @@ finite-amplitude branch continuation.
 
 The library is organized in four layers:
 
-* :mod:`sqg_vstates.specfun` -- scalar special functions (Gauss
-  hypergeometric series with an Euler-integral oracle, odd-harmonic sums,
-  annulus coupling coefficients) and the cached
+* :mod:`sqg_vstates.specfun` -- scalar special functions (odd-harmonic
+  sums, annulus coupling coefficients) and the cached
   :class:`~sqg_vstates.specfun.AnnulusConstants` tables;
 * :mod:`sqg_vstates.spectrum` -- the linearized operator at the annulus:
   mode matrices, eigenvalues (per mode or as columns over a mode range),
@@ -14,7 +13,8 @@ The library is organized in four layers:
 * :mod:`sqg_vstates.contour` -- the discretized nonlinear boundary
   equations, singular-integral quadrature, and Newton branch continuation;
 * :mod:`sqg_vstates.verify` -- the oracle suite cross-checking every
-  closed form against independent quadrature.
+  closed form against independent quadrature, with the check-only special
+  functions and quadrature it uses; no solver module calls it.
 
 The ``vstates`` command line (see :mod:`sqg_vstates.cli`) exposes spectrum
 tables, threshold queries, branch tracing, the verification suite, and SVG
@@ -30,16 +30,7 @@ from .errors import (
     SingularJacobian,
     VStatesError,
 )
-from .specfun import (
-    AnnulusConstants,
-    contiguous_residuals,
-    gauss_2f1,
-    gauss_2f1_euler,
-    lambda_coeff,
-    lambda_integral_oracle,
-    pochhammer_ratio,
-    s_sum,
-)
+from .specfun import _MOVED, AnnulusConstants, lambda_coeff, s_sum
 from .spectrum import (
     KernelVector,
     ModeMatrix,
@@ -66,9 +57,21 @@ from .contour import (
     newton_correct,
     residual,
 )
-from .verify import CheckReport, run_default_suite
 
 __version__ = "0.1.0"
+
+# Public names of the oracle suite; importing the package does not load it.
+_FROM_VERIFY = _MOVED | {"CheckReport", "run_default_suite"}
+
+
+def __getattr__(name: str):
+    """The :mod:`~sqg_vstates.verify` object ``name``, loaded on first use (PEP 562)."""
+    if name in _FROM_VERIFY:
+        from . import verify
+
+        return getattr(verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AnnulusConstants",

@@ -45,7 +45,6 @@ from .errors import (
 )
 from .specfun import AnnulusConstants
 from .spectrum import discriminant, spectrum_columns, threshold_N
-from .verify import DEFAULT_SEED, format_report_table, run_default_suite
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -167,11 +166,14 @@ def cmd_branch(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    reports = run_default_suite(seed=args.seed)
+    from . import verify
+
+    seed = verify.DEFAULT_SEED if args.seed is None else args.seed
+    reports = verify.run_default_suite(seed=seed)
     if args.fmt == "json":
         _write_text(args.out, json.dumps([r.to_dict() for r in reports], indent=2))
     else:
-        _write_text(args.out, format_report_table(reports) + "\n")
+        _write_text(args.out, verify.format_report_table(reports) + "\n")
     return EXIT_OK if all(r.passed for r in reports) else EXIT_NUMERIC
 
 
@@ -332,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="also write sampled boundary CSV per point")
 
     p_chk = sub.add_parser("check", help="run the oracle verification suite")
-    p_chk.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p_chk.add_argument("--seed", type=int, default=None, help="default: the suite's seed")
     p_chk.add_argument("--out", default=None)
     p_chk.add_argument("--format", dest="fmt", choices=("text", "json"), default="text")
 
@@ -359,7 +361,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     if hasattr(args, "b") and not (math.isfinite(args.b) and 0.0 < args.b < 1.0):
         parser.error(f"--b must lie strictly between 0 and 1, got {args.b}")
-    if hasattr(args, "seed") and args.seed < 0:
+    if getattr(args, "seed", None) is not None and args.seed < 0:
         parser.error(f"--seed must be a non-negative integer, got {args.seed}")
     try:
         return _COMMANDS[args.command](args)

@@ -1,6 +1,12 @@
 """One-command oracle suite: every closed-form identity used by the
 library is bound to an independent numerical check.
 
+This module holds all of the library's check-only code; no solver module
+calls it.  Besides the checks it holds the special-function
+oracles: the 2F1 series ``gauss_2f1`` and its Euler integral
+``gauss_2f1_euler``, ``contiguous_residuals``, ``lambda_integral_oracle``
+and the adaptive Gauss-Kronrod rule ``adaptive_quad`` under them.
+
 The checks fall into four groups:
 
 * ``check_c1_c2`` -- the self-interaction circle moments (c1), (c2):
@@ -34,12 +40,13 @@ import math
 import operator
 import random
 from dataclasses import dataclass, asdict
+from typing import Callable
 
 import numpy as np
 
 from .contour import MAX_KP, PatchPair, residual
-from .errors import PreconditionError
-from .specfun import AnnulusConstants, gauss_2f1, pochhammer_ratio, s_sum
+from .errors import NoConvergence, PreconditionError
+from .specfun import AnnulusConstants, _s_table, _validate_mode_radius
 from .spectrum import (
     _det,
     _det_scale,
@@ -64,6 +71,8 @@ __all__ = [
     "check_linearization",
     "run_default_suite",
     "format_report_table",
+    "adaptive_quad", "pochhammer_ratio", "gauss_2f1", "gauss_2f1_euler",
+    "contiguous_residuals", "lambda_integral_oracle",
 ]
 
 DEFAULT_SEED = 12345
@@ -118,6 +127,200 @@ def _rng(seed: int) -> random.Random:
     return random.Random(seed)
 
 
+# --- special-function oracles -------------------------------------------------
+# Independent routes to the constants the solver tabulates.  Their
+# integrands are smooth after endpoint substitutions, so the adaptive
+# Gauss-Kronrod rule converges quickly; its depth cap is an error.
+
+# Kronrod-15 abscissae on [-1, 1]; every second entry (odd index) is a
+# Gauss-7 abscissa, so one set of integrand values serves both rules.
+_XK = (
+    -0.991455371120813, -0.949107912342759, -0.864864423359769,
+    -0.741531185599394, -0.586087235467691, -0.405845151377397,
+    -0.207784955007898, 0.0, 0.207784955007898, 0.405845151377397,
+    0.586087235467691, 0.741531185599394, 0.864864423359769,
+    0.949107912342759, 0.991455371120813,
+)
+_WK = (
+    0.022935322010529, 0.063092092629979, 0.104790010322250,
+    0.140653259715525, 0.169004726639267, 0.190350578064785,
+    0.204432940075298, 0.209482141084728, 0.204432940075298,
+    0.190350578064785, 0.169004726639267, 0.140653259715525,
+    0.104790010322250, 0.063092092629979, 0.022935322010529,
+)
+_WG = (
+    0.129484966168870, 0.279705391489277, 0.381830050505119,
+    0.417959183673469, 0.381830050505119, 0.279705391489277,
+    0.129484966168870,
+)
+
+
+def _gk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
+    h = 0.5 * (b - a)
+    mid = 0.5 * (a + b)
+    fv = [f(mid + h * x) for x in _XK]
+    kron = h * sum(w * v for w, v in zip(_WK, fv))
+    gauss = h * sum(w * fv[2 * i + 1] for i, w in enumerate(_WG))
+    return kron, abs(kron - gauss)
+
+
+def adaptive_quad(
+    f: Callable[[float], float],
+    a: float,
+    b: float,
+    tol: float = 1e-12,
+    max_depth: int = 40,
+) -> float:
+    """Integrate ``f`` over ``[a, b]`` to combined absolute/relative ``tol``,
+    halving each interval whose Gauss-7 and Kronrod-15 sums differ by more.
+
+    The tolerance is interpreted per subinterval as
+    ``err <= tol * max(1, |estimate|)``.
+
+    Raises
+    ------
+    NoConvergence
+        if a subinterval still misses the tolerance after ``max_depth``
+        halvings; the message names that interval.
+    """
+
+    def recurse(lo: float, hi: float, depth: int) -> float:
+        est, err = _gk15(f, lo, hi)
+        if err <= tol * max(1.0, abs(est)):
+            return est
+        if depth >= max_depth:
+            raise NoConvergence(
+                f"adaptive quadrature unresolved on [{lo!r}, {hi!r}] after {max_depth} "
+                f"halvings: error estimate {err:.3e} exceeds tolerance {tol:.3e}"
+            )
+        mid = 0.5 * (lo + hi)
+        return recurse(lo, mid, depth + 1) + recurse(mid, hi, depth + 1)
+
+    if a == b:
+        return 0.0
+    return recurse(a, b, 0)
+
+
+def pochhammer_ratio(x: float, n: int) -> float:
+    """The ratio (x)_n / n!, accumulated factor by factor.
+
+    Unlike the quotient of (x)_n and n! this stays in range for large
+    ``n`` (both numerator and denominator overflow separately long before
+    their ratio does).
+    """
+    if n < 0:
+        raise PreconditionError(f"pochhammer_ratio requires n >= 0, got {n}")
+    p = 1.0
+    for k in range(1, n + 1):
+        p *= (x + k - 1.0) / k
+    if not math.isfinite(p):
+        raise OverflowError(f"pochhammer_ratio({x}, {n}) overflows double precision")
+    return p
+
+
+def _validate_2f1_args(a: float, b: float, c: float, z: float) -> None:
+    if c <= 0.0 and c == math.floor(c):
+        raise PreconditionError(f"2F1 parameter c must not be a non-positive integer, got {c}")
+    if not 0.0 <= z < 1.0:
+        raise PreconditionError(f"2F1 argument z must lie in [0, 1), got {z}")
+
+
+def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
+    """Gauss hypergeometric function F(a, b, c; z) by its power series,
+    an oracle only: no production constant is built from it.
+
+    Terms are accumulated until the current term falls below
+    1e-15 (1 - z) relative to the partial sum: the terms decay like z^n,
+    so the tail left out is about the last term over 1 - z.  No
+    transformation formulas are applied, so the term count grows like
+    1/(1 - z); ``NoConvergence`` is raised after 100000 terms.
+    """
+    _validate_2f1_args(a, b, c, z)
+    term = 1.0
+    total = 1.0
+    tol = 1e-15 * (1.0 - z)
+    for n in range(100000):
+        term *= (a + n) * (b + n) / ((c + n) * (1.0 + n)) * z
+        total += term
+        if abs(term) <= tol * abs(total):
+            return total
+    raise NoConvergence(f"2F1 series did not converge in 100000 terms (a={a}, b={b}, c={c}, z={z})")
+
+
+def gauss_2f1_euler(a: float, b: float, c: float, z: float) -> float:
+    """F(a, b, c; z) via the Euler integral representation (c > b > 0).
+
+    Evaluates ``Gamma(c) / (Gamma(b) Gamma(c-b)) * integral_0^1
+    x^(b-1) (1-x)^(c-b-1) (1-z x)^(-a) dx`` by adaptive quadrature.  The
+    interval is split at 1/2 and each half is power-substituted so the
+    endpoint factor becomes at least cubic; the transformed integrands are
+    then smooth enough for the Gauss-Kronrod rule.
+
+    This is the independent oracle for :func:`gauss_2f1`.
+    """
+    _validate_2f1_args(a, b, c, z)
+    if not (c > b > 0.0):
+        raise PreconditionError(f"Euler representation requires c > b > 0, got b={b}, c={c}")
+
+    p_lo = max(1, math.ceil(3.0 / b))
+    p_hi = max(1, math.ceil(3.0 / (c - b)))
+
+    def left(u: float) -> float:
+        # x = u**p_lo straightens the x^(b-1) endpoint at x = 0
+        x = u ** p_lo
+        return p_lo * u ** (p_lo * b - 1.0) * (1.0 - x) ** (c - b - 1.0) * (1.0 - z * x) ** (-a)
+
+    def right(u: float) -> float:
+        # 1 - x = u**p_hi straightens the (1-x)^(c-b-1) endpoint at x = 1
+        x = 1.0 - u ** p_hi
+        return p_hi * u ** (p_hi * (c - b) - 1.0) * x ** (b - 1.0) * (1.0 - z * x) ** (-a)
+
+    integral = adaptive_quad(left, 0.0, 0.5 ** (1.0 / p_lo)) + adaptive_quad(
+        right, 0.0, 0.5 ** (1.0 / p_hi)
+    )
+    return math.gamma(c) / (math.gamma(b) * math.gamma(c - b)) * integral
+
+
+def contiguous_residuals(a: float, b: float, c: float, z: float) -> tuple[float, float, float, float]:
+    """Left-hand sides of four contiguous relations of F; all must vanish.
+
+    The four relations (each identically zero for admissible parameters):
+
+    1. c F(a,b,c;z) - c F(a+1,b,c;z) + b z F(a+1,b+1,c+1;z)
+    2. c F(a,b,c;z) - c F(a,b+1,c;z) + a z F(a+1,b+1,c+1;z)
+    3. b F(a,b+1,c;z) - a F(a+1,b,c;z) + (a-b) F(a,b,c;z)
+    4. c F(a,b,c;z) - (c-b) F(a,b,c+1;z) - b F(a,b+1,c+1;z)
+    """
+    f = gauss_2f1(a, b, c, z)
+    f_a1 = gauss_2f1(a + 1, b, c, z)
+    f_b1 = gauss_2f1(a, b + 1, c, z)
+    f_a1b1c1 = gauss_2f1(a + 1, b + 1, c + 1, z)
+    f_c1 = gauss_2f1(a, b, c + 1, z)
+    f_b1c1 = gauss_2f1(a, b + 1, c + 1, z)
+    r1 = c * f - c * f_a1 + b * z * f_a1b1c1
+    r2 = c * f - c * f_b1 + a * z * f_a1b1c1
+    r3 = b * f_b1 - a * f_a1 + (a - b) * f
+    r4 = c * f - (c - b) * f_c1 - b * f_b1c1
+    return (r1, r2, r3, r4)
+
+
+def lambda_integral_oracle(n: int, b: float) -> float:
+    """Independent quadrature route to :func:`~sqg_vstates.specfun.lambda_coeff`.
+
+    Evaluates ``b^(n-1)/pi * integral_0^1 x^(n-1/2) (1-x)^(-1/2)
+    (1-b^2 x)^(-1/2) dx`` with the square-root endpoint removed by the
+    substitution x = 1 - u**2.  (The 1/pi prefactor is 1/Gamma(1/2)^2.)
+    """
+    _validate_mode_radius(n, b)
+    b2 = b * b
+
+    def integrand(u: float) -> float:
+        x = 1.0 - u * u
+        return 2.0 * x ** (n - 0.5) * (1.0 - b2 * x) ** (-0.5)
+
+    return b ** (n - 1) / math.pi * adaptive_quad(integrand, 0.0, 1.0)
+
+
 def check_c1_c2(n_max: int = 20, samples: int = 8,
                 seed: int = DEFAULT_SEED) -> list[CheckReport]:
     """Quadrature of the two self-interaction circle moments against their
@@ -127,8 +330,9 @@ def check_c1_c2(n_max: int = 20, samples: int = 8,
         avg_tau (tau-w)^2 (tau^n - w^n) / |w - tau|^3 = (2 w^{n+2} / pi) sum_{k=1}^{n} 1/(2k+1)
 
     (both as mean-value integrals with weight dtau/tau), that is
-    -w^n (2/pi + s_sum(n)) and w^{n+2} s_sum(n+1).  The closed forms use
-    the library's own ``s_sum``; the quadrature side forms tau^n - w^n
+    -w^n (2/pi + s_sum(n)) and w^{n+2} s_sum(n+1).  The closed forms read
+    the library's own S_n column, one ``_s_table(n_max + 1)`` (bitwise the
+    ``s_sum`` values); the quadrature side forms tau^n - w^n
     and |w - tau| directly, so it checks the multiplier the spectrum is
     built on.  In the angle phi in (0, 2 pi) from w, tau = w e^{i phi},
     the integrands' corner at tau = w sits at both interval ends and they
@@ -151,7 +355,7 @@ def check_c1_c2(n_max: int = 20, samples: int = 8,
     x, vec = np.linalg.eigh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), -1))
     turn = np.exp(1j * math.pi * (x + 1.0))  # e^{i phi}, phi = pi (x + 1)
     wts = vec[0] ** 2  # half the Gauss weight 2 v_0^2: the mean over phi
-    s = np.array([s_sum(j) for j in range(1, n_max + 2)])[:, None]
+    s = _s_table(n_max + 1)[:, None]  # s_sum(1..n_max + 1)
     n = np.arange(1, n_max + 1)[:, None]
     wn = w ** n
     tau = w[..., None] * turn

@@ -144,6 +144,10 @@ class TestSpectrumCommand:
         assert code == EXIT_GUARD
         assert "threshold" in capsys.readouterr().err
 
+    def test_empty_mode_range_guard(self, capsys):
+        assert main(["spectrum", "--b", "0.5", "--m-min", "10", "--m-max", "5"]) == EXIT_GUARD
+        assert "m-max=5 < m-min=10" in capsys.readouterr().err
+
     def test_invalid_b_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["spectrum", "--b", "1.2"])
@@ -433,6 +437,28 @@ class TestRenderCommand:
         for col in (1, 3):
             z = samples[:, col] + 1j * samples[:, col + 1]
             assert np.abs(np.roll(z, -shift) - rot * z).max() <= 1e-9
+
+    def test_all_points(self, tmp_path):
+        src = run_branch(tmp_path, steps=2)
+        out = tmp_path / "img.svg"
+        assert main(["render", str(src), "--points", "all", "--out", str(out)]) == EXIT_OK
+        assert out.read_text().count("<polygon") == 2 * 3  # outer + inner of each point
+
+    def test_unparsable_points(self, tmp_path, capsys):
+        src = run_branch(tmp_path, steps=1)
+        out = tmp_path / "img.svg"
+        assert main(["render", str(src), "--points", "0,x", "--out", str(out)]) == EXIT_GUARD
+        assert "cannot parse --points '0,x'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_point_that_is_not_an_object(self, tmp_path, capsys):
+        src = run_branch(tmp_path, steps=1)
+        data = json.loads(src.read_text())
+        data["points"][0] = [1, 2]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert main(["render", str(bad), "--out", str(tmp_path / "img.svg")]) == EXIT_GUARD
+        assert "at points[0]: expected an object" in capsys.readouterr().err
 
     def test_empty_selection(self, tmp_path):
         src = run_branch(tmp_path, steps=1)

@@ -26,6 +26,7 @@ from sqg_vstates.errors import (
     NoConvergence,
     NotSimple,
     PreconditionError,
+    SingularJacobian,
 )
 from sqg_vstates.specfun import AnnulusConstants, gauss_2f1, lambda_coeff, s_sum
 from sqg_vstates.spectrum import bifurcation_row, kernel_vector, mode_matrix, threshold_N
@@ -166,6 +167,8 @@ class TestPatchPair:
             PatchPair(b=0.5, m=4, K=2, a=np.zeros(3), c=np.zeros(2), omega=0.0)
         with pytest.raises(PreconditionError):
             PatchPair(b=0.5, m=4, K=1, a=np.array([np.nan]), c=np.zeros(1), omega=0.0)
+        with pytest.raises(PreconditionError, match="K >= 1"):
+            PatchPair(b=0.5, m=4, K=0, a=np.zeros(0), c=np.zeros(0), omega=0.0)
 
     def test_mode_exponents_must_fit_int64(self):
         zeros = np.zeros(1)
@@ -813,6 +816,82 @@ class TestNewton:
             at_coarse = contour._system(pt.patch, x, pt.s, vhat, 4 * K * m)[1]
             assert pt.residual_norm == at_p <= 1e-10
             assert at_coarse > 1e-6
+
+    @staticmethod
+    def first_step(consts, m, K, s):
+        """The linear predictor at amplitude s on the plus branch, and its kernel."""
+        row = bifurcation_row(m, 0.6, consts)
+        kern = kernel_vector(m, 0.6, row.omega_plus, consts)
+        v1, v2 = kern.normalized()
+        a, c = np.zeros(K), np.zeros(K)
+        a[0], c[0] = s * v1, s * v2
+        return PatchPair(b=0.6, m=m, K=K, a=a, c=c, omega=row.omega_plus), kern
+
+    def test_ill_conditioned_jacobian_raises(self, consts_06, monkeypatch):
+        m = threshold_N(0.6, consts_06) + 1
+        start, kern = self.first_step(consts_06, m, 4, 1e-3)
+        monkeypatch.setattr(contour, "_COND_LIMIT", 1.0)
+        with pytest.raises(SingularJacobian, match="condition estimate"):
+            newton_correct(start, 1e-3, kern, P=320)
+
+    def test_overshooting_step_is_halved_and_jacobian_rebuilt(self, consts_06, monkeypatch):
+        # a first Jacobian a third of the true one makes the full step three
+        # times too long: that trial is valid but raises the residual, so the
+        # line search halves it, accepts, and rebuilds the Jacobian
+        builds, trials = [], []
+        exact, system = contour._exact_jacobian, contour._system
+
+        def scaled(*args):
+            jac, fvec, rnorm = exact(*args)
+            builds.append(np.abs(fvec).max())
+            return (jac / 3.0 if len(builds) == 1 else jac), fvec, rnorm
+
+        def recorded(*args):
+            fvec, rnorm = system(*args)
+            trials.append(np.abs(fvec).max())
+            return fvec, rnorm
+
+        monkeypatch.setattr(contour, "_exact_jacobian", scaled)
+        monkeypatch.setattr(contour, "_system", recorded)
+        m = threshold_N(0.6, consts_06) + 1
+        start, kern = self.first_step(consts_06, m, 4, 1e-3)
+        _, rnorm = newton_correct(start, 1e-3, kern, P=320)
+        assert rnorm <= 1e-10
+        assert len(builds) == 2
+        assert trials[0] > builds[0] > trials[1]  # full step rejected, half step accepted
+        assert builds[1] == pytest.approx(trials[1], rel=1e-9)  # rebuilt at the accepted point
+
+    def test_stale_chord_jacobian_is_refreshed_after_a_failed_line_search(
+            self, consts_06, monkeypatch):
+        # K = 1, P = 320: the coarse (4Km = 20) Jacobian is kept as a chord
+        # once the residual at P takes over; when that chord's whole line
+        # search fails, Newton builds a fresh coarse Jacobian and goes on
+        m, K, P = 5, 1, 320
+        grids, at_p = [], []
+        exact, system = contour._exact_jacobian, contour._system
+
+        def counted(*args):
+            grids.append(args[-1])
+            return exact(*args)
+
+        def inflated(*args):
+            fvec, rnorm = system(*args)
+            if args[-1] == P:
+                at_p.append(None)
+                # the first P residual is the switch; the next ones are the
+                # trials of the first line search on the P grid
+                if 2 <= len(at_p) <= 1 + contour._MAX_BACKTRACK:
+                    fvec = fvec * 1e6 + 1.0
+            return fvec, rnorm
+
+        monkeypatch.setattr(contour, "_exact_jacobian", counted)
+        monkeypatch.setattr(contour, "_system", inflated)
+        start, kern = self.first_step(consts_06, m, K, 1e-2)
+        _, rnorm = newton_correct(start, 1e-2, kern, P=P)
+        assert rnorm <= 1e-10
+        assert grids == [4 * K * m] * 2
+        assert len(at_p) > 1 + contour._MAX_BACKTRACK
+
 
 class TestBranchContinue:
     def test_zero_steps_single_point(self, consts_06):

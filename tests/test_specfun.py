@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 
 from sqg_vstates.errors import NoConvergence, PreconditionError
-from sqg_vstates.quadrature import adaptive_quad
+from sqg_vstates.verify import adaptive_quad
 from sqg_vstates.specfun import (
     AnnulusConstants,
     _agm,
     _lambda_table,
+    _s_table,
     contiguous_residuals,
     gauss_2f1,
     gauss_2f1_euler,
@@ -40,6 +41,10 @@ class TestPochhammer:
     def test_ratio_overflow_is_range_error(self):
         with pytest.raises(OverflowError):
             pochhammer_ratio(400.0, 2000)
+
+    def test_negative_index_is_a_guard_error(self):
+        with pytest.raises(PreconditionError, match="n >= 0"):
+            pochhammer_ratio(0.5, -1)
 
 
 class TestGauss2F1:
@@ -161,6 +166,15 @@ class TestOddHarmonicSum:
     def test_strictly_increasing(self):
         vals = [s_sum(n) for n in range(1, 200)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
+
+    def test_zero_is_a_guard_error(self):
+        with pytest.raises(PreconditionError, match="n >= 1"):
+            s_sum(0)
+
+    @pytest.mark.parametrize("n_max", [1, 2, 20, 200])
+    def test_table_column_is_bitwise_the_sums(self, n_max):
+        # check_c1_c2 reads its S_n column from one table
+        assert _s_table(n_max).tolist() == [s_sum(n) for n in range(1, n_max + 1)]
 
 
 class TestLambdaCoefficient:
@@ -284,6 +298,10 @@ class TestAnnulusConstants:
         assert (short.n_max, full.n_max) == (36, 40)
         assert np.array_equal(short.lambda_table, full.lambda_table[:36])
         assert np.array_equal(short.s_table, full.s_table[:36])
+
+    def test_empty_table_is_a_guard_error(self):
+        with pytest.raises(PreconditionError, match="n_max must be >= 1"):
+            AnnulusConstants.build(0.5, n_max=0)
 
     def test_unreachable_size_fails_before_allocating(self):
         tracemalloc.start()

@@ -73,6 +73,11 @@ class TestModeMatrix:
         with pytest.raises(PreconditionError, match=r"n=500\b.*n_max=220\b"):
             mode_matrix(500, 0.5, 0.0, consts_05)
 
+    @pytest.mark.parametrize("m_min,m_max,why", [(1, 5, "m >= 2"), (10, 5, "is empty")])
+    def test_column_range_guards(self, consts_05, m_min, m_max, why):
+        with pytest.raises(PreconditionError, match=why):
+            spectrum_columns(m_min, m_max, 0.5, consts_05)
+
     @pytest.mark.parametrize("call", [
         lambda c: quadratic_coeffs(221, 0.5, c),
         lambda c: discriminant(221, 0.5, c),
