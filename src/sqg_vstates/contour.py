@@ -49,8 +49,9 @@ closed form from the kernel matrices of one pass.  On a finer grid P it
 agrees with the exact one to roundoff once 4 K m resolves the solution
 (2.3e-15 relative at P = 1280, K = 8, m = 5), so a kernel pass at P is
 only ever a residual; acceptance, ``residual_norm`` and the tolerance
-are always at P.  Central differences remain only as the independent
-oracle, in the tests and in ``verify``.
+are always at P.  The corrector carries only x, F and J, and reads
+``residual_norm`` off F.  Central differences remain only as the
+independent oracle, in the tests and in ``verify``.
 
 Grid symmetry.  Let g = gcd(m, P) and q = P / g.  Rotation by 2 pi / g
 shifts every grid index by q, and because g | m every map obeys
@@ -189,9 +190,6 @@ class PatchPair:
     def mode_exponents(self) -> np.ndarray:
         """Exponents n m - 1 of the retained negative powers."""
         return np.arange(1, self.K + 1) * self.m - 1
-
-    def with_state(self, a: np.ndarray, c: np.ndarray, omega: float) -> "PatchPair":
-        return PatchPair(b=self.b, m=self.m, K=self.K, a=a, c=c, omega=omega)
 
 
 def annulus_patch(b: float, m: int, K: int, omega: float) -> PatchPair:
@@ -454,15 +452,15 @@ def _cross_streams(
     return s21, s12
 
 
-def _boundary_residuals(patch: PatchPair, targets: slice, P: int) -> tuple[np.ndarray, np.ndarray]:
-    """G_1, G_2 at the targets ``targets`` of :func:`_collocation_grid` (or
-    any range of grid indices within 1..floor(q/2)), with the stream
+def _boundary_residuals(patch: PatchPair, P: int) -> tuple[np.ndarray, np.ndarray]:
+    """G_1, G_2 at the targets of :func:`_collocation_grid`, with the stream
     integrals taken over the P grid nodes: one map evaluation, one self
     pass per boundary (:func:`_stream_on_grid`) and one block for both
     cross streams (:func:`_cross_streams`)."""
+    q, targets, _ = _collocation_grid(patch.m, patch.K, P)
     maps = _map_values(patch, P)
     (phi1, num1), (phi2, num2) = maps
-    s21, s12 = _cross_streams(maps, targets, _collocation_grid(patch.m, patch.K, P)[0])
+    s21, s12 = _cross_streams(maps, targets, q)
     # E_j = Omega Phi_j - S(Phi_1, Phi_j) + S(Phi_2, Phi_j)
     e1 = patch.omega * phi1[targets] - _stream_on_grid(maps[0], maps[0], targets, True) + s21
     e2 = patch.omega * phi2[targets] - s12 + _stream_on_grid(maps[1], maps[1], targets, True)
@@ -529,7 +527,7 @@ def collocation_residual(patch: PatchPair, P: int) -> tuple[np.ndarray, np.ndarr
     G is q-periodic, G_{q-k} = -G_k, and G_0 = G_{q/2} = 0 exactly.
     """
     q, targets, _ = _collocation_grid(patch.m, patch.K, P)
-    g1, g2 = np.tile(_period(_boundary_residuals(patch, targets, P), targets, q), P // q)
+    g1, g2 = np.tile(_period(_boundary_residuals(patch, P), targets, q), P // q)
     return g1, g2
 
 
@@ -545,7 +543,7 @@ def residual(patch: PatchPair, P: int) -> ResidualSpectrum:
     """
     m, K = patch.m, patch.K
     q, targets, proj = _collocation_grid(m, K, P)
-    g = _boundary_residuals(patch, targets, P)
+    g = _boundary_residuals(patch, P)
     r = _sine_coefficients(g, proj)
     r.setflags(write=False)
     spec = np.fft.rfft(_period(g, targets, q))
@@ -561,6 +559,7 @@ def residual(patch: PatchPair, P: int) -> ResidualSpectrum:
 
 _COND_LIMIT = 1e14
 _MAX_BACKTRACK = 8
+_MAX_ITER = 25
 
 
 def _pack(patch: PatchPair) -> np.ndarray:
@@ -570,28 +569,26 @@ def _pack(patch: PatchPair) -> np.ndarray:
 def _unpack(patch_like: PatchPair, x: np.ndarray) -> PatchPair:
     """The patch at unknowns x = (a, c, Omega), with b, m and K of ``patch_like``."""
     K = patch_like.K
-    return patch_like.with_state(x[:K], x[K:2 * K], float(x[2 * K]))
+    return PatchPair(b=patch_like.b, m=patch_like.m, K=K, a=x[:K], c=x[K:2 * K], omega=float(x[2 * K]))
 
 
 def _augmented(g: tuple[np.ndarray, ...], proj: np.ndarray, x: np.ndarray,
-               s: float, vhat: tuple[float, float]) -> tuple[np.ndarray, float]:
+               s: float, vhat: tuple[float, float]) -> np.ndarray:
     """The augmented residual F from g = (G_1, G_2) on the targets of
     :func:`_collocation_grid` and its projection table ``proj``: the 2K
     retained sine coefficients, then the amplitude constraint, which pins
     the projection of (a_1, c_1) onto the normalized kernel direction to s.
-    Returns (F, max sine coefficient).
     """
     K = proj.shape[1]
-    coeffs = _sine_coefficients(g, proj).ravel()
-    return np.append(coeffs, x[0] * vhat[0] + x[K] * vhat[1] - s), float(np.abs(coeffs).max())
+    return np.append(_sine_coefficients(g, proj).ravel(), x[0] * vhat[0] + x[K] * vhat[1] - s)
 
 
-def _system(patch_like: PatchPair, x: np.ndarray, s: float, vhat: tuple[float, float], P: int) -> tuple[np.ndarray, float]:
+def _system(patch_like: PatchPair, x: np.ndarray, s: float, vhat: tuple[float, float], P: int) -> np.ndarray:
     """Augmented residual (:func:`_augmented`) at x = (a, c, Omega), one
     kernel pass over the targets of :func:`_collocation_grid`."""
     patch = _unpack(patch_like, x)
-    _, targets, proj = _collocation_grid(patch.m, patch.K, P)
-    return _augmented(_boundary_residuals(patch, targets, P), proj, x, s, vhat)
+    proj = _collocation_grid(patch.m, patch.K, P)[2]
+    return _augmented(_boundary_residuals(patch, P), proj, x, s, vhat)
 
 
 def _source_derivatives(
@@ -679,8 +676,7 @@ def _exact_jacobian(
     formed once, on the P nodes, and the pass forms every E_j, so G_j and
     F cost no further kernel work.  Each source map is one call of
     :func:`_source_derivatives`, one source's tables at a time.
-    Returns (J, F, max sine coefficient); F agrees with :func:`_system` up
-    to summation order.
+    Returns (J, F); F agrees with :func:`_system` up to summation order.
     """
     patch = _unpack(patch_like, x)
     K = patch.K
@@ -713,7 +709,7 @@ def _exact_jacobian(
     jac[2 * K, 0] = vhat[0]
     jac[2 * K, K] = vhat[1]
     g = [np.imag(e * np.conj(num_w)) for e, (_, num_w) in zip(e_val, dst)]
-    return (jac, *_augmented(g, proj, x, s, vhat))
+    return jac, _augmented(g, proj, x, s, vhat)
 
 
 def _check_tol(newton_tol: float) -> None:
@@ -726,7 +722,6 @@ def newton_correct(
     s: float,
     kernel: KernelVector,
     P: int,
-    max_iter: int = 25,
     newton_tol: float = 1e-10,
 ) -> tuple[PatchPair, float]:
     """Solve the augmented system {residual = 0, kernel projection = s}
@@ -735,21 +730,23 @@ def newton_correct(
     Damped Newton on the 2K+1 unknowns (a, c, Omega) with the Jacobian of
     the 4 K m grid: the exact derivative of the discrete residual there,
     from the kernel pass (:func:`_exact_jacobian`) that also gives that
-    grid's residual F.  Newton first solves the 4 K m system; when P is
-    larger, it then evaluates the residual at P and goes on from there
-    with that residual as the right-hand side and the same 4 K m Jacobian
-    (a two-grid Newton, or defect correction), so a kernel pass at P is
-    only ever a residual.  A point is accepted only on its residual at P,
-    and the returned norm is that residual's.  When the 4 K m grid
+    grid's residual F where the correction starts.  Newton carries only
+    the unknowns x, the augmented residual F and the Jacobian J.  It
+    first solves the 4 K m system; when P is larger, it then evaluates the
+    residual at P and goes on from there with that residual as the
+    right-hand side and the same 4 K m Jacobian (a two-grid Newton, or
+    defect correction), so a kernel pass at P is only ever a residual.  A
+    point is accepted only on its residual at P.  When the 4 K m grid
     resolves the solution, a point that converges after one full step
     costs one Jacobian pass and one residual pass at 4 K m and one
     residual pass at P.  The residual is evaluated on its own only at
     line-search trial points and at that switch.  The Jacobian is reused
     across iterations while full steps keep reducing the residual, and
-    refreshed when progress stalls.  The ``max_iter`` budget spans both
-    grids.  Central differences serve only as the oracle in the tests and
-    in ``verify``.  Returns the corrected patch and its residual norm (max
-    sine coefficient at P).
+    refreshed when progress stalls; a refresh keeps the F already held at
+    the same x.  The budget of ``_MAX_ITER`` = 25
+    iterations spans both grids.  Central differences serve only as the
+    oracle in the tests and in ``verify``.  Returns the corrected patch
+    and its residual norm, max |F[:-1]| at P.
 
     Raises
     ------
@@ -757,7 +754,7 @@ def newton_correct(
         if ``newton_tol`` is not finite and positive, or P is not even and
         at least 4 K m.
     NoConvergence
-        after ``max_iter`` iterations above tolerance.
+        after ``_MAX_ITER`` = 25 iterations above tolerance.
     SingularJacobian
         if the condition estimate of the Jacobian exceeds 1e14.
     """
@@ -768,24 +765,22 @@ def newton_correct(
     vhat = kernel.normalized()
     x = _pack(patch)
     jac: Optional[np.ndarray]
-    jac, fvec, rnorm = _exact_jacobian(patch, x, s, vhat, coarse)
+    jac, fvec = _exact_jacobian(patch, x, s, vhat, coarse)
     jac_fresh = True
     grid = coarse  # the grid of fvec and of the line-search trials
     iterations = 0
     while True:
         if np.abs(fvec).max() <= newton_tol:
             if grid == P:
-                return _unpack(patch, x), rnorm
+                return _unpack(patch, x), float(np.abs(fvec[:-1]).max())
             grid = P
-            fvec, rnorm = _system(patch, x, s, vhat, P)
+            fvec = _system(patch, x, s, vhat, P)
             continue
-        if iterations == max_iter:
-            raise NoConvergence(f"Newton did not reach {newton_tol} in {max_iter} iterations")
+        if iterations == _MAX_ITER:
+            raise NoConvergence(f"Newton did not reach {newton_tol} in {_MAX_ITER} iterations")
         iterations += 1
         if jac is None:
-            jac, *coarse_f = _exact_jacobian(patch, x, s, vhat, coarse)
-            if grid == coarse:
-                fvec, rnorm = coarse_f
+            jac, _ = _exact_jacobian(patch, x, s, vhat, coarse)  # fvec already holds F at this x
             jac_fresh = True
         if jac_fresh and np.linalg.cond(jac) > _COND_LIMIT:
             raise SingularJacobian(
@@ -797,13 +792,13 @@ def newton_correct(
         accepted = False
         for _ in range(_MAX_BACKTRACK):
             try:
-                f_try, r_try = _system(patch, x + step * dx, s, vhat, grid)
+                f_try = _system(patch, x + step * dx, s, vhat, grid)
             except (PreconditionError, BoundaryCollision):
                 step *= 0.5
                 continue
             if np.abs(f_try).max() <= (1.0 - 1e-4 * step) * fnorm:
                 x = x + step * dx
-                fvec, rnorm = f_try, r_try
+                fvec = f_try
                 accepted = True
                 break
             step *= 0.5
@@ -852,7 +847,6 @@ def branch_continue(
     K: int = 32,
     P: Optional[int] = None,
     newton_tol: float = 1e-10,
-    max_iter: int = 25,
     consts: Optional[AnnulusConstants] = None,
 ) -> BranchRun:
     """Trace the branch bifurcating from the annulus at Omega_m^{sign}.
@@ -898,7 +892,7 @@ def branch_continue(
 
     start = annulus_patch(b, m, K, omega0)
     history = [_pack(start)]
-    _, start_norm = _system(start, history[0], 0.0, vhat, P)
+    start_norm = float(np.abs(_system(start, history[0], 0.0, vhat, P)[:-1]).max())
     points = [BranchPoint(s=0.0, patch=start, residual_norm=start_norm, step_index=0)]
     stopped: Optional[str] = None
     s = 0.0
@@ -906,11 +900,11 @@ def branch_continue(
         s += ds
         x = _predict(history, ds, vhat)
         try:
-            patch, rnorm = newton_correct(_unpack(start, x), s, kern, P, max_iter, newton_tol)
+            patch, norm = newton_correct(_unpack(start, x), s, kern, P, newton_tol)
         except (PreconditionError, BoundaryCollision, NoConvergence, SingularJacobian) as exc:
             stopped = f"{type(exc).__name__} at step {step_index}: {exc}"
             break
-        points.append(BranchPoint(s=s, patch=patch, residual_norm=rnorm, step_index=step_index))
+        points.append(BranchPoint(s=s, patch=patch, residual_norm=norm, step_index=step_index))
         history = history[-2:] + [_pack(patch)]
     return BranchRun(points=tuple(points), stopped_reason=stopped, P=P)
 

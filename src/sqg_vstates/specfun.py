@@ -115,15 +115,21 @@ class AnnulusConstants:
 
     ``s(n)`` and ``lam(n)`` answer only for the modes the table holds and
     raise :class:`PreconditionError` for any other ``n``; a table from
-    :meth:`build` reaches N(b) + 20.  Tables are built eagerly and frozen,
-    so instances are immutable and safe to share across threads.  Indices
-    are 1-based to match the mode numbering used throughout the library.
+    :meth:`build` reaches N(b) + 20.  Construction checks that both tables
+    have shape (n_max,).  Tables are built eagerly and frozen, so
+    instances are immutable and safe to share across threads.  Indices are
+    1-based to match the mode numbering used throughout the library.
     """
 
     b: float
     n_max: int
     s_table: np.ndarray
     lambda_table: np.ndarray
+
+    def __post_init__(self) -> None:
+        shapes = np.shape(self.s_table), np.shape(self.lambda_table)
+        if self.n_max < 1 or shapes != ((self.n_max,),) * 2:
+            raise PreconditionError(f"tables need shape (n_max,) with n_max >= 1, got {self.n_max}, {shapes}")
 
     @classmethod
     def build(cls, b: float, n_max: int = 200) -> "AnnulusConstants":

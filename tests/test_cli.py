@@ -605,6 +605,20 @@ class TestUsageErrors:
         assert main(["render", "/nonexistent/branch.json"]) == 2
 
 
+def test_module_entry_point():
+    # python -m sqg_vstates.cli runs main and exits with its code
+    src = str(Path(specfun.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "sqg_vstates.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    done = run("threshold", "--b", "0.5")
+    assert done.returncode == EXIT_OK and " N=3 " in done.stdout
+    assert run("spectrum", "--b", "0.5", "--m-min", "10", "--m-max", "5").returncode == EXIT_GUARD
+
+
 def test_criterion_10_branch_bytes_do_not_depend_on_blas_threads(tmp_path):
     # K = 8: every product stays below OpenBLAS's threading size, so the
     # output is byte-identical at 1 and 2 threads.  The default K = 32 run

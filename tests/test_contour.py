@@ -62,7 +62,7 @@ def small_patch(b=0.5, m=4, K=3, omega=0.3, seed=1, scale=1e-3):
 def sine_coefficients(patch, P):
     """Retained sine coefficients of G_1, G_2 as the Newton system forms
     them (the first 2K rows of the augmented residual)."""
-    fvec, _ = contour._system(patch, contour._pack(patch), 0.0, (1.0, 0.0), P)
+    fvec = contour._system(patch, contour._pack(patch), 0.0, (1.0, 0.0), P)
     return fvec[:patch.K], fvec[patch.K:2 * patch.K]
 
 
@@ -325,9 +325,8 @@ class TestRank2Differences:
         def passes():
             out = []
             for P in grids:
-                _, targets, _ = contour._collocation_grid(m, K, P)
-                out += contour._boundary_residuals(patch, targets, P)
-            out += contour._exact_jacobian(patch, x, 1e-3, (0.6, 0.8), grids[0])[:2]
+                out += contour._boundary_residuals(patch, P)
+            out += contour._exact_jacobian(patch, x, 1e-3, (0.6, 0.8), grids[0])
             return [np.asarray(a).tobytes() for a in out]
 
         products = passes()
@@ -344,8 +343,7 @@ digest = hashlib.md5()
 for K, P in ((8, 1280), (32, 640)):
     patch = contour.PatchPair(b=0.6, m=5, K=K, a=1e-5 * rng.standard_normal(K),
                               c=1e-5 * rng.standard_normal(K), omega=0.3)
-    _, targets, _ = contour._collocation_grid(5, K, P)
-    for g in contour._boundary_residuals(patch, targets, P):
+    for g in contour._boundary_residuals(patch, P):
         digest.update(g.tobytes())
 print(digest.hexdigest())
 """
@@ -492,8 +490,8 @@ class TestCrossBlock:
             return blocks(tables, targets, self_pair)
 
         monkeypatch.setattr(contour, "_distance_blocks", counted)
-        q, targets, _ = contour._collocation_grid(m, K, P)
-        contour._boundary_residuals(small_patch(b=0.6, m=m, K=K, seed=3, scale=3e-4), targets, P)
+        q = contour._collocation_grid(m, K, P)[0]
+        contour._boundary_residuals(small_patch(b=0.6, m=m, K=K, seed=3, scale=3e-4), P)
         assert len(rows) == 3
         assert sum(rows) == 2 * ((q + 1) // 2 - 1) + q // 2 + 1
         if (m, K, P) == (5, 8, 1280):
@@ -684,8 +682,8 @@ def fd_jacobian(patch, x, s, vhat, P, h=1e-7):
         xp[k] += step
         xm = x.copy()
         xm[k] -= step
-        fp, _ = contour._system(patch, xp, s, vhat, P)
-        fm, _ = contour._system(patch, xm, s, vhat, P)
+        fp = contour._system(patch, xp, s, vhat, P)
+        fm = contour._system(patch, xm, s, vhat, P)
         jac[:, k] = (fp - fm) / (2.0 * step)
     return jac
 
@@ -702,7 +700,7 @@ class TestExactJacobian:
     def test_matches_central_differences(self, m, K, P):
         patch = small_patch(b=0.6, m=m, K=K, seed=3, scale=3e-4)
         x = contour._pack(patch)
-        exact, _, _ = contour._exact_jacobian(patch, x, 1e-3, self.VHAT, P)
+        exact, _ = contour._exact_jacobian(patch, x, 1e-3, self.VHAT, P)
         fd = fd_jacobian(patch, x, 1e-3, self.VHAT, P)
         assert np.abs(exact - fd).max() <= 1e-7 * np.abs(exact).max()
 
@@ -710,21 +708,21 @@ class TestExactJacobian:
         patch = small_patch(b=0.6, m=5, K=8, seed=4, scale=3e-4)
         x = contour._pack(patch)
         monkeypatch.setattr(contour, "_BLOCK_PAIRS", 1280 * 1280)  # one block
-        whole, _, _ = contour._exact_jacobian(patch, x, 0.0, self.VHAT, 1280)
+        whole, _ = contour._exact_jacobian(patch, x, 0.0, self.VHAT, 1280)
         # q = 256: 127 targets in blocks of 64 + 63, then 100 + 27
         for block in (64, 100):
             monkeypatch.setattr(contour, "_BLOCK_PAIRS", 1280 * block)
-            chunked, _, _ = contour._exact_jacobian(patch, x, 0.0, self.VHAT, 1280)
+            chunked, _ = contour._exact_jacobian(patch, x, 0.0, self.VHAT, 1280)
             assert np.abs(chunked - whole).max() <= 1e-13 * np.abs(whole).max()
 
     @pytest.mark.parametrize("m,K,P", [(5, 8, 1280), (6, 2, 256), (4, 1, 20)])
     def test_fused_residual_matches_system(self, m, K, P):
         patch = small_patch(b=0.6, m=m, K=K, seed=3, scale=3e-4)
         x = contour._pack(patch)
-        _, fused, fused_norm = contour._exact_jacobian(patch, x, 1e-3, self.VHAT, P)
-        fvec, rnorm = contour._system(patch, x, 1e-3, self.VHAT, P)
+        _, fused = contour._exact_jacobian(patch, x, 1e-3, self.VHAT, P)
+        fvec = contour._system(patch, x, 1e-3, self.VHAT, P)
         assert np.abs(fused - fvec).max() <= 1e-14
-        assert fused_norm == pytest.approx(rnorm, abs=1e-14)
+        assert np.abs(fused[:-1]).max() == pytest.approx(np.abs(fvec[:-1]).max(), abs=1e-14)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_annulus_block_is_mode_matrix(self, n):
@@ -734,7 +732,7 @@ class TestExactJacobian:
         K = n + 2
         consts = AnnulusConstants.build(b, n_max=200)
         patch = annulus_patch(b, m, K, omega)
-        jac, _, _ = contour._exact_jacobian(patch, contour._pack(patch), 0.0, self.VHAT, P)
+        jac, _ = contour._exact_jacobian(patch, contour._pack(patch), 0.0, self.VHAT, P)
         idx = [n - 1, K + n - 1]
         observed = jac[np.ix_(idx, idx)]
         expected = -(n * m) * mode_matrix(n * m, b, omega, consts).matrix()
@@ -770,13 +768,14 @@ class TestNewton:
         # amplitude constraint pinned to s
         assert corrected.a[0] * v1 + corrected.c[0] * v2 == pytest.approx(s, abs=1e-12)
 
-    def test_no_convergence_when_iterations_exhausted(self, consts_06):
+    def test_no_convergence_when_iterations_exhausted(self, consts_06, monkeypatch):
         m = threshold_N(0.6, consts_06) + 1
         row = bifurcation_row(m, 0.6, consts_06)
         kern = kernel_vector(m, 0.6, row.omega_plus, consts_06)
         start = annulus_patch(0.6, m, 4, row.omega_plus)
+        monkeypatch.setattr(contour, "_MAX_ITER", 0)
         with pytest.raises(NoConvergence):
-            newton_correct(start, 1e-3, kern, P=320, max_iter=0)
+            newton_correct(start, 1e-3, kern, P=320)
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-10])
     def test_rejects_bad_tolerance(self, consts_06, tol):
@@ -812,8 +811,8 @@ class TestNewton:
         vhat = kernel_direction(m, 0.6, sign, consts_06)
         for pt in run.points[1:]:
             x = contour._pack(pt.patch)
-            at_p = contour._system(pt.patch, x, pt.s, vhat, P)[1]
-            at_coarse = contour._system(pt.patch, x, pt.s, vhat, 4 * K * m)[1]
+            at_p = np.abs(contour._system(pt.patch, x, pt.s, vhat, P)[:-1]).max()
+            at_coarse = np.abs(contour._system(pt.patch, x, pt.s, vhat, 4 * K * m)[:-1]).max()
             assert pt.residual_norm == at_p <= 1e-10
             assert at_coarse > 1e-6
 
@@ -842,14 +841,14 @@ class TestNewton:
         exact, system = contour._exact_jacobian, contour._system
 
         def scaled(*args):
-            jac, fvec, rnorm = exact(*args)
+            jac, fvec = exact(*args)
             builds.append(np.abs(fvec).max())
-            return (jac / 3.0 if len(builds) == 1 else jac), fvec, rnorm
+            return (jac / 3.0 if len(builds) == 1 else jac), fvec
 
         def recorded(*args):
-            fvec, rnorm = system(*args)
+            fvec = system(*args)
             trials.append(np.abs(fvec).max())
-            return fvec, rnorm
+            return fvec
 
         monkeypatch.setattr(contour, "_exact_jacobian", scaled)
         monkeypatch.setattr(contour, "_system", recorded)
@@ -875,14 +874,14 @@ class TestNewton:
             return exact(*args)
 
         def inflated(*args):
-            fvec, rnorm = system(*args)
+            fvec = system(*args)
             if args[-1] == P:
                 at_p.append(None)
                 # the first P residual is the switch; the next ones are the
                 # trials of the first line search on the P grid
                 if 2 <= len(at_p) <= 1 + contour._MAX_BACKTRACK:
                     fvec = fvec * 1e6 + 1.0
-            return fvec, rnorm
+            return fvec
 
         monkeypatch.setattr(contour, "_exact_jacobian", counted)
         monkeypatch.setattr(contour, "_system", inflated)

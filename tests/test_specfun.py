@@ -129,6 +129,11 @@ class TestAdaptiveQuad:
         with pytest.raises(NoConvergence, match=r"unresolved on \[0\.625, 0\.75\]"):
             adaptive_quad(lambda x: 1.0 if x < jump else 0.0, 0.0, 1.0, tol=1e-12, max_depth=3)
 
+    def test_empty_interval_is_zero_without_evaluations(self):
+        calls = []
+        assert adaptive_quad(lambda x: calls.append(x) or 1.0, 1.0, 1.0) == 0.0
+        assert calls == []
+
 
 class TestContiguousRelations:
     def test_collapse_at_z_zero(self):
@@ -302,6 +307,15 @@ class TestAnnulusConstants:
     def test_empty_table_is_a_guard_error(self):
         with pytest.raises(PreconditionError, match="n_max must be >= 1"):
             AnnulusConstants.build(0.5, n_max=0)
+
+    @pytest.mark.parametrize("n_max, n_s, n_lam", [(10, 5, 5), (5, 5, 4), (0, 0, 0)])
+    def test_tables_must_hold_n_max_modes(self, n_max, n_s, n_lam):
+        # a table shorter than its n_max passed require() and then ended
+        # s(n), mode_matrix and spectrum_columns in a bare IndexError
+        full = AnnulusConstants.build(0.5, n_max=10)
+        with pytest.raises(PreconditionError, match=r"shape \(n_max,\)"):
+            AnnulusConstants(b=0.5, n_max=n_max, s_table=full.s_table[:n_s],
+                             lambda_table=full.lambda_table[:n_lam])
 
     def test_unreachable_size_fails_before_allocating(self):
         tracemalloc.start()

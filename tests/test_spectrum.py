@@ -93,6 +93,10 @@ class TestModeMatrix:
 
 
 class TestQuadraticCoefficients:
+    def test_mode_one_is_a_guard_error(self, consts_05):
+        with pytest.raises(PreconditionError, match="n >= 2"):
+            quadratic_coeffs(1, 0.5, consts_05)
+
     def test_determinant_identity_random_sweep(self, consts_map):
         # brute-force det of the assembled matrix vs the quadratic in lambda
         rng = np.random.default_rng(99)
@@ -335,6 +339,11 @@ class TestMonotonicityScan:
     def test_single_mode_trivial(self, consts_05):
         n_thr = threshold_N(0.5, consts_05)
         assert eigenvalue_monotonicity_scan(0.5, n_thr, consts_05) == []
+
+    def test_range_below_threshold_is_empty(self, consts_map):
+        # N(0.9) = 14, so modes up to 5 hold no simple eigenvalue to scan
+        assert threshold_N(0.9, consts_map[0.9]) == 14
+        assert eigenvalue_monotonicity_scan(0.9, 5, consts_map[0.9]) == []
 
     @pytest.mark.parametrize("s_mode, s_factor, lam_mode, lam_factor, expected", [
         # S_26 raised: lambda^+_26 passes the modes above it; L_20 raised:

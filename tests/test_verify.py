@@ -73,6 +73,14 @@ def test_spectral_reduced():
         assert r.passed, f"{r.name}: {r.max_error} > {r.tolerance}"
 
 
+def test_spectral_threshold_mismatch_fails(monkeypatch):
+    # a threshold that disagrees with the sum-form inequality reads inf
+    monkeypatch.setattr(verify, "threshold_N", lambda b, consts: threshold_N(b, consts) + 1)
+    by_name = {r.name: r for r in check_spectral(b_set=(0.35,), m_hi=80, samples=120)}
+    assert by_name["spectral_threshold"].max_error == math.inf
+    assert not by_name["spectral_threshold"].passed
+
+
 def test_linearization_reduced():
     reports = check_linearization(b_set=(0.5,), modes=(1,), P=2048)
     by_name = {r.name: r for r in reports}
