@@ -53,7 +53,6 @@ from .contour import (
     annulus_patch,
     boundary_samples,
     branch_continue,
-    collocation_residual,
     newton_correct,
     residual,
 )
@@ -95,7 +94,6 @@ __all__ = [
     "bifurcation_row",
     "boundary_samples",
     "branch_continue",
-    "collocation_residual",
     "contiguous_residuals",
     "discriminant",
     "eigenvalue_monotonicity_scan",

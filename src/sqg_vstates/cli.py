@@ -25,6 +25,7 @@ the whole mode range, then writes them with one format string per row.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import math
@@ -145,6 +146,9 @@ def _branch_payload(run: BranchRun, sign: str) -> dict:
 
 
 def cmd_branch(args: argparse.Namespace) -> int:
+    # the JSON's directory, also the CSVs', must exist before the branch is traced
+    if args.out is not None and not os.path.isdir(os.path.dirname(args.out) or "."):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.out)
     run = branch_continue(
         args.m, args.b, args.sign, args.steps, args.ds,
         K=args.modes, P=args.quad, newton_tol=args.tol,

@@ -38,9 +38,9 @@ mu_n = -2/pi - s_sum(|n|), mu_0 = 0, so pair (l, k) has the weight
 V_{(l-k) mod P} / |D|, with V_j = W_j 2|sin(pi j / P)| and W the inverse
 FFT of mu; V_0 = 0 drops the diagonal.
 
-``residual`` collocates G_1, G_2 on the grid and projects onto the
-retained sine modes sin(n m theta) with the projection Newton drives to
-zero (:func:`_sine_coefficients`); ``newton_correct`` and
+``residual`` collocates G_1, G_2 on the grid and, in one pass, projects
+onto the retained sine modes sin(n m theta) with the projection Newton
+drives to zero (:func:`_sine_coefficients`); ``newton_correct`` and
 ``branch_continue`` trace solution branches off the annulus in the kernel
 direction of the linearized operator.  The Newton Jacobian comes from
 the 4 K m grid, where it is the exact derivative of that grid's discrete
@@ -92,6 +92,7 @@ read-only.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional
@@ -111,7 +112,6 @@ from .spectrum import KernelVector, bifurcation_row, kernel_vector, threshold_N
 
 __all__ = [
     "PatchPair",
-    "collocation_residual",
     "ResidualSpectrum",
     "BranchPoint",
     "BranchRun",
@@ -142,8 +142,8 @@ class PatchPair:
     """Truncated conformal representation of the two patch boundaries.
 
     ``a`` and ``c`` hold the K retained outer/inner coefficients at the
-    m-fold frequencies n m - 1, n = 1..K.  Construction validates the
-    coefficient-size guard
+    m-fold frequencies n m - 1, n = 1..K.  Construction checks m and K
+    (:func:`_check_sizes`) and validates the coefficient-size guard
 
         sum_n (n m - 1) (|a_n| + |c_n|) < min(b, 1 - b) / 2,
 
@@ -161,12 +161,7 @@ class PatchPair:
     def __post_init__(self) -> None:
         if not 0.0 < self.b < 1.0:
             raise PreconditionError(f"inner radius must satisfy 0 < b < 1, got {self.b}")
-        if self.m < 2:
-            raise PreconditionError(f"fold symmetry must satisfy m >= 2, got {self.m}")
-        if self.K < 1:
-            raise PreconditionError(f"truncation must satisfy K >= 1, got {self.K}")
-        if int(self.K) * int(self.m) > np.iinfo(np.int64).max:
-            raise PreconditionError(f"mode exponents n*m - 1 must fit in int64, got K={self.K}, m={self.m}")
+        _check_sizes(self.m, self.K)
         a = np.asarray(self.a, dtype=float).copy()
         c = np.asarray(self.c, dtype=float).copy()
         if a.shape != (self.K,) or c.shape != (self.K,):
@@ -199,9 +194,10 @@ def annulus_patch(b: float, m: int, K: int, omega: float) -> PatchPair:
 
 @dataclass(frozen=True)
 class ResidualSpectrum:
-    """Sine coefficients of the two boundary residuals at the retained
-    frequencies n m, plus the maximum spectral magnitude found at
-    frequencies that are not multiples of m (the leakage diagnostic).
+    """One kernel pass's boundary residuals on the P grid: the values
+    ``g1``, ``g2`` at the angles 2 pi k / P, the sine coefficients ``r1``,
+    ``r2`` at the retained frequencies n m (all four read-only), and
+    ``leak``, the largest spectral magnitude at other frequencies.
 
     The collocated residual is exactly periodic with period 2 pi / g,
     g = gcd(m, P), so its spectrum lives on multiples of g, and ``leak``
@@ -210,14 +206,11 @@ class ResidualSpectrum:
     it measures the aliasing at multiples of g that are not multiples of m.
     """
 
-    m: int
-    K: int
+    g1: np.ndarray
+    g2: np.ndarray
     r1: np.ndarray
     r2: np.ndarray
     leak: float
-
-    def max_abs(self) -> float:
-        return max(float(np.abs(self.r1).max()), float(np.abs(self.r2).max()))
 
 
 @dataclass(frozen=True)
@@ -467,15 +460,32 @@ def _boundary_residuals(patch: PatchPair, P: int) -> tuple[np.ndarray, np.ndarra
     return np.imag(e1 * np.conj(num1[targets])), np.imag(e2 * np.conj(num2[targets]))
 
 
-def _check_grid(m: int, K: int, P: int) -> None:
-    """The grid rule, checked before any array of a pass or run is allocated:
-    :class:`PreconditionError` unless P is even, P >= 4 K m and K P <= ``MAX_KP``."""
-    if P % 2 or not 4 * K * m <= P <= MAX_KP // K:
+def _is_integer(value) -> bool:
+    """A Python or numpy integer; booleans are not sizes."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _check_sizes(m: int, K: int, P: Optional[int] = None) -> None:
+    """The one size rule, checked before any array of a patch, pass or run
+    is allocated: :class:`PreconditionError` unless m, K and P (if given)
+    are integers, m >= 2, K >= 1, P is even with 4 K m <= P <= MAX_KP / K,
+    and the exponents n m - 1 fit in int64, which the grid cap implies."""
+    for name, value in (("m", m), ("K", K), ("P", P)):
+        if value is not None and not _is_integer(value):
+            raise PreconditionError(f"{name} must be an integer, got {value!r}")
+    m, K = int(m), int(K)
+    if m < 2:
+        raise PreconditionError(f"fold symmetry must satisfy m >= 2, got {m}")
+    if K < 1:
+        raise PreconditionError(f"truncation must satisfy K >= 1, got {K}")
+    if P is not None and (P % 2 or not 4 * K * m <= P <= MAX_KP // K):
         raise PreconditionError(f"collocation size P={P} with K={K} modes must be even,"
                                 f" >= 4*K*m = {4 * K * m} and within the cap K*P <= {MAX_KP}")
+    if K * m > np.iinfo(np.int64).max:
+        raise PreconditionError(f"mode exponents n*m - 1 must fit in int64, got K={K}, m={m}")
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=8, typed=True)
 def _collocation_grid(m: int, K: int, P: int) -> tuple[int, slice, np.ndarray]:
     """The residual period q, the orbit representatives (the targets of
     every kernel pass) and their projection table: the one target rule.
@@ -488,10 +498,12 @@ def _collocation_grid(m: int, K: int, P: int) -> tuple[int, slice, np.ndarray]:
     k = 1..ceil(q/2)-1 and the table holds (4/q) sin(n m theta_k), the
     imaginary part of the node tau_{(k n m) mod P}, so the retained
     coefficient is G @ table.  g = 1 needs no special case.  Checks the
-    grid first (:func:`_check_grid`); a valid grid's result is built once
+    sizes first (:func:`_check_sizes`); a valid grid's result is built once
     and its table is read-only, while an invalid one raises on every call.
+    The cache is typed, so a float equal to a cached size is checked, not
+    served.
     """
-    _check_grid(m, K, P)
+    _check_sizes(m, K, P)
     q = P // math.gcd(m, P)
     targets = slice(1, (q + 1) // 2)
     sines = _node_powers(P, np.arange(targets.start, targets.stop), np.arange(1, K + 1) * m).imag
@@ -506,51 +518,32 @@ def _sine_coefficients(g: tuple[np.ndarray, ...], proj: np.ndarray) -> np.ndarra
     return np.stack([g_j @ proj for g_j in g])
 
 
-def _period(g: tuple[np.ndarray, ...], targets: slice, q: int) -> np.ndarray:
-    """One period k = 0..q-1 of (G_1, G_2), a (2, q) array, unfolded from
-    their values at the targets of :func:`_collocation_grid` by
-    G_{q-k} = -G_k; G_0 = G_{q/2} = 0 exactly."""
+def residual(patch: PatchPair, P: int) -> ResidualSpectrum:
+    """G_1, G_2 on the P angles 2 pi k / P with their sine coefficients and
+    leakage, from one kernel pass (:class:`ResidualSpectrum`).
+
+    Only the targets of :func:`_collocation_grid` are evaluated; the grid
+    symmetries (module docstring) unfold them to one period of q = P / g
+    values, G_{q-k} = -G_k with G_0 = G_{q/2} = 0 exactly, which tiles
+    all P.  The coefficient of mode n m is that of sin(n m theta), bitwise
+    the one Newton drives to zero (:func:`_sine_coefficients`); ``leak``
+    comes from the real FFT of the period, whose bin j is frequency j g.
+    """
+    q, targets, proj = _collocation_grid(patch.m, patch.K, P)
+    g = _boundary_residuals(patch, P)
+    r = _sine_coefficients(g, proj)
     period = np.zeros((2, q))
     period[:, targets] = g
     k = np.arange(targets.start, targets.stop)
     period[:, q - k] = -period[:, k]
-    return period
-
-
-def collocation_residual(patch: PatchPair, P: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pointwise boundary residuals (G_1, G_2) on the P uniform collocation
-    angles 2 pi k / P, k = 0..P-1.
-
-    ``P`` must be even and at least 4 K m so the retained frequency band is
-    resolved with margin.  Only the targets of :func:`_collocation_grid`
-    are evaluated; the grid symmetries (module docstring) give the rest:
-    G is q-periodic, G_{q-k} = -G_k, and G_0 = G_{q/2} = 0 exactly.
-    """
-    q, targets, _ = _collocation_grid(patch.m, patch.K, P)
-    g1, g2 = np.tile(_period(_boundary_residuals(patch, P), targets, q), P // q)
-    return g1, g2
-
-
-def residual(patch: PatchPair, P: int) -> ResidualSpectrum:
-    """Collocate G_1, G_2 on P uniform angles and project onto sine modes.
-
-    The reported coefficient for mode n m is the coefficient of
-    sin(n m theta) in the real-valued residual, bitwise the one Newton
-    drives to zero (:func:`_sine_coefficients`).  The leakage diagnostic
-    is the largest spectral magnitude at frequencies that are not
-    multiples of m, from the real FFT of one period of q = P / g values,
-    whose bin j is frequency j g.
-    """
-    m, K = patch.m, patch.K
-    q, targets, proj = _collocation_grid(m, K, P)
-    g = _boundary_residuals(patch, P)
-    r = _sine_coefficients(g, proj)
-    r.setflags(write=False)
-    spec = np.fft.rfft(_period(g, targets, q))
+    spec = np.fft.rfft(period)
     # real signal: a frequency's amplitude is 2 |Y_j| / q
-    off = np.arange(spec.shape[1]) * (P // q) % m != 0
+    off = np.arange(spec.shape[1]) * (P // q) % patch.m != 0
     leak = 2.0 / q * float(np.abs(spec[:, off]).max()) if off.any() else 0.0
-    return ResidualSpectrum(m=m, K=K, r1=r[0], r2=r[1], leak=leak)
+    values = np.tile(period, P // q)
+    for arr in (r, values):
+        arr.setflags(write=False)
+    return ResidualSpectrum(g1=values[0], g2=values[1], r1=r[0], r2=r[1], leak=leak)
 
 
 # ---------------------------------------------------------------------------
@@ -761,7 +754,7 @@ def newton_correct(
     _check_tol(newton_tol)
     K = patch.K
     coarse = 4 * K * patch.m
-    _check_grid(patch.m, K, P)
+    _check_sizes(patch.m, K, P)
     vhat = kernel.normalized()
     x = _pack(patch)
     jac: Optional[np.ndarray]
@@ -872,14 +865,13 @@ def branch_continue(
     """
     if sign not in ("plus", "minus"):
         raise PreconditionError(f"sign must be 'plus' or 'minus', got {sign!r}")
-    if steps < 0 or not (math.isfinite(ds) and ds > 0.0):
-        raise PreconditionError(f"need steps >= 0 and finite ds > 0, got steps={steps}, ds={ds}")
-    if K < 1 or m < 2 or (P is not None and P < 1):
-        raise PreconditionError(f"need K >= 1, m >= 2 and P >= 1, got K={K}, m={m}, P={P}")
+    if not (_is_integer(steps) and steps >= 0 and math.isfinite(ds) and ds > 0.0):
+        raise PreconditionError(f"need an integer steps >= 0 and finite ds > 0, got steps={steps!r}, ds={ds}")
     _check_tol(newton_tol)
     block = 4 * K * m
+    _check_sizes(m, K, block)  # the smallest grid, before any array of K or P entries
     P = block if P is None else block * -(-P // block)
-    _check_grid(m, K, P)  # before any array of K or P entries
+    _check_sizes(m, K, P)
     if consts is None:
         consts = AnnulusConstants.build(b, m)  # checks its own length first
     n_threshold = threshold_N(b, consts)

@@ -9,7 +9,7 @@ import sys
 
 import numpy as np
 
-from sqg_vstates.contour import branch_continue, collocation_residual, annulus_patch
+from sqg_vstates.contour import branch_continue, residual, annulus_patch
 from sqg_vstates.specfun import (
     AnnulusConstants,
     contiguous_residuals,
@@ -154,8 +154,8 @@ def test_criterion_07_annulus_is_solution():
     worst = 0.0
     for b in (0.3, 0.5, 0.7):
         for omega in (-1.0, 0.0, 0.5, 1.0):
-            g1, g2 = collocation_residual(annulus_patch(b, 3, 4, omega), 2048)
-            worst = max(worst, float(np.abs(g1).max()), float(np.abs(g2).max()))
+            spec = residual(annulus_patch(b, 3, 4, omega), 2048)
+            worst = max(worst, float(np.abs(spec.g1).max()), float(np.abs(spec.g2).max()))
     _verdict("criterion 7 (annulus is a solution)", worst <= 1e-8,
              f"sup-norm {worst:.3e} <= 1e-8 at P = 2048")
 

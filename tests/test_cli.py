@@ -13,8 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sqg_vstates import specfun
-from sqg_vstates.cli import EXIT_GUARD, EXIT_NUMERIC, EXIT_OK, _fmt17, build_parser, main
+from sqg_vstates import cli, specfun
+from sqg_vstates.cli import EXIT_GUARD, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, _fmt17, build_parser, main
 from sqg_vstates.contour import MAX_KP, PatchPair, boundary_samples
 from sqg_vstates.specfun import AnnulusConstants, lambda_coeff, s_sum
 from sqg_vstates.spectrum import threshold_N
@@ -387,6 +387,22 @@ class TestBranchCommand:
         assert f"cap K*P <= {MAX_KP}" in err and f"K={extra[1]} " in err
         assert peak < 32 * 2**20
         assert not out.exists()
+
+    def test_missing_output_directory_fails_before_tracing(self, tmp_path, capsys, monkeypatch):
+        # the file that open() would refuse after the whole trace is refused
+        # first, with the same message, and nothing is created
+        monkeypatch.setattr(cli, "branch_continue", lambda *a, **k: pytest.fail("branch traced"))
+        out = tmp_path / "no" / "such" / "b.json"
+        assert main(["branch", "--b", "0.6", "--m", "5", "--out", str(out), "--boundaries"]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{out}'\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_bare_output_name_goes_to_working_directory(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["branch", "--b", "0.6", "--m", "5", "--modes", "4", "--steps", "1",
+                     "--out", "b.json", "--boundaries"]) == EXIT_OK
+        assert sorted(f.name for f in tmp_path.iterdir()) == [
+            "b.boundaries.000.csv", "b.boundaries.001.csv", "b.json"]
 
     def test_minus_branch_starts_at_small_radius(self, tmp_path, capsys):
         # Omega^- ~ -S_m / b: the kernel direction comes from the first row,

@@ -17,7 +17,6 @@ from sqg_vstates.contour import (
     annulus_patch,
     boundary_samples,
     branch_continue,
-    collocation_residual,
     newton_correct,
     residual,
 )
@@ -186,6 +185,51 @@ class TestPatchPair:
             patch.a[0] = 1.0
 
 
+class TestSizeRule:
+    """m, K, P and steps must be integers: a float or a boolean is refused
+    with PreconditionError, not left to a bare TypeError or IndexError deeper
+    down, or (m = 5.5) to a map that is not m-fold."""
+
+    @pytest.mark.parametrize("m,K", [(5.5, 2), (5.0, 2), (5, 2.0), (True, 2), (5, True)])
+    def test_patch_pair(self, m, K):
+        zeros = np.zeros(2)
+        with pytest.raises(PreconditionError, match="must be an integer"):
+            PatchPair(0.6, m, K, zeros, zeros, 0.1)
+
+    @pytest.mark.parametrize("m,kwargs", [
+        (5, {"K": 8.0}),
+        (5, {"P": 1280.0}),
+        (5, {"steps": 1.5}),
+        (5.0, {}),
+        (5, {"K": True}),
+    ])
+    def test_branch_continue(self, consts_06, m, kwargs):
+        args = {"steps": 1, "K": 8, "consts": consts_06, **kwargs}
+        with pytest.raises(PreconditionError, match="integer"):
+            branch_continue(m, 0.6, "plus", ds=1e-3, **args)
+
+    @pytest.mark.parametrize("P", [320.0, True])
+    def test_newton_correct(self, consts_06, P):
+        row = bifurcation_row(5, 0.6, consts_06)
+        kern = kernel_vector(5, 0.6, row.omega_plus, consts_06)
+        with pytest.raises(PreconditionError, match="P must be an integer"):
+            newton_correct(annulus_patch(0.6, 5, 4, row.omega_plus), 1e-3, kern, P)
+
+    def test_residual(self):
+        patch = small_patch(m=5, K=8)
+        residual(patch, 160)  # a cached grid must not admit the equal float
+        with pytest.raises(PreconditionError, match="P must be an integer, got 160.0"):
+            residual(patch, 160.0)
+
+    def test_numpy_integers_are_sizes(self, consts_06):
+        m, K, P = np.int64(5), np.int64(4), np.int64(320)
+        spec = residual(PatchPair(0.6, m, K, np.zeros(4), np.zeros(4), 0.1), P)
+        ref = residual(annulus_patch(0.6, 5, 4, 0.1), 320)
+        assert np.array_equal(spec.r1, ref.r1) and np.array_equal(spec.g2, ref.g2)
+        run = branch_continue(m, 0.6, "plus", np.int64(2), 1e-3, K=K, P=P, consts=consts_06)
+        assert run.stopped_reason is None and len(run.points) == 3 and run.P == 320
+
+
 class TestEvalMaps:
     def test_annulus(self):
         patch = annulus_patch(0.5, 4, 3, 0.0)
@@ -244,7 +288,8 @@ class TestGridEvaluators:
         # rotated copies
         q = P // math.gcd(m, P)
         patch = small_patch(b=0.6, m=m, K=K, seed=3, scale=3e-4)
-        for g in collocation_residual(patch, P):
+        spec = residual(patch, P)
+        for g in (spec.g1, spec.g2):
             assert np.all(g[::q] == 0.0)
             if q % 2 == 0:
                 assert np.all(g[q // 2::q] == 0.0)
@@ -503,10 +548,9 @@ class TestResidual:
     @pytest.mark.parametrize("omega", [-1.0, 0.0, 0.5, 1.0])
     def test_annulus_is_solution(self, b, omega):
         patch = annulus_patch(b, 3, 4, omega)
-        g1, g2 = collocation_residual(patch, 2048)
-        assert max(np.abs(g1).max(), np.abs(g2).max()) <= 1e-8
         spec = residual(patch, 2048)
-        assert spec.max_abs() <= 1e-8
+        assert max(np.abs(spec.g1).max(), np.abs(spec.g2).max()) <= 1e-8
+        assert max(np.abs(spec.r1).max(), np.abs(spec.r2).max()) <= 1e-8
         assert spec.leak <= 1e-8
 
     def test_mfold_leakage(self):
@@ -515,7 +559,8 @@ class TestResidual:
 
     def test_reflection_antisymmetry(self):
         # real coefficients => G(-theta) = -G(theta) on the grid
-        g1, g2 = collocation_residual(small_patch(seed=3), 512)
+        spec = residual(small_patch(seed=3), 512)
+        g1, g2 = spec.g1, spec.g2
         assert np.abs(g1[1:] + g1[:0:-1]).max() <= 1e-12
         assert np.abs(g2[1:] + g2[:0:-1]).max() <= 1e-12
         assert abs(g1[0]) <= 1e-12 and abs(g2[0]) <= 1e-12
@@ -533,7 +578,8 @@ class TestResidual:
         ]
         for m, K, seed, ks in cases:
             patch = small_patch(m=m, K=K, seed=seed)
-            g1, g2 = collocation_residual(patch, P)
+            spec = residual(patch, P)
+            g1, g2 = spec.g1, spec.g2
             (z1, a1), (z2, a2) = contour._map_values(patch, P)
             for k in ks:
                 g1_direct = np.imag(
@@ -554,7 +600,8 @@ class TestResidual:
         # reference: every one of the P targets evaluated row by row
         patch = small_patch(b=0.6, m=m, K=K, seed=3, scale=3e-4)
         ref1, ref2 = full_grid_residuals(patch, P)
-        g1, g2 = collocation_residual(patch, P)
+        spec = residual(patch, P)
+        g1, g2 = spec.g1, spec.g2
         assert g1.shape == g2.shape == (P,)
         assert np.abs(g1 - ref1).max() <= 1e-13
         assert np.abs(g2 - ref2).max() <= 1e-13
@@ -563,10 +610,12 @@ class TestResidual:
         # q = 256: 129 representatives, 127 one-period targets
         patch = small_patch(b=0.6, m=5, K=8, seed=4, scale=3e-4)
         monkeypatch.setattr(contour, "_BLOCK_PAIRS", 1280 * 1280)  # one block
-        whole = collocation_residual(patch, 1280)
+        spec = residual(patch, 1280)
+        whole = (spec.g1, spec.g2)
         whole_sines = sine_coefficients(patch, 1280)
         monkeypatch.setattr(contour, "_BLOCK_PAIRS", 1280 * 16)  # 16-target blocks
-        blocked = collocation_residual(patch, 1280)
+        spec = residual(patch, 1280)
+        blocked = (spec.g1, spec.g2)
         blocked_sines = sine_coefficients(patch, 1280)
         for full, part in zip(whole + whole_sines, blocked + blocked_sines):
             assert np.abs(part - full).max() <= 1e-13
@@ -575,7 +624,7 @@ class TestResidual:
         # the residual and Jacobian passes share the guard of stream_integral
         patch = annulus_patch(1e-9, 2, 1, 0.0)
         with pytest.raises(BoundaryCollision):
-            collocation_residual(patch, 64)
+            residual(patch, 64)
         with pytest.raises(BoundaryCollision):
             contour._exact_jacobian(patch, contour._pack(patch), 0.0, (1.0, 0.0), 64)
 
@@ -633,6 +682,20 @@ class TestResidual:
         spec = residual(patch, P)
         r1, r2 = sine_coefficients(patch, P)
         assert np.array_equal(spec.r1, r1) and np.array_equal(spec.r2, r2)
+
+    @pytest.mark.parametrize("m,K,P", SYMMETRY_GRIDS)
+    def test_values_and_coefficients_are_one_pass(self, m, K, P):
+        # the coefficients are the grid's projection of the returned values.
+        # The pass projects each G as the imaginary part of a complex array,
+        # a view of stride 2; a contiguous vector takes another BLAS path
+        # that may round differently, so the reference uses that stride
+        patch = small_patch(b=0.6, m=m, K=K, seed=3, scale=3e-4)
+        spec = residual(patch, P)
+        _, targets, proj = contour._collocation_grid(m, K, P)
+        for g, r in ((spec.g1, spec.r1), (spec.g2, spec.r2)):
+            strided = np.empty((proj.shape[0], 2))
+            strided[:, 0] = g[targets]
+            assert np.array_equal(strided[:, 0] @ proj, r)
 
     @pytest.mark.parametrize("m,K,P", SYMMETRY_GRIDS)
     def test_leak_is_exactly_zero_when_m_divides_p(self, m, K, P):
