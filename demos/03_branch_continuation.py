@@ -21,7 +21,7 @@ from sqg_vstates import (
     branch_continue,
     threshold_N,
 )
-from sqg_vstates.cli import _branch_payload, _render_svg
+from sqg_vstates.cli import _render_svg
 
 HERE = pathlib.Path(__file__).resolve().parent
 
@@ -44,8 +44,8 @@ for sign, omega0 in (("plus", row.omega_plus), ("minus", row.omega_minus)):
 
     # render the most deformed patch pair of this branch
     svg_path = HERE / f"branch_{sign}_m{m}.svg"
-    svg_path.write_text(_render_svg(_branch_payload(run, sign), [len(run.points) - 1]))
+    svg_path.write_text(_render_svg(run, [len(run.points) - 1]))
     print(f"wrote {svg_path.name}")
 
-print("\n`vstates branch --out run.json` writes the same payload these SVGs were")
-print("drawn from; `vstates render run.json` draws it.")
+print("\n`vstates branch --out run.json` writes these runs as JSON (BranchRun.to_dict);")
+print("`vstates render run.json` reads one back (BranchRun.from_dict) and draws it.")

@@ -35,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .contour import BranchRun, PatchPair, boundary_samples, branch_continue
+from .contour import BranchRun, boundary_samples, branch_continue
 from .errors import (
     BoundaryCollision,
     NoConvergence,
@@ -122,29 +122,6 @@ def cmd_threshold(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _branch_payload(run: BranchRun, sign: str) -> dict:
-    """The branch JSON object that ``vstates render`` reads back."""
-    start = run.points[0].patch
-    return {
-        "b": start.b,
-        "m": start.m,
-        "K": start.K,
-        "P": run.P,
-        "sign": sign,
-        "stopped_reason": run.stopped_reason,
-        "points": [
-            {
-                "s": pt.s,
-                "omega": pt.patch.omega,
-                "a": list(pt.patch.a),
-                "c": list(pt.patch.c),
-                "residual_norm": pt.residual_norm,
-            }
-            for pt in run.points
-        ],
-    }
-
-
 def cmd_branch(args: argparse.Namespace) -> int:
     # the JSON's directory, also the CSVs', must exist before the branch is traced
     if args.out is not None and not os.path.isdir(os.path.dirname(args.out) or "."):
@@ -153,7 +130,7 @@ def cmd_branch(args: argparse.Namespace) -> int:
         args.m, args.b, args.sign, args.steps, args.ds,
         K=args.modes, P=args.quad, newton_tol=args.tol,
     )
-    _write_text(args.out, json.dumps(_branch_payload(run, args.sign), indent=2))
+    _write_text(args.out, json.dumps(run.to_dict(), indent=2))
     if run.stopped_reason is not None:
         print(f"stopped: {run.stopped_reason}", file=sys.stderr)
     if args.boundaries:
@@ -163,8 +140,8 @@ def cmd_branch(args: argparse.Namespace) -> int:
         # a template that takes a whole file's cells in one %
         template = "theta,x1,y1,x2,y2\n" + "".join(
             "%.17g" % t + _BOUNDARY_CELLS for t in samples[0][:, 0].tolist())
-        for pt, sample in zip(run.points, samples):
-            with open(f"{stem}.boundaries.{pt.step_index:03d}.csv", "w", encoding="utf-8") as fh:
+        for i, sample in enumerate(samples):
+            with open(f"{stem}.boundaries.{i:03d}.csv", "w", encoding="utf-8") as fh:
                 fh.write(template % tuple(sample[:, 1:].ravel().tolist()))
     return EXIT_OK
 
@@ -183,51 +160,8 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 # --- render -----------------------------------------------------------------
 
-_SCHEMA = {
-    "b": float,
-    "m": int,
-    "K": int,
-    "P": int,
-    "sign": str,
-    "points": list,
-}
-_POINT_SCHEMA = {
-    "s": float,
-    "omega": float,
-    "a": list,
-    "c": list,
-    "residual_norm": float,
-}
-
-
-def _validate_branch_json(data: dict) -> None:
-    def fail(path: str, why: str) -> None:
-        raise PreconditionError(f"branch JSON schema violation at {path}: {why}")
-
-    def check(value, typ: type, path: str) -> None:
-        # a JSON integer is a valid float; a JSON boolean is neither
-        accepted = (int, float) if typ is float else typ
-        if isinstance(value, bool) or not isinstance(value, accepted):
-            fail(path, f"expected {typ.__name__}")
-
-    def check_object(obj, schema: dict, path: str, prefix: str) -> None:
-        if not isinstance(obj, dict):
-            fail(path, "expected an object")
-        for key, typ in schema.items():
-            if key not in obj:
-                fail(prefix + key, "missing")
-            check(obj[key], typ, prefix + key)
-
-    check_object(data, _SCHEMA, "$", "")
-    for i, pt in enumerate(data["points"]):
-        check_object(pt, _POINT_SCHEMA, f"points[{i}]", f"points[{i}].")
-        for key in ("a", "c"):
-            for k, coeff in enumerate(pt[key]):
-                check(coeff, float, f"points[{i}].{key}[{k}]")
-
-
 def _select_points(spec: str, count: int) -> list[int]:
-    if spec == "none" or count == 0:
+    if spec == "none":
         return []
     if spec == "all":
         return list(range(count))
@@ -248,21 +182,12 @@ def _svg_polygon(xy: np.ndarray, stroke: str) -> str:
     return f'<polygon points="{pts}" fill="none" stroke="{stroke}" stroke-width="0.004"/>'
 
 
-def _render_svg(data: dict, point_indices: list[int]) -> str:
-    b = float(data["b"])
-    m = int(data["m"])
-    big_k = int(data["K"])
+def _render_svg(run: BranchRun, point_indices: list[int]) -> str:
+    b = run.points[0].patch.b
     parts = []
     xmax = 1.0
     for i in point_indices:
-        pt = data["points"][i]
-        patch = PatchPair(
-            b=b, m=m, K=big_k,
-            a=np.asarray(pt["a"], dtype=float),
-            c=np.asarray(pt["c"], dtype=float),
-            omega=float(pt["omega"]),
-        )
-        samples = boundary_samples(patch)
+        samples = boundary_samples(run.points[i].patch)
         outer = samples[:, 1:3]
         inner = samples[:, 3:5]
         xmax = max(xmax, float(np.abs(outer).max()), float(np.abs(inner).max()))
@@ -288,10 +213,8 @@ def cmd_render(args: argparse.Namespace) -> int:
             data = json.load(fh)
         except ValueError as exc:  # malformed JSON or undecodable bytes
             raise PreconditionError(f"{args.input} is not valid JSON: {exc}") from exc
-    _validate_branch_json(data)
-    indices = _select_points(args.points, len(data["points"]))
-    svg = _render_svg(data, indices)
-    _write_text(args.out, svg)
+    run = BranchRun.from_dict(data)
+    _write_text(args.out, _render_svg(run, _select_points(args.points, len(run.points))))
     return EXIT_OK
 
 

@@ -221,19 +221,90 @@ class BranchPoint:
     s: float
     patch: PatchPair
     residual_norm: float
-    step_index: int
+
+
+def _schema_error(path: str, why: str) -> PreconditionError:
+    return PreconditionError(f"branch JSON schema violation at {path}: {why}")
+
+
+def _json_value(value, typ: type, path: str):
+    """``value`` checked against ``typ``, a float as a Python float: a JSON
+    integer is a valid float if it fits one; a JSON boolean is neither."""
+    accepted = (int, float) if typ is float else typ
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise _schema_error(path, f"expected {typ.__name__}")
+    if typ is not float:
+        return value
+    try:
+        return float(value)
+    except OverflowError:
+        raise _schema_error(path, "expected float, got an integer beyond its range") from None
+
+
+def _json_fields(obj, path: str, fields: tuple[tuple[str, type], ...]) -> list:
+    """The values of the (key, type) ``fields`` of the JSON object ``obj``
+    at ``path``, in order, each checked by :func:`_json_value`."""
+    if not isinstance(obj, dict):
+        raise _schema_error(path, "expected an object")
+    prefix = "" if path == "$" else path + "."
+    values = []
+    for key, typ in fields:
+        if key not in obj:
+            raise _schema_error(prefix + key, "missing")
+        values.append(_json_value(obj[key], typ, prefix + key))
+    return values
 
 
 @dataclass(frozen=True)
 class BranchRun:
-    """A traced branch.  ``stopped_reason`` is None for a complete run, or
+    """A branch traced from the annulus, ``points[0]``, at Omega_m^{sign}
+    ("plus" or "minus").  ``stopped_reason`` is None for a complete run, or
     a short message naming the failure that truncated it.  ``P`` is the
     effective collocation size used: 4 K m by default, or the requested
-    size rounded up to a multiple of 4 K m."""
+    size rounded up to a multiple of 4 K m.  The branch JSON file is
+    ``json.dumps(run.to_dict(), indent=2)``; :meth:`from_dict` reads it."""
 
     points: tuple[BranchPoint, ...]
     stopped_reason: Optional[str]
     P: int
+    sign: str
+
+    def to_dict(self) -> dict:
+        """The branch JSON object: b, m, K, P, sign, stopped_reason and one
+        {s, omega, a, c, residual_norm} per point, in that order."""
+        start = self.points[0].patch
+        return {
+            "b": start.b, "m": start.m, "K": start.K, "P": self.P, "sign": self.sign,
+            "stopped_reason": self.stopped_reason,
+            "points": [{"s": pt.s, "omega": pt.patch.omega, "a": pt.patch.a.tolist(),
+                        "c": pt.patch.c.tolist(), "residual_norm": pt.residual_norm}
+                       for pt in self.points],
+        }
+
+    @classmethod
+    def from_dict(cls, data) -> BranchRun:
+        """The run of a :meth:`to_dict` object, such as a parsed branch JSON
+        file.  Every field is type-checked (:func:`_json_value`) and every
+        point builds its :class:`PatchPair`, so all patch guards apply; a
+        missing ``stopped_reason`` reads as null.  Raises
+        :class:`PreconditionError` naming the first bad field by its path."""
+        b, m, K, P, sign, points = _json_fields(data, "$", (
+            ("b", float), ("m", int), ("K", int), ("P", int), ("sign", str), ("points", list)))
+        stopped = data.get("stopped_reason")
+        if stopped is not None and not isinstance(stopped, str):
+            raise _schema_error("stopped_reason", "expected str or null")
+        if not points:
+            raise _schema_error("points", "expected at least the annulus point")
+        run_points = []
+        for i, pt in enumerate(points):
+            path = f"points[{i}]"
+            s, omega, a, c, norm = _json_fields(pt, path, (
+                ("s", float), ("omega", float), ("a", list), ("c", list), ("residual_norm", float)))
+            a = [_json_value(v, float, f"{path}.a[{k}]") for k, v in enumerate(a)]
+            c = [_json_value(v, float, f"{path}.c[{k}]") for k, v in enumerate(c)]
+            patch = PatchPair(b=b, m=m, K=K, a=a, c=c, omega=omega)
+            run_points.append(BranchPoint(s=s, patch=patch, residual_norm=norm))
+        return cls(points=tuple(run_points), stopped_reason=stopped, P=P, sign=sign)
 
 
 @lru_cache(maxsize=8)
@@ -868,9 +939,11 @@ def branch_continue(
     if not (_is_integer(steps) and steps >= 0 and math.isfinite(ds) and ds > 0.0):
         raise PreconditionError(f"need an integer steps >= 0 and finite ds > 0, got steps={steps!r}, ds={ds}")
     _check_tol(newton_tol)
-    block = 4 * K * m
+    # 4 K m and the rounded P from Python ints, as numpy sizes would wrap; a
+    # non-integer fails the size rule
+    block = 4 * int(K) * int(m) if _is_integer(K) and _is_integer(m) else None
     _check_sizes(m, K, block)  # the smallest grid, before any array of K or P entries
-    P = block if P is None else block * -(-P // block)
+    P = block if P is None else (block * -(-int(P) // block) if _is_integer(P) else P)
     _check_sizes(m, K, P)
     if consts is None:
         consts = AnnulusConstants.build(b, m)  # checks its own length first
@@ -885,7 +958,7 @@ def branch_continue(
     start = annulus_patch(b, m, K, omega0)
     history = [_pack(start)]
     start_norm = float(np.abs(_system(start, history[0], 0.0, vhat, P)[:-1]).max())
-    points = [BranchPoint(s=0.0, patch=start, residual_norm=start_norm, step_index=0)]
+    points = [BranchPoint(s=0.0, patch=start, residual_norm=start_norm)]
     stopped: Optional[str] = None
     s = 0.0
     for step_index in range(1, steps + 1):
@@ -896,9 +969,9 @@ def branch_continue(
         except (PreconditionError, BoundaryCollision, NoConvergence, SingularJacobian) as exc:
             stopped = f"{type(exc).__name__} at step {step_index}: {exc}"
             break
-        points.append(BranchPoint(s=s, patch=patch, residual_norm=norm, step_index=step_index))
+        points.append(BranchPoint(s=s, patch=patch, residual_norm=norm))
         history = history[-2:] + [_pack(patch)]
-    return BranchRun(points=tuple(points), stopped_reason=stopped, P=P)
+    return BranchRun(points=tuple(points), stopped_reason=stopped, P=P, sign=sign)
 
 
 def boundary_samples(patch: PatchPair, npoints: int = 512) -> np.ndarray:
@@ -906,8 +979,8 @@ def boundary_samples(patch: PatchPair, npoints: int = 512) -> np.ndarray:
 
     Returns an (npoints, 5) array with columns theta, x1, y1, x2, y2.
     """
-    if npoints < 1:
-        raise PreconditionError(f"need npoints >= 1, got {npoints}")
+    if not (_is_integer(npoints) and npoints >= 1):
+        raise PreconditionError(f"npoints must be an integer >= 1, got {npoints!r}")
     theta = TWO_PI * np.arange(npoints) / npoints
     (phi1, _), (phi2, _) = _map_values(patch, npoints)
     return np.column_stack([theta, phi1.real, phi1.imag, phi2.real, phi2.imag])

@@ -15,7 +15,7 @@ import pytest
 
 from sqg_vstates import cli, specfun
 from sqg_vstates.cli import EXIT_GUARD, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, _fmt17, build_parser, main
-from sqg_vstates.contour import MAX_KP, PatchPair, boundary_samples
+from sqg_vstates.contour import MAX_KP, BranchRun, boundary_samples
 from sqg_vstates.specfun import AnnulusConstants, lambda_coeff, s_sum
 from sqg_vstates.spectrum import threshold_N
 from sqg_vstates.verify import TOLERANCES
@@ -311,10 +311,7 @@ class TestBranchCommand:
 
     def test_boundaries_csv_matches_fmt17(self, tmp_path):
         out = run_branch(tmp_path, steps=1, extra=("--boundaries",))
-        data = json.loads(out.read_text())
-        pt = data["points"][1]
-        patch = PatchPair(b=0.6, m=5, K=4, a=np.array(pt["a"]), c=np.array(pt["c"]),
-                          omega=pt["omega"])
+        patch = BranchRun.from_dict(json.loads(out.read_text())).points[1].patch
         lines = ["theta,x1,y1,x2,y2"]
         lines += [",".join(_fmt17(v) for v in row) for row in boundary_samples(patch)]
         written = (tmp_path / "branch.boundaries.001.csv").read_text()
@@ -442,14 +439,10 @@ class TestRenderCommand:
         # boundary points map onto themselves under rotation by 2 pi / m,
         # a shift by a whole number of samples
         src = run_branch(tmp_path, steps=2)
-        data = json.loads(src.read_text())
-        pt = data["points"][-1]
-        patch = PatchPair(b=data["b"], m=data["m"], K=data["K"],
-                          a=np.array(pt["a"]), c=np.array(pt["c"]),
-                          omega=pt["omega"])
+        patch = BranchRun.from_dict(json.loads(src.read_text())).points[-1].patch
         shift = 32
-        samples = boundary_samples(patch, npoints=shift * data["m"])
-        rot = np.exp(2j * math.pi / data["m"])
+        samples = boundary_samples(patch, npoints=shift * patch.m)
+        rot = np.exp(2j * math.pi / patch.m)
         for col in (1, 3):
             z = samples[:, col] + 1j * samples[:, col + 1]
             assert np.abs(np.roll(z, -shift) - rot * z).max() <= 1e-9
@@ -495,6 +488,48 @@ class TestRenderCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and "int64" in err
         assert not out.exists()
+
+    def test_huge_m_is_refused_with_no_point_selected(self, tmp_path, capsys):
+        # every point builds its patch, not only the selected ones
+        src = run_branch(tmp_path, steps=1)
+        data = json.loads(src.read_text())
+        data["m"] = 10**30
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        out = tmp_path / "img.svg"
+        assert main(["render", str(bad), "--points", "none", "--out", str(out)]) == EXIT_GUARD
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "int64" in err
+        assert not out.exists()
+
+    def test_empty_point_list_is_a_guard_error(self, tmp_path, capsys):
+        # a run always holds its annulus point, which also gives the drawn b
+        src = run_branch(tmp_path, steps=1)
+        data = json.loads(src.read_text())
+        data["points"] = []
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        for points in ("none", "last"):
+            assert main(["render", str(bad), "--points", points,
+                         "--out", str(tmp_path / "img.svg")]) == EXIT_GUARD
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "at points: expected at least the annulus point" in err
+
+    @pytest.mark.parametrize("value,code", [(None, EXIT_OK), ("x", EXIT_OK), (7, EXIT_GUARD),
+                                            (["x"], EXIT_GUARD), ("missing", EXIT_OK)])
+    def test_stopped_reason_is_a_string_or_null(self, tmp_path, capsys, value, code):
+        src = run_branch(tmp_path, steps=1)
+        data = json.loads(src.read_text())
+        if value == "missing":
+            del data["stopped_reason"]
+        else:
+            data["stopped_reason"] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert main(["render", str(bad), "--out", str(tmp_path / "img.svg")]) == code
+        if code == EXIT_GUARD:
+            assert "at stopped_reason: expected str or null" in capsys.readouterr().err
 
     def test_schema_violation_names_field(self, tmp_path, capsys):
         src = run_branch(tmp_path, steps=1)

@@ -2,10 +2,13 @@
 residual structure, linearization blocks, Newton correction and branches."""
 
 import hashlib
+import json
 import math
 import os
+import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +16,7 @@ import pytest
 
 from sqg_vstates import contour
 from sqg_vstates.contour import (
+    BranchRun,
     PatchPair,
     annulus_patch,
     boundary_samples,
@@ -228,6 +232,23 @@ class TestSizeRule:
         assert np.array_equal(spec.r1, ref.r1) and np.array_equal(spec.g2, ref.g2)
         run = branch_continue(m, 0.6, "plus", np.int64(2), 1e-3, K=K, P=P, consts=consts_06)
         assert run.stopped_reason is None and len(run.points) == 3 and run.P == 320
+
+    @pytest.mark.parametrize("m,K,P,named", [
+        (np.int64(2**61), np.int64(8), None, 2**66),  # 4 K m would wrap to 0
+        (5, 8, np.int64(2**63 - 1), 2**63 + 32),  # P rounded up past int64
+    ])
+    def test_numpy_sizes_do_not_wrap_in_branch_continue(self, m, K, P, named):
+        # formed from Python ints, each is a grid above the cap, with no overflow warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PreconditionError, match=f"P={named} .*cap K\\*P <= {contour.MAX_KP}"):
+                branch_continue(m, 0.6, "plus", 1, 1e-3, K=K, P=P)
+
+    @pytest.mark.parametrize("npoints", [512.0, 1.5, True])
+    def test_boundary_samples(self, npoints):
+        with pytest.raises(PreconditionError, match="npoints must be an integer >= 1"):
+            boundary_samples(annulus_patch(0.5, 4, 2, 0.0), npoints)
+        assert boundary_samples(annulus_patch(0.5, 4, 2, 0.0), np.int64(8)).shape == (8, 5)
 
 
 class TestEvalMaps:
@@ -1096,6 +1117,41 @@ class TestBranchContinue:
         run = branch_continue(m, b, sign, steps=12, ds=ds, K=4, P=320, consts=consts)
         assert len(run.points) >= floor
         assert all(pt.residual_norm <= 1e-10 for pt in run.points)
+
+
+class TestBranchRunCodec:
+    """``BranchRun.to_dict``/``from_dict`` are the branch JSON format's one
+    writer and one reader."""
+
+    @pytest.fixture(scope="class")
+    def run(self, consts_06):
+        return branch_continue(5, 0.6, "minus", steps=2, ds=1e-3, K=4, P=320, consts=consts_06)
+
+    def test_json_round_trip(self, run):
+        data = run.to_dict()
+        back = BranchRun.from_dict(json.loads(json.dumps(data)))
+        assert back.to_dict() == data
+        assert (back.sign, back.P, back.stopped_reason) == ("minus", 320, None)
+        for pt, ref in zip(back.points, run.points, strict=True):
+            for got, want in ((pt.patch.a, ref.patch.a), (pt.patch.c, ref.patch.c)):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert (pt.s, pt.residual_norm, pt.patch.omega) == (ref.s, ref.residual_norm, ref.patch.omega)
+
+    def test_file_layout(self, run):
+        data = run.to_dict()
+        assert list(data) == ["b", "m", "K", "P", "sign", "stopped_reason", "points"]
+        assert list(data["points"][0]) == ["s", "omega", "a", "c", "residual_norm"]
+        assert (data["b"], data["m"], data["K"]) == (0.6, 5, 4)
+
+    @pytest.mark.parametrize("path", ["points[0].s", "points[1].c[2]"])
+    def test_integer_beyond_float_range_names_its_path(self, run, path):
+        data = json.loads(json.dumps(run.to_dict()))
+        if path.endswith("s"):
+            data["points"][0]["s"] = -10**400
+        else:
+            data["points"][1]["c"][2] = 10**400
+        with pytest.raises(PreconditionError, match=f"at {re.escape(path)}: expected float, got an integer"):
+            BranchRun.from_dict(data)
 
 
 class TestBoundarySamples:

@@ -1,6 +1,8 @@
-"""The solver without its oracles: check-only code lives in ``verify``, no
-solver module imports it, only ``vstates check`` loads it, and the old
-names of the moved oracles still resolve to the ``verify`` objects."""
+"""Module boundaries.  The solver without its oracles: check-only code
+lives in ``verify``, no solver module imports it, only ``vstates check``
+loads it, and the old names of the moved oracles still resolve to the
+``verify`` objects.  The branch JSON format has one owner, ``BranchRun``:
+``cli`` keeps only the file I/O."""
 
 import ast
 import importlib.util
@@ -105,3 +107,14 @@ def test_only_check_loads_verify(tmp_path):
     done = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], env=env,
                           capture_output=True, text=True, check=True, timeout=120)
     assert json.loads(done.stdout.splitlines()[-1]) == [False] * 5 + [True]
+
+
+def test_cli_leaves_the_branch_format_to_branch_run():
+    # every identifier cli.py names, uses, defines or imports
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    names = {getattr(node, key) for node in ast.walk(tree) for key in ("id", "attr", "name")
+             if isinstance(getattr(node, key, None), str)}
+    assert "PatchPair" not in names
+    assert not [name for name in names if "SCHEMA" in name]
+    assert not {"_branch_payload", "_validate_branch_json"} & names
+    assert {"from_dict", "to_dict"} <= names
