@@ -8,59 +8,33 @@ The library is organized in four layers:
   sums, annulus coupling coefficients) and the cached
   :class:`~sqg_vstates.specfun.AnnulusConstants` tables;
 * :mod:`sqg_vstates.spectrum` -- the linearized operator at the annulus:
-  mode matrices, eigenvalues (per mode or as columns over a mode range),
-  bifurcation threshold, kernel vectors;
+  mode matrices, eigenvalues as one :class:`~sqg_vstates.spectrum.Spectrum`
+  (one mode or a mode range), bifurcation threshold, kernel vectors;
 * :mod:`sqg_vstates.contour` -- the discretized nonlinear boundary
   equations, singular-integral quadrature, and Newton branch continuation;
 * :mod:`sqg_vstates.verify` -- the oracle suite cross-checking every
   closed form against independent quadrature, with the check-only special
-  functions and quadrature it uses; no solver module calls it.
+  functions, quadrature and eigenvalue scan it uses; no solver module
+  calls it.  The package serves its public names on first use.
+
+The package exports the ``__all__`` of errors and of each solver layer.
 
 The ``vstates`` command line (see :mod:`sqg_vstates.cli`) exposes spectrum
 tables, threshold queries, branch tracing, the verification suite, and SVG
 rendering of computed boundaries.
 """
 
-from .errors import (
-    BoundaryCollision,
-    NoConvergence,
-    NotAnEigenvalue,
-    NotSimple,
-    PreconditionError,
-    SingularJacobian,
-    VStatesError,
-)
-from .specfun import _MOVED, AnnulusConstants, lambda_coeff, s_sum
-from .spectrum import (
-    KernelVector,
-    ModeMatrix,
-    SpectrumColumns,
-    SpectrumRow,
-    bifurcation_row,
-    discriminant,
-    eigenvalue_monotonicity_scan,
-    kernel_vector,
-    mode_matrix,
-    quadratic_coeffs,
-    spectrum_columns,
-    threshold_N,
-)
-from .contour import (
-    BranchPoint,
-    BranchRun,
-    PatchPair,
-    ResidualSpectrum,
-    annulus_patch,
-    boundary_samples,
-    branch_continue,
-    newton_correct,
-    residual,
-)
+from . import contour, errors, specfun, spectrum
+from .errors import *  # noqa: F401,F403
+from .specfun import *  # noqa: F401,F403
+from .specfun import _MOVED
+from .spectrum import *  # noqa: F401,F403
+from .contour import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 # Public names of the oracle suite; importing the package does not load it.
-_FROM_VERIFY = _MOVED | {"CheckReport", "run_default_suite"}
+_FROM_VERIFY = _MOVED | {"CheckReport", "run_default_suite", "eigenvalue_monotonicity_scan"}
 
 
 def __getattr__(name: str):
@@ -72,43 +46,6 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-__all__ = [
-    "AnnulusConstants",
-    "BoundaryCollision",
-    "BranchPoint",
-    "BranchRun",
-    "CheckReport",
-    "KernelVector",
-    "ModeMatrix",
-    "NoConvergence",
-    "NotAnEigenvalue",
-    "NotSimple",
-    "PatchPair",
-    "PreconditionError",
-    "ResidualSpectrum",
-    "SingularJacobian",
-    "SpectrumColumns",
-    "SpectrumRow",
-    "VStatesError",
-    "annulus_patch",
-    "bifurcation_row",
-    "boundary_samples",
-    "branch_continue",
-    "contiguous_residuals",
-    "discriminant",
-    "eigenvalue_monotonicity_scan",
-    "gauss_2f1",
-    "gauss_2f1_euler",
-    "kernel_vector",
-    "lambda_coeff",
-    "lambda_integral_oracle",
-    "mode_matrix",
-    "newton_correct",
-    "pochhammer_ratio",
-    "quadratic_coeffs",
-    "residual",
-    "run_default_suite",
-    "s_sum",
-    "spectrum_columns",
-    "threshold_N",
-]
+# Each public name is written once, in the ``__all__`` of its module.
+__all__ = sorted({*errors.__all__, *specfun.__all__, *spectrum.__all__, *contour.__all__}
+                 | _FROM_VERIFY)

@@ -92,7 +92,6 @@ read-only.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional
@@ -107,7 +106,7 @@ from .errors import (
     PreconditionError,
     SingularJacobian,
 )
-from .specfun import AnnulusConstants, _s_table
+from .specfun import AnnulusConstants, _is_integer, _s_table
 from .spectrum import KernelVector, bifurcation_row, kernel_vector, threshold_N
 
 __all__ = [
@@ -529,11 +528,6 @@ def _boundary_residuals(patch: PatchPair, P: int) -> tuple[np.ndarray, np.ndarra
     e1 = patch.omega * phi1[targets] - _stream_on_grid(maps[0], maps[0], targets, True) + s21
     e2 = patch.omega * phi2[targets] - s12 + _stream_on_grid(maps[1], maps[1], targets, True)
     return np.imag(e1 * np.conj(num1[targets])), np.imag(e2 * np.conj(num2[targets]))
-
-
-def _is_integer(value) -> bool:
-    """A Python or numpy integer; booleans are not sizes."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _check_sizes(m: int, K: int, P: Optional[int] = None) -> None:

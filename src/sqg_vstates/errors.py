@@ -6,6 +6,9 @@ violations additionally derive from :class:`ValueError`, keeping the
 standard ``except`` idiom working.
 """
 
+__all__ = ["VStatesError", "PreconditionError", "NotSimple", "NotAnEigenvalue",
+           "BoundaryCollision", "NoConvergence", "SingularJacobian"]
+
 
 class VStatesError(Exception):
     """Base class for all errors raised by this package."""

@@ -20,6 +20,7 @@ here resolve to those objects.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,11 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
+def _is_integer(value) -> bool:
+    """A Python or numpy integer; booleans are not sizes or modes."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _s_table(n_max: int) -> np.ndarray:
     """``s_sum(n)`` for n = 1..n_max, as one cumulative sum."""
     k = np.arange(1, n_max)
@@ -51,14 +57,14 @@ def _s_table(n_max: int) -> np.ndarray:
 
 def s_sum(n: int) -> float:
     """Odd-harmonic sum (2/pi) * sum_{k=1}^{n-1} 1/(2k+1); zero at n = 1."""
-    if n < 1:
-        raise PreconditionError(f"s_sum requires n >= 1, got {n}")
+    if not (_is_integer(n) and n >= 1):
+        raise PreconditionError(f"s_sum requires an integer n >= 1, got {n}")
     return float(_s_table(n)[-1])
 
 
 def _validate_mode_radius(n: int, b: float) -> None:
-    if n < 1:
-        raise PreconditionError(f"mode index must satisfy n >= 1, got {n}")
+    if not (_is_integer(n) and n >= 1):
+        raise PreconditionError(f"mode index must be an integer n >= 1, got {n}")
     if not 0.0 < b < 1.0:
         raise PreconditionError(f"inner radius must satisfy 0 < b < 1, got {b}")
 
@@ -128,8 +134,9 @@ class AnnulusConstants:
 
     def __post_init__(self) -> None:
         shapes = np.shape(self.s_table), np.shape(self.lambda_table)
-        if self.n_max < 1 or shapes != ((self.n_max,),) * 2:
-            raise PreconditionError(f"tables need shape (n_max,) with n_max >= 1, got {self.n_max}, {shapes}")
+        if not (_is_integer(self.n_max) and self.n_max >= 1) or shapes != ((self.n_max,),) * 2:
+            raise PreconditionError(f"tables need shape (n_max,) with an integer n_max >= 1,"
+                                    f" got {self.n_max}, {shapes}")
 
     @classmethod
     def build(cls, b: float, n_max: int = 200) -> "AnnulusConstants":
@@ -139,8 +146,8 @@ class AnnulusConstants:
         was at most 0.95 on 3981 radii in (0, 0.995] and 200 in [0.99, 0.99999]).
         The recurrence length is checked before anything is allocated."""
         _validate_mode_radius(1, b)
-        if n_max < 1:
-            raise PreconditionError(f"n_max must be >= 1, got {n_max}")
+        if not (_is_integer(n_max) and n_max >= 1):
+            raise PreconditionError(f"n_max must be >= 1 and an integer, got {n_max}")
         n_max = max(n_max, math.ceil(1.5 / (1.0 - b)) + 20)
         lam = _lambda_table(b, n_max)
         s = _s_table(n_max)
@@ -150,8 +157,8 @@ class AnnulusConstants:
 
     def require(self, n: int) -> None:
         """Raise :class:`PreconditionError` unless the table holds mode ``n``."""
-        if not 1 <= n <= self.n_max:
-            raise PreconditionError(f"mode n={n} is outside the table's modes 1..n_max="
+        if not (_is_integer(n) and 1 <= n <= self.n_max):
+            raise PreconditionError(f"mode n={n} is outside the table's integer modes 1..n_max="
                                     f"{self.n_max}; AnnulusConstants.build(b, n_max=n) holds 1..n")
 
     def s(self, n: int) -> float:

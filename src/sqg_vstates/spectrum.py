@@ -33,24 +33,24 @@ mode's floats or arrays over many modes.  The scalar functions
 evaluate it for one mode and return Python floats; :func:`spectrum_columns`
 evaluates it over a whole mode range from slices of the constant tables.
 Elementwise ``+ - * /`` and ``sqrt`` round exactly as on Python floats, so
-a column entry is bitwise the scalar value, and :func:`bifurcation_row`
-is the one-mode column.
+a column entry is bitwise the scalar value.  One type, :class:`Spectrum`,
+holds the result: arrays over modes from :func:`spectrum_columns`, Python
+scalars from :func:`bifurcation_row`, which is the one-mode column.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NotAnEigenvalue, NotSimple, PreconditionError
-from .specfun import AnnulusConstants
+from .specfun import AnnulusConstants, _is_integer
 
 __all__ = [
     "ModeMatrix",
-    "SpectrumRow",
-    "SpectrumColumns",
+    "Spectrum",
     "KernelVector",
     "mode_matrix",
     "quadratic_coeffs",
@@ -59,7 +59,6 @@ __all__ = [
     "spectrum_columns",
     "bifurcation_row",
     "kernel_vector",
-    "eigenvalue_monotonicity_scan",
 ]
 
 
@@ -140,9 +139,6 @@ class ModeMatrix:
     m21: float
     m22: float
 
-    def matrix(self) -> np.ndarray:
-        return np.array([[self.m11, self.m12], [self.m21, self.m22]])
-
     def det(self) -> float:
         return _det(self.m11, self.m12, self.m21, self.m22)
 
@@ -151,28 +147,15 @@ class ModeMatrix:
 
 
 @dataclass(frozen=True)
-class SpectrumRow:
-    """Per-mode bifurcation data: quadratic coefficients, discriminant and
-    eigenvalues in both the ``lambda`` and ``Omega`` variables."""
+class Spectrum:
+    """Bifurcation data of modes ``m`` at inner radius ``b``: quadratic
+    coefficients, discriminant and eigenvalues in both the ``lambda`` and
+    ``Omega`` variables.  Every field but ``b`` is an array over consecutive
+    modes (:func:`spectrum_columns`) or one mode's Python scalar
+    (:func:`bifurcation_row`)."""
 
-    m: int
-    b: float
-    c_m: float
-    d_m: float
-    delta_m: float
-    lambda_minus: float
-    lambda_plus: float
-    omega_minus: float
-    omega_plus: float
-
-
-@dataclass(frozen=True)
-class SpectrumColumns:
-    """The :class:`SpectrumRow` fields of consecutive modes, one array per
-    field; ``m`` holds the modes."""
-
-    b: float
     m: np.ndarray
+    b: float
     c_m: np.ndarray
     d_m: np.ndarray
     delta_m: np.ndarray
@@ -250,7 +233,7 @@ def threshold_N(b: float, consts: AnnulusConstants) -> int:
 
 
 def spectrum_columns(m_min: int, m_max: int, b: float,
-                     consts: AnnulusConstants) -> SpectrumColumns:
+                     consts: AnnulusConstants) -> Spectrum:
     """Eigenvalue pairs and angular velocities of the modes m_min..m_max.
 
     lambda_m^{+,-} = C_m +- sqrt(Delta_m), the root of smaller magnitude
@@ -258,6 +241,8 @@ def spectrum_columns(m_min: int, m_max: int, b: float,
     requires Delta_m > 0 (every mode at or above the threshold) and raises
     :class:`NotSimple` at the first mode where it fails.
     """
+    if not (_is_integer(m_min) and _is_integer(m_max)):
+        raise PreconditionError(f"spectrum modes must be integers, got {m_min}..{m_max}")
     if m_min < 2:
         raise PreconditionError(f"spectrum rows are defined for m >= 2, got {m_min}")
     if m_max < m_min:
@@ -278,9 +263,9 @@ def spectrum_columns(m_min: int, m_max: int, b: float,
     q = c_m + np.copysign(np.sqrt(delta), c_m)
     lambda_minus = np.minimum(q, d_m / q)
     lambda_plus = np.maximum(q, d_m / q)
-    return SpectrumColumns(
-        b=b,
+    return Spectrum(
         m=m,
+        b=b,
         c_m=c_m,
         d_m=d_m,
         delta_m=delta,
@@ -291,13 +276,11 @@ def spectrum_columns(m_min: int, m_max: int, b: float,
     )
 
 
-def bifurcation_row(m: int, b: float, consts: AnnulusConstants) -> SpectrumRow:
+def bifurcation_row(m: int, b: float, consts: AnnulusConstants) -> Spectrum:
     """Eigenvalue pair and angular velocities at mode ``m``: the one-mode
-    :func:`spectrum_columns`, as Python floats."""
-    cols = spectrum_columns(m, m, b, consts)
-    values = {f.name: float(getattr(cols, f.name)[0])
-              for f in fields(SpectrumRow) if f.name not in ("m", "b")}
-    return SpectrumRow(m=m, b=b, **values)
+    :func:`spectrum_columns`, each entry a Python scalar."""
+    cols = vars(spectrum_columns(m, m, b, consts))
+    return Spectrum(**{name: value if name == "b" else value.item() for name, value in cols.items()})
 
 
 def kernel_vector(m: int, b: float, omega: float, consts: AnnulusConstants) -> KernelVector:
@@ -332,47 +315,3 @@ def kernel_vector(m: int, b: float, omega: float, consts: AnnulusConstants) -> K
                                   f" (row {i}: |(M v)_{i}| = {res:.3e} against {scale:.3e})")
     return KernelVector(v1=v1, v2=v2, m=m, omega=omega)
 
-
-def eigenvalue_monotonicity_scan(b: float, n_hi: int, consts: AnnulusConstants) -> list[str]:
-    """Check the eigenvalue ordering over modes N(b) <= n <= n_hi.
-
-    Verifies, for consecutive modes, that Delta_n and lambda_n^+ increase
-    strictly and lambda_n^- decreases strictly, and for every pair
-    m > n >= N(b) the interleaving lambda_m^- < lambda_n^- < lambda_n^+
-    < lambda_m^+.  Returns a list of human-readable violations (expected
-    empty), ordered by mode.
-    """
-    start = threshold_N(b, consts)
-    if n_hi < start:
-        return []
-    cols = spectrum_columns(start, n_hi, b, consts)
-    delta, lam_minus, lam_plus = cols.delta_m, cols.lambda_minus, cols.lambda_plus
-    violations: list[str] = []
-    up_delta = delta[1:] > delta[:-1]
-    up_plus = lam_plus[1:] > lam_plus[:-1]
-    down_minus = lam_minus[1:] < lam_minus[:-1]
-    for i in np.flatnonzero(~(up_delta & up_plus & down_minus)).tolist():
-        n = start + 1 + i
-        if not up_delta[i]:
-            violations.append(f"Delta_{n} <= Delta_{n-1} at b={b}")
-        if not up_plus[i]:
-            violations.append(f"lambda^+_{n} <= lambda^+_{n-1} at b={b}")
-        if not down_minus[i]:
-            violations.append(f"lambda^-_{n} >= lambda^-_{n-1} at b={b}")
-    # Interleaving across non-adjacent pairs follows from the monotone
-    # sequences, but is asserted directly as an independent consistency net.
-    # A low mode interleaves with every higher one exactly when it does with
-    # the largest lambda^- and the smallest lambda^+ above it (a NaN
-    # propagates and fails), so pairs are listed only for low modes that fail.
-    top_minus = np.maximum.accumulate(lam_minus[::-1])[::-1][1:]
-    bottom_plus = np.minimum.accumulate(lam_plus[::-1])[::-1][1:]
-    low_minus, low_plus = lam_minus[:-1], lam_plus[:-1]
-    nested = (top_minus < low_minus) & (low_minus < low_plus) & (low_plus < bottom_plus)
-    lo_list, hi_list = lam_minus.tolist(), lam_plus.tolist()
-    for i in np.flatnonzero(~nested).tolist():
-        for j in range(i + 1, len(lo_list)):
-            if not (lo_list[j] < lo_list[i] < hi_list[i] < hi_list[j]):
-                violations.append(
-                    f"interleaving failed for modes {start + i} < {start + j} at b={b}"
-                )
-    return violations

@@ -22,13 +22,17 @@ from sqg_vstates.specfun import (
 from sqg_vstates.spectrum import (
     bifurcation_row,
     discriminant,
-    eigenvalue_monotonicity_scan,
     kernel_vector,
     mode_matrix,
     quadratic_coeffs,
     threshold_N,
 )
-from sqg_vstates.verify import check_c1_c2, check_c3_c8, check_linearization
+from sqg_vstates.verify import (
+    check_c1_c2,
+    check_c3_c8,
+    check_linearization,
+    eigenvalue_monotonicity_scan,
+)
 
 
 def _verdict(criterion: str, passed: bool, detail: str) -> None:

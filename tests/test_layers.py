@@ -2,7 +2,8 @@
 lives in ``verify``, no solver module imports it, only ``vstates check``
 loads it, and the old names of the moved oracles still resolve to the
 ``verify`` objects.  The branch JSON format has one owner, ``BranchRun``:
-``cli`` keeps only the file I/O."""
+``cli`` keeps only the file I/O.  Each public name is written once, in
+its layer's ``__all__``, and the package's ``__all__`` is their union."""
 
 import ast
 import importlib.util
@@ -37,10 +38,38 @@ def test_specfun_names_resolve_to_verify(name):
     assert name not in vars(specfun)
 
 
-@pytest.mark.parametrize("name", MOVED + ("CheckReport", "run_default_suite"))
+@pytest.mark.parametrize("name", MOVED + ("CheckReport", "run_default_suite",
+                                          "eigenvalue_monotonicity_scan"))
 def test_package_names_resolve_to_verify(name):
     assert getattr(sqg_vstates, name) is getattr(verify, name)
     assert name in sqg_vstates.__all__
+
+
+PUBLIC = [
+    "AnnulusConstants", "BoundaryCollision", "BranchPoint", "BranchRun", "CheckReport",
+    "KernelVector", "ModeMatrix", "NoConvergence", "NotAnEigenvalue", "NotSimple",
+    "PatchPair", "PreconditionError", "ResidualSpectrum", "SingularJacobian", "Spectrum",
+    "VStatesError", "annulus_patch", "bifurcation_row", "boundary_samples",
+    "branch_continue", "contiguous_residuals", "discriminant",
+    "eigenvalue_monotonicity_scan", "gauss_2f1", "gauss_2f1_euler", "kernel_vector",
+    "lambda_coeff", "lambda_integral_oracle", "mode_matrix", "newton_correct",
+    "pochhammer_ratio", "quadratic_coeffs", "residual", "run_default_suite", "s_sum",
+    "spectrum_columns", "threshold_N",
+]
+
+
+def test_package_all_is_the_union_of_the_layers():
+    assert sqg_vstates.__all__ == PUBLIC
+    for name in PUBLIC:
+        assert getattr(sqg_vstates, name) is not None
+
+
+def test_spectrum_holds_no_check_only_code():
+    tree = ast.parse((PACKAGE / "spectrum.py").read_text(encoding="utf-8"))
+    defined = {node.name for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert not {"eigenvalue_monotonicity_scan", "matrix"} & defined
+    assert "bifurcation_row" in defined
 
 
 @pytest.mark.parametrize("module", [sqg_vstates, specfun])

@@ -14,13 +14,13 @@ from sqg_vstates.spectrum import (
     MIN_RADIUS,
     bifurcation_row,
     discriminant,
-    eigenvalue_monotonicity_scan,
     kernel_vector,
     mode_matrix,
     quadratic_coeffs,
     spectrum_columns,
     threshold_N,
 )
+from sqg_vstates.verify import eigenvalue_monotonicity_scan
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +89,34 @@ class TestModeMatrix:
             "kernel_vector", "eigenvalue_monotonicity_scan"])
     def test_past_the_table_is_a_guard_error(self, consts_05, call):
         with pytest.raises(PreconditionError, match=r"n=221\b.*n_max=220\b"):
+            call(consts_05)
+
+
+class TestModeRule:
+    """Modes and table lengths must be integers where they enter the
+    spectral layer: a float or a boolean is refused with PreconditionError,
+    not left to a bare IndexError or TypeError, or (s_sum(2.5), lam(True),
+    n_max=3.0) answered as if it were an integer."""
+
+    @pytest.mark.parametrize("call", [
+        lambda c: mode_matrix(5.0, 0.5, 0.1, c),
+        lambda c: quadratic_coeffs(5.5, 0.5, c),
+        lambda c: discriminant(2.5, 0.5, c),
+        lambda c: kernel_vector(5.5, 0.5, 0.1, c),
+        lambda c: bifurcation_row(5.5, 0.5, c),
+        lambda c: spectrum_columns(3.5, 6, 0.5, c),
+        lambda c: c.s(2.5),
+        lambda c: lambda_coeff(2.5, 0.5),
+        lambda c: AnnulusConstants.build(0.99, n_max=500.5),
+        lambda c: s_sum(2.5),
+        lambda c: c.lam(True),
+        lambda c: AnnulusConstants(b=0.5, n_max=3.0, s_table=c.s_table[:3],
+                                   lambda_table=c.lambda_table[:3]),
+    ], ids=["mode_matrix", "quadratic_coeffs", "discriminant", "kernel_vector",
+            "bifurcation_row", "spectrum_columns", "s", "lambda_coeff", "build",
+            "s_sum", "lam", "post_init"])
+    def test_non_integer_mode_is_a_guard_error(self, consts_05, call):
+        with pytest.raises(PreconditionError, match="integer"):
             call(consts_05)
 
 
