@@ -83,7 +83,7 @@ _SPECTRUM_ROW = "%d," + "%.17g," * 7 + "%s\n"
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
     # the table reaches the last row: --m-max, --m-min + 20, or N(b) + 20,
-    # which build() reaches from any floor; an --m-max below 1 is refused below
+    # which build() reaches from any floor; spectrum_columns refuses an empty range
     last = args.m_max if args.m_max is not None else (
         args.m_min + 20 if args.m_min is not None else 1)
     consts = AnnulusConstants.build(args.b, max(last, 1))
@@ -92,8 +92,6 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     m_max = args.m_max if args.m_max is not None else m_min + 20
     if m_min < n_thr:
         raise PreconditionError(f"m-min={m_min} is below threshold N({args.b}) = {n_thr}")
-    if m_max < m_min:
-        raise PreconditionError(f"m-max={m_max} < m-min={m_min}")
     cols = spectrum_columns(m_min, m_max, args.b, consts)
     # the transversality column: the eigenvalue pair is simple
     transversal = (cols.delta_m > 1e-12).tolist()

@@ -107,7 +107,7 @@ from .errors import (
     SingularJacobian,
 )
 from .specfun import AnnulusConstants, _is_integer, _s_table
-from .spectrum import KernelVector, bifurcation_row, kernel_vector, threshold_N
+from .spectrum import bifurcation_row, kernel_vector, threshold_N
 
 __all__ = [
     "PatchPair",
@@ -778,12 +778,13 @@ def _check_tol(newton_tol: float) -> None:
 def newton_correct(
     patch: PatchPair,
     s: float,
-    kernel: KernelVector,
+    vhat: tuple[float, float],
     P: int,
     newton_tol: float = 1e-10,
 ) -> tuple[PatchPair, float]:
     """Solve the augmented system {residual = 0, kernel projection = s}
-    on the P grid.
+    on the P grid, where the projection of (a_1, c_1) is onto the unit
+    kernel direction ``vhat`` (``kernel_vector(...).normalized()``).
 
     Damped Newton on the 2K+1 unknowns (a, c, Omega) with the Jacobian of
     the 4 K m grid: the exact derivative of the discrete residual there,
@@ -809,18 +810,19 @@ def newton_correct(
     Raises
     ------
     PreconditionError
-        if ``newton_tol`` is not finite and positive, or P is not even and
-        at least 4 K m.
+        if ``newton_tol`` is not finite and positive, ``s`` or ``vhat`` is
+        not finite, or P is not even and at least 4 K m.
     NoConvergence
         after ``_MAX_ITER`` = 25 iterations above tolerance.
     SingularJacobian
         if the condition estimate of the Jacobian exceeds 1e14.
     """
     _check_tol(newton_tol)
+    if not all(map(math.isfinite, (s, *vhat))):
+        raise PreconditionError(f"amplitude s={s} and kernel direction vhat={vhat} must be finite")
     K = patch.K
     coarse = 4 * K * patch.m
     _check_sizes(patch.m, K, P)
-    vhat = kernel.normalized()
     x = _pack(patch)
     jac: Optional[np.ndarray]
     jac, fvec = _exact_jacobian(patch, x, s, vhat, coarse)
@@ -946,8 +948,7 @@ def branch_continue(
         raise NotSimple(f"mode m={m} is below the threshold N({b}) = {n_threshold}")
     row = bifurcation_row(m, b, consts)
     omega0 = row.omega_plus if sign == "plus" else row.omega_minus
-    kern = kernel_vector(m, b, omega0, consts)
-    vhat = kern.normalized()
+    vhat = kernel_vector(m, b, omega0, consts).normalized()
 
     start = annulus_patch(b, m, K, omega0)
     history = [_pack(start)]
@@ -959,7 +960,7 @@ def branch_continue(
         s += ds
         x = _predict(history, ds, vhat)
         try:
-            patch, norm = newton_correct(_unpack(start, x), s, kern, P, newton_tol)
+            patch, norm = newton_correct(_unpack(start, x), s, vhat, P, newton_tol)
         except (PreconditionError, BoundaryCollision, NoConvergence, SingularJacobian) as exc:
             stopped = f"{type(exc).__name__} at step {step_index}: {exc}"
             break

@@ -129,11 +129,8 @@ def _check_tables(b: float, consts: AnnulusConstants) -> None:
 
 @dataclass(frozen=True)
 class ModeMatrix:
-    """The 2x2 linearization block at mode ``n`` and angular velocity ``omega``."""
+    """The entries of a 2x2 linearization block M_n (:func:`mode_matrix`)."""
 
-    n: int
-    b: float
-    omega: float
     m11: float
     m12: float
     m21: float
@@ -148,14 +145,13 @@ class ModeMatrix:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Bifurcation data of modes ``m`` at inner radius ``b``: quadratic
-    coefficients, discriminant and eigenvalues in both the ``lambda`` and
-    ``Omega`` variables.  Every field but ``b`` is an array over consecutive
-    modes (:func:`spectrum_columns`) or one mode's Python scalar
+    """Bifurcation data of modes ``m``: quadratic coefficients,
+    discriminant and eigenvalues in both the ``lambda`` and ``Omega``
+    variables.  Every field is an array over consecutive modes
+    (:func:`spectrum_columns`) or one mode's Python scalar
     (:func:`bifurcation_row`)."""
 
     m: np.ndarray
-    b: float
     c_m: np.ndarray
     d_m: np.ndarray
     delta_m: np.ndarray
@@ -175,8 +171,6 @@ class KernelVector:
 
     v1: float
     v2: float
-    m: int
-    omega: float
 
     def normalized(self) -> tuple[float, float]:
         norm = math.hypot(self.v1, self.v2)
@@ -189,7 +183,7 @@ def mode_matrix(n: int, b: float, omega: float, consts: AnnulusConstants) -> Mod
         raise PreconditionError(f"mode matrix is defined for n >= 2, got {n}")
     _check_tables(b, consts)
     m11, m12, m21, m22 = _entries(b, omega, consts.s(n), consts.lam(1), consts.lam(n))
-    return ModeMatrix(n=n, b=b, omega=omega, m11=m11, m12=m12, m21=m21, m22=m22)
+    return ModeMatrix(m11, m12, m21, m22)
 
 
 def quadratic_coeffs(n: int, b: float, consts: AnnulusConstants) -> tuple[float, float]:
@@ -248,6 +242,7 @@ def spectrum_columns(m_min: int, m_max: int, b: float,
     if m_max < m_min:
         raise PreconditionError(f"mode range {m_min}..{m_max} is empty")
     _check_tables(b, consts)
+    consts.require(m_max)  # before the range is allocated
     m = np.arange(m_min, m_max + 1)
     s_n, lam_n = _table_values(m, consts)
     lam_1 = consts.lam(1)
@@ -265,7 +260,6 @@ def spectrum_columns(m_min: int, m_max: int, b: float,
     lambda_plus = np.maximum(q, d_m / q)
     return Spectrum(
         m=m,
-        b=b,
         c_m=c_m,
         d_m=d_m,
         delta_m=delta,
@@ -280,7 +274,7 @@ def bifurcation_row(m: int, b: float, consts: AnnulusConstants) -> Spectrum:
     """Eigenvalue pair and angular velocities at mode ``m``: the one-mode
     :func:`spectrum_columns`, each entry a Python scalar."""
     cols = vars(spectrum_columns(m, m, b, consts))
-    return Spectrum(**{name: value if name == "b" else value.item() for name, value in cols.items()})
+    return Spectrum(**{name: value.item() for name, value in cols.items()})
 
 
 def kernel_vector(m: int, b: float, omega: float, consts: AnnulusConstants) -> KernelVector:
@@ -313,5 +307,5 @@ def kernel_vector(m: int, b: float, omega: float, consts: AnnulusConstants) -> K
         if not res <= 1e-10 * scale + underflow:
             raise NotAnEigenvalue(f"omega={omega} is not an eigenvalue of M_{m}"
                                   f" (row {i}: |(M v)_{i}| = {res:.3e} against {scale:.3e})")
-    return KernelVector(v1=v1, v2=v2, m=m, omega=omega)
+    return KernelVector(v1, v2)
 

@@ -10,15 +10,7 @@ import sys
 import numpy as np
 
 from sqg_vstates.contour import branch_continue, residual, annulus_patch
-from sqg_vstates.specfun import (
-    AnnulusConstants,
-    contiguous_residuals,
-    gauss_2f1,
-    gauss_2f1_euler,
-    lambda_coeff,
-    lambda_integral_oracle,
-    s_sum,
-)
+from sqg_vstates.specfun import AnnulusConstants, lambda_coeff, s_sum
 from sqg_vstates.spectrum import (
     bifurcation_row,
     discriminant,
@@ -31,7 +23,11 @@ from sqg_vstates.verify import (
     check_c1_c2,
     check_c3_c8,
     check_linearization,
+    contiguous_residuals,
     eigenvalue_monotonicity_scan,
+    gauss_2f1,
+    gauss_2f1_euler,
+    lambda_integral_oracle,
 )
 
 

@@ -146,7 +146,7 @@ class TestSpectrumCommand:
 
     def test_empty_mode_range_guard(self, capsys):
         assert main(["spectrum", "--b", "0.5", "--m-min", "10", "--m-max", "5"]) == EXIT_GUARD
-        assert "m-max=5 < m-min=10" in capsys.readouterr().err
+        assert "mode range 10..5 is empty" in capsys.readouterr().err
 
     def test_invalid_b_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -31,9 +31,9 @@ from sqg_vstates.errors import (
     PreconditionError,
     SingularJacobian,
 )
-from sqg_vstates.specfun import AnnulusConstants, gauss_2f1, lambda_coeff, s_sum
+from sqg_vstates.specfun import AnnulusConstants, lambda_coeff, s_sum
 from sqg_vstates.spectrum import bifurcation_row, kernel_vector, mode_matrix, threshold_N
-from sqg_vstates.verify import _linearization_probe
+from sqg_vstates.verify import _linearization_probe, gauss_2f1
 
 
 @pytest.fixture(scope="module")
@@ -215,9 +215,9 @@ class TestSizeRule:
     @pytest.mark.parametrize("P", [320.0, True])
     def test_newton_correct(self, consts_06, P):
         row = bifurcation_row(5, 0.6, consts_06)
-        kern = kernel_vector(5, 0.6, row.omega_plus, consts_06)
+        vhat = kernel_direction(5, 0.6, "plus", consts_06)
         with pytest.raises(PreconditionError, match="P must be an integer"):
-            newton_correct(annulus_patch(0.6, 5, 4, row.omega_plus), 1e-3, kern, P)
+            newton_correct(annulus_patch(0.6, 5, 4, row.omega_plus), 1e-3, vhat, P)
 
     def test_residual(self):
         patch = small_patch(m=5, K=8)
@@ -828,9 +828,9 @@ class TestNewton:
     def test_zero_amplitude_returns_annulus(self, consts_06):
         m = threshold_N(0.6, consts_06) + 1
         row = bifurcation_row(m, 0.6, consts_06)
-        kern = kernel_vector(m, 0.6, row.omega_plus, consts_06)
+        vhat = kernel_direction(m, 0.6, "plus", consts_06)
         start = annulus_patch(0.6, m, 4, row.omega_plus)
-        corrected, rnorm = newton_correct(start, 0.0, kern, P=320)
+        corrected, rnorm = newton_correct(start, 0.0, vhat, P=320)
         assert corrected.omega == row.omega_plus
         assert np.all(corrected.a == 0.0) and np.all(corrected.c == 0.0)
         assert rnorm <= 1e-10
@@ -838,8 +838,7 @@ class TestNewton:
     def test_small_amplitude_converges(self, consts_06):
         m = threshold_N(0.6, consts_06) + 1
         row = bifurcation_row(m, 0.6, consts_06)
-        kern = kernel_vector(m, 0.6, row.omega_plus, consts_06)
-        v1, v2 = kern.normalized()
+        v1, v2 = vhat = kernel_direction(m, 0.6, "plus", consts_06)
         s = 1e-3
         K = 4
         a = np.zeros(K)
@@ -847,7 +846,7 @@ class TestNewton:
         a[0] = s * v1
         c[0] = s * v2
         predictor = PatchPair(b=0.6, m=m, K=K, a=a, c=c, omega=row.omega_plus)
-        corrected, rnorm = newton_correct(predictor, s, kern, P=320)
+        corrected, rnorm = newton_correct(predictor, s, vhat, P=320)
         assert rnorm <= 1e-10
         assert abs(corrected.omega - row.omega_plus) <= 1e-3
         # amplitude constraint pinned to s
@@ -856,21 +855,33 @@ class TestNewton:
     def test_no_convergence_when_iterations_exhausted(self, consts_06, monkeypatch):
         m = threshold_N(0.6, consts_06) + 1
         row = bifurcation_row(m, 0.6, consts_06)
-        kern = kernel_vector(m, 0.6, row.omega_plus, consts_06)
+        vhat = kernel_direction(m, 0.6, "plus", consts_06)
         start = annulus_patch(0.6, m, 4, row.omega_plus)
         monkeypatch.setattr(contour, "_MAX_ITER", 0)
         with pytest.raises(NoConvergence):
-            newton_correct(start, 1e-3, kern, P=320)
+            newton_correct(start, 1e-3, vhat, P=320)
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-10])
     def test_rejects_bad_tolerance(self, consts_06, tol):
         m = threshold_N(0.6, consts_06) + 1
         row = bifurcation_row(m, 0.6, consts_06)
-        kern = kernel_vector(m, 0.6, row.omega_plus, consts_06)
+        vhat = kernel_direction(m, 0.6, "plus", consts_06)
         start = annulus_patch(0.6, m, 4, row.omega_plus)
         with pytest.raises(PreconditionError):
-            newton_correct(start, 1e-3, kern, P=320, newton_tol=tol)
+            newton_correct(start, 1e-3, vhat, P=320, newton_tol=tol)
 
+    @pytest.mark.parametrize("s,vhat", [
+        (math.nan, None), (math.inf, None), (-math.inf, None),
+        (1e-3, (math.nan, 1.0)), (1e-3, (0.0, math.inf)),
+    ])
+    def test_rejects_non_finite_amplitude_before_any_kernel_pass(
+            self, consts_06, monkeypatch, s, vhat):
+        m = threshold_N(0.6, consts_06) + 1
+        start, unit = self.first_step(consts_06, m, 4, 1e-3)
+        for name in ("_exact_jacobian", "_system"):
+            monkeypatch.setattr(contour, name, lambda *args: pytest.fail("kernel pass"))
+        with pytest.raises(PreconditionError, match="must be finite"):
+            newton_correct(start, s, unit if vhat is None else vhat, P=320)
 
     @pytest.mark.parametrize("sign", ["plus", "minus"])
     def test_coarse_jacobian_matches_fine_grid(self, consts_06, sign):
@@ -903,20 +914,20 @@ class TestNewton:
 
     @staticmethod
     def first_step(consts, m, K, s):
-        """The linear predictor at amplitude s on the plus branch, and its kernel."""
+        """The linear predictor at amplitude s on the plus branch, and its
+        unit kernel direction."""
         row = bifurcation_row(m, 0.6, consts)
-        kern = kernel_vector(m, 0.6, row.omega_plus, consts)
-        v1, v2 = kern.normalized()
+        v1, v2 = vhat = kernel_direction(m, 0.6, "plus", consts)
         a, c = np.zeros(K), np.zeros(K)
         a[0], c[0] = s * v1, s * v2
-        return PatchPair(b=0.6, m=m, K=K, a=a, c=c, omega=row.omega_plus), kern
+        return PatchPair(b=0.6, m=m, K=K, a=a, c=c, omega=row.omega_plus), vhat
 
     def test_ill_conditioned_jacobian_raises(self, consts_06, monkeypatch):
         m = threshold_N(0.6, consts_06) + 1
-        start, kern = self.first_step(consts_06, m, 4, 1e-3)
+        start, vhat = self.first_step(consts_06, m, 4, 1e-3)
         monkeypatch.setattr(contour, "_COND_LIMIT", 1.0)
         with pytest.raises(SingularJacobian, match="condition estimate"):
-            newton_correct(start, 1e-3, kern, P=320)
+            newton_correct(start, 1e-3, vhat, P=320)
 
     def test_overshooting_step_is_halved_and_jacobian_rebuilt(self, consts_06, monkeypatch):
         # a first Jacobian a third of the true one makes the full step three
@@ -938,8 +949,8 @@ class TestNewton:
         monkeypatch.setattr(contour, "_exact_jacobian", scaled)
         monkeypatch.setattr(contour, "_system", recorded)
         m = threshold_N(0.6, consts_06) + 1
-        start, kern = self.first_step(consts_06, m, 4, 1e-3)
-        _, rnorm = newton_correct(start, 1e-3, kern, P=320)
+        start, vhat = self.first_step(consts_06, m, 4, 1e-3)
+        _, rnorm = newton_correct(start, 1e-3, vhat, P=320)
         assert rnorm <= 1e-10
         assert len(builds) == 2
         assert trials[0] > builds[0] > trials[1]  # full step rejected, half step accepted
@@ -970,8 +981,8 @@ class TestNewton:
 
         monkeypatch.setattr(contour, "_exact_jacobian", counted)
         monkeypatch.setattr(contour, "_system", inflated)
-        start, kern = self.first_step(consts_06, m, K, 1e-2)
-        _, rnorm = newton_correct(start, 1e-2, kern, P=P)
+        start, vhat = self.first_step(consts_06, m, K, 1e-2)
+        _, rnorm = newton_correct(start, 1e-2, vhat, P=P)
         assert rnorm <= 1e-10
         assert grids == [4 * K * m] * 2
         assert len(at_p) > 1 + contour._MAX_BACKTRACK

@@ -3,6 +3,7 @@ kernel, and the brute-force determinant cross-checks."""
 
 import math
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -90,6 +91,18 @@ class TestModeMatrix:
     def test_past_the_table_is_a_guard_error(self, consts_05, call):
         with pytest.raises(PreconditionError, match=r"n=221\b.*n_max=220\b"):
             call(consts_05)
+
+    def test_range_past_the_table_fails_before_allocating(self, consts_05):
+        # a range of ten million modes past a 220-mode table is refused on
+        # its last mode, not after an array over the whole range is built
+        tracemalloc.start()
+        try:
+            with pytest.raises(PreconditionError, match=r"n=10000000\b.*n_max=220\b"):
+                spectrum_columns(2, 10**7, 0.5, consts_05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestModeRule:
