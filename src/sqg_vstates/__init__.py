@@ -15,7 +15,7 @@ The library is organized in four layers:
 * :mod:`sqg_vstates.verify` -- the oracle suite cross-checking every
   closed form against independent quadrature, with the check-only special
   functions, quadrature and eigenvalue scan it uses; no solver module
-  calls it.  The package serves its public names on first use.
+  calls it, and its names are read from it alone.
 
 The package exports the ``__all__`` of errors and of each solver layer.
 
@@ -27,25 +27,10 @@ rendering of computed boundaries.
 from . import contour, errors, specfun, spectrum
 from .errors import *  # noqa: F401,F403
 from .specfun import *  # noqa: F401,F403
-from .specfun import _MOVED
 from .spectrum import *  # noqa: F401,F403
 from .contour import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-# Public names of the oracle suite; importing the package does not load it.
-_FROM_VERIFY = _MOVED | {"CheckReport", "run_default_suite", "eigenvalue_monotonicity_scan"}
-
-
-def __getattr__(name: str):
-    """The :mod:`~sqg_vstates.verify` object ``name``, loaded on first use (PEP 562)."""
-    if name in _FROM_VERIFY:
-        from . import verify
-
-        return getattr(verify, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 # Each public name is written once, in the ``__all__`` of its module.
-__all__ = sorted({*errors.__all__, *specfun.__all__, *spectrum.__all__, *contour.__all__}
-                 | _FROM_VERIFY)
+__all__ = sorted({*errors.__all__, *specfun.__all__, *spectrum.__all__, *contour.__all__})

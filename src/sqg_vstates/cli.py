@@ -10,12 +10,14 @@ Subcommands::
     vstates render    INPUT.json [--points last|all|none|i,j,...] [--out F]
 
 Exit codes: 0 success, 2 usage error (including a file that cannot be
-opened), 3 guard violation, 4 numerical failure.  A branch that stops
+opened, or an ``--out`` directory that does not exist, checked before the
+command runs), 3 guard violation, 4 numerical failure.  A branch that stops
 early still exits 0 and prints one ``stopped: <reason>`` line to stderr.
-Output is deterministic: identical invocations produce byte-identical
-files.  Each command builds one constants table, which reaches
-N(b) + 20 with N(b) ~ 1.4226 / (1 - b): b = 0.9999 gives N = 14225 in
-about 0.1 s in process.
+Output is deterministic: identical invocations at a fixed BLAS thread
+count produce byte-identical files (README, "Threads").  Each command
+builds one constants table, which reaches N(b) + 20 with
+N(b) ~ 1.4226 / (1 - b): b = 0.9999 gives N = 14225 in about 0.1 s in
+process.
 It needs a recurrence of about 41.5 / (1 - b) steps, capped at ten
 million, so from about b = 0.9999959 the command exits 4.  ``spectrum``
 builds the table to its last row and computes the rows as columns over
@@ -121,9 +123,6 @@ def cmd_threshold(args: argparse.Namespace) -> int:
 
 
 def cmd_branch(args: argparse.Namespace) -> int:
-    # the JSON's directory, also the CSVs', must exist before the branch is traced
-    if args.out is not None and not os.path.isdir(os.path.dirname(args.out) or "."):
-        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.out)
     run = branch_continue(
         args.m, args.b, args.sign, args.steps, args.ds,
         K=args.modes, P=args.quad, newton_tol=args.tol,
@@ -289,6 +288,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     if getattr(args, "seed", None) is not None and args.seed < 0:
         parser.error(f"--seed must be a non-negative integer, got {args.seed}")
     try:
+        # --out's directory, also that of branch's CSVs, exists before any work
+        out = getattr(args, "out", None)
+        if out is not None and not os.path.isdir(os.path.dirname(out) or "."):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out)
         return _COMMANDS[args.command](args)
     except _GUARD_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -194,22 +194,15 @@ def annulus_patch(b: float, m: int, K: int, omega: float) -> PatchPair:
 @dataclass(frozen=True)
 class ResidualSpectrum:
     """One kernel pass's boundary residuals on the P grid: the values
-    ``g1``, ``g2`` at the angles 2 pi k / P, the sine coefficients ``r1``,
-    ``r2`` at the retained frequencies n m (all four read-only), and
-    ``leak``, the largest spectral magnitude at other frequencies.
-
-    The collocated residual is exactly periodic with period 2 pi / g,
-    g = gcd(m, P), so its spectrum lives on multiples of g, and ``leak``
-    is computed from one period of q = P / g values.  When m | P (g = m)
-    no frequency is left to leak, and ``leak`` is exactly 0.0; when g < m
-    it measures the aliasing at multiples of g that are not multiples of m.
-    """
+    ``g1``, ``g2`` at the angles 2 pi k / P and the sine coefficients
+    ``r1``, ``r2`` at the retained frequencies n m, all read-only.  The
+    values are exactly periodic with period 2 pi / g, g = gcd(m, P), so
+    the first q = P / g of them are one period."""
 
     g1: np.ndarray
     g2: np.ndarray
     r1: np.ndarray
     r2: np.ndarray
-    leak: float
 
 
 @dataclass(frozen=True)
@@ -584,15 +577,14 @@ def _sine_coefficients(g: tuple[np.ndarray, ...], proj: np.ndarray) -> np.ndarra
 
 
 def residual(patch: PatchPair, P: int) -> ResidualSpectrum:
-    """G_1, G_2 on the P angles 2 pi k / P with their sine coefficients and
-    leakage, from one kernel pass (:class:`ResidualSpectrum`).
+    """G_1, G_2 on the P angles 2 pi k / P with their sine coefficients,
+    from one kernel pass (:class:`ResidualSpectrum`).
 
     Only the targets of :func:`_collocation_grid` are evaluated; the grid
     symmetries (module docstring) unfold them to one period of q = P / g
     values, G_{q-k} = -G_k with G_0 = G_{q/2} = 0 exactly, which tiles
     all P.  The coefficient of mode n m is that of sin(n m theta), bitwise
-    the one Newton drives to zero (:func:`_sine_coefficients`); ``leak``
-    comes from the real FFT of the period, whose bin j is frequency j g.
+    the one Newton drives to zero (:func:`_sine_coefficients`).
     """
     q, targets, proj = _collocation_grid(patch.m, patch.K, P)
     g = _boundary_residuals(patch, P)
@@ -601,14 +593,10 @@ def residual(patch: PatchPair, P: int) -> ResidualSpectrum:
     period[:, targets] = g
     k = np.arange(targets.start, targets.stop)
     period[:, q - k] = -period[:, k]
-    spec = np.fft.rfft(period)
-    # real signal: a frequency's amplitude is 2 |Y_j| / q
-    off = np.arange(spec.shape[1]) * (P // q) % patch.m != 0
-    leak = 2.0 / q * float(np.abs(spec[:, off]).max()) if off.any() else 0.0
     values = np.tile(period, P // q)
     for arr in (r, values):
         arr.setflags(write=False)
-    return ResidualSpectrum(g1=values[0], g2=values[1], r1=r[0], r2=r[1], leak=leak)
+    return ResidualSpectrum(g1=values[0], g2=values[1], r1=r[0], r2=r[1])
 
 
 # ---------------------------------------------------------------------------
@@ -939,6 +927,8 @@ def branch_continue(
     # non-integer fails the size rule
     block = 4 * int(K) * int(m) if _is_integer(K) and _is_integer(m) else None
     _check_sizes(m, K, block)  # the smallest grid, before any array of K or P entries
+    if _is_integer(P) and P <= 0:  # before rounding, so the message names the P given
+        raise PreconditionError(f"collocation size P={P} must be positive")
     P = block if P is None else (block * -(-int(P) // block) if _is_integer(P) else P)
     _check_sizes(m, K, P)
     if consts is None:

@@ -13,8 +13,7 @@ the rest of the library is built on are
   AGM-and-recurrence ``_lambda_table``.
 
 :class:`AnnulusConstants` holds both as tables over modes 1..n_max.  The
-oracles that check them live in :mod:`sqg_vstates.verify`; their old names
-here resolve to those objects.
+oracles that check them live in :mod:`sqg_vstates.verify`.
 """
 
 from __future__ import annotations
@@ -29,18 +28,15 @@ from .errors import NoConvergence, PreconditionError
 
 __all__ = ["s_sum", "lambda_coeff", "AnnulusConstants"]
 
-# Oracles defined in :mod:`sqg_vstates.verify` that callers outside the package
-# (the benchmark's ``diagram`` gate, the acceptance tests) read from here.
-_MOVED = frozenset({"pochhammer_ratio", "gauss_2f1", "gauss_2f1_euler",
-                    "contiguous_residuals", "lambda_integral_oracle"})
-
 
 def __getattr__(name: str):
-    """The moved oracle ``name`` of :mod:`~sqg_vstates.verify`, loaded on first use (PEP 562)."""
-    if name in _MOVED:
+    """:func:`~sqg_vstates.verify.lambda_integral_oracle`, loaded on first use
+    (PEP 562).  The benchmark's ``diagram`` gate still reads it from here;
+    this forward goes when that gate reads ``verify`` (ROADMAP item 12)."""
+    if name == "lambda_integral_oracle":
         from . import verify
 
-        return getattr(verify, name)
+        return verify.lambda_integral_oracle
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

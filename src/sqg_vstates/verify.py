@@ -45,7 +45,7 @@ from typing import Callable
 
 import numpy as np
 
-from .contour import MAX_KP, PatchPair, residual
+from .contour import MAX_KP, PatchPair, ResidualSpectrum, residual
 from .errors import NoConvergence, PreconditionError
 from .specfun import AnnulusConstants, _s_table, _validate_mode_radius
 from .spectrum import (
@@ -55,7 +55,6 @@ from .spectrum import (
     _factors,
     _quadratic,
     _table_values,
-    bifurcation_row,
     discriminant,
     kernel_vector,
     mode_matrix,
@@ -527,9 +526,11 @@ def check_spectral(b_set: tuple[float, ...] = (0.2, 0.5, 0.8), m_hi: int = 200,
                        np.max(abs(e_n * f_n - delta) / ref, initial=0.0))
         det_cases += samples
 
-        for m in range(n_thr, m_hi + 1, max(1, (m_hi - n_thr) // 8)):
-            row = bifurcation_row(m, b, consts)
-            for omega in (row.omega_minus, row.omega_plus):
+        # the kernel checks read their modes from one set of columns
+        modes = range(n_thr, m_hi + 1, max(1, (m_hi - n_thr) // 8))
+        cols = spectrum_columns(n_thr, m_hi, b, consts) if modes else None
+        for m in modes:
+            for omega in (cols.omega_minus[m - n_thr].item(), cols.omega_plus[m - n_thr].item()):
                 vec = kernel_vector(m, b, omega, consts)
                 mat = mode_matrix(m, b, omega, consts)
                 scale = mat.det_scale() * max(1.0, math.hypot(vec.v1, vec.v2))
@@ -560,6 +561,23 @@ def check_spectral(b_set: tuple[float, ...] = (0.2, 0.5, 0.8), m_hi: int = 200,
     ]
 
 
+def _leak(res: ResidualSpectrum, m: int, P: int) -> float:
+    """The largest amplitude of the residual ``res`` of an m-fold patch on
+    the P grid at frequencies that are not multiples of m.
+
+    The residual is q-periodic, q = P / gcd(m, P), so its spectrum lives on
+    multiples of g = gcd(m, P) and is read from the real FFT of the first
+    period, whose bin j is frequency j g.  When m | P (g = m) no frequency
+    is left and the leak is exactly 0.0; when g < m it measures the
+    aliasing at multiples of g that are not multiples of m.
+    """
+    q = P // math.gcd(m, P)
+    spec = np.fft.rfft(np.stack([res.g1[:q], res.g2[:q]]))
+    # real signal: a frequency's amplitude is 2 |Y_j| / q
+    off = np.arange(spec.shape[1]) * (P // q) % m != 0
+    return 2.0 / q * float(np.abs(spec[:, off]).max()) if off.any() else 0.0
+
+
 def _linearization_probe(
     m: int,
     b: float,
@@ -588,7 +606,7 @@ def _linearization_probe(
         deriv = (np.stack([rp.r1, rp.r2]) - np.stack([rm.r1, rm.r2])) / (2.0 * h)
         observed[:, col] = deriv[:, n - 1]
         others = float(np.abs(np.delete(deriv, n - 1, axis=1)).max())
-        offblock = max(offblock, others, max(rp.leak, rm.leak) / (2.0 * h))
+        offblock = max(offblock, others, max(_leak(rp, m, P), _leak(rm, m, P)) / (2.0 * h))
     p = n * m
     mat = mode_matrix(p, b, omega, consts)
     expected = -p * np.array([[mat.m11, mat.m12], [mat.m21, mat.m22]])

@@ -386,13 +386,24 @@ class TestBranchCommand:
         assert not out.exists()
 
     def test_missing_output_directory_fails_before_tracing(self, tmp_path, capsys, monkeypatch):
-        # the file that open() would refuse after the whole trace is refused
-        # first, with the same message, and nothing is created
-        monkeypatch.setattr(cli, "branch_continue", lambda *a, **k: pytest.fail("branch traced"))
-        out = tmp_path / "no" / "such" / "b.json"
-        assert main(["branch", "--b", "0.6", "--m", "5", "--out", str(out), "--boundaries"]) == EXIT_USAGE
-        assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{out}'\n"
-        assert list(tmp_path.iterdir()) == []
+        # every command refuses the file that open() would refuse after its
+        # work, before that work, with the same message, and creates nothing
+        from sqg_vstates import verify
+
+        def fail(*args, **kwargs):
+            pytest.fail("the command ran")
+
+        for module, name in ((cli, "branch_continue"), (cli.AnnulusConstants, "build"),
+                             (verify, "run_default_suite"), (cli.BranchRun, "from_dict")):
+            monkeypatch.setattr(module, name, fail)
+        source = tmp_path / "in.json"
+        source.write_text("{}")
+        out = tmp_path / "no" / "such" / "o.txt"
+        for argv in (["branch", "--b", "0.6", "--m", "5", "--boundaries"],
+                     ["spectrum", "--b", "0.5"], ["check"], ["render", str(source)]):
+            assert main(argv + ["--out", str(out)]) == EXIT_USAGE, argv
+            assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{out}'\n"
+            assert list(tmp_path.iterdir()) == [source]
 
     def test_bare_output_name_goes_to_working_directory(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

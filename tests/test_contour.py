@@ -572,11 +572,6 @@ class TestResidual:
         spec = residual(patch, 2048)
         assert max(np.abs(spec.g1).max(), np.abs(spec.g2).max()) <= 1e-8
         assert max(np.abs(spec.r1).max(), np.abs(spec.r2).max()) <= 1e-8
-        assert spec.leak <= 1e-8
-
-    def test_mfold_leakage(self):
-        spec = residual(small_patch(m=4, K=3), 2048)
-        assert spec.leak <= 1e-8
 
     def test_reflection_antisymmetry(self):
         # real coefficients => G(-theta) = -G(theta) on the grid
@@ -680,21 +675,19 @@ class TestResidual:
             residual(patch, P + 2)
 
     def test_one_period_collocation_matches_full_grid(self):
-        # reference: the length-P real FFT of all P targets, evaluated with
-        # no grid symmetry; the projection over half a period and the leak
-        # from one period reproduce it to summation roundoff.  (6, 2, 50),
-        # g = 2 and q = 25, has a leak far above roundoff
+        # reference: all P targets evaluated with no grid symmetry, and the
+        # length-P real FFT of them; the unfolded period and the projection
+        # over half a period reproduce them to summation roundoff
         for m, K, P in [(4, 3, 1024), (6, 2, 50)] + SYMMETRY_GRIDS:
             for seed in (1, 5, 9):
                 patch = small_patch(b=0.6, m=m, K=K, seed=seed, scale=3e-4)
-                spec = np.fft.rfft(np.stack(full_grid_residuals(patch, P)))
+                values = np.stack(full_grid_residuals(patch, P))
+                spec = np.fft.rfft(values)
                 ref = -2.0 * np.imag(spec[:, np.arange(1, K + 1) * m]) / P
-                off = np.arange(spec.shape[1]) % m != 0
-                ref_leak = 2.0 / P * np.abs(spec[:, off]).max() if off.any() else 0.0
                 got = residual(patch, P)
+                assert np.abs(np.stack([got.g1, got.g2]) - values).max() <= 1e-14
                 assert np.abs(got.r1 - ref[0]).max() <= 1e-14
                 assert np.abs(got.r2 - ref[1]).max() <= 1e-14
-                assert got.leak == pytest.approx(ref_leak, abs=1e-14)
 
     @pytest.mark.parametrize("m,K,P", SYMMETRY_GRIDS)
     def test_residual_is_the_newton_projection(self, m, K, P):
@@ -717,11 +710,6 @@ class TestResidual:
             strided = np.empty((proj.shape[0], 2))
             strided[:, 0] = g[targets]
             assert np.array_equal(strided[:, 0] @ proj, r)
-
-    @pytest.mark.parametrize("m,K,P", SYMMETRY_GRIDS)
-    def test_leak_is_exactly_zero_when_m_divides_p(self, m, K, P):
-        patch = small_patch(b=0.6, m=m, K=K, seed=3, scale=3e-4)
-        assert (residual(patch, P).leak == 0.0) == (P % m == 0)
 
 
 class TestLinearization:
@@ -1045,8 +1033,9 @@ class TestBranchContinue:
             branch_continue(5, 0.6, "plus", **args)
 
     def test_rejects_non_positive_quadrature_size(self, consts_06):
+        # refused before rounding, so the message names the size given
         for P in (0, -5):
-            with pytest.raises(PreconditionError):
+            with pytest.raises(PreconditionError, match=f"P={P} "):
                 branch_continue(5, 0.6, "plus", steps=1, ds=1e-3, K=4, P=P, consts=consts_06)
 
     def test_one_jacobian_and_one_residual_pass_per_step(self, consts_06, monkeypatch):

@@ -1,9 +1,11 @@
 """Module boundaries.  The solver without its oracles: check-only code
 lives in ``verify``, no solver module imports it, only ``vstates check``
-loads it, and the old names of the moved oracles still resolve to the
-``verify`` objects.  The branch JSON format has one owner, ``BranchRun``:
-``cli`` keeps only the file I/O.  Each public name is written once, in
-its layer's ``__all__``, and the package's ``__all__`` is their union."""
+loads it, and its names are read from ``verify`` alone (``specfun``
+forwards only the benchmark gate's ``lambda_integral_oracle``).  The
+branch JSON format has one owner, ``BranchRun``: ``cli`` keeps only the
+file I/O.  Each public name is written once, in its layer's ``__all__``,
+and the package's ``__all__`` is the union of the solver layers' and
+``errors``'."""
 
 import ast
 import importlib.util
@@ -34,31 +36,42 @@ def test_moved_oracles_are_defined_once_in_verify():
 
 @pytest.mark.parametrize("name", MOVED)
 def test_specfun_names_resolve_to_verify(name):
-    assert getattr(specfun, name) is getattr(verify, name)
+    # specfun forwards only the oracle the benchmark's diagram gate reads
     assert name not in vars(specfun)
+    if name == "lambda_integral_oracle":
+        assert specfun.lambda_integral_oracle is verify.lambda_integral_oracle
+    else:
+        with pytest.raises(AttributeError, match=name):
+            getattr(specfun, name)
 
 
 @pytest.mark.parametrize("name", MOVED + ("CheckReport", "run_default_suite",
                                           "eigenvalue_monotonicity_scan"))
 def test_package_names_resolve_to_verify(name):
-    assert getattr(sqg_vstates, name) is getattr(verify, name)
-    assert name in sqg_vstates.__all__
+    # the one package name of each oracle-suite object is sqg_vstates.verify.<name>
+    assert getattr(sqg_vstates.verify, name) is getattr(verify, name)
+    assert name not in sqg_vstates.__all__
+    with pytest.raises(AttributeError, match=name):
+        getattr(sqg_vstates, name)
+
+
+def test_package_defines_no_module_getattr():
+    assert "__getattr__" not in vars(sqg_vstates)
 
 
 PUBLIC = [
-    "AnnulusConstants", "BoundaryCollision", "BranchPoint", "BranchRun", "CheckReport",
-    "KernelVector", "ModeMatrix", "NoConvergence", "NotAnEigenvalue", "NotSimple",
-    "PatchPair", "PreconditionError", "ResidualSpectrum", "SingularJacobian", "Spectrum",
+    "AnnulusConstants", "BoundaryCollision", "BranchPoint", "BranchRun", "KernelVector",
+    "ModeMatrix", "NoConvergence", "NotAnEigenvalue", "NotSimple", "PatchPair",
+    "PreconditionError", "ResidualSpectrum", "SingularJacobian", "Spectrum",
     "VStatesError", "annulus_patch", "bifurcation_row", "boundary_samples",
-    "branch_continue", "contiguous_residuals", "discriminant",
-    "eigenvalue_monotonicity_scan", "gauss_2f1", "gauss_2f1_euler", "kernel_vector",
-    "lambda_coeff", "lambda_integral_oracle", "mode_matrix", "newton_correct",
-    "pochhammer_ratio", "quadratic_coeffs", "residual", "run_default_suite", "s_sum",
-    "spectrum_columns", "threshold_N",
+    "branch_continue", "discriminant", "kernel_vector", "lambda_coeff", "mode_matrix",
+    "newton_correct", "quadratic_coeffs", "residual", "s_sum", "spectrum_columns",
+    "threshold_N",
 ]
 
 
 def test_package_all_is_the_union_of_the_layers():
+    assert len(PUBLIC) == 29
     assert sqg_vstates.__all__ == PUBLIC
     for name in PUBLIC:
         assert getattr(sqg_vstates, name) is not None

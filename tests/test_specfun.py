@@ -9,19 +9,14 @@ import numpy as np
 import pytest
 
 from sqg_vstates.errors import NoConvergence, PreconditionError
-from sqg_vstates.verify import adaptive_quad
-from sqg_vstates.specfun import (
-    AnnulusConstants,
-    _agm,
-    _lambda_table,
-    _s_table,
+from sqg_vstates.specfun import AnnulusConstants, _agm, _lambda_table, _s_table, lambda_coeff, s_sum
+from sqg_vstates.verify import (
+    adaptive_quad,
     contiguous_residuals,
     gauss_2f1,
     gauss_2f1_euler,
-    lambda_coeff,
     lambda_integral_oracle,
     pochhammer_ratio,
-    s_sum,
 )
 
 

@@ -16,12 +16,14 @@ import numpy as np
 import pytest
 
 from sqg_vstates import verify
+from sqg_vstates.contour import PatchPair, annulus_patch, residual
 from sqg_vstates.errors import PreconditionError
 from sqg_vstates.specfun import AnnulusConstants
-from sqg_vstates.spectrum import threshold_N
+from sqg_vstates.spectrum import bifurcation_row, threshold_N
 from sqg_vstates.verify import (
     TOLERANCES,
     _c3_c8_nodes,
+    _leak,
     check_c1_c2,
     check_c3_c8,
     check_linearization,
@@ -73,6 +75,36 @@ def test_spectral_reduced():
         assert r.passed, f"{r.name}: {r.max_error} > {r.tolerance}"
 
 
+def test_spectral_kernel_checks_read_the_one_mode_values(monkeypatch):
+    # the kernel checks take each mode's Omega pair from one set of columns
+    # per radius, bitwise the values of bifurcation_row
+    seen = []
+
+    def recorded(m, b, omega, consts):
+        seen.append((m, b, omega))
+        return kernel_vector(m, b, omega, consts)
+
+    kernel_vector = verify.kernel_vector
+    monkeypatch.setattr(verify, "kernel_vector", recorded)
+    check_spectral(b_set=(0.35, 0.8), m_hi=80, samples=3)
+    expected = []
+    for b in (0.35, 0.8):
+        consts = AnnulusConstants.build(b, n_max=80)
+        n_thr = threshold_N(b, consts)
+        for m in range(n_thr, 81, max(1, (80 - n_thr) // 8)):
+            row = bifurcation_row(m, b, consts)
+            expected += [(m, b, row.omega_minus), (m, b, row.omega_plus)]
+    assert seen == expected
+    assert all(type(omega) is float for _, _, omega in seen)
+
+
+def test_spectral_radius_with_threshold_above_m_hi():
+    # N(0.995) = 284 > m_hi: no mode to scan or kernel-check, and no error
+    by_name = {r.name: r for r in check_spectral(b_set=(0.995,), m_hi=80, samples=3)}
+    assert by_name["spectral_kernel"].cases == 0
+    assert all(r.passed for r in by_name.values())
+
+
 def test_spectral_threshold_mismatch_fails(monkeypatch):
     # a threshold that disagrees with the sum-form inequality reads inf
     monkeypatch.setattr(verify, "threshold_N", lambda b, consts: threshold_N(b, consts) + 1)
@@ -100,6 +132,51 @@ def test_linearization_default_grid():
     by_name = {r.name: r for r in check_linearization()}
     assert by_name["linearization_block"].max_error <= 1e-10
     assert by_name["linearization_offblock"].max_error <= 5e-10
+
+
+# grids (m, K, P) covering each kind of grid symmetry g = gcd(m, P)
+SYMMETRY_GRIDS = [
+    (5, 8, 1280),  # g = m
+    (6, 2, 256),   # g = 2
+    (3, 2, 256),   # g = 1
+    (5, 2, 42),    # g = 1, P < 64
+    (4, 1, 20),    # odd q = 5
+]
+
+
+def small_patch(b=0.5, m=4, K=3, omega=0.3, seed=1, scale=1e-3):
+    rng = np.random.default_rng(seed)
+    return PatchPair(b=b, m=m, K=K, a=scale * rng.standard_normal(K),
+                     c=scale * rng.standard_normal(K), omega=omega)
+
+
+class TestLeak:
+    @pytest.mark.parametrize("b", [0.3, 0.5, 0.7])
+    def test_annulus_has_no_leak(self, b):
+        for omega in (-1.0, 0.0, 0.5, 1.0):
+            assert _leak(residual(annulus_patch(b, 3, 4, omega), 2048), 3, 2048) <= 1e-8
+
+    def test_mfold_leakage(self):
+        assert _leak(residual(small_patch(m=4, K=3), 2048), 4, 2048) <= 1e-8
+
+    def test_one_period_matches_full_grid_spectrum(self):
+        # reference: the length-P real FFT of all P values, off the
+        # multiples of m; (6, 2, 50), g = 2 and q = 25, has a leak far above
+        # roundoff
+        for m, K, P in [(4, 3, 1024), (6, 2, 50)] + SYMMETRY_GRIDS:
+            for seed in (1, 5, 9):
+                res = residual(small_patch(b=0.6, m=m, K=K, seed=seed, scale=3e-4), P)
+                spec = np.fft.rfft(np.stack([res.g1, res.g2]))
+                off = np.arange(spec.shape[1]) % m != 0
+                ref = 2.0 / P * np.abs(spec[:, off]).max() if off.any() else 0.0
+                assert _leak(res, m, P) == pytest.approx(ref, abs=1e-14)
+        res = residual(small_patch(b=0.6, m=6, K=2, seed=1, scale=3e-4), 50)
+        assert _leak(res, 6, 50) > 1e-10
+
+    @pytest.mark.parametrize("m,K,P", SYMMETRY_GRIDS)
+    def test_leak_is_exactly_zero_when_m_divides_p(self, m, K, P):
+        res = residual(small_patch(b=0.6, m=m, K=K, seed=3, scale=3e-4), P)
+        assert (_leak(res, m, P) == 0.0) == (P % m == 0)
 
 
 def test_deterministic_given_seed():
