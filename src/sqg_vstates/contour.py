@@ -49,9 +49,11 @@ closed form from the kernel matrices of one pass.  On a finer grid P it
 agrees with the exact one to roundoff once 4 K m resolves the solution
 (2.3e-15 relative at P = 1280, K = 8, m = 5), so a kernel pass at P is
 only ever a residual; acceptance, ``residual_norm`` and the tolerance
-are always at P.  The corrector carries only x, F and J, and reads
-``residual_norm`` off F.  Central differences remain only as the
-independent oracle, in the tests and in ``verify``.
+are always at P.  :func:`_system` and :func:`_exact_jacobian` take a
+patch and return its 2K collocation equations (and their Jacobian);
+only ``newton_correct`` holds x, the bordering amplitude row and the
+bordered F and J, and it reads ``residual_norm`` off F.  Central
+differences remain only as the independent oracle, in tests and ``verify``.
 
 Grid symmetry.  Let g = gcd(m, P) and q = P / g.  Rotation by 2 pi / g
 shifts every grid index by q, and because g | m every map obeys
@@ -278,10 +280,14 @@ class BranchRun:
         """The run of a :meth:`to_dict` object, such as a parsed branch JSON
         file.  Every field is type-checked (:func:`_json_value`) and every
         point builds its :class:`PatchPair`, so all patch guards apply; a
-        missing ``stopped_reason`` reads as null.  Raises
+        missing ``stopped_reason`` reads as null.  ``sign`` must be plus or
+        minus, and P, checked after the points, a multiple of 4 K m within
+        the cap, the grid :func:`branch_continue` writes.  Raises
         :class:`PreconditionError` naming the first bad field by its path."""
         b, m, K, P, sign, points = _json_fields(data, "$", (
             ("b", float), ("m", int), ("K", int), ("P", int), ("sign", str), ("points", list)))
+        if sign not in ("plus", "minus"):
+            raise _schema_error("sign", f"expected 'plus' or 'minus', got {sign!r}")
         stopped = data.get("stopped_reason")
         if stopped is not None and not isinstance(stopped, str):
             raise _schema_error("stopped_reason", "expected str or null")
@@ -296,6 +302,8 @@ class BranchRun:
             c = [_json_value(v, float, f"{path}.c[{k}]") for k, v in enumerate(c)]
             patch = PatchPair(b=b, m=m, K=K, a=a, c=c, omega=omega)
             run_points.append(BranchPoint(s=s, patch=patch, residual_norm=norm))
+        if P % (4 * K * m) or not 4 * K * m <= P <= MAX_KP // K:
+            raise _schema_error("P", f"expected a multiple of 4Km = {4 * K * m} up to {MAX_KP // K}, got {P}")
         return cls(points=tuple(run_points), stopped_reason=stopped, P=P, sign=sign)
 
 
@@ -618,23 +626,12 @@ def _unpack(patch_like: PatchPair, x: np.ndarray) -> PatchPair:
     return PatchPair(b=patch_like.b, m=patch_like.m, K=K, a=x[:K], c=x[K:2 * K], omega=float(x[2 * K]))
 
 
-def _augmented(g: tuple[np.ndarray, ...], proj: np.ndarray, x: np.ndarray,
-               s: float, vhat: tuple[float, float]) -> np.ndarray:
-    """The augmented residual F from g = (G_1, G_2) on the targets of
-    :func:`_collocation_grid` and its projection table ``proj``: the 2K
-    retained sine coefficients, then the amplitude constraint, which pins
-    the projection of (a_1, c_1) onto the normalized kernel direction to s.
-    """
-    K = proj.shape[1]
-    return np.append(_sine_coefficients(g, proj).ravel(), x[0] * vhat[0] + x[K] * vhat[1] - s)
-
-
-def _system(patch_like: PatchPair, x: np.ndarray, s: float, vhat: tuple[float, float], P: int) -> np.ndarray:
-    """Augmented residual (:func:`_augmented`) at x = (a, c, Omega), one
-    kernel pass over the targets of :func:`_collocation_grid`."""
-    patch = _unpack(patch_like, x)
+def _system(patch: PatchPair, P: int) -> np.ndarray:
+    """The 2K collocation equations of ``patch`` on the P grid: the retained
+    sine coefficients of G_1, then of G_2 (:func:`_sine_coefficients`),
+    from one kernel pass over the targets of :func:`_collocation_grid`."""
     proj = _collocation_grid(patch.m, patch.K, P)[2]
-    return _augmented(_boundary_residuals(patch, P), proj, x, s, vhat)
+    return _sine_coefficients(_boundary_residuals(patch, P), proj).ravel()
 
 
 def _source_derivatives(
@@ -707,11 +704,9 @@ def _source_derivatives(
         yield value, d_src, d_dst
 
 
-def _exact_jacobian(
-    patch_like: PatchPair, x: np.ndarray, s: float, vhat: tuple[float, float], P: int
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """:func:`_system` at x = (a, c, Omega) and its exact derivative, from
-    one kernel pass.
+def _exact_jacobian(patch: PatchPair, P: int) -> tuple[np.ndarray, np.ndarray]:
+    """The exact derivative of :func:`_system` with respect to the unknowns
+    (a, c, Omega), and :func:`_system` itself, from one kernel pass.
 
     The same grid, weights, targets and sine projection as the residual,
     differentiated in closed form: G_j = Im(E_j conj(B_j)) with
@@ -722,9 +717,9 @@ def _exact_jacobian(
     formed once, on the P nodes, and the pass forms every E_j, so G_j and
     F cost no further kernel work.  Each source map is one call of
     :func:`_source_derivatives`, one source's tables at a time.
-    Returns (J, F); F agrees with :func:`_system` up to summation order.
+    Returns the (2K, 2K + 1) block J and the 2K equations F; F agrees
+    with :func:`_system` up to summation order.
     """
-    patch = _unpack(patch_like, x)
     K = patch.K
     _, targets, proj = _collocation_grid(patch.m, K, P)
     p = patch.mode_exponents()
@@ -745,17 +740,15 @@ def _exact_jacobian(
             d_e[j][:, own[i]] += sign * d_src
             d_e[j][:, own[j]] += sign * d_dst
 
-    jac = np.zeros((2 * K + 1, 2 * K + 1))
+    jac = np.zeros((2 * K, 2 * K + 1))
     for j, (phi_w, num_w) in enumerate(dst):
         d_g = np.imag(d_e[j] * np.conj(num_w)[:, None])
         d_g[:, own[j]] -= p * np.imag(e_val[j][:, None] * np.conj(w_neg))
         for k in range(2):  # per block: one 2K-column product rounds differently at K = 1
             jac[own[j], own[k]] = proj.T @ d_g[:, own[k]]
         jac[own[j], 2 * K] = proj.T @ np.imag(phi_w * np.conj(num_w))
-    jac[2 * K, 0] = vhat[0]
-    jac[2 * K, K] = vhat[1]
     g = [np.imag(e * np.conj(num_w)) for e, (_, num_w) in zip(e_val, dst)]
-    return jac, _augmented(g, proj, x, s, vhat)
+    return jac, _sine_coefficients(g, proj).ravel()
 
 
 def _check_tol(newton_tol: float) -> None:
@@ -770,87 +763,93 @@ def newton_correct(
     P: int,
     newton_tol: float = 1e-10,
 ) -> tuple[PatchPair, float]:
-    """Solve the augmented system {residual = 0, kernel projection = s}
-    on the P grid, where the projection of (a_1, c_1) is onto the unit
-    kernel direction ``vhat`` (``kernel_vector(...).normalized()``).
+    """Solve the bordered system {2K collocation equations = 0, kernel
+    projection = s} on the P grid, where the projection of (a_1, c_1) is
+    onto the unit kernel direction ``vhat`` (``kernel_vector(...).normalized()``).
 
-    Damped Newton on the 2K+1 unknowns (a, c, Omega) with the Jacobian of
-    the 4 K m grid: the exact derivative of the discrete residual there,
-    from the kernel pass (:func:`_exact_jacobian`) that also gives that
-    grid's residual F where the correction starts.  Newton carries only
-    the unknowns x, the augmented residual F and the Jacobian J.  It
-    first solves the 4 K m system; when P is larger, it then evaluates the
-    residual at P and goes on from there with that residual as the
-    right-hand side and the same 4 K m Jacobian (a two-grid Newton, or
-    defect correction), so a kernel pass at P is only ever a residual.  A
-    point is accepted only on its residual at P.  When the 4 K m grid
-    resolves the solution, a point that converges after one full step
-    costs one Jacobian pass and one residual pass at 4 K m and one
-    residual pass at P.  The residual is evaluated on its own only at
-    line-search trial points and at that switch.  The Jacobian is reused
-    across iterations while full steps keep reducing the residual, and
-    refreshed when progress stalls; a refresh keeps the F already held at
-    the same x.  The budget of ``_MAX_ITER`` = 25
-    iterations spans both grids.  Central differences serve only as the
-    oracle in the tests and in ``verify``.  Returns the corrected patch
-    and its residual norm, max |F[:-1]| at P.
+    :func:`_system` and :func:`_exact_jacobian` take a patch and return the
+    2K equations and their (2K, 2K + 1) block; Newton alone holds the
+    unknowns x = (a, c, Omega), the amplitude row (its value
+    x_0 vhat_0 + x_K vhat_1 - s and its gradient) and the bordered F and J.
+    Damped Newton uses the Jacobian of the 4 K m grid, the exact derivative
+    of the discrete residual there, from the kernel pass that also gives
+    that grid's equations where the correction starts.  It first solves the
+    4 K m system; when P is larger, it then evaluates the equations at P and
+    goes on from there with them as the right-hand side and the same 4 K m
+    Jacobian (a two-grid Newton, or defect correction), so a kernel pass at
+    P is only ever a residual.  A point is accepted only on its residual at
+    P.  When the 4 K m grid resolves the solution, a point that converges
+    after one full step costs one Jacobian pass and one residual pass at
+    4 K m and one residual pass at P.  The residual is evaluated on its own
+    only at that switch and at line-search trials, whose patches are built
+    inside the search: a trial past a patch guard halves the step.  The
+    Jacobian is reused across iterations while full steps keep reducing the
+    residual, and refreshed when progress stalls; a refresh keeps the F
+    already held at the same x.  The budget of ``_MAX_ITER`` = 25
+    iterations spans both grids.  Returns the corrected patch and its
+    residual norm, the largest equation at P.
 
     Raises
     ------
     PreconditionError
-        if ``newton_tol`` is not finite and positive, ``s`` or ``vhat`` is
-        not finite, or P is not even and at least 4 K m.
+        before any kernel pass: ``newton_tol`` not finite and > 0, ``s`` not finite,
+        ``vhat`` not a pair of finite numbers, or P not even and >= 4 K m.
     NoConvergence
         after ``_MAX_ITER`` = 25 iterations above tolerance.
     SingularJacobian
         if the condition estimate of the Jacobian exceeds 1e14.
     """
     _check_tol(newton_tol)
-    if not all(map(math.isfinite, (s, *vhat))):
-        raise PreconditionError(f"amplitude s={s} and kernel direction vhat={vhat} must be finite")
+    if not (len(vhat) == 2 and all(map(math.isfinite, (s, *vhat)))):
+        raise PreconditionError(f"amplitude s={s} must be finite and vhat={vhat} a finite pair")
     K = patch.K
     coarse = 4 * K * patch.m
     _check_sizes(patch.m, K, P)
-    x = _pack(patch)
-    jac: Optional[np.ndarray]
-    jac, fvec = _exact_jacobian(patch, x, s, vhat, coarse)
+
+    # the amplitude row: its value at x after the 2K equations f; its gradient
+    def bordered(f: np.ndarray, x: np.ndarray) -> np.ndarray:
+        return np.append(f, x[0] * vhat[0] + x[K] * vhat[1] - s)
+    border = np.zeros((1, 2 * K + 1))
+    border[0, [0, K]] = vhat
+
+    x = _pack(patch)  # from here on, ``patch`` is the patch at x
+    block, f = _exact_jacobian(patch, coarse)
+    jac: Optional[np.ndarray] = np.vstack([block, border])
+    fvec = bordered(f, x)
     jac_fresh = True
     grid = coarse  # the grid of fvec and of the line-search trials
     iterations = 0
     while True:
         if np.abs(fvec).max() <= newton_tol:
             if grid == P:
-                return _unpack(patch, x), float(np.abs(fvec[:-1]).max())
+                return patch, float(np.abs(fvec[:-1]).max())
             grid = P
-            fvec = _system(patch, x, s, vhat, P)
+            fvec = bordered(_system(patch, P), x)
             continue
         if iterations == _MAX_ITER:
             raise NoConvergence(f"Newton did not reach {newton_tol} in {_MAX_ITER} iterations")
         iterations += 1
-        if jac is None:
-            jac, _ = _exact_jacobian(patch, x, s, vhat, coarse)  # fvec already holds F at this x
+        if jac is None:  # fvec already holds F at this x
+            jac = np.vstack([_exact_jacobian(patch, coarse)[0], border])
             jac_fresh = True
         if jac_fresh and np.linalg.cond(jac) > _COND_LIMIT:
-            raise SingularJacobian(
-                f"Jacobian condition estimate exceeds {_COND_LIMIT:.0e}"
-            )
+            raise SingularJacobian(f"Jacobian condition estimate exceeds {_COND_LIMIT:.0e}")
         dx = np.linalg.solve(jac, -fvec)
         fnorm = np.abs(fvec).max()
         step = 1.0
-        accepted = False
         for _ in range(_MAX_BACKTRACK):
+            x_try = x + step * dx
             try:
-                f_try = _system(patch, x + step * dx, s, vhat, grid)
+                trial = _unpack(patch, x_try)
+                f_try = bordered(_system(trial, grid), x_try)
             except (PreconditionError, BoundaryCollision):
                 step *= 0.5
                 continue
             if np.abs(f_try).max() <= (1.0 - 1e-4 * step) * fnorm:
-                x = x + step * dx
-                fvec = f_try
-                accepted = True
+                x, patch, fvec = x_try, trial, f_try
                 break
             step *= 0.5
-        if not accepted:
+        else:  # no trial accepted
             if jac_fresh:
                 raise NoConvergence("damped Newton step failed to reduce the residual")
             jac = None  # stale chord Jacobian: refresh and retry
@@ -942,7 +941,7 @@ def branch_continue(
 
     start = annulus_patch(b, m, K, omega0)
     history = [_pack(start)]
-    start_norm = float(np.abs(_system(start, history[0], 0.0, vhat, P)[:-1]).max())
+    start_norm = float(np.abs(_system(start, P)).max())
     points = [BranchPoint(s=0.0, patch=start, residual_norm=start_norm)]
     stopped: Optional[str] = None
     s = 0.0

@@ -513,6 +513,19 @@ class TestRenderCommand:
         assert err.startswith("error: ") and err.count("\n") == 1 and "int64" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key,value", [("sign", "sideways"), ("P", -7), ("P", 41)])
+    def test_unknown_sign_or_off_grid_size_is_a_guard_error(self, tmp_path, capsys, key, value):
+        src = run_branch(tmp_path, steps=1)
+        data = json.loads(src.read_text())
+        data[key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        out = tmp_path / "img.svg"
+        assert main(["render", str(bad), "--out", str(out)]) == EXIT_GUARD
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and f"at {key}: expected" in err
+        assert not out.exists()
+
     def test_empty_point_list_is_a_guard_error(self, tmp_path, capsys):
         # a run always holds its annulus point, which also gives the drawn b
         src = run_branch(tmp_path, steps=1)

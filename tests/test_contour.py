@@ -64,8 +64,8 @@ def small_patch(b=0.5, m=4, K=3, omega=0.3, seed=1, scale=1e-3):
 
 def sine_coefficients(patch, P):
     """Retained sine coefficients of G_1, G_2 as the Newton system forms
-    them (the first 2K rows of the augmented residual)."""
-    fvec = contour._system(patch, contour._pack(patch), 0.0, (1.0, 0.0), P)
+    them (its 2K collocation equations)."""
+    fvec = contour._system(patch, P)
     return fvec[:patch.K], fvec[patch.K:2 * patch.K]
 
 
@@ -385,14 +385,13 @@ class TestRank2Differences:
         # subtraction in their place; P = 4Km, plus a multi-block residual
         m = 5
         patch = small_patch(b=0.6, m=m, K=K, seed=K, scale=2e-4 / K)
-        x = contour._pack(patch)
         grids = (4 * K * m, 1280)
 
         def passes():
             out = []
             for P in grids:
                 out += contour._boundary_residuals(patch, P)
-            out += contour._exact_jacobian(patch, x, 1e-3, (0.6, 0.8), grids[0])
+            out += contour._exact_jacobian(patch, grids[0])
             return [np.asarray(a).tobytes() for a in out]
 
         products = passes()
@@ -642,7 +641,7 @@ class TestResidual:
         with pytest.raises(BoundaryCollision):
             residual(patch, 64)
         with pytest.raises(BoundaryCollision):
-            contour._exact_jacobian(patch, contour._pack(patch), 0.0, (1.0, 0.0), 64)
+            contour._exact_jacobian(patch, 64)
 
     @pytest.mark.parametrize("sign", ["plus", "minus"])
     def test_sine_coefficients_converge_spectrally(self, consts_06, sign):
@@ -744,25 +743,25 @@ class TestLinearization:
             _linearization_probe(1, 0.5, 0.0, 1, 1e-6, 256, consts)
 
 
-def fd_jacobian(patch, x, s, vhat, P, h=1e-7):
-    """Central-difference Jacobian of the augmented Newton system, the
-    oracle for the exact one (step h * max(1, |x_k|) per unknown)."""
-    jac = np.empty((x.size, x.size))
+def fd_jacobian(patch, P, h=1e-7):
+    """Central-difference Jacobian of the 2K collocation equations with
+    respect to the unknowns x = (a, c, Omega), the oracle for the exact
+    one (step h * max(1, |x_k|) per unknown)."""
+    x = contour._pack(patch)
+    jac = np.empty((x.size - 1, x.size))
     for k in range(x.size):
         step = h * max(1.0, abs(x[k]))
         xp = x.copy()
         xp[k] += step
         xm = x.copy()
         xm[k] -= step
-        fp = contour._system(patch, xp, s, vhat, P)
-        fm = contour._system(patch, xm, s, vhat, P)
+        fp = contour._system(contour._unpack(patch, xp), P)
+        fm = contour._system(contour._unpack(patch, xm), P)
         jac[:, k] = (fp - fm) / (2.0 * step)
     return jac
 
 
 class TestExactJacobian:
-    VHAT = (0.6, 0.8)
-
     @pytest.mark.parametrize("m,K,P", [
         (5, 8, 1280),  # g = m
         (6, 2, 256),   # g = 2
@@ -771,30 +770,28 @@ class TestExactJacobian:
     ])
     def test_matches_central_differences(self, m, K, P):
         patch = small_patch(b=0.6, m=m, K=K, seed=3, scale=3e-4)
-        x = contour._pack(patch)
-        exact, _ = contour._exact_jacobian(patch, x, 1e-3, self.VHAT, P)
-        fd = fd_jacobian(patch, x, 1e-3, self.VHAT, P)
+        exact, _ = contour._exact_jacobian(patch, P)
+        assert exact.shape == (2 * K, 2 * K + 1)
+        fd = fd_jacobian(patch, P)
         assert np.abs(exact - fd).max() <= 1e-7 * np.abs(exact).max()
 
     def test_chunk_boundaries(self, monkeypatch):
         patch = small_patch(b=0.6, m=5, K=8, seed=4, scale=3e-4)
-        x = contour._pack(patch)
         monkeypatch.setattr(contour, "_BLOCK_PAIRS", 1280 * 1280)  # one block
-        whole, _ = contour._exact_jacobian(patch, x, 0.0, self.VHAT, 1280)
+        whole, _ = contour._exact_jacobian(patch, 1280)
         # q = 256: 127 targets in blocks of 64 + 63, then 100 + 27
         for block in (64, 100):
             monkeypatch.setattr(contour, "_BLOCK_PAIRS", 1280 * block)
-            chunked, _ = contour._exact_jacobian(patch, x, 0.0, self.VHAT, 1280)
+            chunked, _ = contour._exact_jacobian(patch, 1280)
             assert np.abs(chunked - whole).max() <= 1e-13 * np.abs(whole).max()
 
     @pytest.mark.parametrize("m,K,P", [(5, 8, 1280), (6, 2, 256), (4, 1, 20)])
     def test_fused_residual_matches_system(self, m, K, P):
         patch = small_patch(b=0.6, m=m, K=K, seed=3, scale=3e-4)
-        x = contour._pack(patch)
-        _, fused = contour._exact_jacobian(patch, x, 1e-3, self.VHAT, P)
-        fvec = contour._system(patch, x, 1e-3, self.VHAT, P)
+        _, fused = contour._exact_jacobian(patch, P)
+        fvec = contour._system(patch, P)
+        assert fused.shape == fvec.shape == (2 * K,)
         assert np.abs(fused - fvec).max() <= 1e-14
-        assert np.abs(fused[:-1]).max() == pytest.approx(np.abs(fvec[:-1]).max(), abs=1e-14)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_annulus_block_is_mode_matrix(self, n):
@@ -804,7 +801,7 @@ class TestExactJacobian:
         K = n + 2
         consts = AnnulusConstants.build(b, n_max=200)
         patch = annulus_patch(b, m, K, omega)
-        jac, _ = contour._exact_jacobian(patch, contour._pack(patch), 0.0, self.VHAT, P)
+        jac, _ = contour._exact_jacobian(patch, P)
         idx = [n - 1, K + n - 1]
         observed = jac[np.ix_(idx, idx)]
         mat = mode_matrix(n * m, b, omega, consts)
@@ -861,6 +858,7 @@ class TestNewton:
     @pytest.mark.parametrize("s,vhat", [
         (math.nan, None), (math.inf, None), (-math.inf, None),
         (1e-3, (math.nan, 1.0)), (1e-3, (0.0, math.inf)),
+        (1e-3, (0.6, 0.8, 5.0)), (1e-3, (1.0,)),
     ])
     def test_rejects_non_finite_amplitude_before_any_kernel_pass(
             self, consts_06, monkeypatch, s, vhat):
@@ -879,10 +877,8 @@ class TestNewton:
         run = branch_continue(m, 0.6, sign, steps=10, ds=1e-3, K=K, P=P, consts=consts_06)
         assert run.stopped_reason is None
         pt = run.points[-1]
-        vhat = kernel_direction(m, 0.6, sign, consts_06)
-        x = contour._pack(pt.patch)
-        fine = contour._exact_jacobian(pt.patch, x, pt.s, vhat, P)[0]
-        coarse = contour._exact_jacobian(pt.patch, x, pt.s, vhat, 4 * K * m)[0]
+        fine = contour._exact_jacobian(pt.patch, P)[0]
+        coarse = contour._exact_jacobian(pt.patch, 4 * K * m)[0]
         assert np.abs(coarse - fine).max() <= 1e-12 * np.abs(fine).max()
 
     @pytest.mark.parametrize("sign", ["plus", "minus"])
@@ -892,11 +888,9 @@ class TestNewton:
         m, K, P = 5, 1, 320
         run = branch_continue(m, 0.6, sign, steps=4, ds=1e-2, K=K, P=P, consts=consts_06)
         assert run.stopped_reason is None and len(run.points) == 5
-        vhat = kernel_direction(m, 0.6, sign, consts_06)
         for pt in run.points[1:]:
-            x = contour._pack(pt.patch)
-            at_p = np.abs(contour._system(pt.patch, x, pt.s, vhat, P)[:-1]).max()
-            at_coarse = np.abs(contour._system(pt.patch, x, pt.s, vhat, 4 * K * m)[:-1]).max()
+            at_p = np.abs(contour._system(pt.patch, P)).max()
+            at_coarse = np.abs(contour._system(pt.patch, 4 * K * m)).max()
             assert pt.residual_norm == at_p <= 1e-10
             assert at_coarse > 1e-6
 
@@ -943,6 +937,27 @@ class TestNewton:
         assert len(builds) == 2
         assert trials[0] > builds[0] > trials[1]  # full step rejected, half step accepted
         assert builds[1] == pytest.approx(trials[1], rel=1e-9)  # rebuilt at the accepted point
+
+    def test_trial_past_a_patch_guard_halves_the_step(self, consts_06, monkeypatch):
+        # the line search builds each trial's patch inside its guard: a
+        # first trial whose patch is refused is halved, and Newton goes on
+        tried = []
+        unpack = contour._unpack
+
+        def refuse_first(patch, x):
+            tried.append(x)
+            if len(tried) == 1:
+                raise PreconditionError("coefficient budget exceeds univalence guard")
+            return unpack(patch, x)
+
+        monkeypatch.setattr(contour, "_unpack", refuse_first)
+        m = threshold_N(0.6, consts_06) + 1
+        start, vhat = self.first_step(consts_06, m, 4, 1e-3)
+        x0 = contour._pack(start)
+        _, rnorm = newton_correct(start, 1e-3, vhat, P=320)
+        assert rnorm <= 1e-10
+        assert len(tried) >= 2
+        np.testing.assert_allclose(tried[1] - x0, 0.5 * (tried[0] - x0), rtol=1e-12, atol=1e-15)
 
     def test_stale_chord_jacobian_is_refreshed_after_a_failed_line_search(
             self, consts_06, monkeypatch):
@@ -1152,6 +1167,30 @@ class TestBranchRunCodec:
         else:
             data["points"][1]["c"][2] = 10**400
         with pytest.raises(PreconditionError, match=f"at {re.escape(path)}: expected float, got an integer"):
+            BranchRun.from_dict(data)
+
+
+    @pytest.mark.parametrize("key,value", [
+        ("sign", "sideways"), ("sign", "Plus"),
+        ("P", -7), ("P", 0), ("P", 41), ("P", 100), ("P", 80 * 6554), ("P", 10**30),
+    ])
+    def test_sign_and_grid_size_follow_the_writer(self, run, key, value):
+        # K = 4, m = 5: P must be a multiple of 4Km = 80 with K P <= 2^21
+        data = json.loads(json.dumps(run.to_dict()))
+        data[key] = value
+        with pytest.raises(PreconditionError, match=f"violation at {key}: expected"):
+            BranchRun.from_dict(data)
+
+    def test_any_grid_size_the_writer_can_record_is_read(self, run):
+        data = json.loads(json.dumps(run.to_dict()))
+        for P in (80, 400, 80 * 6553):
+            data["P"] = P
+            assert BranchRun.from_dict(data).P == P
+
+    def test_patch_guard_is_reported_before_the_grid_size(self, run):
+        data = json.loads(json.dumps(run.to_dict()))
+        data["m"], data["P"] = 10**30, -7
+        with pytest.raises(PreconditionError, match="int64"):
             BranchRun.from_dict(data)
 
 
