@@ -21,7 +21,9 @@ process.
 It needs a recurrence of about 41.5 / (1 - b) steps, capped at ten
 million, so from about b = 0.9999959 the command exits 4.  ``spectrum``
 builds the table to its last row and computes the rows as columns over
-the whole mode range, then writes them with one format string per row.
+the whole mode range.  Its CSV table and branch's boundary files come
+from one writer, :func:`_csv`, which formats every float cell as
+``'%.17g' % value`` would, byte for byte, in numpy (:func:`_cells17`).
 """
 
 from __future__ import annotations
@@ -62,9 +64,183 @@ def _fmt17(x: float) -> str:
     return f"{x:.17g}"
 
 
-# The cells of one boundary CSV row after its formatted theta; "%.17g"
-# formats a float exactly as _fmt17 does.
-_BOUNDARY_CELLS = ",%.17g,%.17g,%.17g,%.17g\n"
+# --- CSV output -------------------------------------------------------------
+#
+# '%.17g' of a double x != 0 is N = round(|x| 10^(16 - E)), its 17
+# significant digits (10^16 <= N < 10^17) with E = floor(log10 |x|), in
+# fixed notation for -4 <= E < 17 and else as d.dddde+XX, with trailing
+# zeros and a bare point stripped.  _cells17 forms |x| 10^(16 - E) as an
+# exact Dekker product against a double-double power of ten, so N and the
+# distance to a rounding tie are known to about 1e-14, and lays out the
+# characters as NUL-padded byte columns, one per cell.
+
+_E_RANGE = 99  # the vectorized cells: 1e-99 <= |x| < 1e100
+_SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitter
+_TIE = 1e-12  # a cell this close to a rounding tie takes '%.17g' itself
+# cells per numpy pass: the temporaries stay near 0.6 MB, and a larger
+# block runs no faster
+_BLOCK = 4096
+# bytes per cell: the sign, "0.000" for E < 0, 17 digits and the point, "e+308"
+_CELL = 29
+_ZERO, _DOT = np.uint8(ord("0")), np.uint8(ord("."))
+
+
+def _power_table() -> tuple[np.ndarray, ...]:
+    """hi, the Dekker halves of hi, and lo, with hi + lo = 10^(16 - E) for
+    E = -_E_RANGE.._E_RANGE; hi and lo are each the double nearest to their
+    part, from Python integers (int to float and int / int round correctly)."""
+    his, los = [], []
+    for k in range(16 + _E_RANGE, 15 - _E_RANGE, -1):
+        if k >= 0:
+            p = 10**k
+            hi = float(p)
+            los.append(float(p - int(hi)))
+        else:
+            d = 10**-k
+            hi = 1 / d
+            num, den = hi.as_integer_ratio()
+            los.append((den - num * d) / (den * d))
+        his.append(hi)
+    hi = np.array(his)
+    c = hi * _SPLIT
+    hh = c - (c - hi)
+    return hi, hh, hi - hh, np.array(los)
+
+
+def _digit_table() -> np.ndarray:
+    """The four ASCII digits of 0..9999 as one uint32 each, then the same
+    with trailing zeros as NUL bytes (0 as four NULs)."""
+    table = np.empty((2, 10000, 4), np.uint8)
+    kept = np.zeros(10000, bool)
+    for k in (3, 2, 1, 0):
+        # digit k of 0..9999, kept while a nonzero digit is at or after it
+        text = np.tile(np.repeat(np.arange(10, dtype=np.uint8) + _ZERO, 10**(3 - k)), 10**k)
+        kept |= text != _ZERO
+        table[0, :, k] = text
+        table[1, :, k] = text * kept
+    return table.view(np.uint32).ravel()
+
+
+_POWERS = _power_table()
+_DIGITS = _digit_table()
+_SMALL_ZEROS = np.array([-2, -3, -4])[:, None]  # "0.0", "0.00", "0.000"
+
+
+def _significand(a: np.ndarray, E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """N = round(y) as int64 and y - N, for y = a 10^(16 - E) with E in the
+    power table: y = ph + t, where ph = fl(a hi) is an integer from 10^16
+    on and t is its exact rounding error (Dekker's product) plus a lo."""
+    hi, hh, hl, lo = (col.take(E + _E_RANGE) for col in _POWERS)
+    ph = a * hi
+    ah = a * _SPLIT
+    ah -= ah - a
+    al = a - ah
+    t = (((ah * hh - ph) + ah * hl + al * hh) + al * hl) + a * lo
+    r = np.rint(t)
+    t -= r
+    return ph.astype(np.int64) + r.astype(np.int64), t
+
+
+def _cells17(x: np.ndarray) -> np.ndarray:
+    """``'%.17g' % v`` for every v of the float64 vector ``x``, as a
+    (_CELL, x.size) uint8 array whose column j, its NUL bytes dropped, is
+    the cell of x[j].  Rows: 0 the sign, 1-5 "0.000" for -4 <= E < 0,
+    6-23 the digits with the point, 24-28 the exponent.  A cell is
+    ``_fmt17(v)``, the definition itself, when v is zero or not finite,
+    lies outside the power table, within _TIE of a rounding tie, or where
+    log10 misjudges E (N outside [10^16, 10^17)).  The cells are formed
+    _BLOCK at a time, which bounds the temporaries."""
+    out = np.empty((_CELL, x.size), np.uint8)
+    for lo in range(0, x.size, _BLOCK):
+        out[:, lo:lo + _BLOCK] = _cell_block(x[lo:lo + _BLOCK])
+    return out
+
+
+def _cell_block(x: np.ndarray) -> np.ndarray:
+    """:func:`_cells17` of one block."""
+    n = x.size
+    a = np.abs(x)
+    with np.errstate(divide="ignore"):  # log10(0) = -inf lies outside the table
+        e = np.floor(np.log10(a))
+    fast = np.abs(e) <= _E_RANGE
+    a[~fast] = 1.0
+    e[~fast] = 0.0
+    E = e.astype(np.int64)
+    N, frac = _significand(a, E)
+    # 10^16 <= y < 10^17 - 1/2: E is the exponent and N has 17 digits
+    fast &= ((N > 10**16) | ((N == 10**16) & (frac >= 0))) & (N < 10**17)
+    fast &= np.abs(np.abs(frac) - 0.5) >= _TIE
+    # N = d0 c0 c1 c2 c3 with four-digit chunks c; a chunk followed only by
+    # zero chunks takes the table half without trailing zeros
+    h, low = N // 10**8, N % 10**8
+    chunks = np.empty((4, n), np.int32)
+    chunks[2], chunks[3] = low // 10**4, low % 10**4
+    chunks[0], chunks[1] = h // 10**4 % 10**4, h % 10**4
+    tail = np.ones(n, bool)
+    for k in (3, 2, 1, 0):
+        zero = chunks[k] == 0
+        chunks[k] += tail * 10000
+        tail &= zero
+    out = np.zeros((_CELL, n), np.uint8)
+    out[0] = (x < 0) * np.uint8(ord("-"))
+    # d.dddd: d0, the point if a digit follows, then the 16 chunk digits
+    out[6] = h // 10**8 + _ZERO
+    out[8:24].reshape(4, 4, n)[...] = (
+        _DIGITS.take(chunks).view(np.uint8).reshape(4, n, 4).transpose(0, 2, 1))
+    fixed = (E >= -4) & (E < 17)
+    # 0.000ddd for E < 0: the point sits in the prefix
+    small = fixed & (E < 0)
+    out[1] = small * _ZERO
+    out[2] = small * _DOT
+    out[3:6] = ((_SMALL_ZEROS >= E) & small) * _ZERO
+    out[7] = ((out[8] != 0) & ~small) * _DOT
+    # dd.ddd for E > 0: the point moves E digits right, the integer part
+    # keeps its zeros
+    wide = np.flatnonzero(fixed & (E > 0))
+    for p in np.unique(E[wide]).tolist():
+        i = wide[E[wide] == p]
+        out[7:7 + p, i] = out[8:8 + p, i] | _ZERO
+        out[7 + p, i] = (out[8 + p, i] != 0) * _DOT if p < 16 else 0
+    sci = np.flatnonzero(~fixed)
+    exp = np.abs(E[sci])
+    out[24, sci] = ord("e")
+    out[25, sci] = np.where(E[sci] < 0, ord("-"), ord("+"))
+    out[26, sci] = (exp >= 100) * (exp // 100 + _ZERO)
+    out[27, sci] = exp // 10 % 10 + _ZERO
+    out[28, sci] = exp % 10 + _ZERO
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        text = [_fmt17(v) for v in x[slow].tolist()]
+        out[:, slow] = np.array(text, dtype=f"S{_CELL}").view(np.uint8).reshape(-1, _CELL).T
+    return out
+
+
+def _csv(header: str, columns: list[np.ndarray], tables: int = 1) -> list[str]:
+    """The CSV texts of ``tables`` tables of equally many rows: each is
+    ``header`` and its share of the rows of the equally long ``columns``,
+    in order.  A float64 column's cells are ``'%.17g' % v`` (all float
+    cells in one :func:`_cells17` pass), an integer or bytes column's are
+    numpy's bytes of each entry (an integer as ``'%d' % v``).  The cells go
+    into one byte array, row by row, and each table drops its NUL padding
+    in one pass."""
+    rows = _csv_rows(columns).reshape(tables, -1)
+    return [header + "\n" + t.tobytes().translate(None, b"\0").decode("ascii") for t in rows]
+
+
+def _csv_rows(columns: list[np.ndarray]) -> np.ndarray:
+    """The NUL-padded CSV lines of ``columns`` as a (rows, bytes) array;
+    built apart from :func:`_csv`, so the cell arrays are freed before the
+    text is."""
+    n = len(columns[0])
+    floats = [c for c in columns if c.dtype == np.float64]
+    cells = iter(_cells17(np.concatenate(floats)).reshape(_CELL, len(floats), n).transpose(1, 2, 0))
+    comma = np.full((n, 1), ord(","), np.uint8)
+    blocks = []
+    for c in columns:
+        blocks += [next(cells) if c.dtype == np.float64 else c.astype("S").view(np.uint8).reshape(n, -1),
+                   comma]
+    blocks[-1] = np.full((n, 1), ord("\n"), np.uint8)
+    return np.concatenate(blocks, axis=1)
 
 
 def _write_text(path: Optional[str], text: str) -> None:
@@ -79,8 +255,6 @@ def _write_text(path: Optional[str], text: str) -> None:
 
 _SPECTRUM_KEYS = ("m", "C_m", "D_m", "Delta_m", "lambda_minus", "lambda_plus",
                   "omega_minus", "omega_plus", "transversal")
-# One spectrum CSV row; "%.17g" formats a float exactly as _fmt17 does.
-_SPECTRUM_ROW = "%d," + "%.17g," * 7 + "%s\n"
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
@@ -95,20 +269,18 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     if m_min < n_thr:
         raise PreconditionError(f"m-min={m_min} is below threshold N({args.b}) = {n_thr}")
     cols = spectrum_columns(m_min, m_max, args.b, consts)
+    columns = [cols.m, cols.c_m, cols.d_m, cols.delta_m, cols.lambda_minus,
+               cols.lambda_plus, cols.omega_minus, cols.omega_plus]
     # the transversality column: the eigenvalue pair is simple
-    transversal = (cols.delta_m > 1e-12).tolist()
-    values = [cols.m.tolist()] + [
-        column.tolist()
-        for column in (cols.c_m, cols.d_m, cols.delta_m, cols.lambda_minus,
-                       cols.lambda_plus, cols.omega_minus, cols.omega_plus)
-    ]
+    transversal = cols.delta_m > 1e-12
     if args.fmt == "json":
-        payload = [dict(zip(_SPECTRUM_KEYS, row)) for row in zip(*values, transversal)]
+        values = [c.tolist() for c in columns] + [transversal.tolist()]
+        payload = [dict(zip(_SPECTRUM_KEYS, row)) for row in zip(*values)]
         _write_text(args.out, json.dumps(payload, indent=2))
     else:
-        flags = ["true" if t else "false" for t in transversal]
-        rows = "".join(_SPECTRUM_ROW % row for row in zip(*values, flags))
-        _write_text(args.out, ",".join(_SPECTRUM_KEYS) + "\n" + rows)
+        flags = np.where(transversal, b"true", b"false")
+        text, = _csv(",".join(_SPECTRUM_KEYS), columns + [flags])
+        _write_text(args.out, text)
     return EXIT_OK
 
 
@@ -132,14 +304,12 @@ def cmd_branch(args: argparse.Namespace) -> int:
         print(f"stopped: {run.stopped_reason}", file=sys.stderr)
     if args.boundaries:
         stem = os.path.splitext(args.out)[0] if args.out else "branch"
-        samples = [boundary_samples(pt.patch) for pt in run.points]
-        # every point is sampled at the same angles: format them once, into
-        # a template that takes a whole file's cells in one %
-        template = "theta,x1,y1,x2,y2\n" + "".join(
-            "%.17g" % t + _BOUNDARY_CELLS for t in samples[0][:, 0].tolist())
-        for i, sample in enumerate(samples):
+        # every point's samples in one writer pass, one table per point
+        samples = np.concatenate([boundary_samples(pt.patch) for pt in run.points])
+        texts = _csv("theta,x1,y1,x2,y2", list(samples.T), tables=len(run.points))
+        for i, text in enumerate(texts):
             with open(f"{stem}.boundaries.{i:03d}.csv", "w", encoding="utf-8") as fh:
-                fh.write(template % tuple(sample[:, 1:].ravel().tolist()))
+                fh.write(text)
     return EXIT_OK
 
 

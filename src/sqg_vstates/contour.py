@@ -280,7 +280,8 @@ class BranchRun:
         """The run of a :meth:`to_dict` object, such as a parsed branch JSON
         file.  Every field is type-checked (:func:`_json_value`) and every
         point builds its :class:`PatchPair`, so all patch guards apply; a
-        missing ``stopped_reason`` reads as null.  ``sign`` must be plus or
+        point's ``s`` must be finite and its ``residual_norm`` finite and
+        >= 0.  A missing ``stopped_reason`` reads as null.  ``sign`` must be plus or
         minus, and P, checked after the points, a multiple of 4 K m within
         the cap, the grid :func:`branch_continue` writes.  Raises
         :class:`PreconditionError` naming the first bad field by its path."""
@@ -298,6 +299,10 @@ class BranchRun:
             path = f"points[{i}]"
             s, omega, a, c, norm = _json_fields(pt, path, (
                 ("s", float), ("omega", float), ("a", list), ("c", list), ("residual_norm", float)))
+            if not math.isfinite(s):
+                raise _schema_error(f"{path}.s", f"expected a finite float, got {s!r}")
+            if not (math.isfinite(norm) and norm >= 0.0):
+                raise _schema_error(f"{path}.residual_norm", f"expected a finite float >= 0, got {norm!r}")
             a = [_json_value(v, float, f"{path}.a[{k}]") for k, v in enumerate(a)]
             c = [_json_value(v, float, f"{path}.c[{k}]") for k, v in enumerate(c)]
             patch = PatchPair(b=b, m=m, K=K, a=a, c=c, omega=omega)

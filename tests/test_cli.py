@@ -23,10 +23,10 @@ from sqg_vstates.verify import TOLERANCES
 SPECTRUM_HEADER = "m,C_m,D_m,Delta_m,lambda_minus,lambda_plus,omega_minus,omega_plus,transversal"
 
 
-def run_branch(tmp_path, name="branch.json", steps=2, extra=()):
+def run_branch(tmp_path, name="branch.json", steps=2, extra=(), sign="plus"):
     out = tmp_path / name
     code = main([
-        "branch", "--b", "0.6", "--m", "5", "--sign", "plus",
+        "branch", "--b", "0.6", "--m", "5", "--sign", sign,
         "--steps", str(steps), "--ds", "1e-3",
         "--modes", "4", "--quad", "320", "--out", str(out), *extra,
     ])
@@ -211,11 +211,111 @@ class TestSpectrumCommand:
         assert csv_rows == expected
         assert json_rows == expected
 
+    @pytest.mark.parametrize("argv", [
+        ["--b", "0.05", "--m-max", "999"],
+        ["--b", "0.43", "--m-max", "999"],
+        ["--b", "0.9999"],
+        ["--b", "0.9999", "--m-min", "20000"],
+    ])
+    def test_csv_matches_per_row_template(self, argv, tmp_path, capsys):
+        # the one-template-per-row writer the table had before, on the
+        # values of the JSON table (repr round-trips them exactly)
+        row_template = "%d," + "%.17g," * 7 + "%s\n"
+        assert main(["spectrum", *argv, "--format", "json", "--out", str(tmp_path / "s.json")]) == EXIT_OK
+        rows = [list(row.values()) for row in json.loads((tmp_path / "s.json").read_text())]
+        expected = SPECTRUM_HEADER + "\n" + "".join(
+            row_template % (*row[:8], "true" if row[8] else "false") for row in rows)
+        assert main(["spectrum", *argv, "--out", str(tmp_path / "s.csv")]) == EXIT_OK
+        assert (tmp_path / "s.csv").read_text() == expected
+        capsys.readouterr()
+        assert main(["spectrum", *argv]) == EXIT_OK
+        assert capsys.readouterr().out == expected
+
     def test_default_m_max_follows_m_min(self, tmp_path):
         out = tmp_path / "spec.csv"
         assert main(["spectrum", "--b", "0.5", "--m-min", "50", "--out", str(out)]) == EXIT_OK
         rows = out.read_text().strip().splitlines()[1:]
         assert [int(r.split(",")[0]) for r in rows] == list(range(50, 71))
+
+
+def writer_cells(values):
+    """The cells ``cli._csv`` writes for a float column of ``values``."""
+    text, = cli._csv("x", [np.asarray(values, dtype=np.float64)])
+    return text.splitlines()[1:]
+
+
+def assert_cells_are_fmt17(values):
+    values = np.asarray(values, dtype=np.float64).tolist()
+    bad = [(v, got) for v, got in zip(values, writer_cells(values), strict=True) if got != "%.17g" % v]
+    assert not bad, bad[:5]
+
+
+def powers_of_ten(lo, hi):
+    """Every power of ten 10^lo .. 10^hi as its nearest double (from Python
+    integers), with the doubles on both sides."""
+    p = np.array([float(10**k) if k >= 0 else 1 / 10**-k for k in range(lo, hi + 1)])
+    return np.concatenate([p, np.nextafter(p, 0.0), np.nextafter(p, np.inf)])
+
+
+class TestCsvWriter:
+    """``cli._csv`` writes every float cell byte for byte as ``'%.17g' % v``."""
+
+    def test_uniform_values(self):
+        assert_cells_are_fmt17(np.random.default_rng(1).uniform(-1.2, 1.2, 10**5))
+
+    def test_random_bit_patterns(self):
+        # every double, subnormals, infinities and NaN payloads included
+        rng = np.random.default_rng(2)
+        assert_cells_are_fmt17(rng.integers(0, 2**64, 10**5, dtype=np.uint64).view(np.float64))
+
+    def test_log_uniform_over_the_table(self):
+        rng = np.random.default_rng(3)
+        r = cli._E_RANGE
+        values = 10.0 ** rng.uniform(-r, r + 1, 10**5) * rng.choice([-1.0, 1.0], 10**5)
+        assert_cells_are_fmt17(values)
+
+    def test_powers_of_ten_in_and_past_the_table(self):
+        r = cli._E_RANGE
+        values = powers_of_ten(-r - 3, r + 3)
+        assert_cells_are_fmt17(np.concatenate([values, -values]))
+
+    def test_special_values(self):
+        assert_cells_are_fmt17([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+                                2.2250738585072014e-308, 1.7976931348623157e308])
+
+    def test_fixed_and_scientific_switch_points(self):
+        # %g is fixed from E = -4 through 16: 1e-5 | 1e-4 ... 1e16 | 1e17
+        values = np.array([1e-5, 1e-4, 1e16, 1e17])
+        values = np.concatenate([values, np.nextafter(values, 0.0), np.nextafter(values, np.inf)])
+        assert_cells_are_fmt17(np.concatenate([values, -values]))
+
+    def test_exact_rounding_ties(self):
+        # 16 (2^53 + k) has 18 digits: every multiple of 10 plus 5 at the
+        # 18th is an exact tie, which rounds half to even
+        assert_cells_are_fmt17(np.arange(2**53 - 1000, 2**53 + 1000) * 16.0)
+
+    def test_columns_rows_and_tables(self):
+        ints = np.array([3, -40, 5000])
+        flags = np.array([b"true", b"false", b"true"])
+        floats = np.array([0.5, -1e-7, 123.25])
+        assert cli._csv("a,b,c", [ints, floats, flags]) == [
+            "a,b,c\n3,0.5,true\n-40,-9.9999999999999995e-08,false\n5000,123.25,true\n"]
+        assert cli._csv("h", [np.arange(4.0)], tables=2) == ["h\n0\n1\n", "h\n2\n3\n"]
+
+    def test_outputs_take_the_vectorized_path(self, tmp_path, monkeypatch):
+        # every nonzero cell of the diagram spectra and the criterion-10
+        # boundary files is formatted in numpy, not by the fallback
+        fallback = []
+        monkeypatch.setattr(cli, "_fmt17", lambda v: fallback.append(v) or _fmt17(v))
+        for b in ("0.05", "0.43", "0.95"):
+            assert main(["spectrum", "--b", b, "--m-max", "999", "--out", str(tmp_path / "s.csv")]) == EXIT_OK
+        assert fallback == []
+        for sign in ("plus", "minus"):
+            assert main(["branch", "--b", "0.6", "--m", "5", "--sign", sign, "--steps", "10",
+                         "--ds", "1e-3", "--modes", "8", "--quad", "1280",
+                         "--out", str(tmp_path / "b.json"), "--boundaries"]) == EXIT_OK
+        assert len(list(tmp_path.glob("b.boundaries.*.csv"))) == 11
+        assert fallback and all(v == 0.0 for v in fallback)
 
 
 class TestThresholdCommand:
@@ -310,16 +410,20 @@ class TestBranchCommand:
             assert len(first) == 5
 
     def test_boundaries_csv_matches_fmt17(self, tmp_path):
-        out = run_branch(tmp_path, steps=1, extra=("--boundaries",))
-        patch = BranchRun.from_dict(json.loads(out.read_text())).points[1].patch
-        lines = ["theta,x1,y1,x2,y2"]
-        lines += [",".join(_fmt17(v) for v in row) for row in boundary_samples(patch)]
-        written = (tmp_path / "branch.boundaries.001.csv").read_text()
-        assert written == "\n".join(lines) + "\n"
+        # both signs, at the annulus point and the last point of the run
+        for sign in ("plus", "minus"):
+            out = run_branch(tmp_path, steps=2, extra=("--boundaries",), sign=sign)
+            points = BranchRun.from_dict(json.loads(out.read_text())).points
+            for i in (0, len(points) - 1):
+                lines = ["theta,x1,y1,x2,y2"]
+                lines += [",".join(_fmt17(v) for v in row) for row in boundary_samples(points[i].patch)]
+                written = (tmp_path / f"branch.boundaries.{i:03d}.csv").read_text()
+                assert written == "\n".join(lines) + "\n"
 
     @pytest.mark.parametrize("value", [-0.0, 5e-324, 1.0 / 3.0, 1e300])
     def test_percent_format_matches_fmt17(self, value):
         assert "%.17g" % value == _fmt17(value)
+        assert cli._csv("v", [np.array([value])]) == [f"v\n{_fmt17(value)}\n"]
 
     def test_early_stop_is_reported_on_stderr(self, tmp_path, capsys):
         # the univalence guard ends this branch at step 8: the command still
@@ -595,6 +699,21 @@ class TestRenderCommand:
         code = main(["render", str(bad_file), "--out", str(tmp_path / "img.svg")])
         assert code == EXIT_GUARD
         assert f"at {path}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [("s", "NaN"), ("s", "Infinity"),
+                                           ("residual_norm", "-1.0"), ("residual_norm", "NaN")])
+    def test_non_finite_or_negative_point_value_is_a_guard_error(self, tmp_path, capsys, key, value):
+        src = run_branch(tmp_path, steps=1)
+        data = json.loads(src.read_text())
+        data["points"][1][key] = "@"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data).replace('"@"', value))
+        out = tmp_path / "img.svg"
+        assert main(["render", str(bad), "--out", str(out)]) == EXIT_GUARD
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"at points[1].{key}: expected a finite float" in err
+        assert not out.exists()
 
     def test_directory_path_is_usage_error(self, tmp_path, capsys):
         src = run_branch(tmp_path, steps=1)

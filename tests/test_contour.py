@@ -1187,6 +1187,22 @@ class TestBranchRunCodec:
             data["P"] = P
             assert BranchRun.from_dict(data).P == P
 
+    @pytest.mark.parametrize("key,value", [
+        ("s", math.nan), ("s", math.inf), ("s", -math.inf),
+        ("residual_norm", -1.0), ("residual_norm", math.nan), ("residual_norm", math.inf),
+    ])
+    def test_point_amplitude_and_residual_are_checked(self, run, key, value):
+        # Python's json reads NaN and Infinity, so the types alone pass them
+        data = json.loads(json.dumps(run.to_dict()))
+        data["points"][1][key] = value
+        with pytest.raises(PreconditionError, match=rf"violation at points\[1\]\.{key}: expected a finite float"):
+            BranchRun.from_dict(data)
+
+    def test_zero_residual_is_read(self, run):
+        data = json.loads(json.dumps(run.to_dict()))
+        data["points"][1]["residual_norm"] = 0.0
+        assert BranchRun.from_dict(data).points[1].residual_norm == 0.0
+
     def test_patch_guard_is_reported_before_the_grid_size(self, run):
         data = json.loads(json.dumps(run.to_dict()))
         data["m"], data["P"] = 10**30, -7
