@@ -42,18 +42,19 @@ FFT of mu; V_0 = 0 drops the diagonal.
 onto the retained sine modes sin(n m theta) with the projection Newton
 drives to zero (:func:`_sine_coefficients`); ``newton_correct`` and
 ``branch_continue`` trace solution branches off the annulus in the kernel
-direction of the linearized operator.  The Newton Jacobian comes from
-the 4 K m grid, where it is the exact derivative of that grid's discrete
-residual: both maps are linear in (a, c), so every column follows in
-closed form from the kernel matrices of one pass.  On a finer grid P it
-agrees with the exact one to roundoff once 4 K m resolves the solution
-(2.3e-15 relative at P = 1280, K = 8, m = 5), so a kernel pass at P is
-only ever a residual; acceptance, ``residual_norm`` and the tolerance
-are always at P.  :func:`_system` and :func:`_exact_jacobian` take a
-patch and return its 2K collocation equations (and their Jacobian);
-only ``newton_correct`` holds x, the bordering amplitude row and the
-bordered F and J, and it reads ``residual_norm`` off F.  Central
-differences remain only as the independent oracle, in tests and ``verify``.
+direction of the linearized operator, and a branch is its points, from
+which each step predicts (:func:`_predict`).  The Newton Jacobian comes
+from the 4 K m grid, where it is the exact derivative of that grid's
+discrete residual: both maps are linear in (a, c), so every column
+follows in closed form from the kernel matrices of one pass.  On a finer
+grid P it agrees with the exact one to roundoff once 4 K m resolves the
+solution (2.3e-15 relative at P = 1280, K = 8, m = 5), so a kernel pass
+at P is only ever a residual; acceptance, ``residual_norm`` and the
+tolerance are always at P.  :func:`_system` and :func:`_exact_jacobian`
+take a patch and return its 2K collocation equations (and their
+Jacobian); only ``newton_correct`` holds x and the bordered F and J.
+Central differences remain only as the independent oracle, in tests and
+``verify``.
 
 Grid symmetry.  Let g = gcd(m, P) and q = P / g.  Rotation by 2 pi / g
 shifts every grid index by q, and because g | m every map obeys
@@ -254,8 +255,8 @@ class BranchRun:
     """A branch traced from the annulus, ``points[0]``, at Omega_m^{sign}
     ("plus" or "minus").  ``stopped_reason`` is None for a complete run, or
     a short message naming the failure that truncated it.  ``P`` is the
-    effective collocation size used: 4 K m by default, or the requested
-    size rounded up to a multiple of 4 K m.  The branch JSON file is
+    effective collocation size used (:func:`_run_grid`), and the points
+    are the whole continuation state.  The branch JSON file is
     ``json.dumps(run.to_dict(), indent=2)``; :meth:`from_dict` reads it."""
 
     points: tuple[BranchPoint, ...]
@@ -278,13 +279,13 @@ class BranchRun:
     @classmethod
     def from_dict(cls, data) -> BranchRun:
         """The run of a :meth:`to_dict` object, such as a parsed branch JSON
-        file.  Every field is type-checked (:func:`_json_value`) and every
-        point builds its :class:`PatchPair`, so all patch guards apply; a
-        point's ``s`` must be finite and its ``residual_norm`` finite and
-        >= 0.  A missing ``stopped_reason`` reads as null.  ``sign`` must be plus or
-        minus, and P, checked after the points, a multiple of 4 K m within
-        the cap, the grid :func:`branch_continue` writes.  Raises
-        :class:`PreconditionError` naming the first bad field by its path."""
+        file.  Every field is type-checked (:func:`_json_value`), a point's
+        ``s`` must be finite and its ``residual_norm`` finite and >= 0, and
+        every point builds its :class:`PatchPair`, so all patch guards
+        apply.  A missing ``stopped_reason`` reads as null, ``sign`` must be
+        plus or minus, and P, checked after the points, a size that
+        :func:`_run_grid` keeps.  Raises :class:`PreconditionError` naming
+        the first bad field, or the point that fails a guard, by its path."""
         b, m, K, P, sign, points = _json_fields(data, "$", (
             ("b", float), ("m", int), ("K", int), ("P", int), ("sign", str), ("points", list)))
         if sign not in ("plus", "minus"):
@@ -305,9 +306,16 @@ class BranchRun:
                 raise _schema_error(f"{path}.residual_norm", f"expected a finite float >= 0, got {norm!r}")
             a = [_json_value(v, float, f"{path}.a[{k}]") for k, v in enumerate(a)]
             c = [_json_value(v, float, f"{path}.c[{k}]") for k, v in enumerate(c)]
-            patch = PatchPair(b=b, m=m, K=K, a=a, c=c, omega=omega)
+            try:
+                patch = PatchPair(b=b, m=m, K=K, a=a, c=c, omega=omega)
+            except PreconditionError as exc:
+                raise _schema_error(path, str(exc)) from exc
             run_points.append(BranchPoint(s=s, patch=patch, residual_norm=norm))
-        if P % (4 * K * m) or not 4 * K * m <= P <= MAX_KP // K:
+        try:
+            grid = _run_grid(m, K, P)
+        except PreconditionError:
+            grid = None
+        if grid != P:
             raise _schema_error("P", f"expected a multiple of 4Km = {4 * K * m} up to {MAX_KP // K}, got {P}")
         return cls(points=tuple(run_points), stopped_reason=stopped, P=P, sign=sign)
 
@@ -556,6 +564,19 @@ def _check_sizes(m: int, K: int, P: Optional[int] = None) -> None:
         raise PreconditionError(f"mode exponents n*m - 1 must fit in int64, got K={K}, m={m}")
 
 
+def _run_grid(m: int, K: int, P: Optional[int] = None) -> int:
+    """A run's collocation size, the one grid rule: 4 K m for None, else the
+    positive P rounded up to a multiple of 4 K m, in Python ints (numpy
+    sizes would wrap), and within the size rule (:func:`_check_sizes`)."""
+    block = 4 * int(K) * int(m) if _is_integer(K) and _is_integer(m) else None
+    _check_sizes(m, K, block)  # the smallest grid, before any array of K or P entries
+    if _is_integer(P) and P <= 0:  # before rounding, so the message names the P given
+        raise PreconditionError(f"collocation size P={P} must be positive")
+    P = block if P is None else (block * -(-int(P) // block) if _is_integer(P) else P)
+    _check_sizes(m, K, P)
+    return P
+
+
 @lru_cache(maxsize=8, typed=True)
 def _collocation_grid(m: int, K: int, P: int) -> tuple[int, slice, np.ndarray]:
     """The residual period q, the orbit representatives (the targets of
@@ -767,7 +788,7 @@ def newton_correct(
     vhat: tuple[float, float],
     P: int,
     newton_tol: float = 1e-10,
-) -> tuple[PatchPair, float]:
+) -> BranchPoint:
     """Solve the bordered system {2K collocation equations = 0, kernel
     projection = s} on the P grid, where the projection of (a_1, c_1) is
     onto the unit kernel direction ``vhat`` (``kernel_vector(...).normalized()``).
@@ -791,8 +812,8 @@ def newton_correct(
     Jacobian is reused across iterations while full steps keep reducing the
     residual, and refreshed when progress stalls; a refresh keeps the F
     already held at the same x.  The budget of ``_MAX_ITER`` = 25
-    iterations spans both grids.  Returns the corrected patch and its
-    residual norm, the largest equation at P.
+    iterations spans both grids.  Returns the :class:`BranchPoint` at
+    ``s``, whose ``residual_norm`` is the largest equation at P.
 
     Raises
     ------
@@ -827,7 +848,7 @@ def newton_correct(
     while True:
         if np.abs(fvec).max() <= newton_tol:
             if grid == P:
-                return patch, float(np.abs(fvec[:-1]).max())
+                return BranchPoint(s=s, patch=patch, residual_norm=float(np.abs(fvec[:-1]).max()))
             grid = P
             fvec = bordered(_system(patch, P), x)
             continue
@@ -872,22 +893,20 @@ def newton_correct(
 _EXTRAPOLATION = {2: (2.0, -1.0), 3: (3.0, -3.0, 1.0)}
 
 
-def _predict(history: list[np.ndarray], ds: float, vhat: tuple[float, float]) -> np.ndarray:
-    """Predicted unknowns x = (a, c, Omega) one step ``ds`` past the last
-    accepted point, from ``history``, the accepted points oldest first.
-
-    From the start point alone the step follows the kernel direction in
-    the (a_1, c_1) plane; after that, every unknown is extrapolated by the
-    secant, then the quadratic, through the last two or three points.
-    """
-    if len(history) == 1:
-        K = (history[0].size - 1) // 2
-        x = history[0].copy()
-        x[0] += ds * vhat[0]
-        x[K] += ds * vhat[1]
-        return x
-    weights = _EXTRAPOLATION[min(len(history), 3)]
-    return sum(wt * xk for wt, xk in zip(weights, reversed(history)))
+def _predict(points: list[BranchPoint], ds: float, vhat: tuple[float, float]) -> PatchPair:
+    """The patch, guards applied, one step ``ds`` past the last of the
+    accepted ``points`` (oldest first): from the start point alone along
+    the kernel direction in the (a_1, c_1) plane, after that with every
+    unknown (a, c, Omega) extrapolated by the secant, then the quadratic,
+    through the last two or three points."""
+    last = points[-1].patch
+    if len(points) == 1:
+        x = _pack(last)
+        x[[0, last.K]] += ds * np.asarray(vhat)
+    else:
+        weights = _EXTRAPOLATION[min(len(points), 3)]
+        x = sum(wt * _pack(pt.patch) for wt, pt in zip(weights, reversed(points)))
+    return _unpack(last, x)
 
 
 def branch_continue(
@@ -908,33 +927,25 @@ def branch_continue(
     unknowns (a, c, Omega) in s: the secant through the last two accepted
     points, then the quadratic through the last three (:func:`_predict`),
     which leaves a predictor residual small enough for one Newton
-    iteration.  The corrector is :func:`newton_correct`: its Jacobian
-    comes from the 4 K m grid, while every accepted point's
-    ``residual_norm`` is its residual at P and meets ``newton_tol``
-    there.  On a guard or Newton failure the partial branch up to the
+    iteration.  The corrector, :func:`newton_correct`, returns each point
+    at ``points[-1].s + ds``; the accepted points are the loop's only
+    state.  On a guard or Newton failure the partial branch up to the
     last good point is returned with ``stopped_reason`` set; nothing is
     discarded.
 
     ``P`` defaults to 4 K m, which resolves every retained mode with alias
     margin; an explicit ``P`` must be positive and is rounded up to the
-    nearest multiple of 4 K m.  Either way gcd(m, P) = m, the largest grid
-    symmetry, so every kernel pass evaluates about P / (2 m) targets
-    (:func:`_collocation_grid`).  The effective size is recorded on the
-    returned run.
+    nearest multiple of 4 K m (:func:`_run_grid`).  Either way
+    gcd(m, P) = m, the largest grid symmetry, so every kernel pass
+    evaluates about P / (2 m) targets (:func:`_collocation_grid`).  The
+    effective size is recorded on the returned run.
     """
     if sign not in ("plus", "minus"):
         raise PreconditionError(f"sign must be 'plus' or 'minus', got {sign!r}")
     if not (_is_integer(steps) and steps >= 0 and math.isfinite(ds) and ds > 0.0):
         raise PreconditionError(f"need an integer steps >= 0 and finite ds > 0, got steps={steps!r}, ds={ds}")
     _check_tol(newton_tol)
-    # 4 K m and the rounded P from Python ints, as numpy sizes would wrap; a
-    # non-integer fails the size rule
-    block = 4 * int(K) * int(m) if _is_integer(K) and _is_integer(m) else None
-    _check_sizes(m, K, block)  # the smallest grid, before any array of K or P entries
-    if _is_integer(P) and P <= 0:  # before rounding, so the message names the P given
-        raise PreconditionError(f"collocation size P={P} must be positive")
-    P = block if P is None else (block * -(-int(P) // block) if _is_integer(P) else P)
-    _check_sizes(m, K, P)
+    P = _run_grid(m, K, P)
     if consts is None:
         consts = AnnulusConstants.build(b, m)  # checks its own length first
     n_threshold = threshold_N(b, consts)
@@ -945,21 +956,15 @@ def branch_continue(
     vhat = kernel_vector(m, b, omega0, consts).normalized()
 
     start = annulus_patch(b, m, K, omega0)
-    history = [_pack(start)]
-    start_norm = float(np.abs(_system(start, P)).max())
-    points = [BranchPoint(s=0.0, patch=start, residual_norm=start_norm)]
+    points = [BranchPoint(s=0.0, patch=start, residual_norm=float(np.abs(_system(start, P)).max()))]
     stopped: Optional[str] = None
-    s = 0.0
     for step_index in range(1, steps + 1):
-        s += ds
-        x = _predict(history, ds, vhat)
         try:
-            patch, norm = newton_correct(_unpack(start, x), s, vhat, P, newton_tol)
+            point = newton_correct(_predict(points, ds, vhat), points[-1].s + ds, vhat, P, newton_tol)
         except (PreconditionError, BoundaryCollision, NoConvergence, SingularJacobian) as exc:
             stopped = f"{type(exc).__name__} at step {step_index}: {exc}"
             break
-        points.append(BranchPoint(s=s, patch=patch, residual_norm=norm))
-        history = history[-2:] + [_pack(patch)]
+        points.append(point)
     return BranchRun(points=tuple(points), stopped_reason=stopped, P=P, sign=sign)
 
 

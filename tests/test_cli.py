@@ -630,6 +630,30 @@ class TestRenderCommand:
         assert err.startswith("error: ") and err.count("\n") == 1 and f"at {key}: expected" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("i,key,why", [
+        (2, "a", "coefficient budget"),
+        (1, "c", "coefficient arrays must have shape"),
+        (1, "omega", "must be finite"),
+    ])
+    def test_patch_guard_names_its_point(self, tmp_path, capsys, i, key, why):
+        src = run_branch(tmp_path, steps=2)
+        data = json.loads(src.read_text())
+        point = data["points"][i]
+        if key == "a":
+            point["a"][0] = 0.3  # budget 4 * 0.3 against the guard 0.2
+        elif key == "c":
+            point["c"].pop()
+        else:
+            point["omega"] = "@"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data).replace('"@"', "NaN"))
+        out = tmp_path / "img.svg"
+        assert main(["render", str(bad), "--out", str(out)]) == EXIT_GUARD
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"at points[{i}]: " in err and why in err
+        assert not out.exists()
+
     def test_empty_point_list_is_a_guard_error(self, tmp_path, capsys):
         # a run always holds its annulus point, which also gives the drawn b
         src = run_branch(tmp_path, steps=1)

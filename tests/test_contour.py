@@ -16,6 +16,7 @@ import pytest
 
 from sqg_vstates import contour
 from sqg_vstates.contour import (
+    BranchPoint,
     BranchRun,
     PatchPair,
     annulus_patch,
@@ -815,10 +816,11 @@ class TestNewton:
         row = bifurcation_row(m, 0.6, consts_06)
         vhat = kernel_direction(m, 0.6, "plus", consts_06)
         start = annulus_patch(0.6, m, 4, row.omega_plus)
-        corrected, rnorm = newton_correct(start, 0.0, vhat, P=320)
-        assert corrected.omega == row.omega_plus
-        assert np.all(corrected.a == 0.0) and np.all(corrected.c == 0.0)
-        assert rnorm <= 1e-10
+        pt = newton_correct(start, 0.0, vhat, P=320)
+        assert pt.s == 0.0
+        assert pt.patch.omega == row.omega_plus
+        assert np.all(pt.patch.a == 0.0) and np.all(pt.patch.c == 0.0)
+        assert pt.residual_norm <= 1e-10
 
     def test_small_amplitude_converges(self, consts_06):
         m = threshold_N(0.6, consts_06) + 1
@@ -831,11 +833,12 @@ class TestNewton:
         a[0] = s * v1
         c[0] = s * v2
         predictor = PatchPair(b=0.6, m=m, K=K, a=a, c=c, omega=row.omega_plus)
-        corrected, rnorm = newton_correct(predictor, s, vhat, P=320)
-        assert rnorm <= 1e-10
-        assert abs(corrected.omega - row.omega_plus) <= 1e-3
+        pt = newton_correct(predictor, s, vhat, P=320)
+        assert pt.s == s
+        assert pt.residual_norm <= 1e-10
+        assert abs(pt.patch.omega - row.omega_plus) <= 1e-3
         # amplitude constraint pinned to s
-        assert corrected.a[0] * v1 + corrected.c[0] * v2 == pytest.approx(s, abs=1e-12)
+        assert pt.patch.a[0] * v1 + pt.patch.c[0] * v2 == pytest.approx(s, abs=1e-12)
 
     def test_no_convergence_when_iterations_exhausted(self, consts_06, monkeypatch):
         m = threshold_N(0.6, consts_06) + 1
@@ -932,8 +935,8 @@ class TestNewton:
         monkeypatch.setattr(contour, "_system", recorded)
         m = threshold_N(0.6, consts_06) + 1
         start, vhat = self.first_step(consts_06, m, 4, 1e-3)
-        _, rnorm = newton_correct(start, 1e-3, vhat, P=320)
-        assert rnorm <= 1e-10
+        pt = newton_correct(start, 1e-3, vhat, P=320)
+        assert pt.s == 1e-3 and pt.residual_norm <= 1e-10
         assert len(builds) == 2
         assert trials[0] > builds[0] > trials[1]  # full step rejected, half step accepted
         assert builds[1] == pytest.approx(trials[1], rel=1e-9)  # rebuilt at the accepted point
@@ -954,8 +957,8 @@ class TestNewton:
         m = threshold_N(0.6, consts_06) + 1
         start, vhat = self.first_step(consts_06, m, 4, 1e-3)
         x0 = contour._pack(start)
-        _, rnorm = newton_correct(start, 1e-3, vhat, P=320)
-        assert rnorm <= 1e-10
+        pt = newton_correct(start, 1e-3, vhat, P=320)
+        assert pt.s == 1e-3 and pt.residual_norm <= 1e-10
         assert len(tried) >= 2
         np.testing.assert_allclose(tried[1] - x0, 0.5 * (tried[0] - x0), rtol=1e-12, atol=1e-15)
 
@@ -985,8 +988,8 @@ class TestNewton:
         monkeypatch.setattr(contour, "_exact_jacobian", counted)
         monkeypatch.setattr(contour, "_system", inflated)
         start, vhat = self.first_step(consts_06, m, K, 1e-2)
-        _, rnorm = newton_correct(start, 1e-2, vhat, P=P)
-        assert rnorm <= 1e-10
+        pt = newton_correct(start, 1e-2, vhat, P=P)
+        assert pt.s == 1e-2 and pt.residual_norm <= 1e-10
         assert grids == [4 * K * m] * 2
         assert len(at_p) > 1 + contour._MAX_BACKTRACK
 
@@ -1022,10 +1025,12 @@ class TestBranchContinue:
             branch_continue(2, 0.6, "plus", steps=1, ds=1e-3, K=4, P=320, consts=consts_06)
 
     def test_partial_branch_on_guard_failure(self, consts_06):
+        # the first predictor, ds vhat, already breaks the coefficient
+        # budget: the step's failure handling stops the run at its start
         m = threshold_N(0.6, consts_06) + 1
         run = branch_continue(m, 0.6, "plus", steps=5, ds=0.06, K=2, P=320, consts=consts_06)
-        assert run.stopped_reason is not None
-        assert len(run.points) >= 1
+        assert run.stopped_reason.startswith("PreconditionError at step 1: coefficient budget")
+        assert len(run.points) == 1
         assert run.points[0].s == 0.0
 
     def test_argument_validation(self, consts_06):
@@ -1098,10 +1103,30 @@ class TestBranchContinue:
                     assert step.count(("_system", P)) == 1
                     assert len(step) == (2 if P == coarse else 3)
 
+    @pytest.mark.parametrize("sign", ["plus", "minus"])
+    def test_saved_branch_continues_bitwise(self, consts_06, sign):
+        # a branch file's points are the whole continuation state: three
+        # steps, a JSON round trip, and three corrector steps from the
+        # predictor of the points read back give the six-step run
+        m, K, P, ds = 5, 8, 1280, 1e-3
+        vhat = kernel_direction(m, 0.6, sign, consts_06)
+        saved = branch_continue(m, 0.6, sign, steps=3, ds=ds, K=K, P=P, consts=consts_06)
+        read = BranchRun.from_dict(json.loads(json.dumps(saved.to_dict())))
+        points = list(read.points)
+        for _ in range(3):
+            points.append(newton_correct(contour._predict(points, ds, vhat), points[-1].s + ds, vhat, P))
+        resumed = BranchRun(points=tuple(points), stopped_reason=None, P=read.P, sign=read.sign)
+        full = branch_continue(m, 0.6, sign, steps=6, ds=ds, K=K, P=P, consts=consts_06)
+        assert full.stopped_reason is None and len(full.points) == 7
+        assert resumed.to_dict() == full.to_dict()
+        assert json.dumps(resumed.to_dict()) == json.dumps(full.to_dict())  # bitwise: repr per float
+
     def test_predictor_extrapolates_quadratic_path(self):
-        K, ds, vhat = 3, 1e-3, (0.6, 0.8)
+        # the predictor builds its patch, so the random path stays below
+        # the coefficient budget (0.25 at b = 0.5)
+        b, m, K, ds, vhat = 0.5, 2, 3, 1e-3, (0.6, 0.8)
         rng = np.random.default_rng(11)
-        c0, c1, c2 = rng.standard_normal((3, 2 * K + 1))
+        c0, c1, c2 = 1e-3 * rng.standard_normal((3, 2 * K + 1))
 
         def path(s):
             x = c0 + c1 * s + c2 * s * s
@@ -1109,16 +1134,18 @@ class TestBranchContinue:
             x[K] = (s - x[0] * vhat[0]) / vhat[1]
             return x
 
-        history = [path(k * ds) for k in range(5)]
+        shape = annulus_patch(b, m, K, 0.0)
+        points = [BranchPoint(s=k * ds, patch=contour._unpack(shape, path(k * ds)), residual_norm=0.0)
+                  for k in range(5)]
         for k in (3, 4, 5):
-            x = contour._predict(history[:k], ds, vhat)
-            assert np.abs(x - path(k * ds)).max() <= 1e-14
+            x = contour._pack(contour._predict(points[:k], ds, vhat))
+            assert np.abs(x - path(k * ds)).max() <= 1e-17
             assert abs(x[0] * vhat[0] + x[K] * vhat[1] - k * ds) <= 1e-15
         # from the start point alone: the kernel direction in (a_1, c_1)
-        x = contour._predict(history[:1], ds, vhat)
+        x = contour._pack(contour._predict(points[:1], ds, vhat))
         step = np.zeros(2 * K + 1)
         step[0], step[K] = ds * vhat[0], ds * vhat[1]
-        assert np.array_equal(x, history[0] + step)
+        assert np.array_equal(x, path(0.0) + step)
 
     @pytest.mark.parametrize("b,sign,ds,floor", [
         (0.4, "plus", 5e-3, 12), (0.4, "minus", 5e-3, 11),
