@@ -195,9 +195,10 @@ def _cell_block(x: np.ndarray) -> np.ndarray:
     out[3:6] = ((_SMALL_ZEROS >= E) & small) * _ZERO
     out[7] = ((out[8] != 0) & ~small) * _DOT
     # dd.ddd for E > 0: the point moves E digits right, the integer part
-    # keeps its zeros
+    # keeps its zeros; E is 1..16 here, grouped by bincount, not by
+    # np.unique, whose first call imports numpy.ma
     wide = np.flatnonzero(fixed & (E > 0))
-    for p in np.unique(E[wide]).tolist():
+    for p in np.flatnonzero(np.bincount(E[wide])).tolist():
         i = wide[E[wide] == p]
         out[7:7 + p, i] = out[8:8 + p, i] | _ZERO
         out[7 + p, i] = (out[8 + p, i] != 0) * _DOT if p < 16 else 0
@@ -215,32 +216,62 @@ def _cell_block(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _csv(header: str, columns: list[np.ndarray], tables: int = 1) -> list[str]:
-    """The CSV texts of ``tables`` tables of equally many rows: each is
-    ``header`` and its share of the rows of the equally long ``columns``,
-    in order.  A float64 column's cells are ``'%.17g' % v`` (all float
-    cells in one :func:`_cells17` pass), an integer or bytes column's are
-    numpy's bytes of each entry (an integer as ``'%d' % v``).  The cells go
-    into one byte array, row by row, and each table drops its NUL padding
-    in one pass."""
-    rows = _csv_rows(columns).reshape(tables, -1)
-    return [header + "\n" + t.tobytes().translate(None, b"\0").decode("ascii") for t in rows]
+def _int_cells(v: np.ndarray) -> np.ndarray:
+    """``'%d' % x`` for every x of the integer vector ``v``, as a
+    NUL-padded (v.size, bytes) uint8 array: the sign, then |x| in
+    four-digit chunks from the digit table, its leading zeros as NULs."""
+    a = np.abs(v)
+    k = -(-len(str(int(a.max()))) // 4)  # chunks of the widest cell
+    chunks = a[:, None] // 10 ** (4 * np.arange(k - 1, -1, -1)) % 10000
+    digits = _DIGITS.take(chunks).view(np.uint8).reshape(v.size, 4 * k)
+    out = np.empty((v.size, 1 + 4 * k), np.uint8)
+    out[:, 0] = (v < 0) * np.uint8(ord("-"))
+    # a digit is kept from the first nonzero one on, and the last always
+    kept = np.maximum.accumulate(digits != _ZERO, axis=1)
+    kept[:, -1] = True
+    out[:, 1:] = digits * kept
+    return out
 
 
-def _csv_rows(columns: list[np.ndarray]) -> np.ndarray:
-    """The NUL-padded CSV lines of ``columns`` as a (rows, bytes) array;
-    built apart from :func:`_csv`, so the cell arrays are freed before the
-    text is."""
-    n = len(columns[0])
+def _csv(header: str, columns: list[np.ndarray], tables: int = 1) -> list[bytes]:
+    """The CSV bytes of ``tables`` tables of equally many rows: each is
+    ``header`` and its share of the rows of ``columns``, in order.  A
+    column holds the rows of all tables, or of one table, whose cells then
+    repeat in every table.  A float64 column's cells are ``'%.17g' % v``
+    (all float cells in one :func:`_cells17` pass), an integer column's
+    ``'%d' % v`` and a bytes column's its bytes.  The cells go into one
+    byte array, row by row, and each table drops its NUL padding in one
+    pass."""
+    head = header.encode("ascii") + b"\n"
+    return [head + t.tobytes().translate(None, b"\0") for t in _csv_rows(columns, tables)]
+
+
+def _csv_rows(columns: list[np.ndarray], tables: int) -> np.ndarray:
+    """The NUL-padded CSV lines of ``columns`` as a (tables, rows, bytes)
+    array; built apart from :func:`_csv`, so the cell arrays are freed
+    before the text is."""
+    rows = max(len(c) for c in columns) // tables
     floats = [c for c in columns if c.dtype == np.float64]
-    cells = iter(_cells17(np.concatenate(floats)).reshape(_CELL, len(floats), n).transpose(1, 2, 0))
-    comma = np.full((n, 1), ord(","), np.uint8)
-    blocks = []
+    cells = _cells17(np.concatenate(floats)).T
+    blocks, at = [], 0
     for c in columns:
-        blocks += [next(cells) if c.dtype == np.float64 else c.astype("S").view(np.uint8).reshape(n, -1),
-                   comma]
-    blocks[-1] = np.full((n, 1), ord("\n"), np.uint8)
-    return np.concatenate(blocks, axis=1)
+        if c.dtype == np.float64:
+            blocks.append(cells[at:at + len(c)])
+            at += len(c)
+        elif c.dtype.kind == "i":
+            blocks.append(_int_cells(c))
+        else:
+            blocks.append(c.astype("S").view(np.uint8).reshape(len(c), -1))
+    out = np.empty((tables, rows, sum(b.shape[1] + 1 for b in blocks)), np.uint8)
+    col = 0
+    for block in blocks:
+        width = block.shape[1]
+        # a one-table column broadcasts over the tables
+        out[:, :, col:col + width] = block.reshape(-1, rows, width)
+        out[:, :, col + width] = ord(",")
+        col += width + 1
+    out[:, :, -1] = ord("\n")
+    return out
 
 
 def _write_text(path: Optional[str], text: str) -> None:
@@ -251,6 +282,16 @@ def _write_text(path: Optional[str], text: str) -> None:
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+
+
+def _write_bytes(path: Optional[str], data: bytes) -> None:
+    """ASCII ``data`` as it is to the file ``path``, or as text to standard
+    output, which may be a text-only stream."""
+    if path is None:
+        _write_text(None, data.decode("ascii"))
+    else:
+        with open(path, "wb") as fh:
+            fh.write(data)
 
 
 _SPECTRUM_KEYS = ("m", "C_m", "D_m", "Delta_m", "lambda_minus", "lambda_plus",
@@ -279,8 +320,8 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         _write_text(args.out, json.dumps(payload, indent=2))
     else:
         flags = np.where(transversal, b"true", b"false")
-        text, = _csv(",".join(_SPECTRUM_KEYS), columns + [flags])
-        _write_text(args.out, text)
+        table, = _csv(",".join(_SPECTRUM_KEYS), columns + [flags])
+        _write_bytes(args.out, table)
     return EXIT_OK
 
 
@@ -304,12 +345,13 @@ def cmd_branch(args: argparse.Namespace) -> int:
         print(f"stopped: {run.stopped_reason}", file=sys.stderr)
     if args.boundaries:
         stem = os.path.splitext(args.out)[0] if args.out else "branch"
-        # every point's samples in one writer pass, one table per point
-        samples = np.concatenate([boundary_samples(pt.patch) for pt in run.points])
-        texts = _csv("theta,x1,y1,x2,y2", list(samples.T), tables=len(run.points))
-        for i, text in enumerate(texts):
-            with open(f"{stem}.boundaries.{i:03d}.csv", "w", encoding="utf-8") as fh:
-                fh.write(text)
+        # every point's samples in one writer pass, one table per point;
+        # the angles depend on the sample count alone, so they are formatted once
+        samples = [boundary_samples(pt.patch) for pt in run.points]
+        curves = np.concatenate([s[:, 1:] for s in samples])
+        tables = _csv("theta,x1,y1,x2,y2", [samples[0][:, 0], *curves.T], tables=len(samples))
+        for i, table in enumerate(tables):
+            _write_bytes(f"{stem}.boundaries.{i:03d}.csv", table)
     return EXIT_OK
 
 

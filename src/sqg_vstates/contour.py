@@ -109,7 +109,7 @@ from .errors import (
     PreconditionError,
     SingularJacobian,
 )
-from .specfun import AnnulusConstants, _is_integer, _s_table
+from .specfun import AnnulusConstants, _is_integer, _s_table, _validate_mode_radius
 from .spectrum import bifurcation_row, kernel_vector, threshold_N
 
 __all__ = [
@@ -280,12 +280,14 @@ class BranchRun:
     def from_dict(cls, data) -> BranchRun:
         """The run of a :meth:`to_dict` object, such as a parsed branch JSON
         file.  Every field is type-checked (:func:`_json_value`), a point's
-        ``s`` must be finite and its ``residual_norm`` finite and >= 0, and
-        every point builds its :class:`PatchPair`, so all patch guards
-        apply.  A missing ``stopped_reason`` reads as null, ``sign`` must be
-        plus or minus, and P, checked after the points, a size that
-        :func:`_run_grid` keeps.  Raises :class:`PreconditionError` naming
-        the first bad field, or the point that fails a guard, by its path."""
+        ``s`` must be finite and its ``residual_norm`` finite and >= 0.
+        ``b``, ``m`` and ``K`` meet the radius and size rules
+        (:func:`_check_sizes`), checked before the points, and every point
+        builds its :class:`PatchPair`, so all patch guards apply.  A missing
+        ``stopped_reason`` reads as null, ``sign`` must be plus or minus,
+        and P, checked after the points, a size that :func:`_run_grid`
+        keeps.  Raises :class:`PreconditionError` naming the first bad
+        field, or the point that fails a guard, by its path."""
         b, m, K, P, sign, points = _json_fields(data, "$", (
             ("b", float), ("m", int), ("K", int), ("P", int), ("sign", str), ("points", list)))
         if sign not in ("plus", "minus"):
@@ -293,6 +295,13 @@ class BranchRun:
         stopped = data.get("stopped_reason")
         if stopped is not None and not isinstance(stopped, str):
             raise _schema_error("stopped_reason", "expected str or null")
+        # the header's patch fields before any point, so an error names them
+        for key, check, args in (("b", _validate_mode_radius, (1, b)), ("m", _check_sizes, (m, 1)),
+                                 ("K", _check_sizes, (m, K))):
+            try:
+                check(*args)
+            except PreconditionError as exc:
+                raise _schema_error(key, str(exc)) from exc
         if not points:
             raise _schema_error("points", "expected at least the annulus point")
         run_points = []

@@ -240,8 +240,8 @@ class TestSpectrumCommand:
 
 def writer_cells(values):
     """The cells ``cli._csv`` writes for a float column of ``values``."""
-    text, = cli._csv("x", [np.asarray(values, dtype=np.float64)])
-    return text.splitlines()[1:]
+    table, = cli._csv("x", [np.asarray(values, dtype=np.float64)])
+    return table.decode("ascii").splitlines()[1:]
 
 
 def assert_cells_are_fmt17(values):
@@ -299,8 +299,41 @@ class TestCsvWriter:
         flags = np.array([b"true", b"false", b"true"])
         floats = np.array([0.5, -1e-7, 123.25])
         assert cli._csv("a,b,c", [ints, floats, flags]) == [
-            "a,b,c\n3,0.5,true\n-40,-9.9999999999999995e-08,false\n5000,123.25,true\n"]
-        assert cli._csv("h", [np.arange(4.0)], tables=2) == ["h\n0\n1\n", "h\n2\n3\n"]
+            b"a,b,c\n3,0.5,true\n-40,-9.9999999999999995e-08,false\n5000,123.25,true\n"]
+        assert cli._csv("h", [np.arange(4.0)], tables=2) == [b"h\n0\n1\n", b"h\n2\n3\n"]
+        # a column one table long repeats its cells in every table
+        assert cli._csv("t,h", [np.array([0.5, 1.0]), np.arange(4.0)], tables=2) == [
+            b"t,h\n0.5,0\n1,1\n", b"t,h\n0.5,2\n1,3\n"]
+
+    def test_integer_cells(self):
+        # '%d' of every integer width, from the four-digit table
+        top = np.iinfo(np.int64).max
+        powers = 10 ** np.arange(19)
+        values = np.concatenate([np.arange(-10**4, 10**4 + 1), powers, powers - 1, powers + 1,
+                                 [142257, top, -top], -powers - 1,
+                                 np.random.default_rng(4).integers(-top, top, 10**4)])
+        for column in (values, np.arange(10)):
+            table, = cli._csv("m,x", [column, np.zeros(column.size)])
+            assert table.decode("ascii").splitlines()[1:] == ["%d,0" % v for v in column.tolist()]
+
+    def test_writer_imports_no_masked_arrays(self, tmp_path):
+        # np.unique's first call imports numpy.ma, a cost each command
+        # would pay once; numpy 1.x loads it with numpy itself
+        src = str(Path(specfun.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        argvs = [["spectrum", "--b", "0.43", "--m-max", "999", "--out", str(tmp_path / "s.csv")],
+                 ["branch", "--b", "0.6", "--m", "5", "--modes", "8", "--steps", "2",
+                  "--boundaries", "--out", str(tmp_path / "b.json")]]
+        code = ("import json, sys\n"
+                "from sqg_vstates.cli import main\n"
+                "preloaded = 'numpy.ma' in sys.modules\n"
+                "for argv in json.loads(sys.argv[1]):\n"
+                "    assert main(argv) == 0, argv\n"
+                "print(json.dumps([preloaded, 'numpy.ma' in sys.modules]))\n")
+        done = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], env=env,
+                              capture_output=True, text=True, check=True, timeout=120)
+        preloaded, loaded = json.loads(done.stdout.splitlines()[-1])
+        assert preloaded or not loaded
 
     def test_outputs_take_the_vectorized_path(self, tmp_path, monkeypatch):
         # every nonzero cell of the diagram spectra and the criterion-10
@@ -423,7 +456,7 @@ class TestBranchCommand:
     @pytest.mark.parametrize("value", [-0.0, 5e-324, 1.0 / 3.0, 1e300])
     def test_percent_format_matches_fmt17(self, value):
         assert "%.17g" % value == _fmt17(value)
-        assert cli._csv("v", [np.array([value])]) == [f"v\n{_fmt17(value)}\n"]
+        assert cli._csv("v", [np.array([value])]) == [f"v\n{_fmt17(value)}\n".encode()]
 
     def test_early_stop_is_reported_on_stderr(self, tmp_path, capsys):
         # the univalence guard ends this branch at step 8: the command still
@@ -628,6 +661,20 @@ class TestRenderCommand:
         assert main(["render", str(bad), "--out", str(out)]) == EXIT_GUARD
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and f"at {key}: expected" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key,value", [("b", 1.5), ("K", 0), ("m", 1)])
+    def test_header_guard_names_its_field(self, tmp_path, capsys, key, value):
+        # b, m and K are checked before any point builds its patch from them
+        src = run_branch(tmp_path, steps=1)
+        data = json.loads(src.read_text())
+        data[key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        out = tmp_path / "img.svg"
+        assert main(["render", str(bad), "--out", str(out)]) == EXIT_GUARD
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and f"at {key}: " in err
         assert not out.exists()
 
     @pytest.mark.parametrize("i,key,why", [
