@@ -10,11 +10,14 @@ Subcommands::
     vstates render    INPUT.json [--points last|all|none|i,j,...] [--out F]
 
 Exit codes: 0 success, 2 usage error (including a file that cannot be
-opened, or an ``--out`` directory that does not exist, checked before the
-command runs), 3 guard violation, 4 numerical failure.  A branch that stops
-early still exits 0 and prints one ``stopped: <reason>`` line to stderr.
-Output is deterministic: identical invocations at a fixed BLAS thread
-count produce byte-identical files (README, "Threads").  Each command
+opened, or an ``--out`` that is empty, a directory or in a missing
+directory, refused before the command runs), 3 guard violation, 4
+numerical failure.  A branch that stops early still exits 0 and prints
+one ``stopped: <reason>`` line to stderr.  One writer, :func:`_write`,
+adds nothing to any output, so ``--out`` and standard output get the
+same bytes: ASCII lines that end in LF, the last one included.  Output
+is deterministic: identical invocations at a fixed BLAS thread count
+produce byte-identical files (README, "Threads").  Each command
 builds one constants table, which reaches N(b) + 20 with
 N(b) ~ 1.4226 / (1 - b): b = 0.9999 gives N = 14225 in about 0.1 s in
 process.
@@ -29,7 +32,6 @@ from one writer, :func:`_csv`, which formats every float cell as
 from __future__ import annotations
 
 import argparse
-import errno
 import functools
 import json
 import math
@@ -274,21 +276,11 @@ def _csv_rows(columns: list[np.ndarray], tables: int) -> np.ndarray:
     return out
 
 
-def _write_text(path: Optional[str], text: str) -> None:
+def _write(path: Optional[str], data: bytes) -> None:
+    """Command output ``data``, ASCII lines, as it is to the file ``path``,
+    or as text to standard output, which may be a text-only stream."""
     if path is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-
-def _write_bytes(path: Optional[str], data: bytes) -> None:
-    """ASCII ``data`` as it is to the file ``path``, or as text to standard
-    output, which may be a text-only stream."""
-    if path is None:
-        _write_text(None, data.decode("ascii"))
+        sys.stdout.write(data.decode("ascii"))
     else:
         with open(path, "wb") as fh:
             fh.write(data)
@@ -317,11 +309,11 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     if args.fmt == "json":
         values = [c.tolist() for c in columns] + [transversal.tolist()]
         payload = [dict(zip(_SPECTRUM_KEYS, row)) for row in zip(*values)]
-        _write_text(args.out, json.dumps(payload, indent=2))
+        _write(args.out, (json.dumps(payload, indent=2) + "\n").encode("ascii"))
     else:
         flags = np.where(transversal, b"true", b"false")
         table, = _csv(",".join(_SPECTRUM_KEYS), columns + [flags])
-        _write_bytes(args.out, table)
+        _write(args.out, table)
     return EXIT_OK
 
 
@@ -331,7 +323,8 @@ def cmd_threshold(args: argparse.Namespace) -> int:
     n_thr = threshold_N(args.b, consts)
     _, e_prev, _ = discriminant(n_thr - 1, args.b, consts)
     _, e_at, _ = discriminant(n_thr, args.b, consts)
-    print(f"b={_fmt17(args.b)} N={n_thr} E[N-1]={_fmt17(e_prev)} E[N]={_fmt17(e_at)}")
+    line = f"b={_fmt17(args.b)} N={n_thr} E[N-1]={_fmt17(e_prev)} E[N]={_fmt17(e_at)}\n"
+    _write(None, line.encode("ascii"))
     return EXIT_OK
 
 
@@ -340,7 +333,7 @@ def cmd_branch(args: argparse.Namespace) -> int:
         args.m, args.b, args.sign, args.steps, args.ds,
         K=args.modes, P=args.quad, newton_tol=args.tol,
     )
-    _write_text(args.out, json.dumps(run.to_dict(), indent=2))
+    _write(args.out, (json.dumps(run.to_dict(), indent=2) + "\n").encode("ascii"))
     if run.stopped_reason is not None:
         print(f"stopped: {run.stopped_reason}", file=sys.stderr)
     if args.boundaries:
@@ -351,7 +344,7 @@ def cmd_branch(args: argparse.Namespace) -> int:
         curves = np.concatenate([s[:, 1:] for s in samples])
         tables = _csv("theta,x1,y1,x2,y2", [samples[0][:, 0], *curves.T], tables=len(samples))
         for i, table in enumerate(tables):
-            _write_bytes(f"{stem}.boundaries.{i:03d}.csv", table)
+            _write(f"{stem}.boundaries.{i:03d}.csv", table)
     return EXIT_OK
 
 
@@ -361,9 +354,10 @@ def cmd_check(args: argparse.Namespace) -> int:
     seed = verify.DEFAULT_SEED if args.seed is None else args.seed
     reports = verify.run_default_suite(seed=seed)
     if args.fmt == "json":
-        _write_text(args.out, json.dumps([r.to_dict() for r in reports], indent=2))
+        payload = [r.to_dict() for r in reports]
+        _write(args.out, (json.dumps(payload, indent=2) + "\n").encode("ascii"))
     else:
-        _write_text(args.out, verify.format_report_table(reports) + "\n")
+        _write(args.out, (verify.format_report_table(reports) + "\n").encode("ascii"))
     return EXIT_OK if all(r.passed for r in reports) else EXIT_NUMERIC
 
 
@@ -423,7 +417,8 @@ def cmd_render(args: argparse.Namespace) -> int:
         except ValueError as exc:  # malformed JSON or undecodable bytes
             raise PreconditionError(f"{args.input} is not valid JSON: {exc}") from exc
     run = BranchRun.from_dict(data)
-    _write_text(args.out, _render_svg(run, _select_points(args.points, len(run.points))))
+    svg = _render_svg(run, _select_points(args.points, len(run.points)))
+    _write(args.out, svg.encode("ascii"))
     return EXIT_OK
 
 
@@ -500,10 +495,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     if getattr(args, "seed", None) is not None and args.seed < 0:
         parser.error(f"--seed must be a non-negative integer, got {args.seed}")
     try:
-        # --out's directory, also that of branch's CSVs, exists before any work
+        # an --out that open() refuses (empty, a directory, or in a missing
+        # directory, also that of branch's CSVs) fails before any work, with
+        # open()'s own error: the writer raises it and creates nothing
         out = getattr(args, "out", None)
-        if out is not None and not os.path.isdir(os.path.dirname(out) or "."):
-            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out)
+        if out is not None and (os.path.isdir(out or ".")
+                                or not os.path.isdir(os.path.dirname(out) or ".")):
+            _write(out, b"")
         return _COMMANDS[args.command](args)
     except _GUARD_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

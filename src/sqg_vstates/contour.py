@@ -161,8 +161,7 @@ class PatchPair:
     omega: float
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.b < 1.0:
-            raise PreconditionError(f"inner radius must satisfy 0 < b < 1, got {self.b}")
+        _validate_mode_radius(1, self.b)
         _check_sizes(self.m, self.K)
         a = np.asarray(self.a, dtype=float).copy()
         c = np.asarray(self.c, dtype=float).copy()

@@ -533,14 +533,19 @@ class TestBranchCommand:
         for module, name in ((cli, "branch_continue"), (cli.AnnulusConstants, "build"),
                              (verify, "run_default_suite"), (cli.BranchRun, "from_dict")):
             monkeypatch.setattr(module, name, fail)
+        monkeypatch.chdir(tmp_path)
         source = tmp_path / "in.json"
         source.write_text("{}")
-        out = tmp_path / "no" / "such" / "o.txt"
-        for argv in (["branch", "--b", "0.6", "--m", "5", "--boundaries"],
-                     ["spectrum", "--b", "0.5"], ["check"], ["render", str(source)]):
-            assert main(argv + ["--out", str(out)]) == EXIT_USAGE, argv
-            assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{out}'\n"
-            assert list(tmp_path.iterdir()) == [source]
+        missing = str(tmp_path / "no" / "such" / "o.txt")
+        refusals = ((missing, f"[Errno 2] No such file or directory: '{missing}'"),
+                    ("", "[Errno 2] No such file or directory: ''"),
+                    (str(tmp_path), f"[Errno 21] Is a directory: '{tmp_path}'"))
+        for out, message in refusals:
+            for argv in (["branch", "--b", "0.6", "--m", "5", "--boundaries"],
+                         ["spectrum", "--b", "0.5"], ["check"], ["render", str(source)]):
+                assert main(argv + ["--out", out]) == EXIT_USAGE, (argv, out)
+                assert capsys.readouterr().err == f"error: {message}\n"
+                assert list(tmp_path.iterdir()) == [source]
 
     def test_bare_output_name_goes_to_working_directory(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -834,6 +839,29 @@ class TestCheckCommand:
         rows = capsys.readouterr().out.splitlines()[1:]
         assert len(rows) == 16 and {row.split()[0] for row in rows} == set(TOLERANCES)
         assert [row.split()[-1] for row in rows] == ["PASS"] * 16
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--b", "0.43"],
+    ["spectrum", "--b", "0.43", "--format", "json"],
+    ["branch", "--b", "0.6", "--m", "5", "--modes", "4", "--steps", "1"],
+    ["check"],
+    ["check", "--format", "json"],
+    ["render", "{branch}", "--points", "all"],
+], ids=["spectrum-csv", "spectrum-json", "branch", "check-text", "check-json", "render"])
+def test_out_file_holds_the_stdout_bytes(argv, tmp_path, capsysbinary):
+    # one writer: standard output and --out get the same bytes, LF lines
+    # ending in a newline
+    if "{branch}" in argv:
+        argv = [a.format(branch=run_branch(tmp_path, steps=1)) for a in argv]
+    capsysbinary.readouterr()
+    assert main(argv) == EXIT_OK
+    stdout = capsysbinary.readouterr().out
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == EXIT_OK
+    assert capsysbinary.readouterr().out == b""
+    assert out.read_bytes() == stdout
+    assert stdout.endswith(b"\n") and b"\r" not in stdout
 
 
 def test_parser_is_built_once(capsys):

@@ -160,3 +160,27 @@ def test_cli_leaves_the_branch_format_to_branch_run():
     assert not [name for name in names if "SCHEMA" in name]
     assert not {"_branch_payload", "_validate_branch_json"} & names
     assert {"from_dict", "to_dict"} <= names
+
+
+def test_cli_writes_output_in_one_place():
+    # every file cli.py opens, and every write to standard output, by the
+    # top-level definition holding it; print writes to stderr only
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    opened, stdout, prints = [], [], []
+    for top in tree.body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Name) and func.id == "open":
+                modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+                opened.append((owner, [ast.literal_eval(m) for m in modes]))
+            elif isinstance(func, ast.Name) and func.id == "print":
+                prints.append(ast.unparse(next((k.value for k in node.keywords
+                                                if k.arg == "file"), ast.Constant(None))))
+            elif ast.unparse(func) == "sys.stdout.write":
+                stdout.append(owner)
+    assert sorted(opened) == [("_write", ["wb"]), ("cmd_render", ["r"])]
+    assert stdout == ["_write"]
+    assert prints and set(prints) == {"sys.stderr"}
