@@ -44,7 +44,7 @@ for sign, omega0 in (("plus", row.omega_plus), ("minus", row.omega_minus)):
 
     # render the most deformed patch pair of this branch
     svg_path = HERE / f"branch_{sign}_m{m}.svg"
-    svg_path.write_text(_render_svg(run, [len(run.points) - 1]))
+    svg_path.write_bytes(_render_svg(run, [len(run.points) - 1]).encode("ascii"))
     print(f"wrote {svg_path.name}")
 
 print("\n`vstates branch --out run.json` writes these runs as JSON (BranchRun.to_dict);")

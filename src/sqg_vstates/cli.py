@@ -25,8 +25,10 @@ It needs a recurrence of about 41.5 / (1 - b) steps, capped at ten
 million, so from about b = 0.9999959 the command exits 4.  ``spectrum``
 builds the table to its last row and computes the rows as columns over
 the whole mode range.  Its CSV table and branch's boundary files come
-from one writer, :func:`_csv`, which formats every float cell as
-``'%.17g' % value`` would, byte for byte, in numpy (:func:`_cells17`).
+from one writer, :func:`_csv`, which writes every numeric cell as
+``'%.17g' % float(value)`` byte for byte, in numpy for fixed notation
+(1e-4 <= |value| < 1e17; :func:`_cells17`), so the ``m`` column, at
+most 10^7, reads as ``'%d' % m``.
 """
 
 from __future__ import annotations
@@ -70,43 +72,26 @@ def _fmt17(x: float) -> str:
 #
 # '%.17g' of a double x != 0 is N = round(|x| 10^(16 - E)), its 17
 # significant digits (10^16 <= N < 10^17) with E = floor(log10 |x|), in
-# fixed notation for -4 <= E < 17 and else as d.dddde+XX, with trailing
-# zeros and a bare point stripped.  _cells17 forms |x| 10^(16 - E) as an
-# exact Dekker product against a double-double power of ten, so N and the
-# distance to a rounding tie are known to about 1e-14, and lays out the
-# characters as NUL-padded byte columns, one per cell.
+# fixed notation for -4 <= E <= 16 and else as d.dddde+XX, with trailing
+# zeros and a bare point stripped.  _cells17 lays out the fixed-notation
+# cells, the ones the CSVs hold, as NUL-padded byte columns: there
+# 10^(16 - E) is 10^0..10^20, an exact double, so N comes from an exact
+# Dekker product.
 
-_E_RANGE = 99  # the vectorized cells: 1e-99 <= |x| < 1e100
 _SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitter
-_TIE = 1e-12  # a cell this close to a rounding tie takes '%.17g' itself
 # cells per numpy pass: the temporaries stay near 0.6 MB, and a larger
 # block runs no faster
 _BLOCK = 4096
-# bytes per cell: the sign, "0.000" for E < 0, 17 digits and the point, "e+308"
-_CELL = 29
+# bytes per cell: the sign, "0.000" for E < 0, 17 digits and the point
+_CELL = 24
 _ZERO, _DOT = np.uint8(ord("0")), np.uint8(ord("."))
 
 
-def _power_table() -> tuple[np.ndarray, ...]:
-    """hi, the Dekker halves of hi, and lo, with hi + lo = 10^(16 - E) for
-    E = -_E_RANGE.._E_RANGE; hi and lo are each the double nearest to their
-    part, from Python integers (int to float and int / int round correctly)."""
-    his, los = [], []
-    for k in range(16 + _E_RANGE, 15 - _E_RANGE, -1):
-        if k >= 0:
-            p = 10**k
-            hi = float(p)
-            los.append(float(p - int(hi)))
-        else:
-            d = 10**-k
-            hi = 1 / d
-            num, den = hi.as_integer_ratio()
-            los.append((den - num * d) / (den * d))
-        his.append(hi)
-    hi = np.array(his)
-    c = hi * _SPLIT
-    hh = c - (c - hi)
-    return hi, hh, hi - hh, np.array(los)
+def _split(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dekker's halves of ``v``: hi + lo = v, each of 26 bits or fewer."""
+    c = v * _SPLIT
+    hi = c - (c - v)
+    return hi, v - hi
 
 
 def _digit_table() -> np.ndarray:
@@ -123,34 +108,21 @@ def _digit_table() -> np.ndarray:
     return table.view(np.uint32).ravel()
 
 
-_POWERS = _power_table()
+# 10^(16 - E) for E = -4..16 from Python integers, and its Dekker halves
+_POWERS = np.array([float(10**k) for k in range(20, -1, -1)])
+_POWER_HALVES = _split(_POWERS)
 _DIGITS = _digit_table()
 _SMALL_ZEROS = np.array([-2, -3, -4])[:, None]  # "0.0", "0.00", "0.000"
-
-
-def _significand(a: np.ndarray, E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """N = round(y) as int64 and y - N, for y = a 10^(16 - E) with E in the
-    power table: y = ph + t, where ph = fl(a hi) is an integer from 10^16
-    on and t is its exact rounding error (Dekker's product) plus a lo."""
-    hi, hh, hl, lo = (col.take(E + _E_RANGE) for col in _POWERS)
-    ph = a * hi
-    ah = a * _SPLIT
-    ah -= ah - a
-    al = a - ah
-    t = (((ah * hh - ph) + ah * hl + al * hh) + al * hl) + a * lo
-    r = np.rint(t)
-    t -= r
-    return ph.astype(np.int64) + r.astype(np.int64), t
 
 
 def _cells17(x: np.ndarray) -> np.ndarray:
     """``'%.17g' % v`` for every v of the float64 vector ``x``, as a
     (_CELL, x.size) uint8 array whose column j, its NUL bytes dropped, is
     the cell of x[j].  Rows: 0 the sign, 1-5 "0.000" for -4 <= E < 0,
-    6-23 the digits with the point, 24-28 the exponent.  A cell is
-    ``_fmt17(v)``, the definition itself, when v is zero or not finite,
-    lies outside the power table, within _TIE of a rounding tie, or where
-    log10 misjudges E (N outside [10^16, 10^17)).  The cells are formed
+    6-23 the digits with the point.  numpy forms the fixed-notation cells
+    (an integer below 2^53 in magnitude reads as ``'%d' % v``); a cell is
+    ``_fmt17(v)``, the definition itself, when v is zero, not finite or in
+    scientific notation, or where log10 misjudges E.  The cells are formed
     _BLOCK at a time, which bounds the temporaries."""
     out = np.empty((_CELL, x.size), np.uint8)
     for lo in range(0, x.size, _BLOCK):
@@ -162,16 +134,23 @@ def _cell_block(x: np.ndarray) -> np.ndarray:
     """:func:`_cells17` of one block."""
     n = x.size
     a = np.abs(x)
-    with np.errstate(divide="ignore"):  # log10(0) = -inf lies outside the table
+    with np.errstate(divide="ignore"):  # log10(0) = -inf is not fixed notation
         e = np.floor(np.log10(a))
-    fast = np.abs(e) <= _E_RANGE
+    fast = (e >= -4) & (e <= 16)
     a[~fast] = 1.0
     e[~fast] = 0.0
     E = e.astype(np.int64)
-    N, frac = _significand(a, E)
+    # y = a 10^(16 - E) = ph + t exactly, ph = fl(y) and t its rounding
+    # error (Dekker's product); ph >= 10^16 > 2^53 is even, so rounding t
+    # half to even rounds y half to even, as '%.17g' does
+    hh, hl = (col.take(E + 4) for col in _POWER_HALVES)
+    ph = a * _POWERS.take(E + 4)
+    ah, al = _split(a)
+    t = ((ah * hh - ph) + ah * hl + al * hh) + al * hl
+    r = np.rint(t)
+    N = ph.astype(np.int64) + r.astype(np.int64)
     # 10^16 <= y < 10^17 - 1/2: E is the exponent and N has 17 digits
-    fast &= ((N > 10**16) | ((N == 10**16) & (frac >= 0))) & (N < 10**17)
-    fast &= np.abs(np.abs(frac) - 0.5) >= _TIE
+    fast &= ((N > 10**16) | ((N == 10**16) & (t >= r))) & (N < 10**17)
     # N = d0 c0 c1 c2 c3 with four-digit chunks c; a chunk followed only by
     # zero chunks takes the table half without trailing zeros
     h, low = N // 10**8, N % 10**8
@@ -189,9 +168,8 @@ def _cell_block(x: np.ndarray) -> np.ndarray:
     out[6] = h // 10**8 + _ZERO
     out[8:24].reshape(4, 4, n)[...] = (
         _DIGITS.take(chunks).view(np.uint8).reshape(4, n, 4).transpose(0, 2, 1))
-    fixed = (E >= -4) & (E < 17)
     # 0.000ddd for E < 0: the point sits in the prefix
-    small = fixed & (E < 0)
+    small = E < 0
     out[1] = small * _ZERO
     out[2] = small * _DOT
     out[3:6] = ((_SMALL_ZEROS >= E) & small) * _ZERO
@@ -199,39 +177,16 @@ def _cell_block(x: np.ndarray) -> np.ndarray:
     # dd.ddd for E > 0: the point moves E digits right, the integer part
     # keeps its zeros; E is 1..16 here, grouped by bincount, not by
     # np.unique, whose first call imports numpy.ma
-    wide = np.flatnonzero(fixed & (E > 0))
+    wide = np.flatnonzero(E > 0)
     for p in np.flatnonzero(np.bincount(E[wide])).tolist():
         i = wide[E[wide] == p]
         out[7:7 + p, i] = out[8:8 + p, i] | _ZERO
         out[7 + p, i] = (out[8 + p, i] != 0) * _DOT if p < 16 else 0
-    sci = np.flatnonzero(~fixed)
-    exp = np.abs(E[sci])
-    out[24, sci] = ord("e")
-    out[25, sci] = np.where(E[sci] < 0, ord("-"), ord("+"))
-    out[26, sci] = (exp >= 100) * (exp // 100 + _ZERO)
-    out[27, sci] = exp // 10 % 10 + _ZERO
-    out[28, sci] = exp % 10 + _ZERO
     slow = np.flatnonzero(~fast)
     if slow.size:
+        # at most 24 bytes: the sign, 17 digits, the point and "e-308"
         text = [_fmt17(v) for v in x[slow].tolist()]
         out[:, slow] = np.array(text, dtype=f"S{_CELL}").view(np.uint8).reshape(-1, _CELL).T
-    return out
-
-
-def _int_cells(v: np.ndarray) -> np.ndarray:
-    """``'%d' % x`` for every x of the integer vector ``v``, as a
-    NUL-padded (v.size, bytes) uint8 array: the sign, then |x| in
-    four-digit chunks from the digit table, its leading zeros as NULs."""
-    a = np.abs(v)
-    k = -(-len(str(int(a.max()))) // 4)  # chunks of the widest cell
-    chunks = a[:, None] // 10 ** (4 * np.arange(k - 1, -1, -1)) % 10000
-    digits = _DIGITS.take(chunks).view(np.uint8).reshape(v.size, 4 * k)
-    out = np.empty((v.size, 1 + 4 * k), np.uint8)
-    out[:, 0] = (v < 0) * np.uint8(ord("-"))
-    # a digit is kept from the first nonzero one on, and the last always
-    kept = np.maximum.accumulate(digits != _ZERO, axis=1)
-    kept[:, -1] = True
-    out[:, 1:] = digits * kept
     return out
 
 
@@ -239,11 +194,13 @@ def _csv(header: str, columns: list[np.ndarray], tables: int = 1) -> list[bytes]
     """The CSV bytes of ``tables`` tables of equally many rows: each is
     ``header`` and its share of the rows of ``columns``, in order.  A
     column holds the rows of all tables, or of one table, whose cells then
-    repeat in every table.  A float64 column's cells are ``'%.17g' % v``
-    (all float cells in one :func:`_cells17` pass), an integer column's
-    ``'%d' % v`` and a bytes column's its bytes.  The cells go into one
-    byte array, row by row, and each table drops its NUL padding in one
-    pass."""
+    repeat in every table.  A numeric column's cells are
+    ``'%.17g' % float(v)`` (all from one :func:`_cells17` pass): fixed
+    notation for 1e-4 <= |v| < 1e17, else scientific, and ``'%d' % v`` for
+    an integer below 2^53 in magnitude (``spectrum``'s ``m`` stays at or
+    below 10^7).  A bytes column's cells are its bytes.  The cells go into
+    one byte array, row by row, and each table drops its NUL padding in
+    one pass."""
     head = header.encode("ascii") + b"\n"
     return [head + t.tobytes().translate(None, b"\0") for t in _csv_rows(columns, tables)]
 
@@ -253,15 +210,13 @@ def _csv_rows(columns: list[np.ndarray], tables: int) -> np.ndarray:
     array; built apart from :func:`_csv`, so the cell arrays are freed
     before the text is."""
     rows = max(len(c) for c in columns) // tables
-    floats = [c for c in columns if c.dtype == np.float64]
-    cells = _cells17(np.concatenate(floats)).T
+    numbers = [c for c in columns if c.dtype.kind in "iuf"]
+    cells = _cells17(np.concatenate(numbers, dtype=np.float64)).T
     blocks, at = [], 0
     for c in columns:
-        if c.dtype == np.float64:
+        if c.dtype.kind in "iuf":
             blocks.append(cells[at:at + len(c)])
             at += len(c)
-        elif c.dtype.kind == "i":
-            blocks.append(_int_cells(c))
         else:
             blocks.append(c.astype("S").view(np.uint8).reshape(len(c), -1))
     out = np.empty((tables, rows, sum(b.shape[1] + 1 for b in blocks)), np.uint8)

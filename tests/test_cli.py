@@ -8,6 +8,7 @@ import sys
 import time
 import tracemalloc
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -269,14 +270,13 @@ class TestCsvWriter:
         assert_cells_are_fmt17(rng.integers(0, 2**64, 10**5, dtype=np.uint64).view(np.float64))
 
     def test_log_uniform_over_the_table(self):
+        # the whole double range, E = -307..308 (1.8e308 overflows)
         rng = np.random.default_rng(3)
-        r = cli._E_RANGE
-        values = 10.0 ** rng.uniform(-r, r + 1, 10**5) * rng.choice([-1.0, 1.0], 10**5)
+        values = 10.0 ** rng.uniform(-307, 308.25, 10**5) * rng.choice([-1.0, 1.0], 10**5)
         assert_cells_are_fmt17(values)
 
     def test_powers_of_ten_in_and_past_the_table(self):
-        r = cli._E_RANGE
-        values = powers_of_ten(-r - 3, r + 3)
+        values = powers_of_ten(-307, 308)
         assert_cells_are_fmt17(np.concatenate([values, -values]))
 
     def test_special_values(self):
@@ -294,6 +294,26 @@ class TestCsvWriter:
         # 18th is an exact tie, which rounds half to even
         assert_cells_are_fmt17(np.arange(2**53 - 1000, 2**53 + 1000) * 16.0)
 
+    def test_fixed_notation_ties_round_half_to_even_in_numpy(self, monkeypatch):
+        # v = k 2^-(17 - E) with k odd and 10^E <= v < 10^(E + 1) gives
+        # v 10^(16 - E) = k 5^(16 - E) / 2: the 18th digit is an exact 5.
+        # No double from 10^16 on has a fraction, so E stops at 15.
+        rng = np.random.default_rng(5)
+        values, exps = [1 + 2.0**-17], [0]
+        for E in range(-4, 16):
+            j = 17 - E
+            lo, hi = math.ceil(2 * 10.0**E * 2**j), min(math.floor(9 * 10.0**E * 2**j), 2**53)
+            k = 2 * rng.integers(lo // 2, hi // 2, 150) + 1
+            values += np.ldexp(k.astype(np.float64), -j).tolist()
+            exps += [E] * k.size
+        assert len(values) > 3000
+        assert all((Fraction(v) * Fraction(10)**(16 - E)).denominator == 2
+                   for v, E in zip(values, exps))
+        fallback = []
+        monkeypatch.setattr(cli, "_fmt17", lambda v: fallback.append(v) or _fmt17(v))
+        assert_cells_are_fmt17(np.concatenate([values, np.negative(values)]))
+        assert fallback == []
+
     def test_columns_rows_and_tables(self):
         ints = np.array([3, -40, 5000])
         flags = np.array([b"true", b"false", b"true"])
@@ -306,13 +326,12 @@ class TestCsvWriter:
             b"t,h\n0.5,0\n1,1\n", b"t,h\n0.5,2\n1,3\n"]
 
     def test_integer_cells(self):
-        # '%d' of every integer width, from the four-digit table
-        top = np.iinfo(np.int64).max
-        powers = 10 ** np.arange(19)
-        values = np.concatenate([np.arange(-10**4, 10**4 + 1), powers, powers - 1, powers + 1,
-                                 [142257, top, -top], -powers - 1,
-                                 np.random.default_rng(4).integers(-top, top, 10**4)])
-        for column in (values, np.arange(10)):
+        # an integer-valued double below 2^53 in magnitude reads as '%d';
+        # so does an integer column, which the writer reads as float64
+        powers = np.array([float(10**k) for k in range(17)])
+        values = np.concatenate([np.arange(-10**4, 10**4 + 1.0), powers, powers - 1, powers + 1,
+                                 [142257.0, 2.0**53 - 1], -powers - 1])
+        for column in (values, np.arange(10), np.arange(0, 10**7 + 1, 997)):
             table, = cli._csv("m,x", [column, np.zeros(column.size)])
             assert table.decode("ascii").splitlines()[1:] == ["%d,0" % v for v in column.tolist()]
 
@@ -336,19 +355,20 @@ class TestCsvWriter:
         assert preloaded or not loaded
 
     def test_outputs_take_the_vectorized_path(self, tmp_path, monkeypatch):
-        # every nonzero cell of the diagram spectra and the criterion-10
-        # boundary files is formatted in numpy, not by the fallback
+        # every fixed-notation cell of the diagram spectra and the
+        # criterion-10 boundary files is formatted in numpy; the fallback
+        # sees only zeros and scientific cells
         fallback = []
         monkeypatch.setattr(cli, "_fmt17", lambda v: fallback.append(v) or _fmt17(v))
         for b in ("0.05", "0.43", "0.95"):
             assert main(["spectrum", "--b", b, "--m-max", "999", "--out", str(tmp_path / "s.csv")]) == EXIT_OK
-        assert fallback == []
+        assert fallback == [7.8832833655333723e-05]
         for sign in ("plus", "minus"):
             assert main(["branch", "--b", "0.6", "--m", "5", "--sign", sign, "--steps", "10",
                          "--ds", "1e-3", "--modes", "8", "--quad", "1280",
                          "--out", str(tmp_path / "b.json"), "--boundaries"]) == EXIT_OK
         assert len(list(tmp_path.glob("b.boundaries.*.csv"))) == 11
-        assert fallback and all(v == 0.0 for v in fallback)
+        assert fallback and all(v == 0.0 or "e" in _fmt17(v) for v in fallback)
 
 
 class TestThresholdCommand:

@@ -184,3 +184,26 @@ def test_cli_writes_output_in_one_place():
     assert sorted(opened) == [("_write", ["wb"]), ("cmd_render", ["r"])]
     assert stdout == ["_write"]
     assert prints and set(prints) == {"sys.stderr"}
+
+
+def test_demos_write_files_in_binary():
+    # a demo writes the bytes the command line writes: no write_text, and
+    # no open() for writing in text mode, which translates line ends
+    demos = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+    assert demos
+    text_writes = []
+    for path in demos:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "open":
+                # builtin open(file, mode) or Path.open(mode)
+                modes = node.args[1:2] if isinstance(func, ast.Name) else node.args[:1]
+                modes += [k.value for k in node.keywords if k.arg == "mode"]
+                mode = ast.literal_eval(modes[0]) if modes else "r"
+                text = bool(set(mode) & set("wax+")) and "b" not in mode
+            if name == "write_text" or name == "open" and text:
+                text_writes.append(f"{path.name}:{node.lineno}")
+    assert text_writes == []
