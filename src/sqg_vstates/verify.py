@@ -24,7 +24,9 @@ The checks fall into four groups:
   monotonicity and interleaving, kernel residuals, and agreement of the
   two threshold definitions.
 * ``check_linearization`` -- finite differences of the discretized
-  residual at the annulus against the analytic frequency blocks.
+  residual at the annulus against the analytic frequency blocks, on the
+  smallest power-of-two grid that resolves every default probe (P = 128);
+  one probe's symmetry m does not divide P, so aliasing would show.
 
 Each check emits :class:`CheckReport` rows aggregated by name; tolerances
 live in one table (``TOLERANCES``).  The moment quadratures get 1e-7
@@ -47,7 +49,7 @@ import numpy as np
 
 from .contour import MAX_KP, PatchPair, ResidualSpectrum, residual
 from .errors import NoConvergence, PreconditionError
-from .specfun import AnnulusConstants, _s_table, _validate_mode_radius
+from .specfun import AnnulusConstants, _is_integer, _s_table, _validate_mode_radius
 from .spectrum import (
     _det,
     _det_scale,
@@ -617,7 +619,7 @@ def _linearization_probe(
 
 def check_linearization(b_set: tuple[float, ...] = (0.5, 0.7),
                         modes: tuple[int, ...] = (1, 2),
-                        h: float = 1e-6, P: int = 512,
+                        h: float = 1e-6, P: int = 128,
                         omega: float = 0.25) -> list[CheckReport]:
     """Finite-difference Jacobian blocks of the residual at the annulus
     against the analytic blocks -(n m) M_{n m}, for m = N(b) + 1.
@@ -625,10 +627,23 @@ def check_linearization(b_set: tuple[float, ...] = (0.5, 0.7),
     Emits the worst relative in-block error and the worst off-block
     magnitude (relative to the block scale); the operator is diagonal
     across frequencies, so off-block entries measure pure discretization
-    leakage.  The default P = 512 resolves every probe (P >= 4 (n + 2) m)
-    and keeps one probe with m not dividing P (m = 6), where aliasing
-    would show.
+    leakage.  A probe of mode n at symmetry m runs K = n + 2 coefficients
+    and is resolved when P >= 4 K m.  The default P is the smallest power
+    of two at or above the largest 4 (n + 2) m over the default probes:
+    m = N(b) + 1 is 4 at b = 0.5 and 6 at b = 0.7, so 4 * 4 * 6 = 96 and
+    P = 128.  As gcd(6, 128) = 2 < 6, the m = 6 probes do not have m | P and
+    measure the aliasing leak at frequencies off the multiples of m; P = 96
+    would lose that probe.
+
+    Raises :class:`PreconditionError`, before any table is built, for a
+    step ``h`` that is not finite and positive or for ``modes`` holding
+    anything but integers >= 1.
     """
+    if not (math.isfinite(h) and h > 0.0):
+        raise PreconditionError(f"check_linearization needs a finite step h > 0, got h={h}")
+    if not all(_is_integer(n) and n >= 1 for n in modes):
+        raise PreconditionError(f"check_linearization needs modes of integers >= 1,"
+                                f" got modes={tuple(modes)!r}")
     block_err = off_err = 0.0
     cases = 0
     for b in b_set:

@@ -269,6 +269,17 @@ class TestLambdaTable:
         b = 1.0 - 2.0**-53
         assert _agm(1.0 + b, 1.0 - b) == pytest.approx(math.pi / (56.0 * math.log(2.0)), rel=1e-14)
 
+    @pytest.mark.parametrize("b", [0.3, 0.6, 0.9])
+    def test_laplace_sum_rule(self, b):
+        # the generating function (1 - 2b cos psi + b^2)^(-1/2) at psi = 0:
+        # b^(0) / 2 + sum_{j>=1} b^(j) = 1 / (1 - b), with b^(j) = 2b Lambda_j
+        # and b^(0) = 2 / AGM(1 + b, 1 - b) from an AGM written here
+        x, y = 1.0 + b, 1.0 - b
+        while x - y > 1e-15 * x:
+            x, y = 0.5 * (x + y), math.sqrt(x * y)
+        total = 1.0 / x + 2.0 * b * math.fsum(_lambda_table(b, 2000).tolist())
+        assert abs(total * (1.0 - b) - 1.0) <= 1e-14
+
     def test_thin_annulus_cap_fails_fast(self):
         t0 = time.perf_counter()
         with pytest.raises(NoConvergence, match=r"b=0\.9999999999999999 needs a recurrence of \d+ steps"):

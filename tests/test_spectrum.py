@@ -297,6 +297,15 @@ class TestBifurcationRow:
             mat = mode_matrix(m, b, omega, consts)
             assert abs(mat.det()) <= 1e-15 * mat.det_scale()
 
+    @pytest.mark.parametrize("b", [1e-3, 1e-6])
+    @pytest.mark.parametrize("m", [3, 5, 10])
+    def test_small_radius_limit_is_the_disk_speed(self, b, m):
+        # as b -> 0 the annulus becomes the disk, whose m-fold SQG speed is
+        # s_sum(m): Omega_m^+(b) - s_sum(m) = O(b^2), about -b^2 / 2 here
+        consts = AnnulusConstants.build(b)
+        assert threshold_N(b, consts) == 2
+        assert abs(bifurcation_row(m, b, consts).omega_plus - s_sum(m)) <= b * b
+
     def test_radius_below_the_floor_is_a_guard_error(self):
         b = MIN_RADIUS / 2
         consts = AnnulusConstants.build(b)

@@ -15,8 +15,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sqg_vstates import verify
-from sqg_vstates.contour import PatchPair, annulus_patch, residual
+from sqg_vstates import contour, verify
+from sqg_vstates.contour import PatchPair, _cross_streams, _self_weights, annulus_patch, residual
 from sqg_vstates.errors import PreconditionError
 from sqg_vstates.specfun import AnnulusConstants
 from sqg_vstates.spectrum import bifurcation_row, threshold_N
@@ -132,6 +132,45 @@ def test_linearization_default_grid():
     by_name = {r.name: r for r in check_linearization()}
     assert by_name["linearization_block"].max_error <= 1e-10
     assert by_name["linearization_offblock"].max_error <= 5e-10
+
+
+def _scaled_self_weights(P):
+    return _self_weights(P) * (1.0 + 1e-4)
+
+
+def _scaled_cross_streams(*args):
+    return tuple(s * (1.0 + 1e-4) for s in _cross_streams(*args))
+
+
+@pytest.mark.parametrize("name, broken", [("_self_weights", _scaled_self_weights),
+                                          ("_cross_streams", _scaled_cross_streams)])
+def test_linearization_default_grid_sees_a_broken_kernel(monkeypatch, name, broken):
+    # a relative error of 1e-4 in the self weights or in both cross streams
+    # moves the block by about 1.5e-4 to 2e-4, over its 1e-5 tolerance: the
+    # default grid keeps the check's power
+    monkeypatch.setattr(contour, name, broken)
+    by_name = {r.name: r for r in check_linearization()}
+    assert not by_name["linearization_block"].passed
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    ({"h": -1e-6}, "h=-1e-06"),  # would divide the aliasing leak by a negative step
+    ({"h": 0.0}, "h=0.0"),
+    ({"h": math.nan}, "h=nan"),
+    ({"h": math.inf}, "h=inf"),
+    ({"modes": (-1,)}, r"modes=\(-1,\)"),
+    ({"modes": (1.5,)}, r"modes=\(1.5,\)"),
+    ({"modes": (1, 0)}, r"modes=\(1, 0\)"),
+    ({"modes": (True,)}, r"modes=\(True,\)"),
+])
+def test_linearization_bad_step_or_mode_is_a_precondition_error(monkeypatch, kwargs, match):
+    # refused before any table is built
+    def no_build(*args, **kwargs):
+        raise AssertionError("a constants table was built")
+
+    monkeypatch.setattr(verify.AnnulusConstants, "build", no_build)
+    with pytest.raises(PreconditionError, match=match):
+        check_linearization(**kwargs)
 
 
 # grids (m, K, P) covering each kind of grid symmetry g = gcd(m, P)
