@@ -412,8 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_br.add_argument("--ds", type=float, default=1e-3)
     p_br.add_argument("--modes", type=int, default=32, help="retained modes K")
     p_br.add_argument("--quad", type=int, default=None,
-                      help="collocation/quadrature size P > 0, rounded up to a multiple of "
-                           "4*K*m (default: 4*K*m)")
+                      help="quadrature size P > 0, rounded up to a multiple of 4*K*m "
+                           "(default: 4*K*m); collocation is on the 4*K*m sub-grid")
     p_br.add_argument("--tol", type=float, default=1e-10)
     p_br.add_argument("--out", default=None)
     p_br.add_argument("--boundaries", action="store_true",

@@ -18,12 +18,16 @@ where S is the mean-value boundary integral
     S(Phi_i, Phi_j)(w) = avg_{tau in T} [tau Phi_i'(tau) - w Phi_j'(w)]
                                         / |Phi_i(tau) - Phi_j(w)|.
 
-Quadrature and collocation share one grid, with no rotation: the P
-nodes tau_l = exp(2 pi i l / P) are also the targets.  The maps have one
-evaluator, :func:`_map_values`.  On the grid a term w^{-p} is
-e^{-2 pi i p l / P}, which depends on p only through p mod P, so each
-map's coefficient series is one FFT with exponent p in bin p mod P; the
-fold is exact on the grid for every P.  Every power of a node is a node,
+Quadrature on P, collocation on the 4 K m sub-grid.  The quadrature
+runs on one grid with no rotation, the P nodes tau_l = exp(2 pi i l / P);
+the targets are nodes of its coarsest sub-grid of P_c >= 4 K m nodes
+tau_{j k}, j = P / P_c, that keeps the grid's symmetry
+(:func:`_collocation_grid`): P_c = 4 K m on every run's grid, P_c = P on
+a grid with no such proper sub-grid.  The maps have one evaluator,
+:func:`_map_values`.  On the grid a term w^{-p} is e^{-2 pi i p l / P},
+which depends on p only through p mod P, so each map's coefficient
+series is one FFT with exponent p in bin p mod P; the fold is exact on
+the grid for every P.  Every power of a node is a node,
 tau_k^p = tau_{(k p) mod P}, so the Jacobian's monomial table and the sine
 projection table are index lookups (:func:`_node_powers`).
 
@@ -38,22 +42,26 @@ mu_n = -2/pi - s_sum(|n|), mu_0 = 0, so pair (l, k) has the weight
 V_{(l-k) mod P} / |D|, with V_j = W_j 2|sin(pi j / P)| and W the inverse
 FFT of mu; V_0 = 0 drops the diagonal.
 
-``residual`` collocates G_1, G_2 on the grid and, in one pass, projects
-onto the retained sine modes sin(n m theta) with the projection Newton
-drives to zero (:func:`_sine_coefficients`); ``newton_correct`` and
-``branch_continue`` trace solution branches off the annulus in the kernel
-direction of the linearized operator, and a branch is its points, from
-which each step predicts (:func:`_predict`).  The Newton Jacobian comes
+``residual`` collocates G_1, G_2 on the sub-grid and, in one pass,
+projects onto the retained sine modes sin(n m theta) with the projection
+Newton drives to zero (:func:`_sine_coefficients`); ``newton_correct``
+and ``branch_continue`` trace solution branches off the annulus in the
+kernel direction of the linearized operator, and a branch is its points,
+from which each step predicts (:func:`_predict`).  The Newton Jacobian comes
 from the 4 K m grid, where it is the exact derivative of that grid's
 discrete residual: both maps are linear in (a, c), so every column
-follows in closed form from the kernel matrices of one pass.  On a finer
-grid P it agrees with the exact one to roundoff once 4 K m resolves the
-solution (2.3e-15 relative at P = 1280, K = 8, m = 5), so a kernel pass
-at P is only ever a residual; acceptance, ``residual_norm`` and the
-tolerance are always at P.  :func:`_system` and :func:`_exact_jacobian`
-take a patch and return its 2K collocation equations (and their
-Jacobian); only ``newton_correct`` holds x and the bordered F and J.
-Central differences remain only as the independent oracle, in tests and
+follows in closed form from the kernel matrices of one pass.  With the
+quadrature on a finer grid P it agrees with the exact one to roundoff
+once 4 K m resolves the solution (2.3e-15 relative at P = 1280, K = 8,
+m = 5), so a kernel pass at P is only ever a residual; acceptance,
+``residual_norm`` and the tolerance always take the quadrature at P,
+collocated on the 4 K m sub-grid.  Near the annulus the boundaries are
+analytic, so G has geometrically decaying harmonics, and its 4 K m
+nodes project it onto the K retained modes as all P nodes would (to
+5e-16 on the criterion-10 branch at P = 1280).  :func:`_system` and
+:func:`_exact_jacobian` take a patch and return its 2K collocation
+equations (and their Jacobian); only ``newton_correct`` holds x and the
+bordered F and J.  Central differences remain only as the independent oracle, in tests and
 ``verify``.
 
 Grid symmetry.  Let g = gcd(m, P) and q = P / g.  Rotation by 2 pi / g
@@ -63,15 +71,18 @@ discrete residual is q-periodic: G_{k+q} = G_k.  Conjugation maps index l
 to P - l, real coefficients give Phi(conj z) = conj Phi(z), and V is even
 (V_j = V_{P-j}), so it is odd: G_{P-k} = -G_k, which forces
 G_0 = G_{q/2} = 0.  Both identities hold for the discrete sums, not only
-in the limit, so every kernel pass targets only the orbit
-representatives k = 1..ceil(q/2)-1, which :func:`_collocation_grid` alone
-defines; the rest are copies up to summation order, or zero.  The same
+in the limit.  The collocation sub-grid has the same g, so it is
+q_c-periodic and odd too, q_c = P_c / g, and every kernel pass targets
+only its orbit representatives k = 1..ceil(q_c/2)-1, the P grid indices
+j k, which :func:`_collocation_grid` alone defines; the rest of the
+sub-grid are copies up to summation order, or zero.  As j q_c = q, they
+are every j-th of the P grid's representatives 1..ceil(q/2)-1.  The same
 group acts on the cross kernel C[r, l] = 1/|Phi_2(tau_l) - Phi_1(tau_r)|:
 C[r+q, l+q] = C[r, l] = C[-r, -l], and A_j = w Phi_j'(w) turns like Phi_j.
 So the rows r = 0..floor(q/2) represent all P rows, and one block of
-them gives both cross streams: S(Phi_2, Phi_1) from its rows and
-S(Phi_1, Phi_2), which reads C by columns, from its columns folded over
-the group (:func:`_cross_streams`).
+them gives both cross streams: S(Phi_2, Phi_1) from its rows at the
+targets and S(Phi_1, Phi_2), which reads C by columns, from its columns
+folded over the group (:func:`_cross_streams`).
 
 Kernel passes.  Every pass, a residual's two self passes
 (:func:`_stream_on_grid`) and its cross block (:func:`_cross_streams`),
@@ -195,11 +206,13 @@ def annulus_patch(b: float, m: int, K: int, omega: float) -> PatchPair:
 
 @dataclass(frozen=True)
 class ResidualSpectrum:
-    """One kernel pass's boundary residuals on the P grid: the values
-    ``g1``, ``g2`` at the angles 2 pi k / P and the sine coefficients
-    ``r1``, ``r2`` at the retained frequencies n m, all read-only.  The
-    values are exactly periodic with period 2 pi / g, g = gcd(m, P), so
-    the first q = P / g of them are one period."""
+    """One kernel pass's boundary residuals, with quadrature on the P grid
+    and collocation on its sub-grid of P_c nodes (:func:`_collocation_grid`;
+    P_c = 4 K m on a run's grid): the values ``g1``, ``g2`` at the P_c
+    angles 2 pi k / P_c and the sine coefficients ``r1``, ``r2`` at the
+    retained frequencies n m, all read-only.  The values are exactly
+    periodic with period 2 pi / g, g = gcd(m, P_c), so the first
+    q = P_c / g of them are one period."""
 
     g1: np.ndarray
     g2: np.ndarray
@@ -410,10 +423,10 @@ def _differences(tables: tuple[np.ndarray, np.ndarray], part: int, rows: slice,
 def _distance_blocks(tables: tuple[np.ndarray, np.ndarray], targets: slice,
                      self_pair: bool) -> Iterator[tuple[slice, np.ndarray, np.ndarray, np.ndarray | float]]:
     """The kernel distances |D| = |Phi_src(tau_l) - Phi_dst(tau_k)| from the
-    P grid nodes l to the targets k in the index range ``targets``, one
-    block of targets at a time, from the factor tables
-    :func:`_difference_tables` of Phi_src and of Phi_dst at ``targets``:
-    Re D and Im D are two exact rank-2 products per block
+    P grid nodes l to the targets k of the grid slice ``targets``, whose
+    step may exceed 1, one block of targets at a time, from the factor
+    tables :func:`_difference_tables` of Phi_src and of Phi_dst at
+    ``targets``: Re D and Im D are two exact rank-2 products per block
     (:func:`_differences`).
 
     A generator: blocks hold about ``_BLOCK_PAIRS`` kernel pairs in two
@@ -422,14 +435,14 @@ def _distance_blocks(tables: tuple[np.ndarray, np.ndarray], targets: slice,
     contiguous (rows, P) view, and ``spare`` is working space of the same
     shape that the loop body, like ``d``, may overwrite.  The pair weight
     is ``weight`` / P: the matching rows of :func:`_self_weights` on a self
-    pair, 1.0 on a cross pair.  On a self pair the diagonal l = k, where
-    D = 0, is set to +inf, so it passes the guard and its kernel
-    ``weight / d`` is exactly 0.  Raises :class:`BoundaryCollision` if any
-    other distance drops below the disjointness guard, after the blocks
-    before it have been yielded.
+    pair, 1.0 on a cross pair.  On a self pair the column l = k of each
+    target k, where D = 0, is set to +inf, so it passes the guard and its
+    kernel ``weight / d`` is exactly 0.  Raises :class:`BoundaryCollision`
+    if any other distance drops below the disjointness guard, after the
+    blocks before it have been yielded.
     """
     n_dst, P = tables[0].shape[1], tables[1].shape[2]
-    first = targets.start
+    first, stride = targets.start, targets.step or 1
     step = max(1, _BLOCK_PAIRS // P)
     weights = _self_weights(P) if self_pair else None
     # one allocation for both buffers: freed whole, it lifts glibc's dynamic
@@ -448,8 +461,9 @@ def _distance_blocks(tables: tuple[np.ndarray, np.ndarray], targets: slice,
         np.sqrt(d, out=d)
         weight = 1.0
         if weights is not None:
-            np.fill_diagonal(d[:, first + lo:first + hi], np.inf)
-            weight = weights[first + lo:first + hi]
+            own = slice(first + lo * stride, first + hi * stride, stride)
+            np.fill_diagonal(d[:, own], np.inf)
+            weight = weights[own]
         if d.min() < COLLISION_TOL:
             raise BoundaryCollision(f"boundaries closer than {COLLISION_TOL} at a quadrature node")
         yield rows, d, spare, weight
@@ -486,16 +500,17 @@ def _cross_streams(
     targets: slice,
     q: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """S(Phi_2, Phi_1) and S(Phi_1, Phi_2) at the targets ``targets``, grid
-    indices within 1..floor(q/2), from (Phi, A) of both maps on the P nodes
-    (:func:`_map_values`) and the residual period q: one loop over
+    """S(Phi_2, Phi_1) and S(Phi_1, Phi_2) at the targets ``targets``, a
+    slice of the P grid indices within 1..floor(q/2), from (Phi, A) of both
+    maps on the P nodes (:func:`_map_values`) and the period q = P / g,
+    g = gcd(m, P), of the residual on the P grid: one loop over
     :func:`_distance_blocks` for both cross streams.
 
     The block holds C[r, l] = 1/|Phi_2(tau_l) - Phi_1(tau_r)| for the rows
     r = 0..floor(q/2), the orbit representatives of all P rows under the
     grid group (module docstring).  Row products give S(Phi_2, Phi_1) at
-    the targets.  S(Phi_1, Phi_2)_k needs the column sums
-    sum_l C[l, k] A_1(l) and sum_l C[l, k] over all P rows, which the
+    the targets, read at their stride.  S(Phi_1, Phi_2)_k needs the column
+    sums sum_l C[l, k] A_1(l) and sum_l C[l, k] over all P rows, which the
     group folds onto the representatives.  With g = P / q,
     rho = e^{2 pi i / g}, indices mod P and the row weights w_r (1/2 on
     the rows 0 and q/2 that reflection fixes, 1 otherwise), the
@@ -528,7 +543,7 @@ def _cross_streams(
     s21 = (re + 1j * im - num1[targets] * total) / P
     # the fold for targets 0 < k < q: with u_n = sum_j rho^-j Y[n + j q],
     # the Z terms sum to rho conj(u_{q-k}), since Z[j q - k] = conj Y[j q - k]
-    k = np.arange(targets.start, targets.stop)
+    k = np.arange(targets.start, targets.stop, targets.step)
     nodes = _nodes(P)
     u = np.conj(nodes[::q]) @ (cols_out[0] + 1j * cols_out[1]).reshape(-1, q)
     t = cols_out[2].reshape(-1, q).sum(axis=0)
@@ -542,10 +557,10 @@ def _boundary_residuals(patch: PatchPair, P: int) -> tuple[np.ndarray, np.ndarra
     integrals taken over the P grid nodes: one map evaluation, one self
     pass per boundary (:func:`_stream_on_grid`) and one block for both
     cross streams (:func:`_cross_streams`)."""
-    q, targets, _ = _collocation_grid(patch.m, patch.K, P)
+    targets = _collocation_grid(patch.m, patch.K, P)[1]
     maps = _map_values(patch, P)
     (phi1, num1), (phi2, num2) = maps
-    s21, s12 = _cross_streams(maps, targets, q)
+    s21, s12 = _cross_streams(maps, targets, P // math.gcd(patch.m, P))
     # E_j = Omega Phi_j - S(Phi_1, Phi_j) + S(Phi_2, Phi_j)
     e1 = patch.omega * phi1[targets] - _stream_on_grid(maps[0], maps[0], targets, True) + s21
     e2 = patch.omega * phi2[targets] - s12 + _stream_on_grid(maps[1], maps[1], targets, True)
@@ -587,27 +602,41 @@ def _run_grid(m: int, K: int, P: Optional[int] = None) -> int:
 
 @lru_cache(maxsize=8, typed=True)
 def _collocation_grid(m: int, K: int, P: int) -> tuple[int, slice, np.ndarray]:
-    """The residual period q, the orbit representatives (the targets of
-    every kernel pass) and their projection table: the one target rule.
+    """The residual period q, the collocation targets and their projection
+    table: the one target rule.
 
-    With g = gcd(m, P) and q = P / g the discrete residual is q-periodic
-    and odd (module docstring), and so is sin(n m theta_k) because
-    g | n m.  The full-circle projection (2/P) sum_k G_k sin(n m theta_k)
-    is therefore g times the sum over one period, whose terms k and q - k
-    are equal and whose terms k = 0 and k = q/2 vanish.  The targets are
-    k = 1..ceil(q/2)-1 and the table holds (4/q) sin(n m theta_k), the
-    imaginary part of the node tau_{(k n m) mod P}, so the retained
-    coefficient is G @ table.  g = 1 needs no special case.  Checks the
-    sizes first (:func:`_check_sizes`); a valid grid's result is built once
-    and its table is read-only, while an invalid one raises on every call.
-    The cache is typed, so a float equal to a cached size is checked, not
-    served.
+    Quadrature runs on all P nodes, collocation on the sub-grid of the
+    P_c = P / j nodes tau_{j k}: the coarsest with P_c even, P_c >= 4 K m
+    and gcd(m, P_c) = gcd(m, P).  4 K m nodes resolve the K retained sine
+    modes with alias margin, and the last condition keeps the symmetry
+    group of the P grid (module docstring) acting on the sub-grid, so its
+    targets are orbit representatives of the P grid as well.  A run's grid,
+    a multiple of 4 K m (:func:`_run_grid`), collocates on P_c = 4 K m; a
+    grid with no such proper sub-grid keeps P_c = P.
+
+    With g = gcd(m, P_c) and q = P_c / g the discrete residual on the
+    sub-grid is q-periodic and odd, and so is sin(n m theta_k) because
+    g | n m.  The projection (2/P_c) sum_k G_k sin(n m theta_k) over the
+    sub-grid is therefore g times the sum over one period, whose terms k
+    and q - k are equal and whose terms k = 0 and k = q/2 vanish.  The
+    targets are the sub-grid nodes k = 1..ceil(q/2)-1, as the slice of P
+    grid indices j k with step j, and the table holds
+    (4/q) sin(n m theta_k), the imaginary part of the node
+    tau_{(j k n m) mod P}, so the retained coefficient is G @ table.
+    g = 1 needs no special case.  Checks the sizes first
+    (:func:`_check_sizes`); a valid grid's result, divisor search
+    included, is built once and its table is read-only, while an invalid
+    one raises on every call.  The cache is typed, so a float equal to a
+    cached size is checked, not served.
     """
     _check_sizes(m, K, P)
-    q = P // math.gcd(m, P)
-    targets = slice(1, (q + 1) // 2)
-    sines = _node_powers(P, np.arange(targets.start, targets.stop), np.arange(1, K + 1) * m).imag
-    proj = 4.0 / q * sines
+    g = math.gcd(m, P)
+    sizes = (n for d in range(1, math.isqrt(P) + 1) if P % d == 0 for n in (d, P // d))
+    stride = P // min(n for n in sizes if n % 2 == 0 and n >= 4 * K * m and math.gcd(m, n) == g)
+    q = P // stride // g
+    targets = slice(stride, stride * ((q + 1) // 2), stride)
+    k = np.arange(targets.start, targets.stop, stride)
+    proj = 4.0 / q * _node_powers(P, k, np.arange(1, K + 1) * m).imag
     proj.setflags(write=False)
     return q, targets, proj
 
@@ -619,23 +648,26 @@ def _sine_coefficients(g: tuple[np.ndarray, ...], proj: np.ndarray) -> np.ndarra
 
 
 def residual(patch: PatchPair, P: int) -> ResidualSpectrum:
-    """G_1, G_2 on the P angles 2 pi k / P with their sine coefficients,
-    from one kernel pass (:class:`ResidualSpectrum`).
+    """G_1, G_2 with the stream integrals taken over the P grid nodes, on
+    the P_c angles 2 pi k / P_c of the collocation sub-grid
+    (:func:`_collocation_grid`; P_c = 4 K m on a run's grid), with their
+    sine coefficients, from one kernel pass (:class:`ResidualSpectrum`).
 
     Only the targets of :func:`_collocation_grid` are evaluated; the grid
-    symmetries (module docstring) unfold them to one period of q = P / g
-    values, G_{q-k} = -G_k with G_0 = G_{q/2} = 0 exactly, which tiles
-    all P.  The coefficient of mode n m is that of sin(n m theta), bitwise
-    the one Newton drives to zero (:func:`_sine_coefficients`).
+    symmetries (module docstring) unfold them to one period of
+    q = P_c / g values, G_{q-k} = -G_k with G_0 = G_{q/2} = 0 exactly,
+    which tiles all P_c.  The coefficient of mode n m is that of
+    sin(n m theta), bitwise the one Newton drives to zero
+    (:func:`_sine_coefficients`).
     """
     q, targets, proj = _collocation_grid(patch.m, patch.K, P)
     g = _boundary_residuals(patch, P)
     r = _sine_coefficients(g, proj)
     period = np.zeros((2, q))
-    period[:, targets] = g
-    k = np.arange(targets.start, targets.stop)
+    k = np.arange(1, (q + 1) // 2)
+    period[:, k] = g
     period[:, q - k] = -period[:, k]
-    values = np.tile(period, P // q)
+    values = np.tile(period, P // targets.step // q)
     for arr in (r, values):
         arr.setflags(write=False)
     return ResidualSpectrum(g1=values[0], g2=values[1], r1=r[0], r2=r[1])
@@ -661,9 +693,10 @@ def _unpack(patch_like: PatchPair, x: np.ndarray) -> PatchPair:
 
 
 def _system(patch: PatchPair, P: int) -> np.ndarray:
-    """The 2K collocation equations of ``patch`` on the P grid: the retained
-    sine coefficients of G_1, then of G_2 (:func:`_sine_coefficients`),
-    from one kernel pass over the targets of :func:`_collocation_grid`."""
+    """The 2K collocation equations of ``patch`` with quadrature on the P
+    grid: the retained sine coefficients of G_1, then of G_2
+    (:func:`_sine_coefficients`), from one kernel pass over the targets of
+    :func:`_collocation_grid`."""
     proj = _collocation_grid(patch.m, patch.K, P)[2]
     return _sine_coefficients(_boundary_residuals(patch, P), proj).ravel()
 
@@ -812,7 +845,9 @@ def newton_correct(
     goes on from there with them as the right-hand side and the same 4 K m
     Jacobian (a two-grid Newton, or defect correction), so a kernel pass at
     P is only ever a residual.  A point is accepted only on its residual at
-    P.  When the 4 K m grid resolves the solution, a point that converges
+    P: quadrature on P, collocation on the 4 K m sub-grid of the Jacobian
+    (:func:`_collocation_grid`), so the residual at P differs from the 4 K m
+    one by the quadrature alone.  When the 4 K m grid resolves the solution, a point that converges
     after one full step costs one Jacobian pass and one residual pass at
     4 K m and one residual pass at P.  The residual is evaluated on its own
     only at that switch and at line-search trials, whose patches are built
@@ -944,9 +979,10 @@ def branch_continue(
     ``P`` defaults to 4 K m, which resolves every retained mode with alias
     margin; an explicit ``P`` must be positive and is rounded up to the
     nearest multiple of 4 K m (:func:`_run_grid`).  Either way
-    gcd(m, P) = m, the largest grid symmetry, so every kernel pass
-    evaluates about P / (2 m) targets (:func:`_collocation_grid`).  The
-    effective size is recorded on the returned run.
+    gcd(m, P) = m, the largest grid symmetry, and the collocation sub-grid
+    is the 4 K m grid, so every kernel pass evaluates 2 K - 1 targets
+    (:func:`_collocation_grid`), and a residual's cross block P / (2 m) + 1
+    rows.  The effective size is recorded on the returned run.
     """
     if sign not in ("plus", "minus"):
         raise PreconditionError(f"sign must be 'plus' or 'minus', got {sign!r}")

@@ -563,16 +563,19 @@ def check_spectral(b_set: tuple[float, ...] = (0.2, 0.5, 0.8), m_hi: int = 200,
     ]
 
 
-def _leak(res: ResidualSpectrum, m: int, P: int) -> float:
-    """The largest amplitude of the residual ``res`` of an m-fold patch on
-    the P grid at frequencies that are not multiples of m.
+def _leak(res: ResidualSpectrum, m: int) -> float:
+    """The largest amplitude of the residual ``res`` of an m-fold patch at
+    frequencies that are not multiples of m, on the grid of its values:
+    the collocation sub-grid of P_c = ``res.g1.size`` nodes, not the
+    quadrature grid.
 
-    The residual is q-periodic, q = P / gcd(m, P), so its spectrum lives on
-    multiples of g = gcd(m, P) and is read from the real FFT of the first
-    period, whose bin j is frequency j g.  When m | P (g = m) no frequency
-    is left and the leak is exactly 0.0; when g < m it measures the
-    aliasing at multiples of g that are not multiples of m.
+    The residual is q-periodic, q = P_c / gcd(m, P_c), so its spectrum
+    lives on multiples of g = gcd(m, P_c) and is read from the real FFT of
+    the first period, whose bin j is frequency j g.  When m | P_c (g = m)
+    no frequency is left and the leak is exactly 0.0; when g < m it
+    measures the aliasing at multiples of g that are not multiples of m.
     """
+    P = res.g1.size
     q = P // math.gcd(m, P)
     spec = np.fft.rfft(np.stack([res.g1[:q], res.g2[:q]]))
     # real signal: a frequency's amplitude is 2 |Y_j| / q
@@ -608,7 +611,7 @@ def _linearization_probe(
         deriv = (np.stack([rp.r1, rp.r2]) - np.stack([rm.r1, rm.r2])) / (2.0 * h)
         observed[:, col] = deriv[:, n - 1]
         others = float(np.abs(np.delete(deriv, n - 1, axis=1)).max())
-        offblock = max(offblock, others, max(_leak(rp, m, P), _leak(rm, m, P)) / (2.0 * h))
+        offblock = max(offblock, others, max(_leak(rp, m), _leak(rm, m)) / (2.0 * h))
     p = n * m
     mat = mode_matrix(p, b, omega, consts)
     expected = -p * np.array([[mat.m11, mat.m12], [mat.m21, mat.m22]])
@@ -631,9 +634,13 @@ def check_linearization(b_set: tuple[float, ...] = (0.5, 0.7),
     and is resolved when P >= 4 K m.  The default P is the smallest power
     of two at or above the largest 4 (n + 2) m over the default probes:
     m = N(b) + 1 is 4 at b = 0.5 and 6 at b = 0.7, so 4 * 4 * 6 = 96 and
-    P = 128.  As gcd(6, 128) = 2 < 6, the m = 6 probes do not have m | P and
-    measure the aliasing leak at frequencies off the multiples of m; P = 96
-    would lose that probe.
+    P = 128.  Each probe collocates on the coarsest sub-grid of P with at
+    least 4 K m nodes and the grid's symmetry (``contour._collocation_grid``):
+    the m = 4 probes on 64 of the 128 nodes, the m = 6 probes on all 128,
+    since 128 has no proper sub-grid of at least 72 nodes.  As
+    gcd(6, 128) = 2 < 6, the m = 6 probes do not have m | P_c and measure
+    the aliasing leak at frequencies off the multiples of m; P = 96 would
+    lose that probe.
 
     Raises :class:`PreconditionError`, before any table is built, for a
     step ``h`` that is not finite and positive or for ``modes`` holding

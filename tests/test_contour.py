@@ -42,6 +42,14 @@ def consts_06():
     return AnnulusConstants.build(0.6, n_max=200)
 
 
+@pytest.fixture(scope="module")
+def criterion_10_runs(consts_06):
+    """The criterion-10 branches (b = 0.6, m = 5, K = 8, ten steps of 1e-3)
+    of both signs, at P = 4Km = 160 and at P = 1280."""
+    return {(sign, P): branch_continue(5, 0.6, sign, steps=10, ds=1e-3, K=8, P=P, consts=consts_06)
+            for sign in ("plus", "minus") for P in (160, 1280)}
+
+
 # (m, K, P) covering each case of the grid symmetry rule, g = gcd(m, P)
 # and q = P / g
 SYMMETRY_GRIDS = [
@@ -61,6 +69,16 @@ def small_patch(b=0.5, m=4, K=3, omega=0.3, seed=1, scale=1e-3):
         c=scale * rng.standard_normal(K),
         omega=omega,
     )
+
+
+def analytic_patch(m, K, seed, eps=1e-5):
+    """A patch near the annulus with analytic boundaries: coefficient n of
+    size about eps^n, so the residual's harmonic h m is of size about
+    eps^h."""
+    rng = np.random.default_rng(seed)
+    size = eps ** np.arange(1, K + 1)
+    return PatchPair(b=0.6, m=m, K=K, a=size * rng.standard_normal(K),
+                     c=size * rng.standard_normal(K), omega=0.3)
 
 
 def sine_coefficients(patch, P):
@@ -107,19 +125,34 @@ def node_stream(src, dst, patch, k, P):
     return complex(contour._stream_on_grid(maps[src - 1], maps[dst - 1], slice(k, k + 1), src == dst)[0])
 
 
-def full_grid_residuals(patch, P):
-    """G_1, G_2 at all P grid nodes, each of the four stream integrals a
-    row-wise kernel pass over every target: the residual with no grid
-    symmetry and no shared cross block."""
+def full_grid_residuals(patch, P, step=1):
+    """G_1, G_2 at every ``step``-th of the P grid nodes, with all P nodes
+    as sources, each of the four stream integrals a row-wise kernel pass
+    over every one of those targets: the residual with no grid symmetry
+    and no shared cross block."""
     maps = contour._map_values(patch, P)
-    every = slice(0, P)
+    every = slice(0, P, step)
     g = []
     for j, (phi, num) in enumerate(maps):
-        e = patch.omega * phi
+        e = patch.omega * phi[every]
         e -= contour._stream_on_grid(maps[0], maps[j], every, j == 0)
         e += contour._stream_on_grid(maps[1], maps[j], every, j == 1)
-        g.append(np.imag(e * np.conj(num)))
+        g.append(np.imag(e * np.conj(num[every])))
     return tuple(g)
+
+
+def all_node_projection(patch, P):
+    """The (2, K) retained sine coefficients of G_1, G_2 projected over all
+    P grid nodes: the real FFT of :func:`full_grid_residuals`."""
+    spec = np.fft.rfft(np.stack(full_grid_residuals(patch, P)))
+    return -2.0 * np.imag(spec[:, np.arange(1, patch.K + 1) * patch.m]) / P
+
+
+def sub_grid(m, K, P):
+    """The collocation sub-grid of the P grid: its size P_c and the stride
+    P / P_c of its nodes on the P grid."""
+    stride = contour._collocation_grid(m, K, P)[1].step
+    return P // stride, stride
 
 
 def offset_trapezoid(src, dst, patch, theta, P):
@@ -299,16 +332,23 @@ class TestGridEvaluators:
         tau = np.exp(2j * math.pi * np.arange(P) / P)
         monomials = contour._node_powers(P, np.arange(P), -p)
         assert np.abs(monomials - tau[:, None] ** -p).max() <= 1e-13
+        # the sub-grid: the coarsest even divisor of P at or above 4Km
+        # with the grid's symmetry; the targets are its nodes 1..ceil(q/2)-1
         q, targets, proj = contour._collocation_grid(m, K, P)
-        theta = 2.0 * math.pi * np.arange(targets.start, targets.stop) / P
+        P_c, stride = sub_grid(m, K, P)
+        assert P_c == min(n for n in range(4 * K * m, P + 1, 2)
+                          if P % n == 0 and math.gcd(m, n) == math.gcd(m, P))
+        assert q == P_c // math.gcd(m, P_c)
+        assert np.arange(P)[targets].tolist() == [stride * k for k in range(1, (q + 1) // 2)]
+        theta = 2.0 * math.pi * np.arange(1, (q + 1) // 2) / P_c
         sines = 4.0 / q * np.sin(np.outer(theta, np.arange(1, K + 1) * m))
         assert np.abs(proj - sines).max() <= 1e-13
 
     @pytest.mark.parametrize("m,K,P", SYMMETRY_GRIDS)
     def test_residual_is_exactly_zero_at_symmetry_points(self, m, K, P):
         # G_0 = G_{q/2} = 0 by the reflection symmetry, and so are their
-        # rotated copies
-        q = P // math.gcd(m, P)
+        # rotated copies, on the collocation sub-grid
+        q = contour._collocation_grid(m, K, P)[0]
         patch = small_patch(b=0.6, m=m, K=K, seed=3, scale=3e-4)
         spec = residual(patch, P)
         for g in (spec.g1, spec.g2):
@@ -535,19 +575,21 @@ class TestCrossBlock:
         # both cross streams from the representative rows, against one
         # row-wise pass each; (2, 3, 26) has odd q = 13 and g = 2, (5, 1, 22)
         # has g = 1
+        # at the strided targets of the collocation sub-grid
         patch = small_patch(b=0.6, m=m, K=K, seed=6, scale=3e-4)
-        q, targets, _ = contour._collocation_grid(m, K, P)
+        targets = contour._collocation_grid(m, K, P)[1]
         maps = contour._map_values(patch, P)
-        s21, s12 = contour._cross_streams(maps, targets, q)
+        s21, s12 = contour._cross_streams(maps, targets, P // math.gcd(m, P))
         for got, (src, dst) in zip((s21, s12), ((1, 0), (0, 1))):
             ref = contour._stream_on_grid(maps[src], maps[dst], targets, False)
             assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
     @pytest.mark.parametrize("m,K,P", SYMMETRY_GRIDS)
     def test_residual_pass_rows(self, m, K, P, monkeypatch):
-        # two self passes over the targets and one cross block over the rows
-        # 0..q/2: 383 rows at (5, 8, 1280), where two row-wise cross passes
-        # made it 508
+        # two self passes over the sub-grid targets and one cross block over
+        # the rows 0..q_P/2 of the P grid, q_P = P / gcd(m, P): 159 rows at
+        # (5, 8, 1280), where targets on all P nodes made it 383 and two
+        # row-wise cross passes over them 508
         rows = []
         blocks = contour._distance_blocks
 
@@ -557,11 +599,12 @@ class TestCrossBlock:
 
         monkeypatch.setattr(contour, "_distance_blocks", counted)
         q = contour._collocation_grid(m, K, P)[0]
+        q_P = P // math.gcd(m, P)
         contour._boundary_residuals(small_patch(b=0.6, m=m, K=K, seed=3, scale=3e-4), P)
         assert len(rows) == 3
-        assert sum(rows) == 2 * ((q + 1) // 2 - 1) + q // 2 + 1
+        assert sum(rows) == 2 * ((q + 1) // 2 - 1) + q_P // 2 + 1
         if (m, K, P) == (5, 8, 1280):
-            assert sum(rows) == 383
+            assert sum(rows) == 159
 
 
 class TestResidual:
@@ -583,42 +626,48 @@ class TestResidual:
 
     def test_matches_single_point_rule(self):
         # the reduced grid evaluation against one-target kernel passes at
-        # each node, which use no grid symmetry
+        # each node of the collocation sub-grid, which use no grid symmetry;
+        # both cases collocate on the P_c = 32 nodes 8 k of P = 256
         P = 256
         cases = [
-            (3, 2, 5, (0, 7, 100, 255)),  # gcd(m, P) = 1: reflection only
-            # gcd(m, P) = 4, q = 64: representatives k <= 32, rotated
-            # copies (71), mirrored (50), rotated and mirrored (178, 255),
-            # and the half period (32, 224)
-            (4, 2, 6, (3, 32, 50, 71, 178, 224, 255)),
+            (3, 2, 5, (0, 7, 20, 31)),  # gcd(m, P_c) = 1: reflection only
+            # gcd(m, P_c) = 4, q = 8: representatives k <= 3, rotated
+            # copies (11), mirrored (6), rotated and mirrored (21, 31),
+            # and the half period (4, 28)
+            (4, 2, 6, (3, 4, 6, 11, 21, 28, 31)),
         ]
         for m, K, seed, ks in cases:
             patch = small_patch(m=m, K=K, seed=seed)
             spec = residual(patch, P)
             g1, g2 = spec.g1, spec.g2
+            P_c, stride = sub_grid(m, K, P)
+            assert (P_c, g1.size) == (32, 32)
             (z1, a1), (z2, a2) = contour._map_values(patch, P)
             for k in ks:
+                node = stride * k
                 g1_direct = np.imag(
-                    (patch.omega * z1[k]
-                     - node_stream(1, 1, patch, k, P)
-                     + node_stream(2, 1, patch, k, P)) * np.conj(a1[k])
+                    (patch.omega * z1[node]
+                     - node_stream(1, 1, patch, node, P)
+                     + node_stream(2, 1, patch, node, P)) * np.conj(a1[node])
                 )
                 g2_direct = np.imag(
-                    (patch.omega * z2[k]
-                     - node_stream(1, 2, patch, k, P)
-                     + node_stream(2, 2, patch, k, P)) * np.conj(a2[k])
+                    (patch.omega * z2[node]
+                     - node_stream(1, 2, patch, node, P)
+                     + node_stream(2, 2, patch, node, P)) * np.conj(a2[node])
                 )
                 assert g1_direct == pytest.approx(g1[k], abs=1e-14)
                 assert g2_direct == pytest.approx(g2[k], abs=1e-14)
 
     @pytest.mark.parametrize("m,K,P", SYMMETRY_GRIDS)
     def test_reduced_grid_matches_brute_force(self, m, K, P):
-        # reference: every one of the P targets evaluated row by row
+        # reference: every one of the P_c sub-grid targets evaluated row by
+        # row over all P sources
         patch = small_patch(b=0.6, m=m, K=K, seed=3, scale=3e-4)
-        ref1, ref2 = full_grid_residuals(patch, P)
+        P_c, stride = sub_grid(m, K, P)
+        ref1, ref2 = full_grid_residuals(patch, P, stride)
         spec = residual(patch, P)
         g1, g2 = spec.g1, spec.g2
-        assert g1.shape == g2.shape == (P,)
+        assert g1.shape == g2.shape == (P_c,)
         assert np.abs(g1 - ref1).max() <= 1e-13
         assert np.abs(g2 - ref2).max() <= 1e-13
 
@@ -668,22 +717,28 @@ class TestResidual:
             residual(patch, 40)  # below 4*K*m = 48
         with pytest.raises(PreconditionError):
             residual(patch, 49)  # odd
-        # the size cap K P <= MAX_KP, checked before any table is built
-        P = 2 * (contour.MAX_KP // 6)  # even, K P just below the cap
-        assert contour._collocation_grid(4, 3, P)[0] == P // 2
+        # the size cap K P <= MAX_KP, checked before any table is built.
+        # P = 2 * 5^2 * 11 * 31 * 41 is even with K P just below the cap; its
+        # smallest even divisor at or above 4Km = 48 is 50, and
+        # gcd(4, 50) = gcd(4, P) = 2, so it collocates on 50 nodes, q = 25
+        P = 2 * (contour.MAX_KP // 6)
+        q, targets, _ = contour._collocation_grid(4, 3, P)
+        assert (q, targets.step) == (25, P // 50)
         with pytest.raises(PreconditionError, match=f"P={P + 2} with K=3 .* cap K\\*P <= {contour.MAX_KP}"):
             residual(patch, P + 2)
 
     def test_one_period_collocation_matches_full_grid(self):
-        # reference: all P targets evaluated with no grid symmetry, and the
-        # length-P real FFT of them; the unfolded period and the projection
-        # over half a period reproduce them to summation roundoff
+        # reference: all P_c sub-grid targets evaluated with no grid
+        # symmetry, and the length-P_c real FFT of them; the unfolded period
+        # and the projection over half a period reproduce them to summation
+        # roundoff
         for m, K, P in [(4, 3, 1024), (6, 2, 50)] + SYMMETRY_GRIDS:
+            P_c, stride = sub_grid(m, K, P)
             for seed in (1, 5, 9):
                 patch = small_patch(b=0.6, m=m, K=K, seed=seed, scale=3e-4)
-                values = np.stack(full_grid_residuals(patch, P))
+                values = np.stack(full_grid_residuals(patch, P, stride))
                 spec = np.fft.rfft(values)
-                ref = -2.0 * np.imag(spec[:, np.arange(1, K + 1) * m]) / P
+                ref = -2.0 * np.imag(spec[:, np.arange(1, K + 1) * m]) / P_c
                 got = residual(patch, P)
                 assert np.abs(np.stack([got.g1, got.g2]) - values).max() <= 1e-14
                 assert np.abs(got.r1 - ref[0]).max() <= 1e-14
@@ -705,11 +760,38 @@ class TestResidual:
         # that may round differently, so the reference uses that stride
         patch = small_patch(b=0.6, m=m, K=K, seed=3, scale=3e-4)
         spec = residual(patch, P)
-        _, targets, proj = contour._collocation_grid(m, K, P)
+        q, _, proj = contour._collocation_grid(m, K, P)
         for g, r in ((spec.g1, spec.r1), (spec.g2, spec.r2)):
             strided = np.empty((proj.shape[0], 2))
-            strided[:, 0] = g[targets]
+            strided[:, 0] = g[1:(q + 1) // 2]  # the targets, sub-grid nodes 1..ceil(q/2)-1
             assert np.array_equal(strided[:, 0] @ proj, r)
+
+
+class TestSubGridProjection:
+    # quadrature on P = t 4Km, collocation on its 4Km sub-grid: the sine
+    # coefficients differ from the projection over all P nodes only by the
+    # residual's harmonics from 3Km up, which the 4Km nodes fold onto the
+    # retained ones
+    @pytest.mark.parametrize("m,K", [(m, K) for m, K, _ in SYMMETRY_GRIDS])
+    @pytest.mark.parametrize("t", [2, 3, 8])
+    def test_matches_the_all_node_projection(self, m, K, t):
+        # near the annulus those harmonics are of order eps^(3K): about
+        # 9e-14 for K = 1 at eps = 1e-5 (the cube of the coefficient), and
+        # below roundoff for K >= 2
+        P = t * 4 * K * m
+        assert sub_grid(m, K, P)[0] == 4 * K * m
+        for seed in (1, 5, 9):
+            patch = analytic_patch(m, K, seed)
+            got = residual(patch, P)
+            assert np.abs(np.stack([got.r1, got.r2]) - all_node_projection(patch, P)).max() <= 1e-13
+
+    def test_criterion_10_points_match_the_all_node_projection(self, criterion_10_runs):
+        # on the branch points at s = 0, 0.005 and 0.01, both signs
+        for sign in ("plus", "minus"):
+            for pt in criterion_10_runs[sign, 1280].points[::5]:
+                got = residual(pt.patch, 1280)
+                ref = all_node_projection(pt.patch, 1280)
+                assert np.abs(np.stack([got.r1, got.r2]) - ref).max() <= 1e-13
 
 
 class TestLinearization:
@@ -1120,6 +1202,18 @@ class TestBranchContinue:
         assert full.stopped_reason is None and len(full.points) == 7
         assert resumed.to_dict() == full.to_dict()
         assert json.dumps(resumed.to_dict()) == json.dumps(full.to_dict())  # bitwise: repr per float
+
+    @pytest.mark.parametrize("sign", ["plus", "minus"])
+    def test_fine_quadrature_keeps_the_coarse_branch(self, criterion_10_runs, sign):
+        # Newton's coarse path is on the 4Km grid at any P, and P = 1280
+        # collocates on the same 160 nodes: the points are bitwise those of
+        # P = 160, each accepted on its residual at P = 1280
+        fine, coarse = criterion_10_runs[sign, 1280], criterion_10_runs[sign, 160]
+        assert fine.stopped_reason is None and len(fine.points) == len(coarse.points) == 11
+        for f, c in zip(fine.points, coarse.points):
+            assert f.s == c.s and f.patch.omega == c.patch.omega
+            assert np.array_equal(f.patch.a, c.patch.a) and np.array_equal(f.patch.c, c.patch.c)
+            assert f.residual_norm <= 1e-10
 
     def test_predictor_extrapolates_quadratic_path(self):
         # the predictor builds its patch, so the random path stays below

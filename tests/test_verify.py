@@ -16,7 +16,14 @@ import numpy as np
 import pytest
 
 from sqg_vstates import contour, verify
-from sqg_vstates.contour import PatchPair, _cross_streams, _self_weights, annulus_patch, residual
+from sqg_vstates.contour import (
+    PatchPair,
+    _collocation_grid,
+    _cross_streams,
+    _self_weights,
+    annulus_patch,
+    residual,
+)
 from sqg_vstates.errors import PreconditionError
 from sqg_vstates.specfun import AnnulusConstants
 from sqg_vstates.spectrum import bifurcation_row, threshold_N
@@ -134,6 +141,21 @@ def test_linearization_default_grid():
     assert by_name["linearization_offblock"].max_error <= 5e-10
 
 
+def test_linearization_default_grid_keeps_an_aliasing_probe():
+    # the aliasing leak needs a probe whose collocation sub-grid (P_c nodes
+    # of the P = 128 grid) has m not dividing P_c: the m = 6 probes keep
+    # P_c = 128, while the m = 4 probes collocate on 64 of the 128 nodes
+    defaults = {k: v.default for k, v in inspect.signature(check_linearization).parameters.items()}
+    P = defaults["P"]
+    sizes = {}
+    for b in defaults["b_set"]:
+        m = threshold_N(b, AnnulusConstants.build(b)) + 1
+        for n in defaults["modes"]:
+            sizes[m, n] = P // _collocation_grid(m, n + 2, P)[1].step
+    assert any(P_c % m for (m, _), P_c in sizes.items())
+    assert sizes == {(4, 1): 64, (4, 2): 64, (6, 1): 128, (6, 2): 128}
+
+
 def _scaled_self_weights(P):
     return _self_weights(P) * (1.0 + 1e-4)
 
@@ -193,29 +215,32 @@ class TestLeak:
     @pytest.mark.parametrize("b", [0.3, 0.5, 0.7])
     def test_annulus_has_no_leak(self, b):
         for omega in (-1.0, 0.0, 0.5, 1.0):
-            assert _leak(residual(annulus_patch(b, 3, 4, omega), 2048), 3, 2048) <= 1e-8
+            assert _leak(residual(annulus_patch(b, 3, 4, omega), 2048), 3) <= 1e-8
 
     def test_mfold_leakage(self):
-        assert _leak(residual(small_patch(m=4, K=3), 2048), 4, 2048) <= 1e-8
+        assert _leak(residual(small_patch(m=4, K=3), 2048), 4) <= 1e-8
 
     def test_one_period_matches_full_grid_spectrum(self):
-        # reference: the length-P real FFT of all P values, off the
-        # multiples of m; (6, 2, 50), g = 2 and q = 25, has a leak far above
-        # roundoff
+        # reference: the length-P_c real FFT of all P_c values on the
+        # collocation sub-grid, off the multiples of m; (6, 2, 50), g = 2
+        # and q = 25, has a leak far above roundoff
         for m, K, P in [(4, 3, 1024), (6, 2, 50)] + SYMMETRY_GRIDS:
+            P_c = P // _collocation_grid(m, K, P)[1].step
             for seed in (1, 5, 9):
                 res = residual(small_patch(b=0.6, m=m, K=K, seed=seed, scale=3e-4), P)
+                assert res.g1.size == P_c
                 spec = np.fft.rfft(np.stack([res.g1, res.g2]))
                 off = np.arange(spec.shape[1]) % m != 0
-                ref = 2.0 / P * np.abs(spec[:, off]).max() if off.any() else 0.0
-                assert _leak(res, m, P) == pytest.approx(ref, abs=1e-14)
+                ref = 2.0 / P_c * np.abs(spec[:, off]).max() if off.any() else 0.0
+                assert _leak(res, m) == pytest.approx(ref, abs=1e-14)
         res = residual(small_patch(b=0.6, m=6, K=2, seed=1, scale=3e-4), 50)
-        assert _leak(res, 6, 50) > 1e-10
+        assert _leak(res, 6) > 1e-10
 
     @pytest.mark.parametrize("m,K,P", SYMMETRY_GRIDS)
     def test_leak_is_exactly_zero_when_m_divides_p(self, m, K, P):
+        # the sub-grid keeps gcd(m, P), so m divides its size iff m | P
         res = residual(small_patch(b=0.6, m=m, K=K, seed=3, scale=3e-4), P)
-        assert (_leak(res, m, P) == 0.0) == (P % m == 0)
+        assert (_leak(res, m) == 0.0) == (res.g1.size % m == 0) == (P % m == 0)
 
 
 def test_deterministic_given_seed():
