@@ -82,25 +82,31 @@ C[r+q, l+q] = C[r, l] = C[-r, -l], and A_j = w Phi_j'(w) turns like Phi_j.
 So the rows r = 0..floor(q/2) represent all P rows, and one block of
 them gives both cross streams: S(Phi_2, Phi_1) from its rows at the
 targets and S(Phi_1, Phi_2), which reads C by columns, from its columns
-folded over the group (:func:`_cross_streams`).
+folded over the group (:func:`_cross_streams`).  On the whole grid
+(j = 1, as at every run's default P = 4 K m) that block forms
+floor(q/2) + 1 rows for both streams, where two row passes over the
+targets would form 2 (ceil(q/2) - 1).  On a proper sub-grid (j > 1) its
+rows grow with j while the targets' 2 (ceil(q_c/2) - 1) do not, so there
+the cross streams are two row passes over the targets, like the self
+passes (:func:`_boundary_residuals`).
 
 Kernel passes.  Every pass, a residual's two self passes
-(:func:`_stream_on_grid`) and its cross block (:func:`_cross_streams`),
-and the Jacobian's :func:`_source_derivatives`, is one loop over the
-blocks of targets that the generator :func:`_distance_blocks` yields, on
-the calling thread; BLAS threads are the only parallelism.  Re D and Im D
-come from factor tables built once per pass (:func:`_difference_tables`)
-as products with inner dimension 2 (:func:`_differences`), each entry
-the sum of two exact products rounded once: bitwise the subtraction,
-whatever the number of BLAS threads.  The cross block's transposed
-products have the size of its row products, and like them give the same
-bytes at any thread count.  So residuals, and the whole criterion-10
-branch (K = 8, P = 1280), are bitwise independent of the thread count.
-The Jacobian's column products at K = 32 are large enough
-for OpenBLAS to split over threads, so a default ``vstates branch``
-(K = 32) can differ in the last bits between thread counts.  The grid
-nodes and the collocation grid are built once per grid size and are
-read-only.
+(:func:`_stream_on_grid`) and its cross streams (one block or two row
+passes), and the Jacobian's :func:`_source_derivatives`, is one loop
+over the blocks of targets that the generator :func:`_distance_blocks`
+yields, on the calling thread; BLAS threads are the only parallelism.
+Re D and Im D come from factor tables built once per pass
+(:func:`_difference_tables`) as products with inner dimension 2
+(:func:`_differences`), each entry the sum of two exact products rounded
+once: bitwise the subtraction, whatever the number of BLAS threads.  The
+cross block's transposed products have the size of its row products,
+and like them give the same bytes at any thread count.  So residuals,
+and the whole criterion-10 branch (K = 8, P = 1280), are bitwise
+independent of the thread count.  The Jacobian's column products at
+K = 32 are large enough for OpenBLAS to split over threads, so a default
+``vstates branch`` (K = 32) can differ in the last bits between thread
+counts.  The grid nodes and the collocation grid are built once per grid
+size and are read-only.
 """
 
 from __future__ import annotations
@@ -500,17 +506,17 @@ def _cross_streams(
     targets: slice,
     q: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """S(Phi_2, Phi_1) and S(Phi_1, Phi_2) at the targets ``targets``, a
-    slice of the P grid indices within 1..floor(q/2), from (Phi, A) of both
-    maps on the P nodes (:func:`_map_values`) and the period q = P / g,
-    g = gcd(m, P), of the residual on the P grid: one loop over
-    :func:`_distance_blocks` for both cross streams.
+    """S(Phi_2, Phi_1) and S(Phi_1, Phi_2) at the targets ``targets`` of a
+    whole-grid collocation, the P grid indices 1..ceil(q/2)-1, from (Phi, A)
+    of both maps on the P nodes (:func:`_map_values`) and the period
+    q = P / g, g = gcd(m, P), of the residual (:func:`_collocation_grid`):
+    one loop over :func:`_distance_blocks` for both cross streams.
 
     The block holds C[r, l] = 1/|Phi_2(tau_l) - Phi_1(tau_r)| for the rows
     r = 0..floor(q/2), the orbit representatives of all P rows under the
     grid group (module docstring).  Row products give S(Phi_2, Phi_1) at
-    the targets, read at their stride.  S(Phi_1, Phi_2)_k needs the column
-    sums sum_l C[l, k] A_1(l) and sum_l C[l, k] over all P rows, which the
+    the targets.  S(Phi_1, Phi_2)_k needs the column sums
+    sum_l C[l, k] A_1(l) and sum_l C[l, k] over all P rows, which the
     group folds onto the representatives.  With g = P / q,
     rho = e^{2 pi i / g}, indices mod P and the row weights w_r (1/2 on
     the rows 0 and q/2 that reflection fixes, 1 otherwise), the
@@ -543,7 +549,7 @@ def _cross_streams(
     s21 = (re + 1j * im - num1[targets] * total) / P
     # the fold for targets 0 < k < q: with u_n = sum_j rho^-j Y[n + j q],
     # the Z terms sum to rho conj(u_{q-k}), since Z[j q - k] = conj Y[j q - k]
-    k = np.arange(targets.start, targets.stop, targets.step)
+    k = np.arange(targets.start, targets.stop)
     nodes = _nodes(P)
     u = np.conj(nodes[::q]) @ (cols_out[0] + 1j * cols_out[1]).reshape(-1, q)
     t = cols_out[2].reshape(-1, q).sum(axis=0)
@@ -555,12 +561,22 @@ def _cross_streams(
 def _boundary_residuals(patch: PatchPair, P: int) -> tuple[np.ndarray, np.ndarray]:
     """G_1, G_2 at the targets of :func:`_collocation_grid`, with the stream
     integrals taken over the P grid nodes: one map evaluation, one self
-    pass per boundary (:func:`_stream_on_grid`) and one block for both
-    cross streams (:func:`_cross_streams`)."""
-    targets = _collocation_grid(patch.m, patch.K, P)[1]
+    pass per boundary (:func:`_stream_on_grid`) and the two cross streams.
+
+    When the collocation grid is the whole grid (stride 1, as at a run's
+    P = 4 K m), one block of floor(q/2) + 1 rows gives both cross streams
+    (:func:`_cross_streams`).  On a proper sub-grid (stride j > 1) that
+    block still spans the P grid's floor(q_P/2) + 1 rows, q_P = j q, so
+    the cross streams are two row passes over the ceil(q/2) - 1 targets
+    instead, like the self passes: their rows do not grow with j."""
+    q, targets, _ = _collocation_grid(patch.m, patch.K, P)
     maps = _map_values(patch, P)
     (phi1, num1), (phi2, num2) = maps
-    s21, s12 = _cross_streams(maps, targets, P // math.gcd(patch.m, P))
+    if targets.step == 1:
+        s21, s12 = _cross_streams(maps, targets, q)
+    else:
+        s21 = _stream_on_grid(maps[1], maps[0], targets, False)
+        s12 = _stream_on_grid(maps[0], maps[1], targets, False)
     # E_j = Omega Phi_j - S(Phi_1, Phi_j) + S(Phi_2, Phi_j)
     e1 = patch.omega * phi1[targets] - _stream_on_grid(maps[0], maps[0], targets, True) + s21
     e2 = patch.omega * phi2[targets] - s12 + _stream_on_grid(maps[1], maps[1], targets, True)
@@ -981,8 +997,10 @@ def branch_continue(
     nearest multiple of 4 K m (:func:`_run_grid`).  Either way
     gcd(m, P) = m, the largest grid symmetry, and the collocation sub-grid
     is the 4 K m grid, so every kernel pass evaluates 2 K - 1 targets
-    (:func:`_collocation_grid`), and a residual's cross block P / (2 m) + 1
-    rows.  The effective size is recorded on the returned run.
+    (:func:`_collocation_grid`).  A residual's cross streams are one folded
+    block of 2 K + 1 rows at P = 4 K m and two row passes over the 2 K - 1
+    targets at a larger P (:func:`_boundary_residuals`).  The effective
+    size is recorded on the returned run.
     """
     if sign not in ("plus", "minus"):
         raise PreconditionError(f"sign must be 'plus' or 'minus', got {sign!r}")

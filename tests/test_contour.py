@@ -446,7 +446,7 @@ import numpy as np
 from sqg_vstates import contour
 rng = np.random.default_rng(7)
 digest = hashlib.md5()
-for K, P in ((8, 1280), (32, 640)):
+for K, P in ((8, 1280), (32, 640), (32, 1280)):
     patch = contour.PatchPair(b=0.6, m=5, K=K, a=1e-5 * rng.standard_normal(K),
                               c=1e-5 * rng.standard_normal(K), omega=0.3)
     for g in contour._boundary_residuals(patch, P):
@@ -573,23 +573,29 @@ class TestCrossBlock:
     @pytest.mark.parametrize("m,K,P", SYMMETRY_GRIDS + [(2, 3, 26), (5, 1, 22)])
     def test_folded_streams_match_row_passes(self, m, K, P):
         # both cross streams from the representative rows, against one
-        # row-wise pass each; (2, 3, 26) has odd q = 13 and g = 2, (5, 1, 22)
-        # has g = 1
-        # at the strided targets of the collocation sub-grid
+        # row-wise pass each, at the targets 1..ceil(q/2)-1 of the whole P
+        # grid, q = P / gcd(m, P): the collocation targets where the grid
+        # has no proper sub-grid, and the fold's contract on any grid;
+        # (2, 3, 26) has odd q = 13 and g = 2, (5, 1, 22) has g = 1
         patch = small_patch(b=0.6, m=m, K=K, seed=6, scale=3e-4)
-        targets = contour._collocation_grid(m, K, P)[1]
+        q = P // math.gcd(m, P)
+        targets = slice(1, (q + 1) // 2)
+        q_c, grid_targets, _ = contour._collocation_grid(m, K, P)
+        if grid_targets.step == 1:
+            assert (q_c, grid_targets) == (q, slice(1, (q + 1) // 2, 1))
         maps = contour._map_values(patch, P)
-        s21, s12 = contour._cross_streams(maps, targets, P // math.gcd(m, P))
+        s21, s12 = contour._cross_streams(maps, targets, q)
         for got, (src, dst) in zip((s21, s12), ((1, 0), (0, 1))):
             ref = contour._stream_on_grid(maps[src], maps[dst], targets, False)
             assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
-    @pytest.mark.parametrize("m,K,P", SYMMETRY_GRIDS)
+    @pytest.mark.parametrize("m,K,P", SYMMETRY_GRIDS + [(2, 3, 26), (5, 1, 22), (5, 8, 160)])
     def test_residual_pass_rows(self, m, K, P, monkeypatch):
-        # two self passes over the sub-grid targets and one cross block over
-        # the rows 0..q_P/2 of the P grid, q_P = P / gcd(m, P): 159 rows at
-        # (5, 8, 1280), where targets on all P nodes made it 383 and two
-        # row-wise cross passes over them 508
+        # T = ceil(q_c/2) - 1 sub-grid targets.  On the whole grid (stride
+        # 1) two self passes and one cross block over the rows 0..q/2:
+        # 47 rows at (5, 8, 160).  On a proper sub-grid four row passes of
+        # T rows: 60 at (5, 8, 1280), where the cross block over the P
+        # grid's rows 0..q_P/2 made it 159
         rows = []
         blocks = contour._distance_blocks
 
@@ -598,13 +604,17 @@ class TestCrossBlock:
             return blocks(tables, targets, self_pair)
 
         monkeypatch.setattr(contour, "_distance_blocks", counted)
-        q = contour._collocation_grid(m, K, P)[0]
-        q_P = P // math.gcd(m, P)
+        q, targets, _ = contour._collocation_grid(m, K, P)
+        T = (q + 1) // 2 - 1
         contour._boundary_residuals(small_patch(b=0.6, m=m, K=K, seed=3, scale=3e-4), P)
-        assert len(rows) == 3
-        assert sum(rows) == 2 * ((q + 1) // 2 - 1) + q_P // 2 + 1
-        if (m, K, P) == (5, 8, 1280):
-            assert sum(rows) == 159
+        if targets.step == 1:
+            assert len(rows) == 3
+            assert sum(rows) == 2 * T + q // 2 + 1
+        else:
+            assert rows == [T] * 4
+        expected = {(5, 8, 160): 47, (5, 8, 1280): 60}
+        if (m, K, P) in expected:
+            assert sum(rows) == expected[m, K, P]
 
 
 class TestResidual:
@@ -672,18 +682,21 @@ class TestResidual:
         assert np.abs(g2 - ref2).max() <= 1e-13
 
     def test_residual_block_boundaries(self, monkeypatch):
-        # q = 256: 129 representatives, 127 one-period targets
+        # 15 targets of the 160-node sub-grid: at P = 160 the cross block's
+        # 17 representative rows and the self passes, at P = 1280 four row
+        # passes, each split into 4-target blocks, the last partial
         patch = small_patch(b=0.6, m=5, K=8, seed=4, scale=3e-4)
-        monkeypatch.setattr(contour, "_BLOCK_PAIRS", 1280 * 1280)  # one block
-        spec = residual(patch, 1280)
-        whole = (spec.g1, spec.g2)
-        whole_sines = sine_coefficients(patch, 1280)
-        monkeypatch.setattr(contour, "_BLOCK_PAIRS", 1280 * 16)  # 16-target blocks
-        spec = residual(patch, 1280)
-        blocked = (spec.g1, spec.g2)
-        blocked_sines = sine_coefficients(patch, 1280)
-        for full, part in zip(whole + whole_sines, blocked + blocked_sines):
-            assert np.abs(part - full).max() <= 1e-13
+        for P in (160, 1280):
+            monkeypatch.setattr(contour, "_BLOCK_PAIRS", P * P)  # one block
+            spec = residual(patch, P)
+            whole = (spec.g1, spec.g2)
+            whole_sines = sine_coefficients(patch, P)
+            monkeypatch.setattr(contour, "_BLOCK_PAIRS", P * 4)  # 4-target blocks
+            spec = residual(patch, P)
+            blocked = (spec.g1, spec.g2)
+            blocked_sines = sine_coefficients(patch, P)
+            for full, part in zip(whole + whole_sines, blocked + blocked_sines):
+                assert np.abs(part - full).max() <= 1e-13
 
     def test_collision_guard_on_grid_passes(self):
         # the residual and Jacobian passes share the guard of stream_integral
