@@ -20,14 +20,13 @@ where S is the mean-value boundary integral
 
 Quadrature on P, collocation on the 4 K m sub-grid.  The quadrature
 runs on one grid with no rotation, the P nodes tau_l = exp(2 pi i l / P);
-the targets are nodes of its coarsest sub-grid of P_c >= 4 K m nodes
-tau_{j k}, j = P / P_c, that keeps the grid's symmetry
-(:func:`_collocation_grid`): P_c = 4 K m on every run's grid, P_c = P on
-a grid with no such proper sub-grid.  The maps have one evaluator,
-:func:`_map_values`.  On the grid a term w^{-p} is e^{-2 pi i p l / P},
-which depends on p only through p mod P, so each map's coefficient
-series is one FFT with exponent p in bin p mod P; the fold is exact on
-the grid for every P.  Every power of a node is a node,
+the targets are nodes of its coarsest even sub-grid of P_c >= 4 K m nodes
+tau_{j k}, j = P / P_c (:func:`_collocation_grid`): P_c = 4 K m on every
+run's grid, P_c = P on a grid with no such proper sub-grid.  The maps
+have one evaluator, :func:`_map_values`.  On the grid a term w^{-p} is
+e^{-2 pi i p l / P}, which depends on p only through p mod P, so each
+map's coefficient series is one FFT with exponent p in bin p mod P; the
+fold is exact on the grid for every P.  Every power of a node is a node,
 tau_k^p = tau_{(k p) mod P}, so the Jacobian's monomial table and the sine
 projection table are index lookups (:func:`_node_powers`).
 
@@ -64,31 +63,30 @@ equations (and their Jacobian); only ``newton_correct`` holds x and the
 bordered F and J.  Central differences remain only as the independent oracle, in tests and
 ``verify``.
 
-Grid symmetry.  Let g = gcd(m, P) and q = P / g.  Rotation by 2 pi / g
-shifts every grid index by q, and because g | m every map obeys
+Grid symmetry.  The symmetry group is that of the collocation grid:
+let g = gcd(m, P_c) and q = P_c / g.  Rotation by 2 pi / g shifts every
+sub-grid index by q, and because g | m every map obeys
 Phi(rho z) = rho Phi(z); the self weights depend only on l - k, so the
-discrete residual is q-periodic: G_{k+q} = G_k.  Conjugation maps index l
-to P - l, real coefficients give Phi(conj z) = conj Phi(z), and V is even
-(V_j = V_{P-j}), so it is odd: G_{P-k} = -G_k, which forces
-G_0 = G_{q/2} = 0.  Both identities hold for the discrete sums, not only
-in the limit.  The collocation sub-grid has the same g, so it is
-q_c-periodic and odd too, q_c = P_c / g, and every kernel pass targets
-only its orbit representatives k = 1..ceil(q_c/2)-1, the P grid indices
-j k, which :func:`_collocation_grid` alone defines; the rest of the
-sub-grid are copies up to summation order, or zero.  As j q_c = q, they
-are every j-th of the P grid's representatives 1..ceil(q/2)-1.  The same
-group acts on the cross kernel C[r, l] = 1/|Phi_2(tau_l) - Phi_1(tau_r)|:
-C[r+q, l+q] = C[r, l] = C[-r, -l], and A_j = w Phi_j'(w) turns like Phi_j.
-So the rows r = 0..floor(q/2) represent all P rows, and one block of
-them gives both cross streams: S(Phi_2, Phi_1) from its rows at the
-targets and S(Phi_1, Phi_2), which reads C by columns, from its columns
-folded over the group (:func:`_cross_streams`).  On the whole grid
-(j = 1, as at every run's default P = 4 K m) that block forms
-floor(q/2) + 1 rows for both streams, where two row passes over the
-targets would form 2 (ceil(q/2) - 1).  On a proper sub-grid (j > 1) its
-rows grow with j while the targets' 2 (ceil(q_c/2) - 1) do not, so there
-the cross streams are two row passes over the targets, like the self
-passes (:func:`_boundary_residuals`).
+discrete residual is q-periodic: G_{k+q} = G_k.  Conjugation maps
+sub-grid index k to P_c - k, real coefficients give
+Phi(conj z) = conj Phi(z), and V is even (V_j = V_{P-j}), so it is odd:
+G_{P_c-k} = -G_k, which forces G_0 = G_{q/2} = 0.  Both identities hold
+for the discrete sums, not only in the limit.  So every kernel pass
+targets only the orbit representatives k = 1..ceil(q/2)-1, the P grid
+indices j k, which :func:`_collocation_grid` alone defines; the rest of
+the sub-grid are copies up to summation order, or zero.  On the whole
+grid (j = 1, as at every run's default P = 4 K m) the same group acts on
+the cross kernel C[r, l] = 1/|Phi_2(tau_l) - Phi_1(tau_r)|:
+C[r+q, l+q] = C[r, l] = C[-r, -l], and A_j = w Phi_j'(w) turns like
+Phi_j.  So the rows r = 0..floor(q/2) represent all P rows, and one
+block of them gives both cross streams: S(Phi_2, Phi_1) from its rows at
+the targets and S(Phi_1, Phi_2), which reads C by columns, from its
+columns folded over the group (:func:`_cross_streams`).  That block
+forms floor(q/2) + 1 rows for both streams, where two row passes over
+the targets would form 2 (ceil(q/2) - 1).  On a proper sub-grid (j > 1)
+the group leaves about j q / 2 representatives of the P rows, which grow
+with j while the targets do not, so there the cross streams are two row
+passes over the targets, like the self passes (:func:`_boundary_residuals`).
 
 Kernel passes.  Every pass, a residual's two self passes
 (:func:`_stream_on_grid`) and its cross streams (one block or two row
@@ -273,7 +271,7 @@ class BranchRun:
     """A branch traced from the annulus, ``points[0]``, at Omega_m^{sign}
     ("plus" or "minus").  ``stopped_reason`` is None for a complete run, or
     a short message naming the failure that truncated it.  ``P`` is the
-    effective collocation size used (:func:`_run_grid`), and the points
+    effective quadrature size used (:func:`_run_grid`), and the points
     are the whole continuation state.  The branch JSON file is
     ``json.dumps(run.to_dict(), indent=2)``; :meth:`from_dict` reads it."""
 
@@ -503,11 +501,10 @@ def _stream_on_grid(
 
 def _cross_streams(
     maps: tuple[tuple[np.ndarray, np.ndarray], ...],
-    targets: slice,
     q: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """S(Phi_2, Phi_1) and S(Phi_1, Phi_2) at the targets ``targets`` of a
-    whole-grid collocation, the P grid indices 1..ceil(q/2)-1, from (Phi, A)
+    """S(Phi_2, Phi_1) and S(Phi_1, Phi_2) at the targets of a whole-grid
+    collocation (P_c = P), the P grid indices 1..ceil(q/2)-1, from (Phi, A)
     of both maps on the P nodes (:func:`_map_values`) and the period
     q = P / g, g = gcd(m, P), of the residual (:func:`_collocation_grid`):
     one loop over :func:`_distance_blocks` for both cross streams.
@@ -545,16 +542,16 @@ def _cross_streams(
         np.divide(1.0, d, out=d)
         rows_out[rows] = d @ row_sums
         cols_out += col_sums[:, rows] @ d
-    re, im, total = rows_out[targets].T
-    s21 = (re + 1j * im - num1[targets] * total) / P
+    k = np.arange(1, (q + 1) // 2)
+    re, im, total = rows_out[k].T
+    s21 = (re + 1j * im - num1[k] * total) / P
     # the fold for targets 0 < k < q: with u_n = sum_j rho^-j Y[n + j q],
     # the Z terms sum to rho conj(u_{q-k}), since Z[j q - k] = conj Y[j q - k]
-    k = np.arange(targets.start, targets.stop)
     nodes = _nodes(P)
     u = np.conj(nodes[::q]) @ (cols_out[0] + 1j * cols_out[1]).reshape(-1, q)
     t = cols_out[2].reshape(-1, q).sum(axis=0)
     col_a = u[k] + nodes[q % P] * np.conj(u[q - k])
-    s12 = (col_a - num2[targets] * (t[k] + t[q - k])) / P
+    s12 = (col_a - num2[k] * (t[k] + t[q - k])) / P
     return s21, s12
 
 
@@ -565,15 +562,15 @@ def _boundary_residuals(patch: PatchPair, P: int) -> tuple[np.ndarray, np.ndarra
 
     When the collocation grid is the whole grid (stride 1, as at a run's
     P = 4 K m), one block of floor(q/2) + 1 rows gives both cross streams
-    (:func:`_cross_streams`).  On a proper sub-grid (stride j > 1) that
-    block still spans the P grid's floor(q_P/2) + 1 rows, q_P = j q, so
-    the cross streams are two row passes over the ceil(q/2) - 1 targets
-    instead, like the self passes: their rows do not grow with j."""
+    (:func:`_cross_streams`).  On a proper sub-grid (stride j > 1) the
+    fold would still need about j q / 2 rows to represent all P source
+    rows, so the cross streams are two row passes over the ceil(q/2) - 1
+    targets instead, like the self passes: their rows do not grow with j."""
     q, targets, _ = _collocation_grid(patch.m, patch.K, P)
     maps = _map_values(patch, P)
     (phi1, num1), (phi2, num2) = maps
     if targets.step == 1:
-        s21, s12 = _cross_streams(maps, targets, q)
+        s21, s12 = _cross_streams(maps, q)
     else:
         s21 = _stream_on_grid(maps[1], maps[0], targets, False)
         s12 = _stream_on_grid(maps[0], maps[1], targets, False)
@@ -597,20 +594,20 @@ def _check_sizes(m: int, K: int, P: Optional[int] = None) -> None:
     if K < 1:
         raise PreconditionError(f"truncation must satisfy K >= 1, got {K}")
     if P is not None and (P % 2 or not 4 * K * m <= P <= MAX_KP // K):
-        raise PreconditionError(f"collocation size P={P} with K={K} modes must be even,"
+        raise PreconditionError(f"quadrature size P={P} with K={K} modes must be even,"
                                 f" >= 4*K*m = {4 * K * m} and within the cap K*P <= {MAX_KP}")
     if K * m > np.iinfo(np.int64).max:
         raise PreconditionError(f"mode exponents n*m - 1 must fit in int64, got K={K}, m={m}")
 
 
 def _run_grid(m: int, K: int, P: Optional[int] = None) -> int:
-    """A run's collocation size, the one grid rule: 4 K m for None, else the
+    """A run's quadrature size, the one grid rule: 4 K m for None, else the
     positive P rounded up to a multiple of 4 K m, in Python ints (numpy
     sizes would wrap), and within the size rule (:func:`_check_sizes`)."""
     block = 4 * int(K) * int(m) if _is_integer(K) and _is_integer(m) else None
     _check_sizes(m, K, block)  # the smallest grid, before any array of K or P entries
     if _is_integer(P) and P <= 0:  # before rounding, so the message names the P given
-        raise PreconditionError(f"collocation size P={P} must be positive")
+        raise PreconditionError(f"quadrature size P={P} must be positive")
     P = block if P is None else (block * -(-int(P) // block) if _is_integer(P) else P)
     _check_sizes(m, K, P)
     return P
@@ -622,13 +619,11 @@ def _collocation_grid(m: int, K: int, P: int) -> tuple[int, slice, np.ndarray]:
     table: the one target rule.
 
     Quadrature runs on all P nodes, collocation on the sub-grid of the
-    P_c = P / j nodes tau_{j k}: the coarsest with P_c even, P_c >= 4 K m
-    and gcd(m, P_c) = gcd(m, P).  4 K m nodes resolve the K retained sine
-    modes with alias margin, and the last condition keeps the symmetry
-    group of the P grid (module docstring) acting on the sub-grid, so its
-    targets are orbit representatives of the P grid as well.  A run's grid,
-    a multiple of 4 K m (:func:`_run_grid`), collocates on P_c = 4 K m; a
-    grid with no such proper sub-grid keeps P_c = P.
+    P_c = P / j nodes tau_{j k}: the coarsest with P_c even and
+    P_c >= 4 K m, whose nodes resolve the K retained sine modes with alias
+    margin.  A run's grid, a multiple of 4 K m (:func:`_run_grid`),
+    collocates on P_c = 4 K m; a grid with no such proper sub-grid keeps
+    P_c = P.
 
     With g = gcd(m, P_c) and q = P_c / g the discrete residual on the
     sub-grid is q-periodic and odd, and so is sin(n m theta_k) because
@@ -646,10 +641,10 @@ def _collocation_grid(m: int, K: int, P: int) -> tuple[int, slice, np.ndarray]:
     cached size is checked, not served.
     """
     _check_sizes(m, K, P)
-    g = math.gcd(m, P)
     sizes = (n for d in range(1, math.isqrt(P) + 1) if P % d == 0 for n in (d, P // d))
-    stride = P // min(n for n in sizes if n % 2 == 0 and n >= 4 * K * m and math.gcd(m, n) == g)
-    q = P // stride // g
+    P_c = min(n for n in sizes if n % 2 == 0 and n >= 4 * K * m)
+    stride = P // P_c
+    q = P_c // math.gcd(m, P_c)
     targets = slice(stride, stride * ((q + 1) // 2), stride)
     k = np.arange(targets.start, targets.stop, stride)
     proj = 4.0 / q * _node_powers(P, k, np.arange(1, K + 1) * m).imag
@@ -878,7 +873,8 @@ def newton_correct(
     ------
     PreconditionError
         before any kernel pass: ``newton_tol`` not finite and > 0, ``s`` not finite,
-        ``vhat`` not a pair of finite numbers, or P not even and >= 4 K m.
+        ``vhat`` not a pair of finite numbers, or P not a run's grid, a
+        multiple of 4 K m within the cap (:func:`_run_grid`).
     NoConvergence
         after ``_MAX_ITER`` = 25 iterations above tolerance.
     SingularJacobian
@@ -889,7 +885,8 @@ def newton_correct(
         raise PreconditionError(f"amplitude s={s} must be finite and vhat={vhat} a finite pair")
     K = patch.K
     coarse = 4 * K * patch.m
-    _check_sizes(patch.m, K, P)
+    if _run_grid(patch.m, K, P) != P:
+        raise PreconditionError(f"quadrature size P={P} with K={K} modes must be a multiple of 4*K*m = {coarse}")
 
     # the amplitude row: its value at x after the 2K equations f; its gradient
     def bordered(f: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -994,10 +991,10 @@ def branch_continue(
 
     ``P`` defaults to 4 K m, which resolves every retained mode with alias
     margin; an explicit ``P`` must be positive and is rounded up to the
-    nearest multiple of 4 K m (:func:`_run_grid`).  Either way
-    gcd(m, P) = m, the largest grid symmetry, and the collocation sub-grid
-    is the 4 K m grid, so every kernel pass evaluates 2 K - 1 targets
-    (:func:`_collocation_grid`).  A residual's cross streams are one folded
+    nearest multiple of 4 K m (:func:`_run_grid`).  Either way the
+    collocation sub-grid is the 4 K m grid, whose symmetry
+    gcd(m, 4 K m) = m is the largest, so every kernel pass evaluates
+    2 K - 1 targets (:func:`_collocation_grid`).  A residual's cross streams are one folded
     block of 2 K + 1 rows at P = 4 K m and two row passes over the 2 K - 1
     targets at a larger P (:func:`_boundary_residuals`).  The effective
     size is recorded on the returned run.

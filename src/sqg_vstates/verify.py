@@ -634,11 +634,11 @@ def check_linearization(b_set: tuple[float, ...] = (0.5, 0.7),
     and is resolved when P >= 4 K m.  The default P is the smallest power
     of two at or above the largest 4 (n + 2) m over the default probes:
     m = N(b) + 1 is 4 at b = 0.5 and 6 at b = 0.7, so 4 * 4 * 6 = 96 and
-    P = 128.  Each probe collocates on the coarsest sub-grid of P with at
-    least 4 K m nodes and the grid's symmetry (``contour._collocation_grid``):
-    the m = 4 probes on 64 of the 128 nodes, the m = 6 probes on all 128,
-    since 128 has no proper sub-grid of at least 72 nodes.  As
-    gcd(6, 128) = 2 < 6, the m = 6 probes do not have m | P_c and measure
+    P = 128.  Each probe collocates on the coarsest even sub-grid of P with
+    at least 4 K m nodes (``contour._collocation_grid``): the m = 4 probes
+    on 64 of the 128 nodes, the m = 6 probes on all 128, since 128 has no
+    proper sub-grid of at least 72 nodes.  As gcd(6, 128) = 2 < 6, the
+    m = 6 probes do not have m | P_c and measure
     the aliasing leak at frequencies off the multiples of m; P = 96 would
     lose that probe.
 

@@ -36,6 +36,8 @@ from sqg_vstates.specfun import AnnulusConstants, lambda_coeff, s_sum
 from sqg_vstates.spectrum import bifurcation_row, kernel_vector, mode_matrix, threshold_N
 from sqg_vstates.verify import _linearization_probe, gauss_2f1
 
+from patch_grids import SYMMETRY_GRIDS, small_patch
+
 
 @pytest.fixture(scope="module")
 def consts_06():
@@ -48,27 +50,6 @@ def criterion_10_runs(consts_06):
     of both signs, at P = 4Km = 160 and at P = 1280."""
     return {(sign, P): branch_continue(5, 0.6, sign, steps=10, ds=1e-3, K=8, P=P, consts=consts_06)
             for sign in ("plus", "minus") for P in (160, 1280)}
-
-
-# (m, K, P) covering each case of the grid symmetry rule, g = gcd(m, P)
-# and q = P / g
-SYMMETRY_GRIDS = [
-    (5, 8, 1280),  # g = m
-    (6, 2, 256),   # g = 2
-    (3, 2, 256),   # g = 1
-    (5, 2, 42),    # g = 1, P < 64
-    (4, 1, 20),    # odd q = 5
-]
-
-
-def small_patch(b=0.5, m=4, K=3, omega=0.3, seed=1, scale=1e-3):
-    rng = np.random.default_rng(seed)
-    return PatchPair(
-        b=b, m=m, K=K,
-        a=scale * rng.standard_normal(K),
-        c=scale * rng.standard_normal(K),
-        omega=omega,
-    )
 
 
 def analytic_patch(m, K, seed, eps=1e-5):
@@ -332,12 +313,11 @@ class TestGridEvaluators:
         tau = np.exp(2j * math.pi * np.arange(P) / P)
         monomials = contour._node_powers(P, np.arange(P), -p)
         assert np.abs(monomials - tau[:, None] ** -p).max() <= 1e-13
-        # the sub-grid: the coarsest even divisor of P at or above 4Km
-        # with the grid's symmetry; the targets are its nodes 1..ceil(q/2)-1
+        # the sub-grid: the smallest even divisor of P that is >= 4Km; the
+        # targets are its nodes 1..ceil(q/2)-1
         q, targets, proj = contour._collocation_grid(m, K, P)
         P_c, stride = sub_grid(m, K, P)
-        assert P_c == min(n for n in range(4 * K * m, P + 1, 2)
-                          if P % n == 0 and math.gcd(m, n) == math.gcd(m, P))
+        assert P_c == min(n for n in range(4 * K * m, P + 1, 2) if P % n == 0)
         assert q == P_c // math.gcd(m, P_c)
         assert np.arange(P)[targets].tolist() == [stride * k for k in range(1, (q + 1) // 2)]
         theta = 2.0 * math.pi * np.arange(1, (q + 1) // 2) / P_c
@@ -584,7 +564,7 @@ class TestCrossBlock:
         if grid_targets.step == 1:
             assert (q_c, grid_targets) == (q, slice(1, (q + 1) // 2, 1))
         maps = contour._map_values(patch, P)
-        s21, s12 = contour._cross_streams(maps, targets, q)
+        s21, s12 = contour._cross_streams(maps, q)
         for got, (src, dst) in zip((s21, s12), ((1, 0), (0, 1))):
             ref = contour._stream_on_grid(maps[src], maps[dst], targets, False)
             assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
@@ -594,8 +574,7 @@ class TestCrossBlock:
         # T = ceil(q_c/2) - 1 sub-grid targets.  On the whole grid (stride
         # 1) two self passes and one cross block over the rows 0..q/2:
         # 47 rows at (5, 8, 160).  On a proper sub-grid four row passes of
-        # T rows: 60 at (5, 8, 1280), where the cross block over the P
-        # grid's rows 0..q_P/2 made it 159
+        # T rows: 60 at (5, 8, 1280)
         rows = []
         blocks = contour._distance_blocks
 
@@ -732,8 +711,8 @@ class TestResidual:
             residual(patch, 49)  # odd
         # the size cap K P <= MAX_KP, checked before any table is built.
         # P = 2 * 5^2 * 11 * 31 * 41 is even with K P just below the cap; its
-        # smallest even divisor at or above 4Km = 48 is 50, and
-        # gcd(4, 50) = gcd(4, P) = 2, so it collocates on 50 nodes, q = 25
+        # smallest even divisor at or above 4Km = 48 is 50, so it collocates
+        # on 50 nodes, q = 50 / gcd(4, 50) = 25
         P = 2 * (contour.MAX_KP // 6)
         q, targets, _ = contour._collocation_grid(4, 3, P)
         assert (q, targets.step) == (25, P // 50)
@@ -966,6 +945,20 @@ class TestNewton:
             monkeypatch.setattr(contour, name, lambda *args: pytest.fail("kernel pass"))
         with pytest.raises(PreconditionError, match="must be finite"):
             newton_correct(start, s, unit if vhat is None else vhat, P=320)
+
+    def test_accepts_only_a_run_grid(self, consts_06, monkeypatch):
+        # P = 170 is even and >= 4Km = 160, but it would collocate on all
+        # 170 nodes, not on the 4Km sub-grid of the Jacobian: refused before
+        # any kernel pass, while the run grid P = 320 converges
+        m = threshold_N(0.6, consts_06) + 1
+        start, unit = self.first_step(consts_06, m, 8, 1e-3)
+        with monkeypatch.context() as patched:
+            for name in ("_exact_jacobian", "_system"):
+                patched.setattr(contour, name, lambda *args: pytest.fail("kernel pass"))
+            with pytest.raises(PreconditionError, match=r"P=170 with K=8 .* multiple of 4\*K\*m = 160"):
+                newton_correct(start, 1e-3, unit, P=170)
+        pt = newton_correct(start, 1e-3, unit, P=320)
+        assert pt.s == 1e-3 and pt.residual_norm <= 1e-10
 
     @pytest.mark.parametrize("sign", ["plus", "minus"])
     def test_coarse_jacobian_matches_fine_grid(self, consts_06, sign):

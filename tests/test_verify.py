@@ -17,7 +17,6 @@ import pytest
 
 from sqg_vstates import contour, verify
 from sqg_vstates.contour import (
-    PatchPair,
     _collocation_grid,
     _cross_streams,
     _self_weights,
@@ -37,6 +36,8 @@ from sqg_vstates.verify import (
     check_spectral,
     format_report_table,
 )
+
+from patch_grids import SYMMETRY_GRIDS, small_patch
 
 
 def test_c1_c2_reduced():
@@ -195,22 +196,6 @@ def test_linearization_bad_step_or_mode_is_a_precondition_error(monkeypatch, kwa
         check_linearization(**kwargs)
 
 
-# grids (m, K, P) covering each kind of grid symmetry g = gcd(m, P)
-SYMMETRY_GRIDS = [
-    (5, 8, 1280),  # g = m
-    (6, 2, 256),   # g = 2
-    (3, 2, 256),   # g = 1
-    (5, 2, 42),    # g = 1, P < 64
-    (4, 1, 20),    # odd q = 5
-]
-
-
-def small_patch(b=0.5, m=4, K=3, omega=0.3, seed=1, scale=1e-3):
-    rng = np.random.default_rng(seed)
-    return PatchPair(b=b, m=m, K=K, a=scale * rng.standard_normal(K),
-                     c=scale * rng.standard_normal(K), omega=omega)
-
-
 class TestLeak:
     @pytest.mark.parametrize("b", [0.3, 0.5, 0.7])
     def test_annulus_has_no_leak(self, b):
@@ -238,9 +223,11 @@ class TestLeak:
 
     @pytest.mark.parametrize("m,K,P", SYMMETRY_GRIDS)
     def test_leak_is_exactly_zero_when_m_divides_p(self, m, K, P):
-        # the sub-grid keeps gcd(m, P), so m divides its size iff m | P
+        # the leak is 0 exactly when m divides P_c, the size of the
+        # collocation sub-grid, which m | P does not imply: (3, 1, 42)
+        # collocates on 14 nodes
         res = residual(small_patch(b=0.6, m=m, K=K, seed=3, scale=3e-4), P)
-        assert (_leak(res, m) == 0.0) == (res.g1.size % m == 0) == (P % m == 0)
+        assert (_leak(res, m) == 0.0) == (res.g1.size % m == 0)
 
 
 def test_deterministic_given_seed():
